@@ -29,12 +29,12 @@ std::vector<index_t> covered_rows(std::span<const index_t> vrows,
 }
 
 template <typename T>
-void build_ell(const CsrMatrix<T>& a, BinLayout<T>& out,
-               const BuildLimits& limits) {
+void build_ell(const CsrMatrix<T>& a, std::vector<index_t> rows,
+               BinLayout<T>& out, const BuildLimits& limits) {
   auto& e = out.ell;
   offset_t nnz = 0;
   index_t width = 0;
-  for (const index_t r : e.rows) {
+  for (const index_t r : rows) {
     const offset_t len = a.row_nnz(r);
     nnz += len;
     width = std::max(width, static_cast<index_t>(len));
@@ -42,50 +42,55 @@ void build_ell(const CsrMatrix<T>& a, BinLayout<T>& out,
   if (width > limits.ell_max_width)
     throw std::length_error("fmt: ELL bin width " + std::to_string(width) +
                             " exceeds limit");
-  const auto padded = static_cast<double>(e.rows.size()) *
+  const auto padded = static_cast<double>(rows.size()) *
                       static_cast<double>(width);
   if (nnz > 0 && padded > limits.ell_max_expansion * static_cast<double>(nnz))
     throw std::length_error("fmt: ELL padding would expand bin " +
                             std::to_string(out.bin_id) + " beyond " +
                             std::to_string(limits.ell_max_expansion) + "x");
   e.width = width;
-  const std::size_t n = e.rows.size() * static_cast<std::size_t>(width);
-  e.col.assign(n, index_t{-1});
+  const std::size_t n = rows.size() * static_cast<std::size_t>(width);
+  std::vector<index_t> col(n, index_t{-1});
   e.val.assign(n, T(0));
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto va = a.vals();
-  for (std::size_t pr = 0; pr < e.rows.size(); ++pr) {
-    const auto r = static_cast<std::size_t>(e.rows[pr]);
+  for (std::size_t pr = 0; pr < rows.size(); ++pr) {
+    const auto r = static_cast<std::size_t>(rows[pr]);
     const offset_t beg = rp[r];
     const offset_t end = rp[r + 1];
     for (offset_t j = beg; j < end; ++j) {
       const auto k = static_cast<std::size_t>(j - beg);
-      e.col[k * e.rows.size() + pr] = ci[static_cast<std::size_t>(j)];
-      e.val[k * e.rows.size() + pr] = va[static_cast<std::size_t>(j)];
+      col[k * rows.size() + pr] = ci[static_cast<std::size_t>(j)];
+      e.val[k * rows.size() + pr] = va[static_cast<std::size_t>(j)];
     }
   }
+  e.rows = std::move(rows);
+  e.col = std::move(col);
   out.bytes = e.rows.size() * sizeof(index_t) + e.col.size() * sizeof(index_t) +
               e.val.size() * sizeof(T);
 }
 
 template <typename T>
-void build_coo(const CsrMatrix<T>& a, BinLayout<T>& out) {
+void build_coo(const CsrMatrix<T>& a, std::vector<index_t> rows,
+               BinLayout<T>& out) {
   auto& c = out.coo;
   offset_t nnz = 0;
-  for (const index_t r : c.rows) nnz += a.row_nnz(r);
-  c.entry_row.reserve(static_cast<std::size_t>(nnz));
-  c.entry_col.reserve(static_cast<std::size_t>(nnz));
+  for (const index_t r : rows) nnz += a.row_nnz(r);
+  std::vector<index_t> entry_row;
+  std::vector<index_t> entry_col;
+  entry_row.reserve(static_cast<std::size_t>(nnz));
+  entry_col.reserve(static_cast<std::size_t>(nnz));
   c.entry_val.reserve(static_cast<std::size_t>(nnz));
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto va = a.vals();
-  for (const index_t r : c.rows) {
+  for (const index_t r : rows) {
     const offset_t beg = rp[static_cast<std::size_t>(r)];
     const offset_t end = rp[static_cast<std::size_t>(r) + 1];
     for (offset_t j = beg; j < end; ++j) {
-      c.entry_row.push_back(r);
-      c.entry_col.push_back(ci[static_cast<std::size_t>(j)]);
+      entry_row.push_back(r);
+      entry_col.push_back(ci[static_cast<std::size_t>(j)]);
       c.entry_val.push_back(va[static_cast<std::size_t>(j)]);
     }
   }
@@ -93,36 +98,54 @@ void build_coo(const CsrMatrix<T>& a, BinLayout<T>& out) {
   // boundary so a row never straddles two chunks (keeps the parallel
   // accumulation race-free without atomics).
   constexpr std::size_t kChunkTarget = 8192;
-  c.chunk_ptr.push_back(0);
+  std::vector<std::size_t> chunk_ptr{0};
   std::size_t i = 0;
-  while (i < c.entry_row.size()) {
-    std::size_t next = std::min(i + kChunkTarget, c.entry_row.size());
-    while (next < c.entry_row.size() &&
-           c.entry_row[next] == c.entry_row[next - 1])
+  while (i < entry_row.size()) {
+    std::size_t next = std::min(i + kChunkTarget, entry_row.size());
+    while (next < entry_row.size() && entry_row[next] == entry_row[next - 1])
       ++next;
-    c.chunk_ptr.push_back(next);
+    chunk_ptr.push_back(next);
     i = next;
   }
+  c.rows = std::move(rows);
+  c.entry_row = std::move(entry_row);
+  c.entry_col = std::move(entry_col);
+  c.chunk_ptr = std::move(chunk_ptr);
   out.bytes = c.rows.size() * sizeof(index_t) +
               c.entry_row.size() * (2 * sizeof(index_t) + sizeof(T)) +
               c.chunk_ptr.size() * sizeof(std::size_t);
 }
 
+/// Stable column sort of one CSR row's entries — the order the delta
+/// stream stores. A value refresh of a bin with unsorted rows redoes it on
+/// the new values; columns are unchanged, so the permutation is too.
 template <typename T>
-void build_dcsr(const CsrMatrix<T>& a, BinLayout<T>& out) {
+void sort_row_by_column(std::vector<std::pair<index_t, T>>& entries) {
+  std::stable_sort(
+      entries.begin(), entries.end(),
+      [](const auto& x, const auto& y) { return x.first < y.first; });
+}
+
+template <typename T>
+void build_dcsr(const CsrMatrix<T>& a, std::vector<index_t> rows,
+                BinLayout<T>& out) {
   auto& d = out.dcsr;
   offset_t nnz = 0;
-  for (const index_t r : d.rows) nnz += a.row_nnz(r);
-  d.row_ptr.reserve(d.rows.size() + 1);
-  d.base_col.reserve(d.rows.size());
-  d.deltas.reserve(static_cast<std::size_t>(nnz));
+  for (const index_t r : rows) nnz += a.row_nnz(r);
+  std::vector<offset_t> row_ptr;
+  std::vector<index_t> base_col;
+  std::vector<std::uint16_t> deltas;
+  row_ptr.reserve(rows.size() + 1);
+  base_col.reserve(rows.size());
+  deltas.reserve(static_cast<std::size_t>(nnz));
   d.vals.reserve(static_cast<std::size_t>(nnz));
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto va = a.vals();
-  d.row_ptr.push_back(0);
+  row_ptr.push_back(0);
+  d.rows_sorted = true;
   std::vector<std::pair<index_t, T>> entries;
-  for (const index_t r : d.rows) {
+  for (const index_t r : rows) {
     const offset_t beg = rp[static_cast<std::size_t>(r)];
     const offset_t end = rp[static_cast<std::size_t>(r) + 1];
     entries.clear();
@@ -132,23 +155,28 @@ void build_dcsr(const CsrMatrix<T>& a, BinLayout<T>& out) {
     // CSR does not guarantee sorted columns within a row; the delta stream
     // requires them (summation order changes are within the differential
     // tolerance).
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
+    if (!std::is_sorted(ci.begin() + beg, ci.begin() + end)) {
+      d.rows_sorted = false;
+      sort_row_by_column(entries);
+    }
     index_t prev = entries.empty() ? index_t{0} : entries.front().first;
-    d.base_col.push_back(prev);
+    base_col.push_back(prev);
     for (std::size_t k = 0; k < entries.size(); ++k) {
       const index_t gap = entries[k].first - prev;
       if (gap > std::numeric_limits<std::uint16_t>::max())
         throw std::length_error(
             "fmt: Dcsr column gap " + std::to_string(gap) +
             " in row " + std::to_string(r) + " exceeds 16 bits");
-      d.deltas.push_back(static_cast<std::uint16_t>(gap));
+      deltas.push_back(static_cast<std::uint16_t>(gap));
       d.vals.push_back(entries[k].second);
       prev = entries[k].first;
     }
-    d.row_ptr.push_back(d.row_ptr.back() +
-                        static_cast<offset_t>(entries.size()));
+    row_ptr.push_back(row_ptr.back() + static_cast<offset_t>(entries.size()));
   }
+  d.rows = std::move(rows);
+  d.row_ptr = std::move(row_ptr);
+  d.base_col = std::move(base_col);
+  d.deltas = std::move(deltas);
   out.bytes = d.rows.size() * sizeof(index_t) +
               d.row_ptr.size() * sizeof(offset_t) +
               d.base_col.size() * sizeof(index_t) +
@@ -170,19 +198,17 @@ BinLayout<T> build_bin_layout(const CsrMatrix<T>& a,
   BinLayout<T> out;
   out.kind = kind;
   out.bin_id = bin_id;
+  out.source_structure = a.structure_id();
   auto rows = covered_rows(vrows, unit, a.rows());
   switch (kind) {
     case FormatKind::Ell:
-      out.ell.rows = std::move(rows);
-      build_ell(a, out, limits);
+      build_ell(a, std::move(rows), out, limits);
       break;
     case FormatKind::Coo:
-      out.coo.rows = std::move(rows);
-      build_coo(a, out);
+      build_coo(a, std::move(rows), out);
       break;
     case FormatKind::Dcsr:
-      out.dcsr.rows = std::move(rows);
-      build_dcsr(a, out);
+      build_dcsr(a, std::move(rows), out);
       break;
     case FormatKind::Csr:
       break;  // unreachable
@@ -193,73 +219,106 @@ BinLayout<T> build_bin_layout(const CsrMatrix<T>& a,
 
 template <typename T>
 BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
-                                   const BinLayout<T>& old) {
+                                   const BinLayout<T>& old,
+                                   std::vector<T> values) {
   if (old.kind == FormatKind::Csr)
     throw std::invalid_argument(
         "fmt: CSR bins execute from the shared arrays; nothing to refresh");
-  BinLayout<T> out = old;
+  if (a.structure_id() != old.source_structure)
+    throw std::length_error(
+        "fmt: refresh needs the structure the layout was built from");
+  BinLayout<T> out;
+  out.kind = old.kind;
+  out.bin_id = old.bin_id;
+  out.build_s = old.build_s;
+  out.bytes = old.bytes;
+  out.source_structure = old.source_structure;
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto va = a.vals();
-  const auto row_len = [&](index_t r) {
-    return rp[static_cast<std::size_t>(r) + 1] -
-           rp[static_cast<std::size_t>(r)];
+  const auto src = [&](index_t r) {
+    return va.subspan(
+        static_cast<std::size_t>(rp[static_cast<std::size_t>(r)]),
+        static_cast<std::size_t>(a.row_nnz(r)));
   };
+  // Every entry of the value array is written below (ELL padding too), so
+  // whatever `values` held before does not matter — only its size.
+  const std::size_t n = layout_values(old).size();
+  if (values.size() != n) values = std::vector<T>(n);
   switch (old.kind) {
     case FormatKind::Ell: {
       auto& e = out.ell;
+      e.width = old.ell.width;
+      e.rows = old.ell.rows;
+      e.col = old.ell.col;
+      e.val = std::move(values);
       const std::size_t nrows = e.rows.size();
-      for (std::size_t pr = 0; pr < nrows; ++pr) {
-        const index_t r = e.rows[pr];
-        if (r < 0 || r >= a.rows() || row_len(r) > e.width)
-          throw std::length_error("fmt: ELL refresh structure mismatch");
-        const offset_t beg = rp[static_cast<std::size_t>(r)];
-        const offset_t end = rp[static_cast<std::size_t>(r) + 1];
-        for (offset_t j = beg; j < end; ++j)
-          e.val[static_cast<std::size_t>(j - beg) * nrows + pr] =
-              va[static_cast<std::size_t>(j)];
+      const auto sn = static_cast<std::int64_t>(nrows);
+#pragma omp parallel for schedule(static) if (sn > 1024)
+      for (std::int64_t i = 0; i < sn; ++i) {
+        const auto pr = static_cast<std::size_t>(i);
+        const auto row = src(e.rows[pr]);
+        for (std::size_t k = 0; k < static_cast<std::size_t>(e.width); ++k)
+          e.val[k * nrows + pr] = k < row.size() ? row[k] : T(0);
       }
       break;
     }
     case FormatKind::Coo: {
+      // Chunks start on row boundaries and hold whole rows in entry order.
       auto& c = out.coo;
-      std::size_t i = 0;
-      for (const index_t r : c.rows) {
-        if (r < 0 || r >= a.rows())
-          throw std::length_error("fmt: Coo refresh structure mismatch");
-        const offset_t beg = rp[static_cast<std::size_t>(r)];
-        const offset_t end = rp[static_cast<std::size_t>(r) + 1];
-        for (offset_t j = beg; j < end; ++j, ++i) {
-          if (i >= c.entry_val.size() || c.entry_row[i] != r)
-            throw std::length_error("fmt: Coo refresh structure mismatch");
-          c.entry_val[i] = va[static_cast<std::size_t>(j)];
+      c.rows = old.coo.rows;
+      c.entry_row = old.coo.entry_row;
+      c.entry_col = old.coo.entry_col;
+      c.chunk_ptr = old.coo.chunk_ptr;
+      c.entry_val = std::move(values);
+      const auto nchunks = static_cast<std::int64_t>(c.chunk_ptr.size()) - 1;
+#pragma omp parallel for schedule(dynamic, 1) if (nchunks > 1)
+      for (std::int64_t ch = 0; ch < nchunks; ++ch) {
+        std::size_t j = c.chunk_ptr[static_cast<std::size_t>(ch)];
+        const std::size_t hi = c.chunk_ptr[static_cast<std::size_t>(ch) + 1];
+        while (j < hi) {
+          const auto row = src(c.entry_row[j]);
+          std::copy(row.begin(), row.end(),
+                    c.entry_val.begin() + static_cast<std::ptrdiff_t>(j));
+          j += row.size();
         }
       }
-      if (i != c.entry_val.size())
-        throw std::length_error("fmt: Coo refresh structure mismatch");
       break;
     }
     case FormatKind::Dcsr: {
-      // The delta stream stores each row's entries sorted by column; redo
-      // the builder's sort on the fresh values (columns per row are unique
-      // in well-formed CSR, so the permutation matches the original).
       auto& d = out.dcsr;
+      d.rows = old.dcsr.rows;
+      d.row_ptr = old.dcsr.row_ptr;
+      d.base_col = old.dcsr.base_col;
+      d.deltas = old.dcsr.deltas;
+      d.rows_sorted = old.dcsr.rows_sorted;
+      d.vals = std::move(values);
+      const auto sn = static_cast<std::int64_t>(d.rows.size());
+      if (d.rows_sorted) {
+        // The delta stream is the CSR order: a straight per-row copy.
+#pragma omp parallel for schedule(static) if (sn > 1024)
+        for (std::int64_t i = 0; i < sn; ++i) {
+          const auto pr = static_cast<std::size_t>(i);
+          const auto row = src(d.rows[pr]);
+          std::copy(row.begin(), row.end(),
+                    d.vals.begin() +
+                        static_cast<std::ptrdiff_t>(d.row_ptr[pr]));
+        }
+        break;
+      }
+      // Unsorted rows: redo the builder's sort on the new values.
       std::vector<std::pair<index_t, T>> entries;
       for (std::size_t pr = 0; pr < d.rows.size(); ++pr) {
         const index_t r = d.rows[pr];
-        const offset_t beg = rp[static_cast<std::size_t>(r)];
-        const offset_t end = rp[static_cast<std::size_t>(r) + 1];
-        if (r < 0 || r >= a.rows() ||
-            end - beg != d.row_ptr[pr + 1] - d.row_ptr[pr])
-          throw std::length_error("fmt: Dcsr refresh structure mismatch");
+        const auto cols = ci.subspan(
+            static_cast<std::size_t>(rp[static_cast<std::size_t>(r)]),
+            static_cast<std::size_t>(a.row_nnz(r)));
+        const auto row = src(r);
         entries.clear();
-        for (offset_t j = beg; j < end; ++j)
-          entries.emplace_back(ci[static_cast<std::size_t>(j)],
-                               va[static_cast<std::size_t>(j)]);
-        std::sort(entries.begin(), entries.end(),
-                  [](const auto& x, const auto& y) {
-                    return x.first < y.first;
-                  });
+        for (std::size_t k = 0; k < row.size(); ++k)
+          entries.emplace_back(cols[k], row[k]);
+        if (!std::is_sorted(cols.begin(), cols.end()))
+          sort_row_by_column(entries);
         for (std::size_t k = 0; k < entries.size(); ++k)
           d.vals[static_cast<std::size_t>(d.row_ptr[pr]) + k] =
               entries[k].second;
@@ -277,8 +336,8 @@ BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
   template BinLayout<T> build_bin_layout(                                 \
       const CsrMatrix<T>&, std::span<const index_t>, index_t, FormatKind, \
       int, const BuildLimits&);                                           \
-  template BinLayout<T> refresh_layout_values(const CsrMatrix<T>&,        \
-                                              const BinLayout<T>&);
+  template BinLayout<T> refresh_layout_values(                            \
+      const CsrMatrix<T>&, const BinLayout<T>&, std::vector<T>);
 SPMV_FMT_LAYOUT_INSTANTIATE(float)
 SPMV_FMT_LAYOUT_INSTANTIATE(double)
 #undef SPMV_FMT_LAYOUT_INSTANTIATE

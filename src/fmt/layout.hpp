@@ -11,7 +11,9 @@
 // amortize it against observed reuse.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -20,6 +22,34 @@
 
 namespace spmv::fmt {
 
+/// Immutable, reference-counted array: copies share one buffer. A layout's
+/// structure arrays are SharedArrays, so a value refresh hands the new
+/// layout the old one's structure without copying a byte of it. Reads like
+/// a const std::vector (size, data, [] and a span view).
+template <typename X>
+class SharedArray {
+ public:
+  SharedArray() = default;
+  SharedArray(std::vector<X> v)  // NOLINT: implicit, like assigning a vector
+      : owner_(std::make_shared<const std::vector<X>>(std::move(v))),
+        data_(owner_->data()),
+        size_(owner_->size()) {}
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const X* data() const { return data_; }
+  const X& operator[](std::size_t i) const { return data_[i]; }
+  operator std::span<const X>() const { return {data_, size_}; }
+  /// The shared buffer (null when default-constructed).
+  [[nodiscard]] const std::shared_ptr<const std::vector<X>>& owner() const {
+    return owner_;
+  }
+
+ private:
+  std::shared_ptr<const std::vector<X>> owner_;
+  const X* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 /// ELL-packed bin: every covered row padded to the bin's max row length,
 /// columns/values column-major over the packed rows — entry (r, k) lives at
 /// k*rows.size() + r, padded with col -1 / value 0. Mirrors sparse/ell.hpp
@@ -27,8 +57,8 @@ namespace spmv::fmt {
 template <typename T>
 struct EllBin {
   index_t width = 0;               ///< max row length in the bin
-  std::vector<index_t> rows;       ///< covered actual row ids (incl. empty)
-  std::vector<index_t> col;        ///< column-major, rows.size()*width
+  SharedArray<index_t> rows;       ///< covered actual row ids (incl. empty)
+  SharedArray<index_t> col;        ///< column-major, rows.size()*width
   std::vector<T> val;              ///< same shape, padded with 0
 };
 
@@ -39,11 +69,11 @@ struct EllBin {
 /// chunks accumulate into disjoint y entries without atomics.
 template <typename T>
 struct CooBin {
-  std::vector<index_t> rows;        ///< covered actual row ids (for zeroing)
-  std::vector<index_t> entry_row;   ///< per-entry row id, non-decreasing
-  std::vector<index_t> entry_col;
+  SharedArray<index_t> rows;        ///< covered actual row ids (for zeroing)
+  SharedArray<index_t> entry_row;   ///< per-entry row id, non-decreasing
+  SharedArray<index_t> entry_col;
   std::vector<T> entry_val;
-  std::vector<std::size_t> chunk_ptr;  ///< chunk offsets into the triples
+  SharedArray<std::size_t> chunk_ptr;  ///< chunk offsets into the triples
 };
 
 /// Delta-compressed CSR bin for banded rows: per covered row, columns are
@@ -52,26 +82,62 @@ struct CooBin {
 /// the bin unsuitable (the builder throws).
 template <typename T>
 struct DeltaBin {
-  std::vector<index_t> rows;          ///< covered actual row ids
-  std::vector<offset_t> row_ptr;      ///< packed, rows.size()+1 entries
-  std::vector<index_t> base_col;      ///< first (smallest) column per row
-  std::vector<std::uint16_t> deltas;  ///< per-entry gap from previous column
+  SharedArray<index_t> rows;          ///< covered actual row ids
+  SharedArray<offset_t> row_ptr;      ///< packed, rows.size()+1 entries
+  SharedArray<index_t> base_col;      ///< first (smallest) column per row
+  SharedArray<std::uint16_t> deltas;  ///< per-entry gap from previous column
   std::vector<T> vals;                ///< sorted to match the delta stream
+  /// Every covered CSR row already had non-decreasing columns, so the
+  /// delta stream is the CSR order and a value refresh is a straight
+  /// per-row copy (true for generator and Matrix Market input).
+  bool rows_sorted = true;
 };
 
 /// One bin's materialized layout: exactly one of the three payloads is
 /// populated, selected by `kind` (never Csr — CSR bins execute straight
-/// from the shared arrays and are never materialized).
+/// from the shared arrays and are never materialized). The structure
+/// arrays are shared with every value refresh of the layout; only the
+/// value array is per layout.
 template <typename T>
 struct BinLayout {
   FormatKind kind = FormatKind::Csr;
   int bin_id = -1;
   double build_s = 0.0;    ///< wall-clock cost of the transformation
   std::size_t bytes = 0;   ///< heap footprint of the materialized arrays
+  /// CsrMatrix::structure_id() of the matrix the layout was built from: a
+  /// value refresh is valid exactly for matrices on the same block.
+  std::uint64_t source_structure = 0;
   EllBin<T> ell;
   CooBin<T> coo;
   DeltaBin<T> dcsr;
 };
+
+/// The value array of `l`'s populated payload.
+template <typename T>
+[[nodiscard]] const std::vector<T>& layout_values(const BinLayout<T>& l) {
+  switch (l.kind) {
+    case FormatKind::Ell: return l.ell.val;
+    case FormatKind::Coo: return l.coo.entry_val;
+    default: return l.dcsr.vals;
+  }
+}
+template <typename T>
+[[nodiscard]] std::vector<T>& layout_values(BinLayout<T>& l) {
+  return const_cast<std::vector<T>&>(
+      layout_values(static_cast<const BinLayout<T>&>(l)));
+}
+
+/// Owning handle on `l`'s structure (its covered-row array, shared by
+/// every value refresh), for keying value recycling by structure.
+template <typename T>
+[[nodiscard]] std::shared_ptr<const void> layout_structure(
+    const BinLayout<T>& l) {
+  switch (l.kind) {
+    case FormatKind::Ell: return l.ell.rows.owner();
+    case FormatKind::Coo: return l.coo.rows.owner();
+    default: return l.dcsr.rows.owner();
+  }
+}
 
 /// Guardrails the builders enforce (the estimator applies tighter,
 /// heuristic thresholds; these are correctness/memory bounds).
@@ -91,25 +157,31 @@ template <typename T>
                                             int bin_id,
                                             const BuildLimits& limits = {});
 
-/// Value-refreshed copy of `old`: identical structure (row list, column
-/// stream, chunking, byte footprint) with every stored value re-read from
-/// `a`. Used after CsrMatrix::update_values so a structurally unchanged
-/// matrix keeps its materialized layouts instead of paying a rebuild.
-/// Returns a fresh object — the old layout is never mutated, because
-/// in-flight launches may still hold shared_ptrs to it. Throws
-/// std::length_error when `a`'s structure no longer matches the layout
+/// Value-refreshed copy of `old` for `a`'s values: the structure arrays
+/// are shared with `old`, and only the value array is written — row-
+/// parallel, a straight per-row copy except for Dcsr bins with unsorted
+/// CSR rows, which redo the builder's per-row sort. The old layout is never
+/// mutated, because in-flight launches may still hold shared_ptrs to it.
+/// `values` is the array to write into: a spare from an earlier refresh of
+/// the same layout structure saves the page faults of a fresh allocation;
+/// any other size is replaced by a fresh array. Used after
+/// CsrMatrix::update_values / with_values so a matrix on an unchanged
+/// structure keeps its materialized layouts instead of paying a rebuild.
+/// Validation is O(1): `a` must be on the structure block the layout was
+/// built from (BinLayout::source_structure), else std::length_error
 /// (callers treat that as "drop and rebuild lazily").
 template <typename T>
 [[nodiscard]] BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
-                                                 const BinLayout<T>& old);
+                                                 const BinLayout<T>& old,
+                                                 std::vector<T> values = {});
 
 #define SPMV_FMT_LAYOUT_EXTERN(T)                                         \
   extern template struct BinLayout<T>;                                    \
   extern template BinLayout<T> build_bin_layout(                          \
       const CsrMatrix<T>&, std::span<const index_t>, index_t, FormatKind, \
       int, const BuildLimits&);                                           \
-  extern template BinLayout<T> refresh_layout_values(const CsrMatrix<T>&, \
-                                                     const BinLayout<T>&);
+  extern template BinLayout<T> refresh_layout_values(                     \
+      const CsrMatrix<T>&, const BinLayout<T>&, std::vector<T>);
 SPMV_FMT_LAYOUT_EXTERN(float)
 SPMV_FMT_LAYOUT_EXTERN(double)
 #undef SPMV_FMT_LAYOUT_EXTERN

@@ -34,6 +34,15 @@ typename PlanLayouts<T>::Slot& PlanLayouts<T>::slot_for(std::uint64_t key) {
 }
 
 template <typename T>
+std::shared_ptr<const BinLayout<T>> PlanLayouts<T>::own(BinLayout<T> l) const {
+  auto structure = layout_structure(l);
+  return recycling_ptr(std::make_unique<BinLayout<T>>(std::move(l)), pool_,
+                       std::move(structure), [](BinLayout<T>& dead) {
+                         return std::move(layout_values(dead));
+                       });
+}
+
+template <typename T>
 std::uint64_t PlanLayouts<T>::note_run(const CsrMatrix<T>& a) {
   std::lock_guard<std::mutex> lock(mu_);
   Slot& s = slot_for(a.instance_id());
@@ -62,8 +71,7 @@ std::shared_ptr<const BinLayout<T>> PlanLayouts<T>::acquire(
   // to build the same layout.
   std::shared_ptr<const BinLayout<T>> built;
   try {
-    built = std::make_shared<const BinLayout<T>>(
-        build_bin_layout(a, vrows, unit, kind, bin_id));
+    built = own(build_bin_layout(a, vrows, unit, kind, bin_id));
     stats_.builds += 1;
     stats_.build_s += built->build_s;
   } catch (const std::exception&) {
@@ -88,22 +96,27 @@ std::uint64_t PlanLayouts<T>::refresh_values(const CsrMatrix<T>& a,
   if (slot == nullptr) return 0;
   slot->key = a.instance_id();
   std::uint64_t refreshed = 0;
+  const std::uint64_t recycled_before = pool_->recycled();
   for (auto it = slot->built.begin(); it != slot->built.end();) {
     if (it->second == nullptr) {
       ++it;  // negative cache: still hopeless after a values-only change
       continue;
     }
-    try {
-      it->second = std::make_shared<const BinLayout<T>>(
-          refresh_layout_values(a, *it->second));
-      refreshed += 1;
-      ++it;
-    } catch (const std::exception&) {
-      // Structure mismatch — drop so acquire() rebuilds lazily.
+    const BinLayout<T>& old = *it->second;
+    if (old.source_structure != a.structure_id()) {
+      // Another structure block — drop so acquire() rebuilds lazily.
       it = slot->built.erase(it);
+      continue;
     }
+    // Assigning retires the old layout; its values reach the pool once
+    // the last in-flight launch holding it lets go.
+    it->second = own(refresh_layout_values(
+        a, old, pool_->take(layout_structure(old), layout_values(old).size())));
+    refreshed += 1;
+    ++it;
   }
   stats_.value_refreshes += refreshed;
+  stats_.recycled_values += pool_->recycled() - recycled_before;
   return refreshed;
 }
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "fmt/layout.hpp"
+#include "sparse/value_pool.hpp"
 
 namespace spmv::fmt {
 
@@ -49,13 +50,16 @@ struct LayoutStats {
   std::uint64_t deferrals = 0;      ///< acquire() deferred: not yet amortized
   std::uint64_t value_refreshes = 0; ///< layouts value-refreshed in place of
                                      ///< a rebuild (refresh_values)
+  std::uint64_t recycled_values = 0; ///< refreshes that wrote into a retired
+                                     ///< layout's value array
   double build_s = 0.0;             ///< total wall-clock spent building
 };
 
 template <typename T>
 class PlanLayouts {
  public:
-  explicit PlanLayouts(AmortizationPolicy policy = {}) : policy_(policy) {}
+  explicit PlanLayouts(AmortizationPolicy policy = {})
+      : policy_(policy), pool_(std::make_shared<ValuePool<T>>()) {}
 
   /// Record one execution of `a` (call once per whole-plan run). Returns
   /// the instance's updated reuse count.
@@ -72,14 +76,18 @@ class PlanLayouts {
                                               int bin_id);
 
   /// Carry the layouts built for instance `old_instance_id` over to `a`
-  /// after a values-only mutation (CsrMatrix::update_values re-issues the
-  /// instance id but keeps the structure). The slot is re-keyed to
-  /// a.instance_id() with its reuse count, LRU position, and negative
-  /// caches intact; every built layout is replaced by a value-refreshed
-  /// *copy* (in-flight launches may still hold the old shared_ptrs). A
-  /// layout whose structure no longer matches `a` is dropped so acquire()
-  /// rebuilds it lazily. Returns the number of layouts refreshed; 0 when
-  /// the old instance has no slot (nothing was materialized).
+  /// after a values-only mutation (CsrMatrix::update_values or
+  /// with_values re-issue the instance id but keep the structure). The
+  /// slot is re-keyed to a.instance_id() with its reuse count, LRU
+  /// position, and negative caches intact; every built layout is replaced
+  /// by a value-refreshed layout that shares its structure arrays and
+  /// writes only values (in-flight launches may still hold the old
+  /// shared_ptrs). A layout retires its value array to a one-deep spare
+  /// when its last holder lets go, and the next refresh of the same
+  /// layout writes into that spare. A layout built from another structure
+  /// block than `a`'s is dropped so acquire() rebuilds it lazily. Returns
+  /// the number of layouts refreshed; 0 when the old instance has no slot
+  /// (nothing was materialized).
   std::uint64_t refresh_values(const CsrMatrix<T>& a,
                                std::uint64_t old_instance_id);
 
@@ -108,12 +116,15 @@ class PlanLayouts {
   static constexpr std::size_t kMaxSlots = 4;
 
   Slot& slot_for(std::uint64_t key);  // callers hold mu_
+  /// `l` behind a deleter that retires its value array to pool_.
+  std::shared_ptr<const BinLayout<T>> own(BinLayout<T> l) const;
 
   AmortizationPolicy policy_;
   mutable std::mutex mu_;
   std::vector<Slot> slots_;
   std::uint64_t tick_ = 0;
   LayoutStats stats_;
+  std::shared_ptr<ValuePool<T>> pool_;
 };
 
 extern template class PlanLayouts<float>;

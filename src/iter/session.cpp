@@ -234,22 +234,49 @@ std::span<T> IterativeSession<T>::iterate() {
 }
 
 template <typename T>
-void IterativeSession<T>::update_values(std::span<const T> new_vals) {
+std::shared_ptr<const CsrMatrix<T>> IterativeSession<T>::own(
+    CsrMatrix<T> m) const {
+  auto structure = m.structure();
+  return recycling_ptr(std::make_unique<CsrMatrix<T>>(std::move(m)),
+                       values_pool_, std::move(structure),
+                       [](CsrMatrix<T>& dead) {
+                         return std::move(dead).release_values();
+                       });
+}
+
+template <typename T>
+std::shared_ptr<const CsrMatrix<T>> IterativeSession<T>::write_values(
+    const CsrMatrix<T>& structure, std::span<const T> vals) const {
+  std::vector<T> buf = values_pool_->take(structure.structure(), vals.size());
+  detail::parallel_copy(vals, std::span<T>(buf));
+  return own(structure.with_values(std::move(buf)));  // checks the count
+}
+
+template <typename T>
+void IterativeSession<T>::install_values(std::shared_ptr<const CsrMatrix<T>> m,
+                                         std::uint64_t recycled) {
+  const std::shared_ptr<const State> old = state_;
+  auto ns = std::make_shared<State>(*old);
   std::uint64_t refreshed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::shared_ptr<const State> old = state_;
-    auto m = std::make_shared<CsrMatrix<T>>(*old->a);
-    m->update_values(new_vals);
-    auto ns = std::make_shared<State>(*old);
-    if (ns->layouts != nullptr)
-      refreshed = ns->layouts->refresh_values(*m, old->a->instance_id());
-    ns->a = std::move(m);
-    state_ = std::move(ns);
+  if (ns->layouts != nullptr) {
+    const std::uint64_t before = ns->layouts->stats().recycled_values;
+    refreshed = ns->layouts->refresh_values(*m, old->a->instance_id());
+    recycled += ns->layouts->stats().recycled_values - before;
   }
+  ns->a = std::move(m);
+  state_ = std::move(ns);
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.value_updates += 1;
   stats_.layout_refreshes += refreshed;
+  stats_.recycled_value_buffers += recycled;
+}
+
+template <typename T>
+void IterativeSession<T>::update_values(std::span<const T> new_vals) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t before = values_pool_->recycled();
+  auto m = write_values(*state_->a, new_vals);
+  install_values(std::move(m), values_pool_->recycled() - before);
 }
 
 template <typename T>
@@ -257,23 +284,23 @@ void IterativeSession<T>::replace_matrix(
     std::shared_ptr<const CsrMatrix<T>> a) {
   if (a == nullptr)
     throw std::invalid_argument("IterativeSession: null matrix");
-  const serve::Fingerprint key = serve::fingerprint_of(*a);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (key == state_->key) {
-      // Structurally identical (the cheap structural-delta check): values
-      // may differ, but plans are value-independent — keep the plan, bins,
-      // and arm state, and carry the layouts over by value refresh.
-      const std::shared_ptr<const State> old = state_;
-      auto ns = std::make_shared<State>(*old);
-      std::uint64_t refreshed = 0;
-      if (ns->layouts != nullptr)
-        refreshed = ns->layouts->refresh_values(*a, old->a->instance_id());
-      ns->a = std::move(a);
-      state_ = std::move(ns);
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      stats_.value_updates += 1;
-      stats_.layout_refreshes += refreshed;
+    const CsrMatrix<T>& cur = *state_->a;
+    // The value path only for an identical structure: plans, bins and
+    // layouts are structure-derived, and a fingerprint collision (it
+    // samples row_ptr and never reads col_idx) would silently run the new
+    // values through the old columns.
+    if (a->structure_id() == cur.structure_id()) {
+      install_values(std::move(a), 0);
+      return;
+    }
+    if (cur.same_structure(*a)) {
+      // Equal arrays on another block: the values move onto the session's
+      // block, so the layouts' O(1) identity check keeps holding.
+      const std::uint64_t before = values_pool_->recycled();
+      auto m = write_values(cur, a->vals());
+      install_values(std::move(m), values_pool_->recycled() - before);
       return;
     }
   }

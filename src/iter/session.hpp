@@ -15,14 +15,18 @@
 //
 // 2. Value mutation without re-planning. update_values() installs new
 //    non-zero values for the unchanged structure: plans are
-//    value-independent (serve::Fingerprint hashes structure only), so the
-//    session keeps its plan, bins, and bandit arm state, and value-refreshes
-//    any materialized bin layouts (fmt::PlanLayouts::refresh_values)
-//    instead of rebuilding them — zero binning or planning passes, asserted
-//    via SessionStats. replace_matrix() is the general form: a structurally
-//    identical replacement (fingerprint-checked) takes the same cheap path;
-//    a structural change forces the full re-bin + re-plan
-//    (SessionStats::structure_rebinds).
+//    value-independent, so the session keeps its plan, bins, and bandit
+//    arm state. The new matrix shares the old one's structure block
+//    (CsrMatrix::with_values) and materialized bin layouts share their
+//    structure arrays too (fmt::PlanLayouts::refresh_values), so an update
+//    is one parallel write of the values — no structure byte copied,
+//    nothing re-sorted, zero binning or planning passes (SessionStats).
+//    A retired state's value arrays return to a one-deep spare when the
+//    last in-flight launch drops them, and the next update writes into
+//    those already-touched pages (SessionStats::recycled_value_buffers).
+//    replace_matrix() is the general form: only an identical structure
+//    (the same block, or equal row_ptr and col_idx) takes the value path;
+//    anything else re-bins and re-plans (SessionStats::structure_rebinds).
 //
 // 3. Block iterates. SessionOptions::spmm_width > 1 iterates a column-major
 //    block of vectors through the true-SpMM path (core::execute_plan_spmm,
@@ -59,6 +63,7 @@
 #include "prof/profile.hpp"
 #include "serve/fingerprint.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/value_pool.hpp"
 
 namespace spmv::iter {
 
@@ -96,6 +101,9 @@ struct SessionStats {
   std::uint64_t promotions = 0;        ///< latency-feedback plans applied
   std::uint64_t value_updates = 0;     ///< update_values / same-structure swaps
   std::uint64_t layout_refreshes = 0;  ///< bin layouts value-refreshed
+  /// Value arrays (CSR or layout) written into a retired one's buffer
+  /// instead of a fresh allocation.
+  std::uint64_t recycled_value_buffers = 0;
   std::uint64_t structure_rebinds = 0; ///< replace_matrix re-bin + re-plan
   std::uint64_t planning_passes = 0;   ///< predictor-driven plan builds
   std::uint64_t warm_starts = 0;       ///< plans adopted from the store
@@ -143,16 +151,17 @@ class IterativeSession {
   /// concurrent step() — interleave them from one thread.
   [[nodiscard]] std::span<T> iterate();
 
-  /// Install new non-zero values for the unchanged structure. Keeps the
-  /// plan, bins, and bandit state; value-refreshes materialized layouts.
-  /// Runs already in flight finish against the old values.
+  /// Install new non-zero values for the unchanged structure (nnz()
+  /// entries in CSR order, else std::invalid_argument). Keeps the plan,
+  /// bins, and bandit state; value-refreshes materialized layouts. Runs
+  /// already in flight finish against the old values.
   void update_values(std::span<const T> new_vals);
 
-  /// Swap in a replacement matrix. A structurally identical one
-  /// (fingerprint-checked — the cheap structural-delta check) takes the
-  /// update_values path with zero re-binning; a structural change re-bins
-  /// and re-plans (warm-started from the store when it knows the new
-  /// structure).
+  /// Swap in a replacement matrix. One with an identical structure — the
+  /// same structure block (O(1)), or equal row_ptr and col_idx, whose
+  /// values then move onto the session's block — takes the update_values
+  /// path with zero re-binning; any other re-bins and re-plans
+  /// (warm-started from the store when it knows the new structure).
   void replace_matrix(std::shared_ptr<const CsrMatrix<T>> a);
 
   /// Write the current plan through to the store (stamped with the serving
@@ -184,6 +193,17 @@ class IterativeSession {
       std::shared_ptr<const CsrMatrix<T>> a);
   void execute(const std::shared_ptr<const State>& st, std::span<const T> x,
                std::span<T> y, int width);
+  /// `m` behind a deleter that retires its values to values_pool_.
+  [[nodiscard]] std::shared_ptr<const CsrMatrix<T>> own(CsrMatrix<T> m) const;
+  /// A matrix on `structure`'s block holding a parallel copy of `vals`,
+  /// written into a recycled buffer when one is spare.
+  [[nodiscard]] std::shared_ptr<const CsrMatrix<T>> write_values(
+      const CsrMatrix<T>& structure, std::span<const T> vals) const;
+  /// Swap in `m` (same structure block as the live matrix) with
+  /// value-refreshed layouts; `recycled` counts the value arrays already
+  /// written into spares for it. Caller holds mu_.
+  void install_values(std::shared_ptr<const CsrMatrix<T>> m,
+                      std::uint64_t recycled);
   void apply_promotion(const std::shared_ptr<const State>& st,
                        typename adapt::BanditTuner<T>::Promotion promo);
   void store_put(const State& st, double gflops);
@@ -195,6 +215,9 @@ class IterativeSession {
 
   mutable std::mutex mu_;          ///< guards state_ swaps
   std::shared_ptr<const State> state_;
+  /// One-deep spare of retired CSR value arrays (see own()).
+  std::shared_ptr<ValuePool<T>> values_pool_ =
+      std::make_shared<ValuePool<T>>();
 
   mutable std::mutex stats_mu_;
   SessionStats stats_;

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -19,7 +20,7 @@ std::string to_lower(std::string s) {
 }
 
 [[noreturn]] void fail(const std::string& msg) {
-  throw std::runtime_error("matrix market: " + msg);
+  throw MatrixMarketError("matrix market: " + msg);
 }
 
 MmHeader parse_header(const std::string& line) {
@@ -65,9 +66,22 @@ CooMatrix<T> read_matrix_market(std::istream& in, MmHeader* header) {
   const bool pattern = h.field == "pattern";
   const bool symmetric = h.symmetry == "symmetric";
   const bool skew = h.symmetry == "skew-symmetric";
+  const long long expand = symmetric || skew ? 2 : 1;
+
+  constexpr long long kMaxIndex = std::numeric_limits<index_t>::max();
+  if (rows > kMaxIndex || cols > kMaxIndex)
+    fail("size " + std::to_string(rows) + "x" + std::to_string(cols) +
+         " exceeds the index range (" + std::to_string(kMaxIndex) + ")");
+  if (entries > std::numeric_limits<offset_t>::max() / expand)
+    fail("entry count " + std::to_string(entries) +
+         " exceeds the offset range");
 
   CooMatrix<T> coo(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  coo.reserve(static_cast<std::size_t>(entries) * (symmetric || skew ? 2 : 1));
+  // The header's count is a claim, not a guarantee: reserve a bounded
+  // prefix and let a longer list grow the storage as it arrives.
+  constexpr long long kMaxReserve = 1LL << 20;
+  coo.reserve(
+      static_cast<std::size_t>(std::min(entries * expand, kMaxReserve)));
 
   for (long long k = 0; k < entries; ++k) {
     long long r = 0, c = 0;

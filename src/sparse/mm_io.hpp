@@ -5,11 +5,19 @@
 #pragma once
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 
 #include "sparse/coo.hpp"
 
 namespace spmv {
+
+/// Every read failure: malformed or hostile input (sizes beyond the
+/// index_t/offset_t range included) and unreadable files.
+class MatrixMarketError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Parsed Matrix Market header fields.
 struct MmHeader {
@@ -22,11 +30,15 @@ struct MmHeader {
 /// Read a coordinate Matrix Market stream into COO. Symmetric and
 /// skew-symmetric inputs are expanded to their general form (mirrored
 /// entries materialized; diagonal kept once). Pattern values become 1.
-/// Throws std::runtime_error on malformed input.
+/// Throws MatrixMarketError on malformed input, and on a size line whose
+/// rows/cols exceed index_t or whose entry count (doubled when symmetric)
+/// exceeds offset_t. The header's entry count is untrusted: storage is
+/// reserved for at most 2^20 entries up front and grows as entries
+/// actually arrive.
 template <typename T>
 CooMatrix<T> read_matrix_market(std::istream& in, MmHeader* header = nullptr);
 
-/// Convenience file wrapper. Throws std::runtime_error if unreadable.
+/// Convenience file wrapper. Throws MatrixMarketError if unreadable.
 template <typename T>
 CooMatrix<T> read_matrix_market_file(const std::string& path,
                                      MmHeader* header = nullptr);

@@ -80,7 +80,7 @@ bool formats_enabled() {
 
 /// The covered actual row ids of a materialized layout (each payload
 /// carries its own copy).
-const std::vector<index_t>& layout_rows(const fmt::BinLayout<double>& l) {
+std::span<const index_t> layout_rows(const fmt::BinLayout<double>& l) {
   switch (l.kind) {
     case fmt::FormatKind::Ell:
       return l.ell.rows;

@@ -55,7 +55,7 @@ CsrMatrix<float> make_csr(index_t cols,
 /// The covered actual row ids of a materialized layout (each payload
 /// carries its own copy).
 template <typename T>
-const std::vector<index_t>& covered_rows(const fmt::BinLayout<T>& l) {
+std::span<const index_t> covered_rows(const fmt::BinLayout<T>& l) {
   switch (l.kind) {
     case fmt::FormatKind::Ell:
       return l.ell.rows;
@@ -176,6 +176,92 @@ TEST(Layouts, DcsrMatchesExactOnBandedBins) {
         fmt::FormatKind::Dcsr, b);
     expect_layout_exact(*backend, a, layout, x);
   }
+}
+
+// --- value refresh ----------------------------------------------------------
+
+/// Value refresh shares the layout's structure arrays, writes every value
+/// (a recycled array full of stale values and an ELL bin's padding
+/// included), matches a fresh build on the new values exactly, and
+/// refuses a matrix on another structure block even when its arrays are
+/// equal.
+TEST(Layouts, RefreshSharesStructureAndChecksItsIdentity) {
+  const auto a = gen::banded<float>(3000, 6, 0.6, 41);
+  const auto bins = binning::bin_matrix(a, 16);
+  auto vals = random_vector<float>(static_cast<std::size_t>(a.nnz()), 43);
+  const auto b = a.with_values(std::span<const float>(vals));
+  ASSERT_EQ(b.structure_id(), a.structure_id());
+  const CsrMatrix<float> other_block(
+      a.rows(), a.cols(),
+      std::vector<offset_t>(a.row_ptr().begin(), a.row_ptr().end()),
+      std::vector<index_t>(a.col_idx().begin(), a.col_idx().end()),
+      std::vector<float>(vals));
+  const auto x = random_vector<float>(static_cast<std::size_t>(a.cols()), 47);
+  const auto backend = exec::shared_backend(exec::BackendKind::Native);
+  int refreshed = 0;
+  for (const int bin : bins.occupied_bins()) {
+    const auto vrows = std::span<const index_t>(bins.bin(bin));
+    for (const auto kind : {fmt::FormatKind::Ell, fmt::FormatKind::Coo,
+                            fmt::FormatKind::Dcsr}) {
+      fmt::BinLayout<float> old;
+      try {
+        old = fmt::build_bin_layout(a, vrows, bins.unit(), kind, bin);
+      } catch (const std::length_error&) {
+        continue;
+      }
+      const auto rebuilt =
+          fmt::build_bin_layout(b, vrows, bins.unit(), kind, bin);
+      const std::vector<float> stale(fmt::layout_values(old).size(), 99.0f);
+      const auto fresh = fmt::refresh_layout_values(b, old, stale);
+      EXPECT_EQ(fmt::layout_values(fresh), fmt::layout_values(rebuilt))
+          << fmt::format_cname(kind) << " bin " << bin;
+      EXPECT_EQ(fmt::layout_structure(fresh), fmt::layout_structure(old));
+      EXPECT_EQ(fresh.bytes, old.bytes);
+      switch (kind) {
+        case fmt::FormatKind::Ell:
+          EXPECT_EQ(fresh.ell.col.data(), old.ell.col.data());
+          break;
+        case fmt::FormatKind::Coo:
+          EXPECT_EQ(fresh.coo.entry_col.data(), old.coo.entry_col.data());
+          break;
+        default:
+          EXPECT_TRUE(old.dcsr.rows_sorted);
+          EXPECT_EQ(fresh.dcsr.deltas.data(), old.dcsr.deltas.data());
+          break;
+      }
+      expect_layout_exact(*backend, b, fresh, x);
+      EXPECT_THROW((void)fmt::refresh_layout_values(other_block, old),
+                   std::length_error);
+      refreshed += 1;
+    }
+  }
+  EXPECT_GT(refreshed, 3);
+}
+
+/// A hand-built Dcsr bin whose CSR rows are not column-sorted keeps the
+/// builder's per-row sort on refresh: the refreshed values equal a fresh
+/// build's on the new values, and execution stays exact.
+TEST(Layouts, DcsrRefreshOfUnsortedRowsKeepsTheSort) {
+  // Row 0 unsorted, row 1 sorted, row 2 empty, row 3 unsorted.
+  const auto a = make_csr(8, {{{5, 1.f}, {1, 2.f}, {3, 3.f}},
+                              {{0, 4.f}, {2, 5.f}},
+                              {},
+                              {{7, 6.f}, {6, 7.f}}});
+  const std::vector<index_t> vrows{0, 1, 2, 3};
+  const auto old = fmt::build_bin_layout(
+      a, std::span<const index_t>(vrows), 1, fmt::FormatKind::Dcsr, 0);
+  EXPECT_FALSE(old.dcsr.rows_sorted);
+  const auto b = a.with_values(
+      std::vector<float>{10.f, 20.f, 30.f, 40.f, 50.f, 60.f, 70.f});
+  const auto fresh = fmt::refresh_layout_values(b, old);
+  const auto rebuilt = fmt::build_bin_layout(
+      b, std::span<const index_t>(vrows), 1, fmt::FormatKind::Dcsr, 0);
+  EXPECT_EQ(fresh.dcsr.vals,
+            (std::vector<float>{20.f, 30.f, 10.f, 40.f, 50.f, 70.f, 60.f}));
+  EXPECT_EQ(fresh.dcsr.vals, rebuilt.dcsr.vals);
+  EXPECT_EQ(fresh.dcsr.deltas.data(), old.dcsr.deltas.data());
+  const auto backend = exec::shared_backend(exec::BackendKind::Native);
+  expect_layout_exact(*backend, b, fresh, random_vector<float>(8, 53));
 }
 
 TEST(Layouts, BatchedExecutionMatchesSingleVector) {

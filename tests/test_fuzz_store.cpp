@@ -1,6 +1,7 @@
-// Persistence fuzzing: the plan store and plan (de)serializers face
-// untrusted bytes — hand-edited artifacts, partial writes from a crash
-// mid-rename, copy corruption. Contract under test: PlanStore::load()
+// Persistence and input fuzzing: the plan store, the plan
+// (de)serializers and the Matrix Market reader face untrusted bytes —
+// hand-edited artifacts, partial writes from a crash mid-rename, copy
+// corruption, hostile size lines. Contract under test: PlanStore::load()
 // NEVER throws or crashes regardless of input (it falls back to an empty
 // store with the reason counted in stats, and stays flushable), and
 // core::plan_from_json fails only by throwing std::exception (no UB on
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "exec/backend.hpp"
 #include "fmt/format.hpp"
 #include "kernels/registry.hpp"
+#include "sparse/mm_io.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -489,6 +492,78 @@ TEST(PlanStoreFuzz, ForeignEntriesSurviveLoadFlushOfDamagedSiblings) {
   adapt::PlanStore other(f.path, "dev-other", "model-a");
   const auto ostats = other.load();
   EXPECT_EQ(ostats.loaded, 1u);
+}
+
+// ---- Matrix Market size lines ----------------------------------------------
+
+/// A Matrix Market file is untrusted input too: its size line must not
+/// wrap into negative index_t dimensions or drive an allocation sized by
+/// a count the file never backs with entries.
+TEST(MatrixMarketFuzz, HostileSizeLinesThrowTypedErrors) {
+  const auto parse = [](const std::string& text) {
+    std::stringstream ss(text);
+    return read_matrix_market<double>(ss);
+  };
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  // Rows one past index_t: used to wrap to a negative dimension.
+  EXPECT_THROW(parse(banner + "2147483648 2 1\n1 1 1.0\n"),
+               MatrixMarketError);
+  EXPECT_THROW(parse(banner + "2 2147483648 1\n1 1 1.0\n"),
+               MatrixMarketError);
+  // A 3-line file claiming 10^15 entries: used to reserve ~16 PB up front.
+  EXPECT_THROW(parse(banner + "4 4 1000000000000000\n1 1 1.0\n"),
+               MatrixMarketError);
+  // Symmetric expansion doubles the count past offset_t.
+  EXPECT_THROW(
+      parse("%%MatrixMarket matrix coordinate real symmetric\n"
+            "4 4 9223372036854775807\n1 1 1.0\n"),
+      MatrixMarketError);
+  // The largest representable dimensions still parse.
+  const auto edge = parse(banner + "2147483647 2147483647 1\n5 7 2.5\n");
+  EXPECT_EQ(edge.rows(), 2147483647);
+  EXPECT_EQ(edge.nnz(), 1u);
+}
+
+/// Random size lines drawn from the index/offset boundaries: a parse
+/// either succeeds within bounds or throws MatrixMarketError — never
+/// another exception, a wrapped dimension, or an unbounded allocation.
+TEST(MatrixMarketFuzz, RandomBoundarySizeLinesParseOrThrowTyped) {
+  const std::uint64_t base = base_seed();
+  const long long edges[] = {0,          1,           2,
+                             2147483647, 2147483648,  4294967296,
+                             1LL << 40,  1000000000000000LL,
+                             4611686018427387904LL, 9223372036854775807LL};
+  const char* kinds[] = {"real general", "pattern general", "real symmetric",
+                         "integer skew-symmetric"};
+  util::Xoshiro256 rng(base ^ 0x3A7EULL);
+  for (int i = 0; i < 200; ++i) {
+    const long long rows = edges[rng.bounded(std::size(edges))];
+    const long long cols = edges[rng.bounded(std::size(edges))];
+    const long long entries = edges[rng.bounded(std::size(edges))];
+    const std::string kind = kinds[rng.bounded(std::size(kinds))];
+    std::string text = "%%MatrixMarket matrix coordinate " + kind + "\n" +
+                       std::to_string(rows) + " " + std::to_string(cols) +
+                       " " + std::to_string(entries) + "\n";
+    const auto lines = rng.bounded(3);
+    for (std::uint64_t k = 0; k < lines; ++k)
+      text += kind.rfind("pattern", 0) == 0 ? "1 1\n" : "1 1 1\n";
+    const std::string where = "size line " + std::to_string(rows) + " " +
+                              std::to_string(cols) + " " +
+                              std::to_string(entries) + " (" + kind + ")" +
+                              seed_note(base, static_cast<std::uint64_t>(i));
+    try {
+      std::stringstream ss(text);
+      const auto coo = read_matrix_market<float>(ss);
+      EXPECT_LE(rows, 2147483647) << where;
+      EXPECT_LE(cols, 2147483647) << where;
+      EXPECT_EQ(coo.rows(), rows) << where;
+      EXPECT_LE(static_cast<long long>(coo.nnz()), entries * 2) << where;
+    } catch (const MatrixMarketError&) {
+      // The typed refusal.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << where << ": untyped " << e.what();
+    }
+  }
 }
 
 }  // namespace

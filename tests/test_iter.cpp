@@ -32,6 +32,7 @@
 #include "iter/dense_block.hpp"
 #include "iter/session.hpp"
 #include "kernels/reference.hpp"
+#include "serve/fingerprint.hpp"
 #include "serve/service.hpp"
 #include "sparse/convert.hpp"
 #include "util/rng.hpp"
@@ -331,6 +332,124 @@ TEST(IterSession, ReplaceMatrixStructuralDelta) {
   session.run(std::span<const double>(x2), std::span<double>(y2));
   expect_close(y2, kernels::spmv_exact(*other, std::span<const double>(x2)),
                ctx(base, seed, "replace new-structure"));
+}
+
+/// Regression: replace_matrix used to take the value path on
+/// serve::Fingerprint equality, and the fingerprint samples row_ptr without
+/// ever reading col_idx. Same row_ptr with every column shifted by one
+/// collided, the session kept its layouts, and nearly every row came back
+/// wrong (19,961 of 20,000 rows at 20k rows; every row's columns shift, so
+/// the size only changes the count). Only an identical structure may take
+/// the value path.
+TEST(IterSession, ReplaceMatrixWithShiftedColumnsRebinds) {
+  const auto a = std::make_shared<const CsrMatrix<double>>(
+      gen::banded<double>(2000, 8, 0.7, 11));
+  std::vector<index_t> shifted(a->col_idx().begin(), a->col_idx().end());
+  for (index_t& c : shifted) c = (c + 1) % a->cols();
+  const auto b = std::make_shared<const CsrMatrix<double>>(
+      a->rows(), a->cols(),
+      std::vector<offset_t>(a->row_ptr().begin(), a->row_ptr().end()),
+      std::move(shifted),
+      std::vector<double>(a->vals().begin(), a->vals().end()));
+  ASSERT_EQ(serve::fingerprint_of(*a), serve::fingerprint_of(*b))
+      << "the fingerprint now reads columns; pick a colliding pair";
+
+  const core::HeuristicPredictor pred;
+  iter::SessionOptions opts;
+  opts.backend = exec::BackendKind::Native;
+  opts.format = fmt::FormatMode::Auto;
+  opts.format_policy = {.min_reuse = 0, .eager = true};
+  iter::IterativeSession<double> session(a, pred, opts);
+  const auto x = random_vec(static_cast<std::size_t>(a->cols()), 5);
+  std::vector<double> y(static_cast<std::size_t>(a->rows()));
+  session.run(std::span<const double>(x), std::span<double>(y));  // builds
+
+  session.replace_matrix(b);
+  EXPECT_EQ(session.stats().structure_rebinds, 1u);
+  EXPECT_EQ(session.stats().value_updates, 0u);
+  session.run(std::span<const double>(x), std::span<double>(y));
+  expect_close(y, kernels::spmv_exact(*b, std::span<const double>(x)),
+               "shifted-column replacement");
+
+  // Equal arrays on another block still take the value path, and the
+  // values move onto the session's block.
+  const auto copy = std::make_shared<const CsrMatrix<double>>(
+      b->rows(), b->cols(),
+      std::vector<offset_t>(b->row_ptr().begin(), b->row_ptr().end()),
+      std::vector<index_t>(b->col_idx().begin(), b->col_idx().end()),
+      random_vec(b->vals().size(), 6));
+  const auto block = session.matrix()->structure_id();
+  session.replace_matrix(copy);
+  EXPECT_EQ(session.stats().structure_rebinds, 1u);
+  EXPECT_EQ(session.stats().value_updates, 1u);
+  EXPECT_EQ(session.matrix()->structure_id(), block);
+  session.run(std::span<const double>(x), std::span<double>(y));
+  expect_close(y, kernels::spmv_exact(*copy, std::span<const double>(x)),
+               "equal-structure replacement");
+}
+
+/// The structure-sharing contract of update_values: the live matrix keeps
+/// the same row_ptr/col_idx buffers (no structure byte copied), every
+/// product is bit-identical to a fresh session planned on a deep copy
+/// carrying the same values, and every steady-state update writes into a
+/// retired state's recycled value arrays. The first two updates allocate
+/// the CSR values: the caller's original matrix is not the session's to
+/// recycle, and the first update's array is still live during the second.
+TEST(IterSession, UpdateValuesSharesStructureAndRecyclesValueBuffers) {
+  // Built per iteration, so each matrix dies soon after its last
+  // OpenMP launch (tsan matches its libgomp suppressions on that
+  // launch's stack, which a long history would evict).
+  const auto make = [](std::size_t m) {
+    switch (m) {
+      case 0: return gen::banded<double>(2000, 4, 0.7, 21);  // dcsr bins
+      case 1: return gen::fixed_degree<double>(2000, 70000, 6, 2);  // ELL
+      default: return random_csr(util::SplitMix64(base_seed() + 31).next());
+    }
+  };
+  const core::HeuristicPredictor pred;
+  iter::SessionOptions opts;
+  opts.backend = exec::BackendKind::Native;
+  opts.format = fmt::FormatMode::Auto;
+  opts.format_policy = {.min_reuse = 0, .eager = true};
+  for (std::size_t m = 0; m < 3; ++m) {
+    const std::string where = "corpus matrix " + std::to_string(m);
+    const auto a = std::make_shared<const CsrMatrix<double>>(make(m));
+    iter::IterativeSession<double> session(a, pred, opts);
+    const offset_t* row_ptr = session.matrix()->row_ptr().data();
+    const index_t* col_idx = session.matrix()->col_idx().data();
+    const auto x = random_vec(static_cast<std::size_t>(a->cols()), 40 + m);
+    std::vector<double> y(static_cast<std::size_t>(a->rows()));
+    std::vector<double> y_fresh(y.size());
+    session.run(std::span<const double>(x), std::span<double>(y));  // builds
+
+    std::uint64_t recycled = 0;
+    for (int u = 0; u < 3; ++u) {
+      const auto vals = random_vec(a->vals().size(), 100 * m + u);
+      session.update_values(std::span<const double>(vals));
+      EXPECT_EQ(session.matrix()->row_ptr().data(), row_ptr) << where;
+      EXPECT_EQ(session.matrix()->col_idx().data(), col_idx) << where;
+      const std::uint64_t now = session.stats().recycled_value_buffers;
+      if (u >= 2) {
+        EXPECT_GT(now, recycled) << where << ", update " << u;
+      }
+      recycled = now;
+
+      const auto deep = std::make_shared<const CsrMatrix<double>>(
+          a->rows(), a->cols(),
+          std::vector<offset_t>(a->row_ptr().begin(), a->row_ptr().end()),
+          std::vector<index_t>(a->col_idx().begin(), a->col_idx().end()),
+          vals);
+      iter::IterativeSession<double> fresh(deep, pred, opts);
+      ASSERT_EQ(fresh.plan().to_string(), session.plan().to_string()) << where;
+      session.run(std::span<const double>(x), std::span<double>(y));
+      fresh.run(std::span<const double>(x), std::span<double>(y_fresh));
+      for (std::size_t r = 0; r < y.size(); ++r)
+        ASSERT_EQ(y[r], y_fresh[r]) << where << ", update " << u << ", row "
+                                    << r;
+    }
+    EXPECT_EQ(session.stats().planning_passes, 1u) << where;
+    EXPECT_EQ(session.stats().structure_rebinds, 0u) << where;
+  }
 }
 
 /// Latency-feedback tuning end to end on the bandit: alternate

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "adapt/plan_store.hpp"
+#include "core/predictor.hpp"
 #include "gen/generators.hpp"
 #include "iter/session.hpp"
 #include "kernels/reference.hpp"
@@ -508,6 +509,82 @@ TEST(StressIter, ConcurrentStepsRunsAndValueMutations) {
     warmed.run(std::span<const float>(x), std::span<float>(y));
     expect_result_exact(y, exact_a, "warm-started run" + note);
   }
+}
+
+/// Value-buffer recycling under load: a retired state's value arrays are
+/// reused by a later update_values, so a recycled array must never be
+/// written while a launch still reads it. Client threads run() back to
+/// back — each launch holding the snapshot it started on — while a mutator
+/// cycles update_values through three value sets. Every product must equal,
+/// bit for bit, the product of a fresh session under one of the three
+/// sets: a torn or overwritten buffer would match none of them.
+TEST(StressIter, RecycledValueBuffersNeverTearInFlightRuns) {
+  const std::uint64_t base = base_seed();
+  const std::string note =
+      " (replay with SPMV_TEST_SEED=" + std::to_string(base) + ")";
+  // Banded rows give Dcsr layouts. Kept small: under tsan every access
+  // from an OpenMP worker goes through the suppression matcher.
+  const auto a = std::make_shared<const CsrMatrix<float>>(
+      gen::banded<float>(1500, 6, 0.7, base & 0xffff));
+  const auto x = random_x(static_cast<std::size_t>(a->cols()), base ^ 0x5E7ULL);
+
+  const core::HeuristicPredictor pred;
+  iter::SessionOptions opts;
+  opts.backend = exec::BackendKind::Native;
+  opts.format = fmt::FormatMode::Auto;
+  opts.format_policy = {.min_reuse = 0, .eager = true};
+
+  constexpr int kSets = 3;
+  std::vector<std::vector<float>> sets;
+  std::vector<std::vector<float>> expected;
+  for (int k = 0; k < kSets; ++k) {
+    std::vector<float> v(a->vals().begin(), a->vals().end());
+    for (auto& e : v) e *= static_cast<float>(k + 1);
+    const auto m = std::make_shared<const CsrMatrix<float>>(
+        a->with_values(std::span<const float>(v)));
+    iter::IterativeSession<float> fresh(m, pred, opts);
+    std::vector<float> y(static_cast<std::size_t>(a->rows()));
+    fresh.run(std::span<const float>(x), std::span<float>(y));
+    sets.push_back(std::move(v));
+    expected.push_back(std::move(y));
+  }
+
+  iter::IterativeSession<float> session(a, pred, opts);
+  ASSERT_TRUE(session.plan().uses_formats()) << session.plan().to_string();
+  constexpr int kUpdates = 150;  // 50 cycles of the three sets
+  std::atomic<bool> done{false};
+  std::atomic<int> torn{0};
+  std::atomic<int> runs{0};
+  auto client = [&] {
+    std::vector<float> y(static_cast<std::size_t>(a->rows()));
+    while (!done.load(std::memory_order_acquire)) {
+      session.run(std::span<const float>(x), std::span<float>(y));
+      runs.fetch_add(1, std::memory_order_relaxed);
+      bool any = false;
+      for (const auto& e : expected) any = any || e == y;
+      if (!any) torn.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread c1(client), c2(client), c3(client);
+  for (int i = 0; i < kUpdates; ++i) {
+    const int seen = runs.load(std::memory_order_relaxed);
+    session.update_values(std::span<const float>(sets[(i + 1) % kSets]));
+    // Pace the updates by completed launches, so every update overlaps
+    // runs that started on an older snapshot.
+    while (runs.load(std::memory_order_relaxed) == seen)
+      std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  c1.join();
+  c2.join();
+  c3.join();
+
+  EXPECT_EQ(torn.load(), 0) << "of " << runs.load() << " runs" << note;
+  EXPECT_GT(runs.load(), 0) << note;
+  const auto st = session.stats();
+  EXPECT_EQ(st.value_updates, static_cast<std::uint64_t>(kUpdates)) << note;
+  EXPECT_EQ(st.planning_passes, 1u) << note;
+  EXPECT_GT(st.recycled_value_buffers, 0u) << note;
 }
 
 }  // namespace
