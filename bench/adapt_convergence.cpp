@@ -196,8 +196,8 @@ int run_formats_gate(const util::Cli& cli) {
 
   // Near-uniform short rows (every row degree 6): the ELL-packed sweet
   // spot the bandit must find. Columns are drawn from a space wider than
-  // the 16-bit delta budget so row spans disqualify DCSR — on narrow
-  // matrices delta-compressed indices legitimately beat ELL, which is not
+  // the 16-bit row-span budget so row spans disqualify DCSR — on narrow
+  // matrices 16-bit column offsets legitimately beat ELL, which is not
   // the regime this gate probes. Scatter: a long power-law tail — format
   // exploration must not cost throughput where layouts don't pay.
   const auto ucols = std::max<index_t>(rows, 70000);

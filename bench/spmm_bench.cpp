@@ -111,7 +111,8 @@ int main(int argc, char** argv) {
     root.set("config", std::move(config));
     root.set("nnz", static_cast<std::int64_t>(a.nnz()));
     for (const auto& r : results) {
-      const std::string tag = "w" + std::to_string(r.width);
+      std::string tag = "w";
+      tag += std::to_string(r.width);
       root.set(tag + "_percol_gflops", r.percol_gf);
       root.set(tag + "_blocked_gflops", r.blocked_gf);
       root.set(tag + "_speedup", r.blocked_gf / r.percol_gf);

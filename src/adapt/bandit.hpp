@@ -51,7 +51,7 @@
 // arms themselves persist — which is what stops an immediate flap back.
 //
 // Fourth level (opt-in via explore_formats): each bin's physical layout
-// (spmv::fmt — CSR vs. ELL-packed vs. COO vs. delta-compressed columns) is
+// (spmv::fmt — CSR vs. ELL-packed vs. COO vs. 16-bit column offsets) is
 // a per-bin plan property on format-capable backends. A
 // `format_trial_fraction` share of trials shadow-measures ONE alternative
 // layout on one hot bin, back-to-back with the bin's incumbent format on

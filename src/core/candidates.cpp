@@ -21,7 +21,11 @@ int CandidatePools::kernel_index(kernels::KernelId id) const {
 std::vector<std::string> CandidatePools::unit_class_names() const {
   std::vector<std::string> names;
   names.reserve(units.size() + (include_single_bin ? 1 : 0));
-  for (index_t u : units) names.push_back("U" + std::to_string(u));
+  for (index_t u : units) {
+    std::string name = "U";
+    name += std::to_string(u);
+    names.push_back(std::move(name));
+  }
   if (include_single_bin) names.push_back("single-bin");
   return names;
 }

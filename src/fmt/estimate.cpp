@@ -52,10 +52,10 @@ FormatKind estimate_bin_format(const BinFeatures& f) {
   // walk vectorizes — the textbook ELL case.
   if (f.padding_ratio <= 1.25 && f.max_len <= 64 && f.max_len >= 1)
     return FormatKind::Ell;
-  // Banded: every intra-row gap is bounded by the row span, so a span
-  // within 16 bits guarantees the delta stream fits; longer rows amortize
-  // the per-row base-column indirection.
-  if (f.max_row_span <= 65535 && f.avg_len >= 8.0) return FormatKind::Dcsr;
+  // Banded: a span within 16 bits is exactly what the base-relative
+  // offsets need; longer rows amortize the per-row base-column indirection.
+  if (f.max_row_span <= kDcsrMaxSpan && f.avg_len >= 8.0)
+    return FormatKind::Dcsr;
   // Scatter: mostly-empty bins or rows of one or two entries — iterating
   // triples skips the empty-slot probing CSR pays per covered row.
   if (f.empty_rows * 2 >= f.rows || f.avg_len <= 2.0) return FormatKind::Coo;
@@ -66,7 +66,7 @@ std::vector<FormatKind> suitable_formats(const BinFeatures& f) {
   std::vector<FormatKind> out = {FormatKind::Csr};
   if (f.nnz == 0) return out;
   if (f.padding_ratio <= 2.0 && f.max_len <= 256) out.push_back(FormatKind::Ell);
-  if (f.max_row_span <= 65535 && f.avg_len >= 4.0)
+  if (f.max_row_span <= kDcsrMaxSpan && f.avg_len >= 4.0)
     out.push_back(FormatKind::Dcsr);
   // Same scatter signals as the point estimate, at half strength: COO only
   // enters the pool when the bin shows some emptiness or short rows — on a

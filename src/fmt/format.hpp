@@ -22,10 +22,16 @@ enum class FormatKind : int {
   Csr = 0,   ///< shared CSR arrays, no transformation
   Ell = 1,   ///< ELL-packed: near-uniform short rows, column-major, padded
   Coo = 2,   ///< coordinate triples: scatter / mostly-empty bins
-  Dcsr = 3,  ///< CSR with uint16 delta-compressed column indices: banded rows
+  Dcsr = 3,  ///< CSR with uint16 base-relative column offsets: banded rows
 };
 
 inline constexpr int kFormatCount = 4;
+
+/// Widest row a Dcsr bin holds: every column of a row is stored as a
+/// 16-bit offset from the row's smallest column, so (max col - min col)
+/// must fit in 16 bits. The estimator offers Dcsr and the builder accepts
+/// a row under this one rule.
+inline constexpr int kDcsrMaxSpan = 65535;
 
 /// Execution-wide format policy, the `--format csr|auto` CLI knob. Csr pins
 /// every bin to the shared arrays (pre-PR-7 behaviour); Auto lets the

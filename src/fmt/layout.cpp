@@ -1,7 +1,6 @@
 #include "fmt/layout.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "util/timer.hpp"
@@ -116,16 +115,6 @@ void build_coo(const CsrMatrix<T>& a, std::vector<index_t> rows,
               c.chunk_ptr.size() * sizeof(std::size_t);
 }
 
-/// Stable column sort of one CSR row's entries — the order the delta
-/// stream stores. A value refresh of a bin with unsorted rows redoes it on
-/// the new values; columns are unchanged, so the permutation is too.
-template <typename T>
-void sort_row_by_column(std::vector<std::pair<index_t, T>>& entries) {
-  std::stable_sort(
-      entries.begin(), entries.end(),
-      [](const auto& x, const auto& y) { return x.first < y.first; });
-}
-
 template <typename T>
 void build_dcsr(const CsrMatrix<T>& a, std::vector<index_t> rows,
                 BinLayout<T>& out) {
@@ -134,53 +123,44 @@ void build_dcsr(const CsrMatrix<T>& a, std::vector<index_t> rows,
   for (const index_t r : rows) nnz += a.row_nnz(r);
   std::vector<offset_t> row_ptr;
   std::vector<index_t> base_col;
-  std::vector<std::uint16_t> deltas;
+  std::vector<std::uint16_t> offsets;
   row_ptr.reserve(rows.size() + 1);
   base_col.reserve(rows.size());
-  deltas.reserve(static_cast<std::size_t>(nnz));
+  offsets.reserve(static_cast<std::size_t>(nnz));
   d.vals.reserve(static_cast<std::size_t>(nnz));
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto va = a.vals();
   row_ptr.push_back(0);
-  d.rows_sorted = true;
-  std::vector<std::pair<index_t, T>> entries;
   for (const index_t r : rows) {
-    const offset_t beg = rp[static_cast<std::size_t>(r)];
-    const offset_t end = rp[static_cast<std::size_t>(r) + 1];
-    entries.clear();
-    for (offset_t j = beg; j < end; ++j)
-      entries.emplace_back(ci[static_cast<std::size_t>(j)],
-                           va[static_cast<std::size_t>(j)]);
-    // CSR does not guarantee sorted columns within a row; the delta stream
-    // requires them (summation order changes are within the differential
-    // tolerance).
-    if (!std::is_sorted(ci.begin() + beg, ci.begin() + end)) {
-      d.rows_sorted = false;
-      sort_row_by_column(entries);
+    const auto first =
+        static_cast<std::size_t>(rp[static_cast<std::size_t>(r)]);
+    const auto len = static_cast<std::size_t>(a.row_nnz(r));
+    const auto cols = ci.subspan(first, len);
+    index_t base = 0;
+    if (len > 0) {
+      const auto [lo, hi] = std::minmax_element(cols.begin(), cols.end());
+      if (*hi - *lo > kDcsrMaxSpan)
+        throw std::length_error("fmt: Dcsr row " + std::to_string(r) +
+                                " spans " + std::to_string(*hi - *lo) +
+                                " columns, over 16 bits");
+      base = *lo;
     }
-    index_t prev = entries.empty() ? index_t{0} : entries.front().first;
-    base_col.push_back(prev);
-    for (std::size_t k = 0; k < entries.size(); ++k) {
-      const index_t gap = entries[k].first - prev;
-      if (gap > std::numeric_limits<std::uint16_t>::max())
-        throw std::length_error(
-            "fmt: Dcsr column gap " + std::to_string(gap) +
-            " in row " + std::to_string(r) + " exceeds 16 bits");
-      deltas.push_back(static_cast<std::uint16_t>(gap));
-      d.vals.push_back(entries[k].second);
-      prev = entries[k].first;
-    }
-    row_ptr.push_back(row_ptr.back() + static_cast<offset_t>(entries.size()));
+    base_col.push_back(base);
+    for (const index_t c : cols)
+      offsets.push_back(static_cast<std::uint16_t>(c - base));
+    const auto vals = va.subspan(first, len);
+    d.vals.insert(d.vals.end(), vals.begin(), vals.end());
+    row_ptr.push_back(row_ptr.back() + static_cast<offset_t>(len));
   }
   d.rows = std::move(rows);
   d.row_ptr = std::move(row_ptr);
   d.base_col = std::move(base_col);
-  d.deltas = std::move(deltas);
+  d.offsets = std::move(offsets);
   out.bytes = d.rows.size() * sizeof(index_t) +
               d.row_ptr.size() * sizeof(offset_t) +
               d.base_col.size() * sizeof(index_t) +
-              d.deltas.size() * sizeof(std::uint16_t) +
+              d.offsets.size() * sizeof(std::uint16_t) +
               d.vals.size() * sizeof(T);
 }
 
@@ -234,7 +214,6 @@ BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
   out.bytes = old.bytes;
   out.source_structure = old.source_structure;
   const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
   const auto va = a.vals();
   const auto src = [&](index_t r) {
     return va.subspan(
@@ -290,38 +269,15 @@ BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
       d.rows = old.dcsr.rows;
       d.row_ptr = old.dcsr.row_ptr;
       d.base_col = old.dcsr.base_col;
-      d.deltas = old.dcsr.deltas;
-      d.rows_sorted = old.dcsr.rows_sorted;
+      d.offsets = old.dcsr.offsets;
       d.vals = std::move(values);
       const auto sn = static_cast<std::int64_t>(d.rows.size());
-      if (d.rows_sorted) {
-        // The delta stream is the CSR order: a straight per-row copy.
 #pragma omp parallel for schedule(static) if (sn > 1024)
-        for (std::int64_t i = 0; i < sn; ++i) {
-          const auto pr = static_cast<std::size_t>(i);
-          const auto row = src(d.rows[pr]);
-          std::copy(row.begin(), row.end(),
-                    d.vals.begin() +
-                        static_cast<std::ptrdiff_t>(d.row_ptr[pr]));
-        }
-        break;
-      }
-      // Unsorted rows: redo the builder's sort on the new values.
-      std::vector<std::pair<index_t, T>> entries;
-      for (std::size_t pr = 0; pr < d.rows.size(); ++pr) {
-        const index_t r = d.rows[pr];
-        const auto cols = ci.subspan(
-            static_cast<std::size_t>(rp[static_cast<std::size_t>(r)]),
-            static_cast<std::size_t>(a.row_nnz(r)));
-        const auto row = src(r);
-        entries.clear();
-        for (std::size_t k = 0; k < row.size(); ++k)
-          entries.emplace_back(cols[k], row[k]);
-        if (!std::is_sorted(cols.begin(), cols.end()))
-          sort_row_by_column(entries);
-        for (std::size_t k = 0; k < entries.size(); ++k)
-          d.vals[static_cast<std::size_t>(d.row_ptr[pr]) + k] =
-              entries[k].second;
+      for (std::int64_t i = 0; i < sn; ++i) {
+        const auto pr = static_cast<std::size_t>(i);
+        const auto row = src(d.rows[pr]);
+        std::copy(row.begin(), row.end(),
+                  d.vals.begin() + static_cast<std::ptrdiff_t>(d.row_ptr[pr]));
       }
       break;
     }

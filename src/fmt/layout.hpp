@@ -6,7 +6,7 @@
 // so a layout kernel can zero its y slice completely before accumulating,
 // exactly like the CSR slot loop does. Builders are deterministic, bounded
 // (they throw std::length_error when the transformation would not pay —
-// e.g. ELL padding blow-up or a column delta overflowing 16 bits), and
+// e.g. ELL padding blow-up or a row span overflowing 16 bits), and
 // record their own wall-clock cost so the lazy materialization layer can
 // amortize it against observed reuse.
 #pragma once
@@ -76,21 +76,20 @@ struct CooBin {
   SharedArray<std::size_t> chunk_ptr;  ///< chunk offsets into the triples
 };
 
-/// Delta-compressed CSR bin for banded rows: per covered row, columns are
-/// sorted and stored as a full-width base column plus 16-bit deltas for the
-/// remaining entries. Rows whose intra-row column gaps exceed 65535 make
-/// the bin unsuitable (the builder throws).
+/// Compressed-column CSR bin for banded rows: per covered row, a full-width
+/// base column (the row's smallest) plus one 16-bit offset from it per
+/// entry, in CSR order — entry j of row r sits in column
+/// base_col[r] + offsets[j]. No entry depends on its neighbour, so the
+/// kernel can split a row across independent accumulators and a value
+/// refresh is a straight per-row copy. A row whose span (max col - min
+/// col) exceeds kDcsrMaxSpan makes the bin unsuitable (the builder throws).
 template <typename T>
 struct DeltaBin {
-  SharedArray<index_t> rows;          ///< covered actual row ids
-  SharedArray<offset_t> row_ptr;      ///< packed, rows.size()+1 entries
-  SharedArray<index_t> base_col;      ///< first (smallest) column per row
-  SharedArray<std::uint16_t> deltas;  ///< per-entry gap from previous column
-  std::vector<T> vals;                ///< sorted to match the delta stream
-  /// Every covered CSR row already had non-decreasing columns, so the
-  /// delta stream is the CSR order and a value refresh is a straight
-  /// per-row copy (true for generator and Matrix Market input).
-  bool rows_sorted = true;
+  SharedArray<index_t> rows;           ///< covered actual row ids
+  SharedArray<offset_t> row_ptr;       ///< packed, rows.size()+1 entries
+  SharedArray<index_t> base_col;       ///< smallest column per row (0 if empty)
+  SharedArray<std::uint16_t> offsets;  ///< per-entry column - base_col
+  std::vector<T> vals;                 ///< the covered rows' CSR values
 };
 
 /// One bin's materialized layout: exactly one of the three payloads is
@@ -149,7 +148,8 @@ struct BuildLimits {
 /// Materialize one bin (virtual rows `vrows` at granularity `unit`) of `a`
 /// in layout `kind`. Throws std::invalid_argument for kind == Csr and
 /// std::length_error when the bin is unsuitable for the requested layout
-/// (ELL expansion/width over the limits, a Dcsr column gap over 16 bits).
+/// (ELL expansion/width over the limits, a Dcsr row span over
+/// kDcsrMaxSpan).
 template <typename T>
 [[nodiscard]] BinLayout<T> build_bin_layout(const CsrMatrix<T>& a,
                                             std::span<const index_t> vrows,
@@ -159,8 +159,7 @@ template <typename T>
 
 /// Value-refreshed copy of `old` for `a`'s values: the structure arrays
 /// are shared with `old`, and only the value array is written — row-
-/// parallel, a straight per-row copy except for Dcsr bins with unsorted
-/// CSR rows, which redo the builder's per-row sort. The old layout is never
+/// parallel, a straight per-row copy. The old layout is never
 /// mutated, because in-flight launches may still hold shared_ptrs to it.
 /// `values` is the array to write into: a spare from an earlier refresh of
 /// the same layout structure saves the page faults of a fresh allocation;

@@ -657,7 +657,7 @@ TEST(PlanStore, PutKeepsNewerRevision) {
 }
 
 TEST(PlanStore, CorruptAndTruncatedFilesLoadEmpty) {
-  for (const std::string damage :
+  for (const auto& damage :
        {std::string("{ this is not json"),
         std::string("{\"schema\": 1, \"entries\": [{\"dev"),
         std::string("[1, 2, 3]")}) {

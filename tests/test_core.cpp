@@ -70,7 +70,7 @@ TEST(Plan, KernelForAndToString) {
   plan.bin_kernels = {{0, kernels::KernelId::Serial},
                       {7, kernels::KernelId::Vector}};
   EXPECT_EQ(plan.kernel_for(7), kernels::KernelId::Vector);
-  EXPECT_THROW(plan.kernel_for(3), std::out_of_range);
+  EXPECT_THROW((void)plan.kernel_for(3), std::out_of_range);
   const auto text = plan.to_string();
   EXPECT_NE(text.find("U=100"), std::string::npos);
   EXPECT_NE(text.find("bin7:vector"), std::string::npos);

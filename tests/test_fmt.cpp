@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -225,8 +227,7 @@ TEST(Layouts, RefreshSharesStructureAndChecksItsIdentity) {
           EXPECT_EQ(fresh.coo.entry_col.data(), old.coo.entry_col.data());
           break;
         default:
-          EXPECT_TRUE(old.dcsr.rows_sorted);
-          EXPECT_EQ(fresh.dcsr.deltas.data(), old.dcsr.deltas.data());
+          EXPECT_EQ(fresh.dcsr.offsets.data(), old.dcsr.offsets.data());
           break;
       }
       expect_layout_exact(*backend, b, fresh, x);
@@ -238,10 +239,11 @@ TEST(Layouts, RefreshSharesStructureAndChecksItsIdentity) {
   EXPECT_GT(refreshed, 3);
 }
 
-/// A hand-built Dcsr bin whose CSR rows are not column-sorted keeps the
-/// builder's per-row sort on refresh: the refreshed values equal a fresh
-/// build's on the new values, and execution stays exact.
-TEST(Layouts, DcsrRefreshOfUnsortedRowsKeepsTheSort) {
+/// Dcsr keeps each row's entries in CSR order, column-sorted or not: the
+/// offsets are relative to the row's smallest column, a refresh copies the
+/// new values straight through in CSR order and shares the offsets, and
+/// execution stays exact.
+TEST(Layouts, DcsrRefreshOfUnsortedRowsKeepsCsrOrder) {
   // Row 0 unsorted, row 1 sorted, row 2 empty, row 3 unsorted.
   const auto a = make_csr(8, {{{5, 1.f}, {1, 2.f}, {3, 3.f}},
                               {{0, 4.f}, {2, 5.f}},
@@ -250,52 +252,77 @@ TEST(Layouts, DcsrRefreshOfUnsortedRowsKeepsTheSort) {
   const std::vector<index_t> vrows{0, 1, 2, 3};
   const auto old = fmt::build_bin_layout(
       a, std::span<const index_t>(vrows), 1, fmt::FormatKind::Dcsr, 0);
-  EXPECT_FALSE(old.dcsr.rows_sorted);
-  const auto b = a.with_values(
-      std::vector<float>{10.f, 20.f, 30.f, 40.f, 50.f, 60.f, 70.f});
+  EXPECT_EQ(std::vector<index_t>(old.dcsr.base_col.data(),
+                                 old.dcsr.base_col.data() + 4),
+            (std::vector<index_t>{1, 0, 0, 6}));
+  EXPECT_EQ(std::vector<std::uint16_t>(old.dcsr.offsets.data(),
+                                       old.dcsr.offsets.data() + 7),
+            (std::vector<std::uint16_t>{4, 0, 2, 0, 2, 1, 0}));
+  const std::vector<float> values{10.f, 20.f, 30.f, 40.f, 50.f, 60.f, 70.f};
+  const auto b = a.with_values(values);
   const auto fresh = fmt::refresh_layout_values(b, old);
-  const auto rebuilt = fmt::build_bin_layout(
-      b, std::span<const index_t>(vrows), 1, fmt::FormatKind::Dcsr, 0);
-  EXPECT_EQ(fresh.dcsr.vals,
-            (std::vector<float>{20.f, 30.f, 10.f, 40.f, 50.f, 70.f, 60.f}));
-  EXPECT_EQ(fresh.dcsr.vals, rebuilt.dcsr.vals);
-  EXPECT_EQ(fresh.dcsr.deltas.data(), old.dcsr.deltas.data());
+  EXPECT_EQ(fresh.dcsr.vals, values);
+  EXPECT_EQ(fresh.dcsr.offsets.data(), old.dcsr.offsets.data());
+  // Small integers: every sum is exact, so the kernel must hit it exactly.
+  const std::vector<float> x{1.f, 2.f, 3.f, 4.f, 5.f, 6.f, 7.f, 8.f};
+  std::vector<float> y(4, -1.f);
   const auto backend = exec::shared_backend(exec::BackendKind::Native);
-  expect_layout_exact(*backend, b, fresh, random_vector<float>(8, 53));
+  backend->run_layout(b, fresh, std::span<const float>(x),
+                      std::span<float>(y));
+  EXPECT_EQ(y, (std::vector<float>{10 * 6 + 20 * 2 + 30 * 4, 40 * 1 + 50 * 3,
+                                   0, 60 * 8 + 70 * 7}));
 }
 
+/// run_spmm promises bit-identity with per-column runs, and layout bins
+/// keep it: every layout's batched launch equals its single-vector launch
+/// bit for bit. The banded input's Dcsr rows (~20-40 entries) run the
+/// lane-split main loop and its tail; width 33 crosses kMaxNativeBatch.
 TEST(Layouts, BatchedExecutionMatchesSingleVector) {
-  const auto a = gen::fixed_degree<float>(400, 400, 5, 31);
-  const auto bins = binning::bin_matrix(a, 16);
   const auto backend = exec::shared_backend(exec::BackendKind::Native);
-  constexpr int kBatch = 3;
-  const auto n = static_cast<std::size_t>(a.cols());
-  const auto m = static_cast<std::size_t>(a.rows());
-  const auto x = random_vector<float>(n * kBatch, 37);
-  for (const fmt::FormatKind kind :
-       {fmt::FormatKind::Ell, fmt::FormatKind::Coo, fmt::FormatKind::Dcsr}) {
-    for (const int b : bins.occupied_bins()) {
-      const auto layout = fmt::build_bin_layout(
-          a, std::span<const index_t>(bins.bin(b)), bins.unit(), kind, b);
-      std::vector<float> y_batch(m * kBatch, -1.0f);
-      backend->run_layout_batch(a, layout, std::span<const float>(x),
-                                std::span<float>(y_batch), kBatch);
-      for (int col = 0; col < kBatch; ++col) {
-        std::vector<float> y(m, -1.0f);
-        backend->run_layout(
-            a, layout,
-            std::span<const float>(x).subspan(static_cast<std::size_t>(col) * n,
-                                              n),
-            std::span<float>(y));
-        for (const index_t r : covered_rows(layout)) {
-          const auto i = static_cast<std::size_t>(r);
-          ASSERT_NEAR(y_batch[static_cast<std::size_t>(col) * m + i], y[i],
-                      2e-4 * (std::abs(y[i]) + 1.0))
-              << "col " << col << " row " << i << " kind "
-              << fmt::format_cname(kind);
+  const auto check = [&](const CsrMatrix<float>& a, index_t unit,
+                         std::initializer_list<fmt::FormatKind> kinds,
+                         int batch) {
+    const auto bins = binning::bin_matrix(a, unit);
+    const auto n = static_cast<std::size_t>(a.cols());
+    const auto m = static_cast<std::size_t>(a.rows());
+    const auto x = random_vector<float>(n * static_cast<std::size_t>(batch),
+                                        37);
+    for (const fmt::FormatKind kind : kinds) {
+      for (const int b : bins.occupied_bins()) {
+        const auto layout = fmt::build_bin_layout(
+            a, std::span<const index_t>(bins.bin(b)), bins.unit(), kind, b);
+        std::vector<float> y_batch(m * static_cast<std::size_t>(batch),
+                                   -1.0f);
+        backend->run_layout_batch(a, layout, std::span<const float>(x),
+                                  std::span<float>(y_batch), batch);
+        for (int col = 0; col < batch; ++col) {
+          std::vector<float> y(m, -1.0f);
+          backend->run_layout(
+              a, layout,
+              std::span<const float>(x).subspan(
+                  static_cast<std::size_t>(col) * n, n),
+              std::span<float>(y));
+          for (const index_t r : covered_rows(layout)) {
+            const auto i = static_cast<std::size_t>(r);
+            ASSERT_EQ(y_batch[static_cast<std::size_t>(col) * m + i], y[i])
+                << "col " << col << " row " << i << " kind "
+                << fmt::format_cname(kind) << " batch " << batch;
+          }
         }
       }
     }
+  };
+  const auto short_rows = gen::fixed_degree<float>(400, 400, 5, 31);
+  const auto long_rows = gen::banded<float>(600, 24, 0.6, 61);
+  offset_t longest = 0;
+  for (index_t r = 0; r < long_rows.rows(); ++r)
+    longest = std::max(longest, long_rows.row_nnz(r));
+  ASSERT_GE(longest, 2 * 8 + 1);  // two full lane chunks and a tail
+  for (const int batch : {3, 33}) {
+    check(short_rows, 16,
+          {fmt::FormatKind::Ell, fmt::FormatKind::Coo, fmt::FormatKind::Dcsr},
+          batch);
+    check(long_rows, 25, {fmt::FormatKind::Dcsr}, batch);
   }
 }
 
@@ -325,15 +352,40 @@ TEST(Layouts, BuildersRejectUnsuitableBins) {
                    fmt::FormatKind::Ell, sb),
                std::length_error);
 
-  // Dcsr delta overflow: an intra-row column gap wider than 16 bits.
+  // Dcsr span overflow: a row spanning more than 16 bits of columns.
+  const auto dcsr_of = [&](const CsrMatrix<float>& a) {
+    const auto bins = bins_of(a);
+    const int b = bins.occupied_bins().front();
+    return fmt::build_bin_layout(a, std::span<const index_t>(bins.bin(b)),
+                                 bins.unit(), fmt::FormatKind::Dcsr, b);
+  };
   const auto wide = make_csr(
       70000, {{{0, 1.0f}, {69999, 2.0f}}, {{1, 1.0f}, {2, 1.0f}}});
-  const auto wbins = bins_of(wide);
-  const int wb = wbins.occupied_bins().front();
-  EXPECT_THROW((void)fmt::build_bin_layout(
-                   wide, std::span<const index_t>(wbins.bin(wb)), wbins.unit(),
-                   fmt::FormatKind::Dcsr, wb),
-               std::length_error);
+  EXPECT_THROW((void)dcsr_of(wide), std::length_error);
+  // Every gap of {0, 40000, 65536} fits in 16 bits, but the offset of the
+  // last entry from the row's base does not.
+  const auto gaps_fit = make_csr(
+      65537, {{{0, 1.0f}, {40000, 2.0f}, {65536, 3.0f}}});
+  EXPECT_THROW((void)dcsr_of(gaps_fit), std::length_error);
+
+  // A span of exactly kDcsrMaxSpan is the widest row that builds, and runs
+  // exactly (small integers, so every sum is exact).
+  const index_t top = fmt::kDcsrMaxSpan;
+  const auto edge = make_csr(
+      top + 1,
+      {{{top, 3.0f}, {0, 1.0f}, {7, 2.0f}}, {{5, 1.0f}, {top, 4.0f}}});
+  const auto layout = dcsr_of(edge);
+  EXPECT_EQ(layout.dcsr.offsets[0], std::uint16_t{65535});
+  std::vector<float> x(static_cast<std::size_t>(top) + 1, 0.0f);
+  x[0] = 5.0f;
+  x[5] = 6.0f;
+  x[7] = 7.0f;
+  x[static_cast<std::size_t>(top)] = 8.0f;
+  std::vector<float> y(2, -1.0f);
+  const auto backend = exec::shared_backend(exec::BackendKind::Native);
+  backend->run_layout(edge, layout, std::span<const float>(x),
+                      std::span<float>(y));
+  EXPECT_EQ(y, (std::vector<float>{3 * 8 + 1 * 5 + 2 * 7, 1 * 6 + 4 * 8}));
 }
 
 TEST(Layouts, FormatBlindBackendThrowsLogicError) {

@@ -482,7 +482,9 @@ TEST(IterSession, LatencyFeedbackPromotesWithoutShadowLaunches) {
     const auto v = tuner.next_variant(key, live, bins, a);
     ASSERT_GE(v.bin, 0);
     (v.challenger ? challenger_iters : incumbent_iters) += 1;
-    if (!v.challenger) EXPECT_EQ(v.kernel, v.incumbent);
+    if (!v.challenger) {
+      EXPECT_EQ(v.kernel, v.incumbent);
+    }
     // Rigged reward: Sub16 is the only fast kernel on every bin.
     const double seconds =
         v.kernel == kernels::KernelId::Sub16 ? 1e-4 : 1e-2;

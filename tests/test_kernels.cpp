@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "binning/binning.hpp"
+#include "exec/clsim_backend.hpp"
 #include "gen/generators.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/registry.hpp"
@@ -136,8 +137,8 @@ TEST_P(KernelCorrectness, FullMatrixMatchesReference) {
   const auto x = random_vector(static_cast<std::size_t>(a.cols()), 21);
   std::vector<double> y(static_cast<std::size_t>(a.rows()),
                         std::nan(""));
-  kernels::run_full(id, clsim::default_engine(), a, std::span<const double>(x),
-                    std::span<double>(y));
+  exec::ClsimBackend().run_full(id, a, std::span<const double>(x),
+                                std::span<double>(y));
   expect_matches_exact(a, x, y);
 }
 
@@ -166,9 +167,8 @@ TEST_P(BinnedKernelCorrectness, PerBinLaunchesComposeFullSpmv) {
 
   std::vector<double> y(static_cast<std::size_t>(a.rows()), std::nan(""));
   for (int b : bins.occupied_bins()) {
-    kernels::run_binned(id, clsim::default_engine(), a,
-                        std::span<const double>(x), std::span<double>(y),
-                        bins.bin(b), unit);
+    exec::ClsimBackend().run_binned(id, a, std::span<const double>(x),
+                                    std::span<double>(y), bins.bin(b), unit);
   }
   expect_matches_exact(a, x, y);
 }
@@ -195,9 +195,10 @@ TEST(BinnedExecution, OnlyCoveredRowsWritten) {
   const double sentinel = -777.0;
   std::vector<double> y(static_cast<std::size_t>(a.rows()), sentinel);
   // Run only the first occupied bin.
-  kernels::run_binned(KernelId::Sub8, clsim::default_engine(), a,
-                      std::span<const double>(x), std::span<double>(y),
-                      bins.bin(occupied[0]), 10);
+  exec::ClsimBackend().run_binned(KernelId::Sub8, a,
+                                  std::span<const double>(x),
+                                  std::span<double>(y), bins.bin(occupied[0]),
+                                  10);
 
   // Rows of that bin are written; rows of other bins still hold sentinel.
   std::vector<bool> covered(static_cast<std::size_t>(a.rows()), false);
@@ -220,9 +221,9 @@ TEST(BinnedExecution, EmptyBinIsNoOp) {
   const auto a = make_matrix("tiny");
   std::vector<double> x(1, 1.0), y(1, -5.0);
   const std::vector<index_t> empty;
-  kernels::run_binned(KernelId::Vector, clsim::default_engine(), a,
-                      std::span<const double>(x), std::span<double>(y), empty,
-                      10);
+  exec::ClsimBackend().run_binned(KernelId::Vector, a,
+                                  std::span<const double>(x),
+                                  std::span<double>(y), empty, 10);
   EXPECT_EQ(y[0], -5.0);
 }
 
@@ -237,8 +238,8 @@ TEST(FloatKernels, AllKernelsMatchDoubleReference) {
 
   for (KernelId id : kernels::all_kernels()) {
     std::vector<float> y(static_cast<std::size_t>(af.rows()));
-    kernels::run_full(id, clsim::default_engine(), af,
-                      std::span<const float>(xf), std::span<float>(y));
+    exec::ClsimBackend().run_full(id, af, std::span<const float>(xf),
+                                  std::span<float>(y));
     for (std::size_t i = 0; i < y.size(); ++i) {
       const double scale = std::abs(exact[i]) + 1.0;
       ASSERT_NEAR(static_cast<double>(y[i]), exact[i], 2e-4 * scale)

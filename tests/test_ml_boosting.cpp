@@ -78,7 +78,8 @@ TEST(Boosting, RejectsBadArguments) {
 
 TEST(Boosting, UntrainedPredictThrows) {
   BoostedTrees boosted;
-  EXPECT_THROW(boosted.predict(std::vector<double>{1.0}), std::logic_error);
+  EXPECT_THROW((void)boosted.predict(std::vector<double>{1.0}),
+               std::logic_error);
 }
 
 TEST(Boosting, GeneralizationNotWorseThanSingleTree) {

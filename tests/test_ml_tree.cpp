@@ -242,7 +242,8 @@ TEST(DecisionTree, ToStringMentionsAttributes) {
 
 TEST(DecisionTree, UntrainedThrows) {
   DecisionTree tree;
-  EXPECT_THROW(tree.predict(std::vector<double>{1.0}), std::logic_error);
+  EXPECT_THROW((void)tree.predict(std::vector<double>{1.0}),
+               std::logic_error);
 }
 
 TEST(DecisionTree, EmptyDatasetThrows) {

@@ -265,7 +265,9 @@ TEST_F(TraceTest, ServiceRequestsCorrelateAcrossThreads) {
       EXPECT_TRUE(begin_ids.insert(ev.id).second);
       a_begin_tid = ev.tid;
     }
-    if (ev.phase == 'e') EXPECT_TRUE(end_ids.insert(ev.id).second);
+    if (ev.phase == 'e') {
+      EXPECT_TRUE(end_ids.insert(ev.id).second);
+    }
   }
   EXPECT_EQ(begin_ids.size(), static_cast<std::size_t>(kRequests));
   EXPECT_EQ(begin_ids, end_ids);

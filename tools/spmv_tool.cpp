@@ -1040,8 +1040,10 @@ int cmd_plan_store(const util::Cli& cli) {
     // Solver-loop provenance: the serving block width an IterativeSession
     // stamped when it promoted/flushed this plan (spmv::iter).
     std::string spmm_col = "-";
-    if (sp.plan.spmm_width > 0)
-      spmm_col = "w" + std::to_string(sp.plan.spmm_width);
+    if (sp.plan.spmm_width > 0) {
+      spmm_col = "w";
+      spmm_col += std::to_string(sp.plan.spmm_width);
+    }
     std::printf("  %8lld x %-8lld %10lld nnz  hash 0x%016llx  rev %-3llu "
                 "tuned-U %-12s shard %-22s spmm %-4s %6.2f GF  %4llu "
                 "trials  %s\n",
