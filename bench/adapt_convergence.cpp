@@ -8,7 +8,7 @@
 //
 //   adapt_convergence [--rows N] [--requests R] [--trial-fraction F]
 //                     [--recovery-floor 0.9] [--check] [--json out.json]
-//                     [--misbin] [--misbin-unit U]
+//                     [--profile out.json] [--misbin] [--misbin-unit U]
 //                     [--formats] [--format-floor 0.95]
 //                     [--iter] [--iters N] [--width W] [--iter-floor 0.7]
 //
@@ -24,6 +24,10 @@
 // a near-uniform short-row corpus where the bandit must discover and
 // promote the ELL-packed layout, and a scatter (power-law) corpus that
 // must not regress under format exploration.
+//
+// --profile (default and --misbin modes) writes the adapted service's
+// RunProfile: its serve block (cache hits, planning passes, latency
+// histograms) and adapt block (trials, promotions, regret).
 //
 // --check turns the acceptance criteria into the exit code:
 //   1. refined GFLOP/s >= recovery-floor * oracle GFLOP/s
@@ -608,6 +612,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rprofile.serve.cache_warm_hits),
               static_cast<unsigned long long>(
                   rprofile.serve.planning_passes));
+  write_profile(cli, profile);
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {

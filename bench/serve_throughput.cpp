@@ -12,7 +12,8 @@
 //                    [--max-batch B] [--reps K] [--backend clsim|native]
 //                    [--format csr|auto] [--short-rows] [--profile out.json]
 //                    [--json BENCH_serve.json] [--metrics-out metrics.txt]
-//                    [--obs-dir dir]
+//                    [--obs-dir dir] [--trace out.trace.json]
+//                    [--trace-sample N] [--plan-store store.json]
 //
 // --backend selects the execution backend every plan is stamped with
 // (exec/backend.hpp); --format auto lets the fmt estimator stamp per-bin
@@ -22,13 +23,21 @@
 // backend's thin OpenMP loops beat the simulated work-group engine by the
 // widest margin. --json writes a compact machine-readable summary (config,
 // backend, format, naive/serve requests-per-second and GFLOP/s, speedup,
-// request-latency percentiles) for CI artifact upload — the CI job runs it
-// once per backend (and, on native, once per format mode) and uploads the
-// set for comparison — alongside the full --profile RunProfile.
-// --metrics-out writes the Prometheus exposition (latency histograms carry
-// exemplars); --obs-dir streams spans/stats into rotating JSONL segments
-// (spmv::obs) while the bench runs — either flag turns tracing on so the
-// exemplars and segments have spans to point at.
+// request-latency p50/p95/p99, queue-wait p95 and batch-exec p50 — the
+// latencies the perf trajectory gates) for CI artifact upload — the CI job
+// runs it once per backend (and, on native, once per format mode) and
+// uploads the set for comparison — alongside the full --profile RunProfile.
+//
+// Telemetry, in both modes: --trace writes a Chrome trace-event file
+// (chrome://tracing or Perfetto) with one request in --trace-sample N
+// traced; --metrics-out writes the Prometheus exposition (latency
+// histograms carry exemplars); --obs-dir streams spans/stats into rotating
+// JSONL segments (spmv::obs) while the bench runs. Any of the three turns
+// tracing on, so the exemplars and segments have spans to point at.
+// --plan-store warm-starts every service the bench builds from a persistent
+// plan store and flushes tuned plans back on shutdown, so a second run over
+// the same store skips planning (warm hits, 0 planning passes). Planning
+// and the flush both happen off the clock.
 //
 // Sharded mode (--shards K and/or --tenants T): instead of many matrices
 // through SpmvService, ONE large mixed-regime matrix is served row-
@@ -56,11 +65,13 @@
 // cache-resident matrix slices.
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <future>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -91,6 +102,139 @@ double run_clients(int clients, int count,
   return wall.elapsed_s();
 }
 
+/// The telemetry outputs both modes share (see the header comment).
+/// Construction starts tracing when any output is asked for and attaches
+/// the --obs-dir sink; stop() ends both once the services have joined.
+class Telemetry {
+ public:
+  /// `sink_opts` carries the mode's ring layout; its directory is
+  /// --obs-dir.
+  Telemetry(const util::Cli& cli, obs::SinkOptions sink_opts)
+      : trace_path_(cli.get("trace")),
+        metrics_path_(cli.get("metrics-out")),
+        obs_dir_(cli.get("obs-dir")) {
+    if (!tracing()) return;
+    trace::TraceConfig config;
+    config.sample_every_n =
+        static_cast<std::uint64_t>(cli.get_int("trace-sample", 1));
+    trace::start(config);
+    if (obs_dir_.empty()) return;
+    sink_opts.directory = obs_dir_;
+    sink_ = std::make_unique<obs::StreamingSink>(sink_opts);
+    sink_->attach();
+  }
+
+  [[nodiscard]] obs::StreamingSink* sink() const { return sink_.get(); }
+
+  /// Stop tracing and close the sink. The trace stream is accounted into
+  /// `profile` — span counts AND the spans lost to ring wrap-around — so
+  /// the artifact records its own holes.
+  void stop(prof::RunProfile& profile) {
+    if (!tracing()) return;
+    trace::stop();
+    const auto snap = trace::snapshot();
+    profile.trace_stats.events = snap.events.size();
+    profile.trace_stats.dropped_spans = snap.dropped;
+    profile.trace_stats.threads = snap.threads;
+    if (sink_ == nullptr) return;
+    sink_->detach();  // workers joined, tracing stopped — no racing emits
+    sink_->close();
+    const auto ss = sink_->stats();
+    std::string per_ring;
+    for (std::size_t r = 0; r < ss.dropped_by_ring.size(); ++r) {
+      if (r != 0) per_ring += "/";
+      per_ring += std::to_string(ss.dropped_by_ring[r]);
+    }
+    std::printf("obs sink %s: %llu flushed, %llu dropped (per ring: %s), "
+                "%zu segment(s)\n",
+                obs_dir_.c_str(), static_cast<unsigned long long>(ss.flushed),
+                static_cast<unsigned long long>(ss.dropped), per_ring.c_str(),
+                sink_->segment_files().size());
+  }
+
+  /// Write the --trace and --metrics-out files; false when one cannot be
+  /// written.
+  [[nodiscard]] bool write(const prof::RunProfile& profile) const {
+    if (!trace_path_.empty()) {
+      try {
+        trace::write_chrome_trace_file(trace_path_);
+      } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return false;
+      }
+      std::printf("trace written to %s (%llu events across %lld threads, "
+                  "%llu dropped)\n",
+                  trace_path_.c_str(),
+                  static_cast<unsigned long long>(profile.trace_stats.events),
+                  static_cast<long long>(profile.trace_stats.threads),
+                  static_cast<unsigned long long>(
+                      profile.trace_stats.dropped_spans));
+    }
+    if (!metrics_path_.empty()) {
+      std::ofstream out(metrics_path_);
+      if (!out) {
+        std::fprintf(stderr, "cannot open %s\n", metrics_path_.c_str());
+        return false;
+      }
+      out << prof::prometheus_text(profile);
+      std::printf("metrics written to %s\n", metrics_path_.c_str());
+    }
+    return true;
+  }
+
+ private:
+  [[nodiscard]] bool tracing() const {
+    return !trace_path_.empty() || !metrics_path_.empty() ||
+           !obs_dir_.empty();
+  }
+
+  std::string trace_path_;
+  std::string metrics_path_;
+  std::string obs_dir_;
+  std::unique_ptr<obs::StreamingSink> sink_;
+};
+
+/// --plan-store: the persistent store every service the bench builds
+/// shares, or nullptr without the flag.
+std::unique_ptr<adapt::PlanStore> plan_store_from_cli(const util::Cli& cli) {
+  const std::string path = cli.get("plan-store");
+  if (path.empty()) return nullptr;
+  return std::make_unique<adapt::PlanStore>(path);
+}
+
+/// Report how the recorded service started: warm hits from --plan-store
+/// versus planning passes.
+void print_store_use(const util::Cli& cli, const prof::ServeStats& s) {
+  if (!cli.has("plan-store")) return;
+  std::printf("plan store %s: %llu warm hit(s), %llu planning pass(es)\n",
+              cli.get("plan-store").c_str(),
+              static_cast<unsigned long long>(s.cache_warm_hits),
+              static_cast<unsigned long long>(s.planning_passes));
+}
+
+/// The serve latencies the perf trajectory gates: request p50/p95/p99,
+/// queue-wait p95 and batch-exec p50 (each block only when its histogram
+/// recorded anything).
+void set_latency_json(prof::Json& root, const prof::ServeStats& s) {
+  if (!s.request_latency.empty()) {
+    auto lat = prof::Json::object();
+    lat.set("p50_s", s.request_latency.percentile(50));
+    lat.set("p95_s", s.request_latency.percentile(95));
+    lat.set("p99_s", s.request_latency.percentile(99));
+    root.set("request_latency", std::move(lat));
+  }
+  if (!s.queue_wait.empty()) {
+    auto wait = prof::Json::object();
+    wait.set("p95_s", s.queue_wait.percentile(95));
+    root.set("queue_wait", std::move(wait));
+  }
+  if (!s.batch_exec.empty()) {
+    auto exec = prof::Json::object();
+    exec.set("p50_s", s.batch_exec.percentile(50));
+    root.set("batch_exec", std::move(exec));
+  }
+}
+
 /// --shards mode: one ≥1M-nnz-capable mixed-regime matrix served through
 /// spmv::shard::ShardedService; measures K=1 vs K=shards and the tenant
 /// roster's fairness counters. See the header comment for the flags.
@@ -114,8 +258,6 @@ int run_sharded(const util::Cli& cli) {
   const fmt::FormatMode format = format_from_cli(cli);
   const shard::QueuePolicy policy =
       shard::queue_policy_from_name(cli.get("queue-policy", "fair"));
-  const std::string metrics_path = cli.get("metrics-out");
-  const std::string obs_dir = cli.get("obs-dir");
 
   // Tenant roster tenant0..tenantT-1; --tenant-weights is CSV, missing
   // entries default to weight 1.
@@ -134,16 +276,11 @@ int run_sharded(const util::Cli& cli) {
     }
   }
 
-  if (!metrics_path.empty() || !obs_dir.empty()) trace::start();
-  std::unique_ptr<obs::StreamingSink> sink;
-  if (!obs_dir.empty()) {
-    obs::SinkOptions sopts;
-    sopts.directory = obs_dir;
-    // One producer ring per shard partition plus ring 0 for everyone else.
-    sopts.producer_groups = static_cast<std::size_t>(shards) + 1;
-    sink = std::make_unique<obs::StreamingSink>(sopts);
-    sink->attach();
-  }
+  obs::SinkOptions sink_opts;
+  // One producer ring per shard partition plus ring 0 for everyone else.
+  sink_opts.producer_groups = static_cast<std::size_t>(shards) + 1;
+  Telemetry telemetry(cli, sink_opts);
+  const auto store = plan_store_from_cli(cli);
 
   const auto mat = std::make_shared<const CsrMatrix<float>>(
       gen::mixed_regime<float>(rows, rows, 0.6, 0.32, 4, 30, long_deg, 64, 7));
@@ -201,6 +338,7 @@ int run_sharded(const util::Cli& cli) {
     sopts.workers_per_shard = workers;
     sopts.backend = backend;
     sopts.format = format;
+    sopts.plan_store = store.get();
     return sopts;
   };
 
@@ -241,7 +379,7 @@ int run_sharded(const util::Cli& cli) {
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < reps; ++rep) {
       shard::ShardedOptions sopts = make_opts(k);
-      sopts.obs_sink = record ? sink.get() : nullptr;
+      sopts.obs_sink = record ? telemetry.sink() : nullptr;
       shard::ShardedService<float> service(mat, pred, sopts);
       // Planning happened at construction; one request settles the
       // pipeline off-clock.
@@ -284,22 +422,10 @@ int run_sharded(const util::Cli& cli) {
   const double single_s = measure(1, false);
   const double sharded_s = measure(shards, true);
 
-  if (!metrics_path.empty() || !obs_dir.empty()) trace::stop();
-  if (sink != nullptr) {
-    sink->detach();
-    sink->close();
-    const auto ss = sink->stats();
-    std::string per_ring;
-    for (std::size_t r = 0; r < ss.dropped_by_ring.size(); ++r) {
-      if (r != 0) per_ring += "/";
-      per_ring += std::to_string(ss.dropped_by_ring[r]);
-    }
-    std::printf("obs sink %s: %llu flushed, %llu dropped (per ring: %s), "
-                "%zu segment(s)\n\n",
-                obs_dir.c_str(), static_cast<unsigned long long>(ss.flushed),
-                static_cast<unsigned long long>(ss.dropped), per_ring.c_str(),
-                sink->segment_files().size());
-  }
+  prof::RunProfile profile;
+  profile.label = "serve_throughput_sharded";
+  profile.serve = stats;
+  telemetry.stop(profile);
 
   const double flops = 2.0 * static_cast<double>(mat->nnz());
   const double single_rps = requests / single_s;
@@ -348,26 +474,10 @@ int run_sharded(const util::Cli& cli) {
                 1e3 * t.latency.percentile(99));
   }
   std::printf("\n");
+  print_store_use(cli, stats);
 
-  prof::RunProfile profile;
-  profile.label = "serve_throughput_sharded";
-  profile.serve = stats;
-  if (!metrics_path.empty() || !obs_dir.empty()) {
-    const auto snap = trace::snapshot();
-    profile.trace_stats.events = snap.events.size();
-    profile.trace_stats.dropped_spans = snap.dropped;
-    profile.trace_stats.threads = snap.threads;
-  }
   write_profile(cli, profile);
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", metrics_path.c_str());
-      return 1;
-    }
-    out << prof::prometheus_text(profile);
-    std::printf("metrics written to %s\n", metrics_path.c_str());
-  }
+  if (!telemetry.write(profile)) return 1;
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
@@ -396,13 +506,7 @@ int run_sharded(const util::Cli& cli) {
     root.set("sharded_gflops", sharded_gflops);
     root.set("shard_speedup", sharded_rps / single_rps);
     root.set("rejected", stats.rejected);
-    if (!stats.request_latency.empty()) {
-      auto lat = prof::Json::object();
-      lat.set("p50_s", stats.request_latency.percentile(50));
-      lat.set("p95_s", stats.request_latency.percentile(95));
-      lat.set("p99_s", stats.request_latency.percentile(99));
-      root.set("request_latency", std::move(lat));
-    }
+    set_latency_json(root, stats);
     // Arrays are trajectory-invisible (the flattener skips them) but CI
     // artifacts and humans read them.
     auto per_shard = prof::Json::array();
@@ -464,19 +568,8 @@ int main(int argc, char** argv) {
   const exec::BackendKind backend = backend_from_cli(cli);
   const fmt::FormatMode format = format_from_cli(cli);
   const bool short_rows = cli.get_bool("short-rows", false);
-  const std::string metrics_path = cli.get("metrics-out");
-  const std::string obs_dir = cli.get("obs-dir");
-
-  // Telemetry wants trace ids: exemplars in --metrics-out and segment
-  // files under --obs-dir both resolve through them.
-  if (!metrics_path.empty() || !obs_dir.empty()) trace::start();
-  std::unique_ptr<obs::StreamingSink> sink;
-  if (!obs_dir.empty()) {
-    obs::SinkOptions sopts;
-    sopts.directory = obs_dir;
-    sink = std::make_unique<obs::StreamingSink>(sopts);
-    sink->attach();
-  }
+  Telemetry telemetry(cli, obs::SinkOptions{});
+  const auto store = plan_store_from_cli(cli);
 
   // Three recurring matrix structures, as a serving workload would see
   // (e.g. the same operators queried by many clients). --short-rows keeps
@@ -540,13 +633,14 @@ int main(int argc, char** argv) {
   opts.backend = backend;
   opts.format = format;
   opts.profile = &profile;
+  opts.plan_store = store.get();
 
   double serve_s = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < reps; ++rep) {
     prof::RunProfile rep_profile;
     serve::ServiceOptions rep_opts = opts;
     rep_opts.profile = &rep_profile;
-    rep_opts.obs_sink = sink.get();
+    rep_opts.obs_sink = telemetry.sink();
     serve::SpmvService<float> service(pred, rep_opts);
     // Warm the cache: planning cost is paid once per structure, off-clock
     // (a steady-state serving process has a warm cache).
@@ -571,22 +665,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!metrics_path.empty() || !obs_dir.empty()) {
-    trace::stop();
-    const auto snap = trace::snapshot();
-    profile.trace_stats.events = snap.events.size();
-    profile.trace_stats.dropped_spans = snap.dropped;
-    profile.trace_stats.threads = snap.threads;
-  }
-  if (sink != nullptr) {
-    sink->detach();  // workers joined, tracing stopped — no racing emits
-    sink->close();
-    const auto ss = sink->stats();
-    std::printf("obs sink %s: %llu flushed, %llu dropped, %zu segment(s)\n",
-                obs_dir.c_str(), static_cast<unsigned long long>(ss.flushed),
-                static_cast<unsigned long long>(ss.dropped),
-                sink->segment_files().size());
-  }
+  telemetry.stop(profile);
 
   const double naive_rps = requests / naive_s;
   const double serve_rps = requests / serve_s;
@@ -639,18 +718,10 @@ int main(int argc, char** argv) {
                 1e3 * s.request_latency.percentile(95),
                 1e3 * s.request_latency.percentile(99));
   }
+  print_store_use(cli, s);
 
   write_profile(cli, profile);
-
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", metrics_path.c_str());
-      return 1;
-    }
-    out << prof::prometheus_text(profile);
-    std::printf("metrics written to %s\n", metrics_path.c_str());
-  }
+  if (!telemetry.write(profile)) return 1;
 
   // --json: the machine-readable summary CI uploads and the regression gate
   // can diff across commits.
@@ -676,13 +747,7 @@ int main(int argc, char** argv) {
     root.set("speedup", serve_rps / naive_rps);
     root.set("batches", s.batches);
     root.set("cache_hit_rate", s.cache_hit_rate());
-    if (!s.request_latency.empty()) {
-      auto lat = prof::Json::object();
-      lat.set("p50_s", s.request_latency.percentile(50));
-      lat.set("p95_s", s.request_latency.percentile(95));
-      lat.set("p99_s", s.request_latency.percentile(99));
-      root.set("request_latency", std::move(lat));
-    }
+    set_latency_json(root, s);
     std::ofstream out(json_path);
     if (!out) {
       std::fprintf(stderr, "cannot open %s\n", json_path.c_str());

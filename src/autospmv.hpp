@@ -27,8 +27,7 @@
 // NativeBackend (OpenMP/SIMD loops on the host) as the two implementations.
 // The backend is a *plan* property — select it with Tuner::backend(...),
 // persist it through plan_io/PlanStore, or let the adapt layer tune it
-// online. The old kernels::run_* free functions are deprecated forwards to
-// exec::ClsimBackend and will be removed in a future release.
+// online.
 #pragma once
 
 #include "adapt/bandit.hpp"            // online bandit plan refinement
@@ -65,7 +64,6 @@
 #include "ml/features.hpp"              // Table-I feature extraction
 #include "ml/ruleset.hpp"               // if-then rule sets
 #include "obs/sink.hpp"                 // streaming telemetry sink
-#include "prof/compare.hpp"             // profile regression gate
 #include "prof/counters.hpp"            // telemetry flag & engine counters
 #include "prof/histogram.hpp"           // log-bucketed latency histograms
 #include "prof/json.hpp"                // minimal JSON value type

@@ -1,7 +1,5 @@
-// Kernel dispatch for the clsim execution model. The switch over the nine
-// pool kernels and the batched-launch slicing used to live in
-// kernels/registry.cpp; exec owns dispatch now, and the deprecated
-// kernels::run_* overloads forward here.
+// Kernel dispatch for the clsim execution model: the switch over the nine
+// pool kernels and the batched-launch slicing.
 #include "exec/clsim_backend.hpp"
 
 #include <algorithm>
@@ -111,8 +109,7 @@ void dispatch_native_batch(KernelId id, const clsim::Engine& engine,
 /// Slice a wide batch into native limit-sized launches, falling back to one
 /// single-vector launch per column when no native variant fits. The
 /// single-vector fallbacks go through the backend's public run_binned so
-/// they emit their own "kernel" trace spans, exactly as the pre-exec
-/// kernels::run_binned_batch did.
+/// they emit their own "kernel" trace spans.
 template <typename T>
 void dispatch_binned_batch(const ClsimBackend& self, KernelId id,
                            const clsim::Engine& engine, const CsrMatrix<T>& a,

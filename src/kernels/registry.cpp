@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "exec/clsim_backend.hpp"
-
 namespace spmv::kernels {
 
 const std::vector<KernelId>& all_kernels() {
@@ -59,49 +57,5 @@ int lanes_per_row(KernelId id) {
 }
 
 bool has_batched_variant(KernelId id) { return id != KernelId::Vector; }
-
-// --- deprecated forwards ----------------------------------------------
-// Dispatch moved to exec (exec/clsim_backend.cpp); these wrappers keep the
-// old engine-taking entry points alive for one release.
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-template <typename T>
-void run_binned(KernelId id, const clsim::Engine& engine,
-                const CsrMatrix<T>& a, std::span<const T> x, std::span<T> y,
-                std::span<const index_t> vrows, index_t unit) {
-  exec::ClsimBackend(engine).run_binned(id, a, x, y, vrows, unit);
-}
-
-template <typename T>
-void run_full(KernelId id, const clsim::Engine& engine, const CsrMatrix<T>& a,
-              std::span<const T> x, std::span<T> y) {
-  exec::ClsimBackend(engine).run_full(id, a, x, y);
-}
-
-template <typename T>
-void run_binned_batch(KernelId id, const clsim::Engine& engine,
-                      const CsrMatrix<T>& a, std::span<const T> x,
-                      std::span<T> y, int batch,
-                      std::span<const index_t> vrows, index_t unit) {
-  exec::ClsimBackend(engine).run_binned_batch(id, a, x, y, batch, vrows, unit);
-}
-
-#define SPMV_REGISTRY_INSTANTIATE(T)                                         \
-  template void run_binned(KernelId, const clsim::Engine&,                   \
-                           const CsrMatrix<T>&, std::span<const T>,          \
-                           std::span<T>, std::span<const index_t>, index_t); \
-  template void run_full(KernelId, const clsim::Engine&, const CsrMatrix<T>&,\
-                         std::span<const T>, std::span<T>);                  \
-  template void run_binned_batch(KernelId, const clsim::Engine&,             \
-                                 const CsrMatrix<T>&, std::span<const T>,    \
-                                 std::span<T>, int,                          \
-                                 std::span<const index_t>, index_t);
-SPMV_REGISTRY_INSTANTIATE(float)
-SPMV_REGISTRY_INSTANTIATE(double)
-#undef SPMV_REGISTRY_INSTANTIATE
-
-#pragma GCC diagnostic pop
 
 }  // namespace spmv::kernels

@@ -2,9 +2,8 @@
 // different thread organizations (paper §III-B, Algorithms 3-5), plus the
 // registry used by the auto-tuner to enumerate and name them.
 //
-// Dispatch lives in spmv::exec now: exec::Backend::run_binned / run_full /
-// run_binned_batch is the execution entry point, and the engine-taking
-// run_* templates below are deprecated forwards kept for one release.
+// Dispatch lives in spmv::exec: exec::Backend::run_binned / run_full /
+// run_binned_batch is the execution entry point.
 #pragma once
 
 #include <optional>
@@ -55,21 +54,6 @@ std::optional<KernelId> try_kernel_from_name(const std::string& name);
 /// Lanes cooperating on one row: 1 for Serial, X for Sub<X>, 256 for Vector.
 int lanes_per_row(KernelId id);
 
-/// Deprecated forward to exec::ClsimBackend::run_binned — executes pool
-/// kernel `id` over the bin's rows on `engine`. Construct a backend (or use
-/// exec::shared_backend / exec::wrap_engine) instead.
-template <typename T>
-[[deprecated("use exec::Backend::run_binned")]]
-void run_binned(KernelId id, const clsim::Engine& engine,
-                const CsrMatrix<T>& a, std::span<const T> x, std::span<T> y,
-                std::span<const index_t> vrows, index_t unit);
-
-/// Deprecated forward to exec::ClsimBackend::run_full.
-template <typename T>
-[[deprecated("use exec::Backend::run_full")]]
-void run_full(KernelId id, const clsim::Engine& engine, const CsrMatrix<T>& a,
-              std::span<const T> x, std::span<T> y);
-
 /// Widest batch the native multi-vector kernels support in one launch —
 /// bounded by the per-lane accumulator block (wavefront * batch values)
 /// fitting the device's 32 KiB local-memory arena with headroom.
@@ -78,14 +62,6 @@ inline constexpr int kMaxNativeBatch = 32;
 /// True when `id` has a native multi-vector variant; run_binned_batch
 /// loops the single-vector kernel per column for the rest.
 bool has_batched_variant(KernelId id);
-
-/// Deprecated forward to exec::ClsimBackend::run_binned_batch.
-template <typename T>
-[[deprecated("use exec::Backend::run_binned_batch")]]
-void run_binned_batch(KernelId id, const clsim::Engine& engine,
-                      const CsrMatrix<T>& a, std::span<const T> x,
-                      std::span<T> y, int batch,
-                      std::span<const index_t> vrows, index_t unit);
 
 // --- individual kernels (implemented in kernel_*.cpp) -----------------
 
@@ -125,23 +101,7 @@ void kernel_vector(const clsim::Engine& engine, const CsrMatrix<T>& a,
                    std::span<const T> x, std::span<T> y,
                    std::span<const index_t> vrows, index_t unit);
 
-// The extern declarations below name the deprecated run_* forwards, which
-// is not itself a use worth warning on.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 #define SPMV_KERNELS_EXTERN(T)                                               \
-  extern template void run_binned(KernelId, const clsim::Engine&,            \
-                                  const CsrMatrix<T>&, std::span<const T>,   \
-                                  std::span<T>, std::span<const index_t>,    \
-                                  index_t);                                  \
-  extern template void run_full(KernelId, const clsim::Engine&,              \
-                                const CsrMatrix<T>&, std::span<const T>,     \
-                                std::span<T>);                               \
-  extern template void run_binned_batch(KernelId, const clsim::Engine&,      \
-                                        const CsrMatrix<T>&,                 \
-                                        std::span<const T>, std::span<T>,    \
-                                        int, std::span<const index_t>,       \
-                                        index_t);                            \
   extern template void kernel_serial(const clsim::Engine&,                   \
                                      const CsrMatrix<T>&, std::span<const T>,\
                                      std::span<T>, std::span<const index_t>, \
@@ -158,6 +118,5 @@ void kernel_vector(const clsim::Engine& engine, const CsrMatrix<T>& a,
 SPMV_KERNELS_EXTERN(float)
 SPMV_KERNELS_EXTERN(double)
 #undef SPMV_KERNELS_EXTERN
-#pragma GCC diagnostic pop
 
 }  // namespace spmv::kernels

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace spmv::prof {
@@ -422,14 +421,6 @@ void write_profile_file(const std::string& path, const RunProfile& profile) {
   if (!out) throw std::runtime_error("cannot write profile file: " + path);
   out << profile.to_json_text();
   if (!out) throw std::runtime_error("error writing profile file: " + path);
-}
-
-RunProfile read_profile_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read profile file: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return RunProfile::from_json(Json::parse(text.str()));
 }
 
 std::string prometheus_escape_label(const std::string& value) {

@@ -287,10 +287,6 @@ struct RunProfile {
 /// the file cannot be written.
 void write_profile_file(const std::string& path, const RunProfile& profile);
 
-/// Load a RunProfile JSON artifact; throws std::runtime_error when the
-/// file cannot be read or parsed.
-RunProfile read_profile_file(const std::string& path);
-
 /// Prometheus text exposition (text/plain; version 0.0.4) of the profile:
 /// run/engine counters plus — when the respective layers recorded — serve
 /// counters, latency summaries with p50/p95/p99 quantiles, full latency

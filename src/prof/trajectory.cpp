@@ -65,12 +65,24 @@ const double* TrajectoryEntry::find(const std::string& name) const {
 }
 
 bool Trajectory::higher_is_better(const std::string& name) {
-  // Throughput-like metrics: a DROP is the regression. Everything else
+  // Throughput-like metrics (and the adapt benches' recovery fraction of
+  // the oracle): a DROP is the regression. Everything else
   // (latency percentiles, seconds-flavored costs) regresses upward.
   return name.find("rps") != std::string::npos ||
          name.find("gflops") != std::string::npos ||
          name.find("speedup") != std::string::npos ||
-         name.find("hit_rate") != std::string::npos;
+         name.find("hit_rate") != std::string::npos ||
+         name.find("recovery") != std::string::npos;
+}
+
+bool Trajectory::gated(const std::string& name) {
+  // Only performance signals gate: throughput-like metrics and times.
+  // Counters and sizes (batches, promotions, trials, rows, nnz) move with
+  // batching and bandit noise or with the bench setup, not with speed, so
+  // they are reported but never fail the check; config.* likewise.
+  if (name.starts_with("config.")) return false;
+  return higher_is_better(name) || name.ends_with("_s") ||
+         name.ends_with("_ms") || name.ends_with("_us");
 }
 
 Trajectory Trajectory::from_json(const Json& j) {
@@ -164,62 +176,72 @@ TrajectoryCheck Trajectory::check(std::size_t window, double threshold,
   if (threshold <= 0.0)
     throw std::invalid_argument("Trajectory::check: threshold must be > 0");
   TrajectoryCheck result;
-  if (entries_.size() < 2) return result;  // young trajectory: observe only
-  const TrajectoryEntry& head = entries_.back();
-  // The window is the last `window` entries of the HEAD'S OWN STREAM —
-  // entries appended from a different bench document (other `stream` tag)
-  // neither pollute the means nor read as schema drift.
-  std::vector<const TrajectoryEntry*> prior;
-  for (std::size_t i = 0; i + 1 < entries_.size(); ++i) {
-    if (entries_[i].stream == head.stream) prior.push_back(&entries_[i]);
+  // Every stream is gated, in order of first appearance: its newest entry
+  // against the last `window` entries OF THE SAME STREAM. Entries appended
+  // from a different bench document neither pollute the means nor read as
+  // schema drift.
+  std::vector<std::string> streams;
+  for (const TrajectoryEntry& e : entries_) {
+    if (std::find(streams.begin(), streams.end(), e.stream) == streams.end())
+      streams.push_back(e.stream);
   }
-  if (prior.empty()) return result;  // young stream: observe only
-  const std::size_t first = prior.size() > window ? prior.size() - window : 0;
+  for (const std::string& stream : streams) {
+    std::vector<const TrajectoryEntry*> prior;
+    for (const TrajectoryEntry& e : entries_) {
+      if (e.stream == stream) prior.push_back(&e);
+    }
+    const TrajectoryEntry& head = *prior.back();
+    prior.pop_back();
+    if (prior.empty()) continue;  // young stream: observe only
+    const std::size_t first =
+        prior.size() > window ? prior.size() - window : 0;
 
-  for (const auto& [name, head_value] : head.metrics) {
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = first; i < prior.size(); ++i) {
-      if (const double* v = prior[i]->find(name)) {
-        sum += *v;
-        sum_sq += *v * *v;
-        n += 1;
+    for (const auto& [name, head_value] : head.metrics) {
+      double sum = 0.0;
+      double sum_sq = 0.0;
+      std::size_t n = 0;
+      for (std::size_t i = first; i < prior.size(); ++i) {
+        if (const double* v = prior[i]->find(name)) {
+          sum += *v;
+          sum_sq += *v * *v;
+          n += 1;
+        }
       }
+      if (n == 0) continue;  // metric is new: observe only
+      TrajectoryMetric m;
+      m.stream = stream;
+      m.name = name;
+      m.head = head_value;
+      m.window = sum / static_cast<double>(n);
+      m.higher_is_better = higher_is_better(name);
+      m.gated = gated(name);
+      // Normalize direction so ratio > 1 always reads "worse than the
+      // window". Non-positive sides defeat a ratio test; treat as neutral.
+      if (m.head > 0.0 && m.window > 0.0)
+        m.ratio = m.higher_is_better ? m.window / m.head : m.head / m.window;
+      m.threshold = threshold;
+      if (learned && m.window > 0.0 && n >= 2) {
+        // Per-metric noise-derived gate: a head value beyond mean + 3σ of
+        // its own window is an outlier regardless of what a one-size fixed
+        // ratio says; the fixed `threshold` stays as the floor so a
+        // low-noise metric cannot tighten into gating on measurement
+        // jitter.
+        const double variance = std::max(
+            0.0, sum_sq / static_cast<double>(n) - m.window * m.window);
+        const double sigma = std::sqrt(variance);
+        m.threshold =
+            std::max(threshold, (m.window + 3.0 * sigma) / m.window);
+      }
+      m.regressed = m.gated && m.ratio > m.threshold;
+      result.metrics.push_back(std::move(m));
     }
-    if (n == 0) continue;  // metric is new: observe only
-    TrajectoryMetric m;
-    m.name = name;
-    m.head = head_value;
-    m.window = sum / static_cast<double>(n);
-    m.higher_is_better = higher_is_better(name);
-    // Normalize direction so ratio > 1 always reads "worse than the
-    // window". Non-positive sides defeat a ratio test; treat as neutral.
-    if (m.head > 0.0 && m.window > 0.0)
-      m.ratio = m.higher_is_better ? m.window / m.head : m.head / m.window;
-    m.threshold = threshold;
-    if (learned && m.window > 0.0 && n >= 2) {
-      // Per-metric noise-derived gate: a head value beyond mean + 3σ of
-      // its own window is an outlier regardless of what a one-size fixed
-      // ratio says; the fixed `threshold` stays as the floor so a
-      // low-noise metric cannot tighten into gating on measurement jitter.
-      const double variance = std::max(
-          0.0, sum_sq / static_cast<double>(n) - m.window * m.window);
-      const double sigma = std::sqrt(variance);
-      m.threshold = std::max(threshold, (m.window + 3.0 * sigma) / m.window);
-    }
-    // config.* describes the bench setup (rows, requests, threads) — a
-    // deliberate change must not read as a perf regression.
-    m.regressed = m.ratio > m.threshold && name.rfind("config.", 0) != 0;
-    result.metrics.push_back(std::move(m));
-  }
 
-  // Schema drift: a metric the most recent same-stream entry carried but
-  // the head lost.
-  const TrajectoryEntry& prev = *prior.back();
-  for (const auto& [name, value] : prev.metrics) {
-    (void)value;
-    if (head.find(name) == nullptr) result.missing.push_back(name);
+    // Schema drift: a metric the stream's previous entry carried but its
+    // head lost.
+    for (const auto& [name, value] : prior.back()->metrics) {
+      (void)value;
+      if (head.find(name) == nullptr) result.missing.push_back({stream, name});
+    }
   }
   return result;
 }

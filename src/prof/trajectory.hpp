@@ -1,11 +1,11 @@
-// Perf trajectory — the time axis of the regression gate. Where
-// compare_profiles() answers "is this run slower than ONE saved baseline?",
-// a Trajectory accumulates per-run benchmark snapshots (BENCH_*.json
-// documents) into a committed history file, renders a sparkline dashboard
-// of every tracked metric, and gates on the HEAD entry versus the rolling
-// mean of the previous W entries — so a slow drift that never trips a
-// single pairwise threshold still gets caught, and one noisy baseline run
-// cannot whipsaw CI.
+// Perf trajectory — the repo's one regression gate. A Trajectory
+// accumulates per-run benchmark snapshots (BENCH_*.json documents) into a
+// history file, renders a sparkline dashboard of every tracked
+// metric, and gates the newest entry of EVERY stream (one stream per bench
+// document kind) against the rolling mean of that stream's previous W
+// entries. W = 1 is a pairwise "slower than the last run?" gate; a wider
+// window catches slow drift that never trips a pairwise threshold, and one
+// noisy baseline run cannot whipsaw CI.
 //
 //   Trajectory t = Trajectory::load_file("PERF_TRAJECTORY.json");
 //   t.append(Json::parse(bench_text), "pr-123");
@@ -31,9 +31,9 @@ struct TrajectoryEntry {
   /// Which bench produced this entry, derived from the source JSON's
   /// "bench" (+ "/mode") string fields — e.g. "serve_throughput" or
   /// "serve_throughput/sharded". One history file can interleave several
-  /// streams; check() gates each head only against its own stream, so a
-  /// sharded snapshot never reads as schema drift against an unsharded
-  /// one. Legacy entries (no "bench" field) share the "" stream.
+  /// streams; check() gates each stream's head only against its own
+  /// stream, so a sharded snapshot never reads as schema drift against an
+  /// unsharded one. Legacy entries (no "bench" field) share the "" stream.
   std::string stream;
   std::vector<std::pair<std::string, double>> metrics;
 
@@ -43,21 +43,24 @@ struct TrajectoryEntry {
 
 /// One metric's verdict from Trajectory::check().
 struct TrajectoryMetric {
+  std::string stream;    ///< which stream's head this verdict is for
   std::string name;
-  double head = 0.0;     ///< the newest entry's value
-  double window = 0.0;   ///< rolling mean over the previous W entries
+  double head = 0.0;     ///< the stream's newest value
+  double window = 0.0;   ///< mean over the stream's previous W entries
   double ratio = 1.0;    ///< head/window (direction-normalized: >1 = worse)
   /// The threshold this metric was actually gated against: the fixed one,
   /// or — under a learned check — the variance-derived per-metric bound.
   double threshold = 0.0;
   bool higher_is_better = false;
+  bool gated = false;    ///< Trajectory::gated(name): can this metric fail?
   bool regressed = false;
 };
 
 struct TrajectoryCheck {
   std::vector<TrajectoryMetric> metrics;
-  /// Metrics the window has but the head entry lost (schema drift).
-  std::vector<std::string> missing;
+  /// (stream, metric) pairs a stream's previous entry carried but its head
+  /// lost (schema drift).
+  std::vector<std::pair<std::string, std::string>> missing;
 
   [[nodiscard]] bool regressed() const {
     for (const TrajectoryMetric& m : metrics) {
@@ -88,15 +91,15 @@ class Trajectory {
   void append(const Json& bench, const std::string& label,
               std::size_t max_entries = 200);
 
-  /// Gate the newest entry against the rolling mean of the `window`
-  /// same-stream entries before it (entries appended from a different
-  /// bench document are invisible to this head — both for the means and
-  /// for the schema-drift scan). A metric regresses when its
+  /// Gate the newest entry of every stream against the rolling mean of the
+  /// `window` same-stream entries before it (entries appended from a
+  /// different bench document are invisible to that head — both for the
+  /// means and for the schema-drift scan). A metric regresses when its
   /// direction-normalized head/window ratio exceeds `threshold`
   /// (throughput-like metrics invert: lower is worse). With no prior
   /// same-stream entry, or an empty window for a metric, nothing
   /// regresses — a young trajectory (or stream) only observes.
-  /// "config.*" metrics are never gated (they describe the bench setup).
+  /// Only gated() metrics can regress; the rest are reported alongside.
   /// Throws std::invalid_argument when window < 1 or threshold <= 0.
   ///
   /// With `learned` set, each metric's threshold is derived from its own
@@ -120,8 +123,14 @@ class Trajectory {
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
   /// Is this metric one where larger values mean better (throughput,
-  /// speedup, hit rate) rather than worse (latency, seconds)?
+  /// speedup, hit rate, recovery) rather than worse (latency, seconds)?
   static bool higher_is_better(const std::string& name);
+
+  /// Is this metric a performance signal the check gates — throughput-like
+  /// (higher_is_better) or a time (a "_s", "_ms" or "_us" suffix)? Counters
+  /// and sizes ("batches", "l_promotions", "nnz") and "config.*" (the bench
+  /// setup) are not: they are reported but never regress.
+  static bool gated(const std::string& name);
 
  private:
   std::vector<TrajectoryEntry> entries_;

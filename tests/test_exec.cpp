@@ -2,8 +2,7 @@
 // shared-instance contract of shared_backend()/wrap_engine(), ExecContext
 // validation, batch argument validation at the interface layer, numeric
 // clsim-vs-native parity on a few structured matrices (the full random
-// corpus lives in test_differential), and the deprecated kernels::run_*
-// forwards.
+// corpus lives in test_differential).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -144,31 +143,5 @@ TEST(ExecParity, BackendsAgreeOnStructuredMatrices) {
     }
   }
 }
-
-// --- Deprecated forwards --------------------------------------------------
-
-// The kernels::run_* free functions are deprecated forwards to
-// exec::ClsimBackend; they must keep producing identical results for one
-// release. Silence the deprecation warnings locally — using them here is
-// the point of the test.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ExecDeprecatedForwards, RunFullMatchesBackend) {
-  const auto a = gen::power_law<float>(300, 300, 2.0, 40, 13);
-  const auto x = random_vector<float>(static_cast<std::size_t>(a.cols()), 15);
-  const auto backend = exec::shared_backend(exec::BackendKind::Clsim);
-  for (KernelId id : kernels::all_kernels()) {
-    std::vector<float> via_forward(static_cast<std::size_t>(a.rows()));
-    std::vector<float> via_backend(static_cast<std::size_t>(a.rows()));
-    kernels::run_full(id, clsim::default_engine(), a,
-                      std::span<const float>(x), std::span<float>(via_forward));
-    backend->run_full(id, a, std::span<const float>(x),
-                      std::span<float>(via_backend));
-    for (std::size_t i = 0; i < via_forward.size(); ++i)
-      ASSERT_EQ(via_forward[i], via_backend[i])
-          << kernels::kernel_name(id) << " row " << i;
-  }
-}
-#pragma GCC diagnostic pop
 
 }  // namespace

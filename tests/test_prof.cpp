@@ -344,96 +344,6 @@ TEST(ProfRunProfile, ServeHistogramsRoundTripThroughJson) {
   EXPECT_TRUE(old.serve.request_latency.empty());
 }
 
-TEST(ProfCompare, IdenticalProfilesDoNotRegress) {
-  prof::RunProfile p;
-  p.runs = 10;
-  p.run_total_s = 0.1;
-  p.plan_timing = {.features_s = 1e-3, .predict_s = 1e-4, .binning_s = 2e-3};
-  p.add_bin_run(0, "serial", 100, 1000, 5000, 0.01);
-  for (int i = 0; i < 50; ++i) p.serve.request_latency.add(1e-3);
-  p.serve.requests = 50;
-
-  const auto result = prof::compare_profiles(p, p, 1.15);
-  ASSERT_FALSE(result.metrics.empty());
-  EXPECT_FALSE(result.regressed());
-  for (const auto& m : result.metrics) {
-    EXPECT_DOUBLE_EQ(m.ratio, 1.0);
-    EXPECT_FALSE(m.regressed);
-  }
-}
-
-TEST(ProfCompare, SyntheticSlowdownTripsTheGate) {
-  prof::RunProfile baseline;
-  baseline.runs = 10;
-  baseline.run_total_s = 0.1;
-  baseline.add_bin_run(2, "subvector8", 10, 100, 1000, 0.02);
-  prof::RunProfile current = baseline;
-  current.run_total_s = 0.2;  // 2x mean-run slowdown
-  current.bins[0].seconds = 0.05;
-
-  const auto result = prof::compare_profiles(baseline, current, 1.15);
-  EXPECT_TRUE(result.regressed());
-  bool run_flagged = false;
-  for (const auto& m : result.metrics) {
-    if (m.name == "run_mean_s") {
-      run_flagged = true;
-      EXPECT_DOUBLE_EQ(m.ratio, 2.0);
-      EXPECT_TRUE(m.regressed);
-    }
-  }
-  EXPECT_TRUE(run_flagged);
-  // The same pair passes with a threshold above the slowdown.
-  EXPECT_FALSE(prof::compare_profiles(baseline, current, 3.0).regressed());
-  EXPECT_THROW(prof::compare_profiles(baseline, current, 0.0),
-               std::invalid_argument);
-}
-
-TEST(ProfCompare, SkipsMetricsMissingOnEitherSide) {
-  prof::RunProfile baseline;
-  baseline.runs = 5;
-  baseline.run_total_s = 0.05;
-  baseline.add_bin_run(0, "serial", 1, 1, 10, 0.01);
-  prof::RunProfile current;
-  current.runs = 5;
-  current.run_total_s = 0.05;
-  current.add_bin_run(3, "vector", 1, 1, 10, 0.5);  // different plan
-
-  const auto result = prof::compare_profiles(baseline, current, 1.15);
-  ASSERT_EQ(result.metrics.size(), 1u);  // only run_mean_s is comparable
-  EXPECT_EQ(result.metrics[0].name, "run_mean_s");
-  EXPECT_FALSE(result.regressed());
-  // The baseline bin the current profile lost is reported as schema drift
-  // (compare-profiles exits 2 on this), not silently skipped.
-  EXPECT_TRUE(result.schema_mismatch());
-  ASSERT_EQ(result.missing.size(), 1u);
-  EXPECT_EQ(result.missing[0], "bin0_serial_s");
-}
-
-TEST(ProfCompare, ReportsEveryMissingMetricFamilyAsSchemaMismatch) {
-  prof::RunProfile baseline;
-  baseline.runs = 5;
-  baseline.run_total_s = 0.05;
-  baseline.plan_timing = {.features_s = 1e-3, .predict_s = 0, .binning_s = 0};
-  baseline.serve.request_latency.add(1e-3);
-  baseline.serve.queue_wait.add(1e-4);
-  baseline.serve.batch_exec.add(5e-4);
-
-  // An empty current profile lost everything the baseline tracked.
-  const auto result =
-      prof::compare_profiles(baseline, prof::RunProfile{}, 1.15);
-  EXPECT_TRUE(result.metrics.empty());
-  EXPECT_FALSE(result.regressed());
-  ASSERT_TRUE(result.schema_mismatch());
-  const std::vector<std::string> want = {
-      "run_mean_s", "plan_total_s", "serve_request_latency",
-      "serve_queue_wait", "serve_batch_exec"};
-  EXPECT_EQ(result.missing, want);
-
-  // Identical sides report no mismatch.
-  EXPECT_FALSE(prof::compare_profiles(baseline, baseline, 1.15)
-                   .schema_mismatch());
-}
-
 TEST(ProfPrometheus, ExposesCountersAndQuantiles) {
   prof::RunProfile p;
   p.runs = 4;
@@ -769,11 +679,128 @@ TEST(ProfTrajectory, CheckGatesHeadAgainstRollingWindow) {
   check = t3.check(5, 1.25);
   ASSERT_FALSE(check.missing.empty());
   bool lost_p95 = false;
-  for (const auto& name : check.missing) lost_p95 |= name == "p95_s";
+  for (const auto& [stream, name] : check.missing)
+    lost_p95 |= stream.empty() && name == "p95_s";
   EXPECT_TRUE(lost_p95);
 
   EXPECT_THROW(t3.check(0, 1.25), std::invalid_argument);
   EXPECT_THROW(t3.check(5, 0.0), std::invalid_argument);
+}
+
+// CI appends serve, then sharded, then iter snapshots and checks once:
+// every stream's head must be gated, not only the last-appended one.
+TEST(ProfTrajectory, CheckGatesEveryStreamNotOnlyTheLastAppended) {
+  auto serve = [](double rps, double p99) {
+    prof::Json j = prof::Json::object();
+    j.set("bench", "serve_throughput");
+    j.set("serve_rps", rps);
+    prof::Json lat = prof::Json::object();
+    lat.set("p99_s", p99);
+    j.set("request_latency", lat);
+    return j;
+  };
+  auto iter = [](double recovery) {
+    prof::Json j = prof::Json::object();
+    j.set("bench", "iter");
+    j.set("recovery", recovery);
+    return j;
+  };
+
+  prof::Trajectory t;
+  t.append(serve(1000, 1e-3), "base");
+  t.append(iter(0.95), "base-iter");
+  t.append(serve(1000, 1.2e-3), "slow");  // 1.2x p99 on the serve stream
+  t.append(iter(0.95), "slow-iter");
+  const auto check = t.check(1, 1.15);
+  ASSERT_TRUE(check.regressed());
+  bool p99_flagged = false;
+  for (const auto& m : check.metrics) {
+    if (m.name == "request_latency.p99_s") {
+      EXPECT_EQ(m.stream, "serve_throughput");
+      EXPECT_NEAR(m.ratio, 1.2, 1e-9);
+      p99_flagged |= m.regressed;
+    }
+    if (m.stream == "iter") {
+      EXPECT_FALSE(m.regressed);
+    }
+  }
+  EXPECT_TRUE(p99_flagged);
+
+  // An unchanged history passes.
+  prof::Trajectory same;
+  for (const char* label : {"a", "b"}) {
+    same.append(serve(1000, 1e-3), label);
+    same.append(iter(0.95), label);
+  }
+  EXPECT_FALSE(same.check(1, 1.15).regressed());
+
+  // recovery is a fraction of the oracle: a rise is no regression, a drop
+  // is.
+  prof::Trajectory up;
+  up.append(iter(0.8), "a");
+  up.append(iter(1.0), "b");
+  EXPECT_FALSE(up.check(1, 1.15).regressed());
+  prof::Trajectory down;
+  down.append(iter(1.0), "a");
+  down.append(iter(0.8), "b");
+  EXPECT_TRUE(down.check(1, 1.15).regressed());
+  EXPECT_TRUE(prof::Trajectory::higher_is_better("recovery"));
+
+  // Schema drift in a stream that is not the last appended is reported
+  // under its own stream.
+  prof::Trajectory drift;
+  drift.append(serve(1000, 1e-3), "a");
+  prof::Json lost = prof::Json::object();
+  lost.set("bench", "serve_throughput");
+  lost.set("serve_rps", 1000.0);
+  drift.append(lost, "b");
+  drift.append(iter(0.95), "c");
+  const auto drifted = drift.check(1, 1.15);
+  ASSERT_EQ(drifted.missing.size(), 1u);
+  EXPECT_EQ(drifted.missing[0].first, "serve_throughput");
+  EXPECT_EQ(drifted.missing[0].second, "request_latency.p99_s");
+}
+
+// Only performance signals gate: a counter that moves with batching or
+// bandit noise (one extra promotion is 4 -> 5 = 1.25x) is reported but
+// never fails the check, while a time or a throughput still does.
+TEST(ProfTrajectory, CountersAreReportedButNotGated) {
+  auto iter = [](double promotions, double refined_gflops) {
+    prof::Json j = prof::Json::object();
+    j.set("bench", "iter");
+    j.set("rows", 20000.0);
+    j.set("l_promotions", promotions);
+    j.set("refined_gflops", refined_gflops);
+    return j;
+  };
+  prof::Trajectory t;
+  t.append(iter(4, 2.0), "a");
+  t.append(iter(5, 2.0), "b");
+  auto check = t.check(1, 1.15);
+  EXPECT_FALSE(check.regressed());
+  bool promotions_reported = false;
+  for (const auto& m : check.metrics) {
+    if (m.name == "l_promotions") {
+      promotions_reported = true;
+      EXPECT_NEAR(m.ratio, 1.25, 1e-9);
+      EXPECT_FALSE(m.gated);
+    }
+    if (m.name == "refined_gflops") {
+      EXPECT_TRUE(m.gated);
+    }
+  }
+  EXPECT_TRUE(promotions_reported);
+
+  t.append(iter(5, 1.5), "slow");
+  EXPECT_TRUE(t.check(1, 1.15).regressed());
+
+  for (const char* name : {"batches", "l_trials", "warm_starts", "nnz",
+                           "rejected", "stored_spmm_width", "config.rows"})
+    EXPECT_FALSE(prof::Trajectory::gated(name)) << name;
+  for (const char* name :
+       {"serve_rps", "shard_speedup", "cache_hit_rate", "recovery",
+        "request_latency.p99_s", "queue_wait.p95_s", "flat_ms"})
+    EXPECT_TRUE(prof::Trajectory::gated(name)) << name;
 }
 
 TEST(ProfTrajectory, SaveLoadRoundTripAndMarkdownDashboard) {

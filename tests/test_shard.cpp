@@ -631,9 +631,10 @@ TEST(Trajectory, LearnedGateWidensWithWindowNoiseAndFloorsAtFixed) {
 }
 
 // One PERF_TRAJECTORY file interleaving the standard and sharded serve
-// snapshots: each head gates only against its own stream — the other
-// bench's entries neither pollute the rolling mean nor read as schema
-// drift — and the stream tag survives a save/load round trip.
+// snapshots: every stream's head is gated, each only against its own
+// stream — the other bench's entries neither pollute the rolling mean nor
+// read as schema drift — and the stream tag survives a save/load round
+// trip.
 TEST(Trajectory, MixedBenchStreamsGateIndependently) {
   auto standard = [](double rps) {
     auto j = prof::Json::object();
@@ -667,26 +668,39 @@ TEST(Trajectory, MixedBenchStreamsGateIndependently) {
   }
 
   // A sharded head regresses against sharded history only; the adjacent
-  // standard entries (different schema) never surface as missing.
+  // standard entries (different schema) never surface as missing, and the
+  // standard stream's own head stays green.
   t.append(sharded(2000.0), "slow-sharded");
   auto check = t.check(5, 1.25);
   EXPECT_TRUE(check.missing.empty());
-  ASSERT_EQ(check.metrics.size(), 1u);
-  EXPECT_EQ(check.metrics[0].name, "sharded_rps");
-  EXPECT_NEAR(check.metrics[0].ratio, 2.0, 1e-9);
+  ASSERT_EQ(check.metrics.size(), 2u);
+  for (const auto& m : check.metrics) {
+    if (m.stream == "serve_throughput/sharded") {
+      EXPECT_EQ(m.name, "sharded_rps");
+      EXPECT_NEAR(m.ratio, 2.0, 1e-9);
+      EXPECT_TRUE(m.regressed);
+    } else {
+      EXPECT_EQ(m.stream, "serve_throughput");
+      EXPECT_EQ(m.name, "serve_rps");
+      EXPECT_FALSE(m.regressed);
+    }
+  }
   EXPECT_TRUE(check.regressed());
 
-  // And a healthy standard head right after it stays green.
+  // A healthy standard head appended after it does not hide the slow
+  // sharded head; only a recovered sharded head clears the gate.
   t.append(standard(1000.0), "healthy-standard");
   check = t.check(5, 1.25);
   EXPECT_TRUE(check.missing.empty());
-  EXPECT_FALSE(check.regressed());
+  EXPECT_TRUE(check.regressed());
+  t.append(sharded(4000.0), "recovered-sharded");
+  EXPECT_FALSE(t.check(5, 1.25).regressed());
 
   // Stream tags round-trip through the JSON form.
   const auto reloaded = prof::Trajectory::from_json(t.to_json());
   ASSERT_EQ(reloaded.entries().size(), t.entries().size());
-  EXPECT_EQ(reloaded.entries().back().stream, "serve_throughput");
+  EXPECT_EQ(reloaded.entries().back().stream, "serve_throughput/sharded");
   EXPECT_EQ(reloaded.entries()[reloaded.entries().size() - 2].stream,
-            "serve_throughput/sharded");
+            "serve_throughput");
   EXPECT_FALSE(reloaded.check(5, 1.25).regressed());
 }
