@@ -10,12 +10,21 @@
 //              [--format csr|auto] [--check] [--speedup-floor 1.5]
 //              [--json out.json]
 //
+// The default corpus is max(150000, rows whose CSR is 2.2x the last-level
+// cache), so A streams from DRAM on every traversal — the regime the
+// blocked kernels are for (perfbench sizes solve_stream the same way);
+// --rows overrides it.
+//
 // --check turns the acceptance criterion into the exit code: on a backend
 // with native blocked kernels (supports_spmm()), blocked GFLOP/s must be
 // >= speedup-floor x the per-column GFLOP/s at every width >= 8. Widths
 // below 8 are reported but not gated — a 1-wide "block" is the same
 // traversal either way. --json writes the machine-readable summary
 // (config + per-width scalars) CI uploads.
+#include <unistd.h>
+
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <vector>
@@ -27,6 +36,23 @@ using namespace spmv::bench;
 
 namespace {
 
+/// Last-level cache bytes: L3, else L2, else 0 when neither is reported.
+std::size_t llc_bytes() {
+  long bytes = sysconf(_SC_LEVEL3_CACHE_SIZE);
+  if (bytes <= 0) bytes = sysconf(_SC_LEVEL2_CACHE_SIZE);
+  return bytes > 0 ? static_cast<std::size_t>(bytes) : 0;
+}
+
+/// Default corpus rows: at least 150k, and enough that the banded CSR
+/// (row_ptr plus a column and a value per entry, 2*half_band+1 entries a
+/// row) is 2.2x the last-level cache.
+index_t default_rows(index_t half_band) {
+  const double row_bytes = 8.0 + (2.0 * half_band + 1.0) * 8.0;
+  const auto fit = static_cast<index_t>(
+      std::ceil(2.2 * static_cast<double>(llc_bytes()) / row_bytes));
+  return std::max<index_t>(150000, fit);
+}
+
 struct WidthResult {
   int width = 0;
   double percol_gf = 0.0;
@@ -37,8 +63,9 @@ struct WidthResult {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const auto rows = static_cast<index_t>(cli.get_int("rows", 150000));
   const auto half_band = static_cast<index_t>(cli.get_int("half-band", 32));
+  const auto rows =
+      static_cast<index_t>(cli.get_int("rows", default_rows(half_band)));
   const auto backend =
       exec::shared_backend(exec::backend_from_name(cli.get("backend",
                                                            "native")));
@@ -65,8 +92,9 @@ int main(int argc, char** argv) {
   const auto m = static_cast<std::size_t>(a.rows());
 
   std::printf("=== bench spmm_bench (rows=%d, half_band=%d, nnz=%lld, "
-              "backend=%s, format=%s) ===\n",
+              "llc=%zu MiB, backend=%s, format=%s) ===\n",
               rows, half_band, static_cast<long long>(a.nnz()),
+              llc_bytes() >> 20,
               exec::backend_cname(backend->kind()),
               fmt::format_mode_cname(format));
   std::printf("plan: %s\n\n", rt.plan().to_string().c_str());

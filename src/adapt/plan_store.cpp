@@ -1,6 +1,11 @@
 #include "adapt/plan_store.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -22,6 +27,32 @@ std::string hash_to_hex(std::uint64_t h) {
   std::snprintf(buf, sizeof(buf), "0x%016llx",
                 static_cast<unsigned long long>(h));
   return std::string(buf);
+}
+
+/// Writes all of `data` to `fd`, retrying short writes and EINTR.
+bool write_all(int fd, const std::string& data) {
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// fsyncs the directory holding `path`, so a rename into it survives a
+/// crash. Best effort: the new file is already in place, so a directory
+/// that cannot be opened or synced is not an error.
+void sync_parent_dir(const std::string& path) {
+  const auto slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0              ? "/"
+                                                    : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return;
+  (void)::fsync(fd);
+  ::close(fd);
 }
 
 std::uint64_t hash_from_hex(const std::string& s) {
@@ -195,18 +226,26 @@ void PlanStore::flush() const {
   doc.set("schema", kStoreSchemaVersion);
   doc.set("entries", std::move(entries));
 
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot write plan store: " + tmp);
-    out << doc.dump(2) << "\n";
-    out.flush();
-    if (!out) throw std::runtime_error("error writing plan store: " + tmp);
+  // pid + counter: unique across processes and across stores of one
+  // process, so two writers never share (and clobber) one temp file.
+  static std::atomic<std::uint64_t> next_tmp{0};
+  const std::string tmp = path_ + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(next_tmp.fetch_add(1));
+  const std::string body = doc.dump(2) + "\n";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                        0644);
+  if (fd < 0) throw std::runtime_error("cannot write plan store: " + tmp);
+  bool ok = write_all(fd, body) && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("error writing plan store: " + tmp);
   }
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw std::runtime_error("cannot rename " + tmp + " -> " + path_);
   }
+  sync_parent_dir(path_);
 }
 
 std::optional<StoredPlan> PlanStore::lookup(const serve::Fingerprint& key) {

@@ -10,8 +10,10 @@
 // different device configuration or predictor model version are skipped
 // for lookup but preserved verbatim and re-emitted on flush(), so one
 // store file can serve a heterogeneous fleet without machines destroying
-// each other's tuning work. flush() is crash-safe: write to `path.tmp`,
-// then atomically rename over `path`.
+// each other's tuning work. flush() is crash-safe: write and fsync a temp
+// file no other writer uses, atomically rename it over `path`, then fsync
+// the directory. Concurrent flushes to one path each leave a complete
+// file; the last rename wins.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +82,9 @@ class PlanStore {
   PlanStoreStats load();
 
   /// Write all entries (own + preserved foreign) to `path` via
-  /// write-temp-then-rename. Throws std::runtime_error when the temp file
-  /// cannot be written or the rename fails.
+  /// write-temp-then-rename, the temp named `path.tmp.<pid>.<n>`. Throws
+  /// std::runtime_error when the temp file cannot be written or synced,
+  /// or the rename fails; the temp file is removed either way.
   void flush() const;
 
   /// The stored plan for `key` under this store's device/model scope.

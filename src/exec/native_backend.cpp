@@ -5,12 +5,21 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 
 #include "fmt/layout.hpp"
 #include "kernels/binned_common.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
+#endif
+
+// Sliced Dcsr bins of float run an AVX-512 kernel when the build targets
+// it (-march=native on such a host); everything else runs the portable
+// loop, which gives the same bits.
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
+#include <immintrin.h>
+#define SPMV_AVX512_SLICES 1
 #endif
 
 namespace spmv::exec {
@@ -539,25 +548,118 @@ void dcsr_dots(const T* v, const std::uint16_t* off, std::size_t len,
   }
 }
 
-/// Dcsr: one lane-split dot product per packed row.
+/// One sliced Dcsr slice's dot products against C columns of x, `stride`
+/// apart: out[c][i] for packed row s0 + i. Row i runs in lane i on its own
+/// std::fma chain in CSR order — the exact order of dot_plain — and a lane
+/// idles once its row ends. The sort puts a slice's live rows first, so
+/// step k's entries are the next `live` values and offsets.
+template <int C, typename T>
+void slice_dots(const fmt::DeltaBin<T>& d, std::size_t s0, const T* x,
+                std::size_t stride, T (&out)[C][fmt::kDcsrSlice]) {
+  constexpr int H = fmt::kDcsrSlice;
+  const std::size_t h = std::min<std::size_t>(H, d.rows.size() - s0);
+  const auto lo = static_cast<std::size_t>(d.row_ptr[s0]);
+  const T* v = d.vals.data() + lo;
+  const std::uint16_t* off = d.offsets.data() + lo;
+  const index_t* base = d.base_col.data() + s0;
+  offset_t len[H] = {};
+  for (std::size_t i = 0; i < h; ++i)
+    len[i] = d.row_ptr[s0 + i + 1] - d.row_ptr[s0 + i];
+  std::size_t live = h;
+#ifdef SPMV_AVX512_SLICES
+  if constexpr (std::is_same_v<T, float>) {
+    // Masked loads fault on no masked-off element, so a slice at an
+    // array's end never reads past it.
+    const __m512i basev =
+        _mm512_maskz_loadu_epi32(static_cast<__mmask16>((1u << h) - 1), base);
+    __m512 acc[C];
+    for (int c = 0; c < C; ++c) acc[c] = _mm512_setzero_ps();
+    for (offset_t k = 0;; ++k) {
+      while (live > 0 && len[live - 1] <= k) --live;
+      if (live == 0) break;
+      const auto m = static_cast<__mmask16>((1u << live) - 1);
+      const __m512i idx = _mm512_add_epi32(
+          basev,
+          _mm512_maskz_cvtepu16_epi32(m, _mm256_maskz_loadu_epi16(m, off)));
+      const __m512 av = _mm512_maskz_loadu_ps(m, v);
+      for (int c = 0; c < C; ++c) {
+        const __m512 xv = _mm512_mask_i32gather_ps(
+            _mm512_setzero_ps(), m, idx, x + c * stride, sizeof(float));
+        acc[c] = _mm512_mask3_fmadd_ps(av, xv, acc[c], m);
+      }
+      v += live;
+      off += live;
+    }
+    for (int c = 0; c < C; ++c) _mm512_storeu_ps(out[c], acc[c]);
+    return;
+  }
+#endif
+  for (int c = 0; c < C; ++c)
+    for (int i = 0; i < H; ++i) out[c][i] = T{};
+  for (offset_t k = 0;; ++k) {
+    while (live > 0 && len[live - 1] <= k) --live;
+    if (live == 0) break;
+    for (std::size_t i = 0; i < live; ++i) {
+      const T av = v[i];
+      const T* xb = x + base[i] + off[i];
+      for (int c = 0; c < C; ++c)
+        out[c][i] = std::fma(av, xb[c * stride], out[c][i]);
+    }
+    v += live;
+    off += live;
+  }
+}
+
+/// Write slice_dots' results for the slice at packed row s0: column c
+/// goes to y[c * m + row] for each of the slice's rows (m = y's column
+/// stride, unused for one column).
+template <int C, typename T>
+void store_slice(const fmt::DeltaBin<T>& d, std::size_t s0,
+                 const T (&out)[C][fmt::kDcsrSlice], std::span<T> y,
+                 std::size_t m = 0) {
+  const std::size_t h =
+      std::min<std::size_t>(fmt::kDcsrSlice, d.rows.size() - s0);
+  for (int c = 0; c < C; ++c)
+    for (std::size_t i = 0; i < h; ++i)
+      y[static_cast<std::size_t>(c) * m +
+        static_cast<std::size_t>(d.rows[s0 + i])] = out[c][i];
+}
+
+/// Slices per dynamic chunk of the Dcsr kernels: 64 rows at slice height
+/// 1, and one whole sort window when sliced — a window's rows are
+/// permuted, so splitting it across threads would share y's cache lines.
+constexpr std::int64_t dcsr_chunk(std::int64_t slice) {
+  return slice == 1 ? 64 : fmt::kDcsrSortWindow / fmt::kDcsrSlice;
+}
+
+/// Dcsr: one lane-split dot product per packed row, or one lane per row
+/// of each slice.
 template <typename T>
 void native_dcsr(int threads, const fmt::DeltaBin<T>& d, std::span<const T> x,
                  std::span<T> y) {
   const auto nrows = static_cast<std::int64_t>(d.rows.size());
+  const std::int64_t slice = d.slice;
+  const std::int64_t nslices = (nrows + slice - 1) / slice;
 #ifdef _OPENMP
   const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic, 64) num_threads(nt) \
-    if (nrows > kInlineSlots)
+#pragma omp parallel for schedule(dynamic, dcsr_chunk(slice)) \
+    num_threads(nt) if (nrows > kInlineSlots)
 #else
   (void)threads;
 #endif
-  for (std::int64_t r = 0; r < nrows; ++r) {
-    const auto pr = static_cast<std::size_t>(r);
-    const auto lo = static_cast<std::size_t>(d.row_ptr[pr]);
-    const auto hi = static_cast<std::size_t>(d.row_ptr[pr + 1]);
-    dcsr_dots<1>(d.vals.data() + lo, d.offsets.data() + lo, hi - lo,
-                 x.data() + d.base_col[pr], 0,
-                 &y[static_cast<std::size_t>(d.rows[pr])]);
+  for (std::int64_t s = 0; s < nslices; ++s) {
+    const auto s0 = static_cast<std::size_t>(s * slice);
+    if (slice == 1) {
+      const auto lo = static_cast<std::size_t>(d.row_ptr[s0]);
+      const auto hi = static_cast<std::size_t>(d.row_ptr[s0 + 1]);
+      dcsr_dots<1>(d.vals.data() + lo, d.offsets.data() + lo, hi - lo,
+                   x.data() + d.base_col[s0], 0,
+                   &y[static_cast<std::size_t>(d.rows[s0])]);
+      continue;
+    }
+    T out[1][fmt::kDcsrSlice];
+    slice_dots<1>(d, s0, x.data(), 0, out);
+    store_slice<1>(d, s0, out, y);
   }
 }
 
@@ -646,41 +748,59 @@ void native_coo_batch(int threads, const fmt::CooBin<T>& c,
   }
 }
 
-/// Batched Dcsr: per row, dcsr_dots over kLayoutColumns columns at a time
-/// and one at a time for the rest — the exact per-column order of
-/// native_dcsr.
+/// Batched Dcsr: per row or slice, kLayoutColumns columns at a time and
+/// one at a time for the rest — the exact per-column order of native_dcsr.
 template <typename T>
 void native_dcsr_batch(int threads, const fmt::DeltaBin<T>& d,
                        std::span<const T> x, std::span<T> y, int batch,
                        std::size_t n, std::size_t m) {
   const auto nrows = static_cast<std::int64_t>(d.rows.size());
+  const std::int64_t slice = d.slice;
+  const std::int64_t nslices = (nrows + slice - 1) / slice;
 #ifdef _OPENMP
   const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic, 64) num_threads(nt) \
-    if (nrows > kInlineSlots)
+#pragma omp parallel for schedule(dynamic, dcsr_chunk(slice)) \
+    num_threads(nt) if (nrows > kInlineSlots)
 #else
   (void)threads;
 #endif
-  for (std::int64_t r = 0; r < nrows; ++r) {
-    const auto pr = static_cast<std::size_t>(r);
-    const auto lo = static_cast<std::size_t>(d.row_ptr[pr]);
-    const auto len = static_cast<std::size_t>(d.row_ptr[pr + 1]) - lo;
-    const T* v = d.vals.data() + lo;
-    const std::uint16_t* off = d.offsets.data() + lo;
-    const T* xb = x.data() + static_cast<std::size_t>(d.base_col[pr]);
-    const auto row = static_cast<std::size_t>(d.rows[pr]);
-    T out[kLayoutColumns];
+  for (std::int64_t s = 0; s < nslices; ++s) {
+    const auto s0 = static_cast<std::size_t>(s * slice);
+    if (slice == 1) {
+      const auto lo = static_cast<std::size_t>(d.row_ptr[s0]);
+      const auto len = static_cast<std::size_t>(d.row_ptr[s0 + 1]) - lo;
+      const T* v = d.vals.data() + lo;
+      const std::uint16_t* off = d.offsets.data() + lo;
+      const T* xb = x.data() + static_cast<std::size_t>(d.base_col[s0]);
+      const auto row = static_cast<std::size_t>(d.rows[s0]);
+      T out[kLayoutColumns];
+      int b = 0;
+      for (; b + kLayoutColumns <= batch; b += kLayoutColumns) {
+        dcsr_dots<kLayoutColumns>(
+            v, off, len, xb + static_cast<std::size_t>(b) * n, n, out);
+        for (int c = 0; c < kLayoutColumns; ++c)
+          y[static_cast<std::size_t>(b + c) * m + row] = out[c];
+      }
+      for (; b < batch; ++b) {
+        dcsr_dots<1>(v, off, len, xb + static_cast<std::size_t>(b) * n, 0,
+                     out);
+        y[static_cast<std::size_t>(b) * m + row] = out[0];
+      }
+      continue;
+    }
     int b = 0;
     for (; b + kLayoutColumns <= batch; b += kLayoutColumns) {
-      dcsr_dots<kLayoutColumns>(v, off, len,
-                                xb + static_cast<std::size_t>(b) * n, n, out);
-      for (int c = 0; c < kLayoutColumns; ++c)
-        y[static_cast<std::size_t>(b + c) * m + row] = out[c];
+      T out[kLayoutColumns][fmt::kDcsrSlice];
+      slice_dots<kLayoutColumns>(
+          d, s0, x.data() + static_cast<std::size_t>(b) * n, n, out);
+      store_slice<kLayoutColumns>(
+          d, s0, out, y.subspan(static_cast<std::size_t>(b) * m), m);
     }
     for (; b < batch; ++b) {
-      dcsr_dots<1>(v, off, len, xb + static_cast<std::size_t>(b) * n, 0,
-                   out);
-      y[static_cast<std::size_t>(b) * m + row] = out[0];
+      T out[1][fmt::kDcsrSlice];
+      slice_dots<1>(d, s0, x.data() + static_cast<std::size_t>(b) * n, 0,
+                    out);
+      store_slice<1>(d, s0, out, y.subspan(static_cast<std::size_t>(b) * m));
     }
   }
 }

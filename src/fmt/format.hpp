@@ -33,6 +33,20 @@ inline constexpr int kFormatCount = 4;
 /// a row under this one rule.
 inline constexpr int kDcsrMaxSpan = 65535;
 
+/// Rows per slice of a sliced Dcsr bin: the kernel gives each row of a
+/// slice its own SIMD lane (16 floats fill one 512-bit register).
+inline constexpr int kDcsrSlice = 16;
+
+/// Rows per sort window (σ) of a sliced Dcsr bin: rows are sorted by
+/// descending length inside each window, so a slice holds rows of similar
+/// length while the bin's row order moves at most a window away.
+inline constexpr int kDcsrSortWindow = 256;
+
+/// Lowest slice fill at which a Dcsr bin slices: nnz over the sum, per
+/// slice, of kDcsrSlice times the slice's longest row. Below it too many
+/// lanes would sit idle, and the bin keeps one row at a time.
+inline constexpr double kDcsrMinSliceFill = 0.75;
+
 /// Execution-wide format policy, the `--format csr|auto` CLI knob. Csr pins
 /// every bin to the shared arrays (pre-PR-7 behaviour); Auto lets the
 /// estimator stamp per-bin formats and the bandit explore alternatives.

@@ -1,6 +1,8 @@
 #include "fmt/layout.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <initializer_list>
 #include <stdexcept>
 
 #include "util/timer.hpp"
@@ -115,43 +117,206 @@ void build_coo(const CsrMatrix<T>& a, std::vector<index_t> rows,
               c.chunk_ptr.size() * sizeof(std::size_t);
 }
 
+/// Dcsr bins with at least this many entries build and refresh in
+/// parallel; smaller ones stay on the calling thread, because serving
+/// builds layouts on the request path beside its other workers.
+constexpr offset_t kParallelDcsrNnz = offset_t{1} << 20;
+
+/// Where one slice's rows sit in the CSR arrays, in packed order, and
+/// where the slice starts in the layout's offsets/vals.
+struct SliceRows {
+  std::size_t h = 0;    ///< rows in the slice
+  std::size_t dst = 0;  ///< the slice's first entry in offsets/vals
+  offset_t src[kDcsrSlice] = {};
+  offset_t len[kDcsrSlice] = {};
+};
+
+/// Calls put(i, dst, src) for every entry of one slice in storage order
+/// (see DeltaBin): i is the row within the slice, dst the entry's index in
+/// offsets/vals and src its index in the CSR arrays.
+template <typename Put>
+void slice_entries(const SliceRows& s, Put put) {
+  std::size_t dst = s.dst;
+  if (s.h == 1) {
+    for (offset_t k = 0; k < s.len[0]; ++k)
+      put(std::size_t{0}, dst + static_cast<std::size_t>(k),
+          static_cast<std::size_t>(s.src[0] + k));
+    return;
+  }
+  offset_t k = 0;
+  if (s.h == kDcsrSlice)  // every row live: a fixed-width step
+    for (; k < s.len[kDcsrSlice - 1]; ++k, dst += kDcsrSlice)
+      for (std::size_t i = 0; i < kDcsrSlice; ++i)
+        put(i, dst + i, static_cast<std::size_t>(s.src[i] + k));
+  for (std::size_t live = s.h;; ++k) {
+    while (live > 0 && s.len[live - 1] <= k) --live;
+    if (live == 0) break;
+    for (std::size_t i = 0; i < live; ++i)
+      put(i, dst + i, static_cast<std::size_t>(s.src[i] + k));
+    dst += live;
+  }
+}
+
+/// A CSR array to prefetch from: its base address and element size.
+struct CsrArray {
+  const void* data;
+  std::size_t elem;
+};
+
+/// Calls body(p0, slice) for every slice of a Dcsr bin (p0 = its first
+/// packed row), in parallel when `parallel`. A sliced bin visits a
+/// window's rows in length order rather than address order, which the
+/// hardware prefetcher cannot follow, so each slice prefetches the CSR
+/// entries — from every array in `csr_arrays` — of the slice one window
+/// ahead.
+template <typename Body>
+void for_each_slice(std::span<const index_t> rows,
+                    std::span<const offset_t> row_ptr,
+                    std::span<const offset_t> csr_row_ptr, int slice,
+                    bool parallel,
+                    std::initializer_list<CsrArray> csr_arrays,
+                    Body body) {
+  const auto nrows = static_cast<std::int64_t>(rows.size());
+  const std::int64_t nslices = (nrows + slice - 1) / slice;
+  const std::int64_t ahead = kDcsrSortWindow / slice;
+  const auto row_at = [&](std::size_t p) {
+    return static_cast<std::size_t>(rows[p]);
+  };
+#pragma omp parallel for schedule(static) if (parallel)
+  for (std::int64_t s = 0; s < nslices; ++s) {
+    const auto p0 = static_cast<std::size_t>(s * slice);
+    SliceRows sr;
+    sr.h = static_cast<std::size_t>(
+        std::min<std::int64_t>(slice, nrows - s * slice));
+    sr.dst = static_cast<std::size_t>(row_ptr[p0]);
+    for (std::size_t i = 0; i < sr.h; ++i) {
+      sr.src[i] = csr_row_ptr[row_at(p0 + i)];
+      sr.len[i] = row_ptr[p0 + i + 1] - row_ptr[p0 + i];
+    }
+    if (slice > 1 && s + ahead < nslices) {
+      const auto q0 = p0 + static_cast<std::size_t>(kDcsrSortWindow);
+      const std::size_t qh =
+          std::min<std::size_t>(kDcsrSlice, rows.size() - q0);
+      for (std::size_t i = 0; i < qh; ++i) {
+        const std::size_t r = row_at(q0 + i);
+        const auto first = static_cast<std::size_t>(csr_row_ptr[r]);
+        const auto n = static_cast<std::size_t>(csr_row_ptr[r + 1]) - first;
+        for (const CsrArray& arr : csr_arrays) {
+          const char* b = static_cast<const char*>(arr.data) + first * arr.elem;
+          for (std::size_t o = 0; o < n * arr.elem; o += 64)
+            __builtin_prefetch(b + o);
+        }
+      }
+    }
+    body(p0, sr);
+  }
+}
+
+/// Writes the rows `in` of one sort window to `out`, stably sorted by
+/// descending length: a counting sort when the window's lengths span less
+/// than a window, else a comparison sort.
+void sort_window(std::span<const index_t> in, index_t* out,
+                 std::span<const offset_t> rp) {
+  offset_t len[kDcsrSortWindow];
+  offset_t lo = 0;
+  offset_t hi = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const auto r = static_cast<std::size_t>(in[i]);
+    len[i] = rp[r + 1] - rp[r];
+    lo = i == 0 ? len[i] : std::min(lo, len[i]);
+    hi = i == 0 ? len[i] : std::max(hi, len[i]);
+  }
+  if (hi - lo < kDcsrSortWindow) {
+    std::uint16_t at[kDcsrSortWindow + 1] = {};
+    for (std::size_t i = 0; i < in.size(); ++i)
+      ++at[static_cast<std::size_t>(hi - len[i]) + 1];
+    for (int b = 1; b <= kDcsrSortWindow; ++b) at[b] += at[b - 1];
+    for (std::size_t i = 0; i < in.size(); ++i)
+      out[at[static_cast<std::size_t>(hi - len[i])]++] = in[i];
+    return;
+  }
+  std::uint16_t order[kDcsrSortWindow];
+  for (std::size_t i = 0; i < in.size(); ++i)
+    order[i] = static_cast<std::uint16_t>(i);
+  std::stable_sort(order, order + in.size(),
+                   [&](std::uint16_t x, std::uint16_t y) {
+                     return len[x] > len[y];
+                   });
+  for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[order[i]];
+}
+
 template <typename T>
 void build_dcsr(const CsrMatrix<T>& a, std::vector<index_t> rows,
                 BinLayout<T>& out) {
   auto& d = out.dcsr;
-  offset_t nnz = 0;
-  for (const index_t r : rows) nnz += a.row_nnz(r);
-  std::vector<offset_t> row_ptr;
-  std::vector<index_t> base_col;
-  std::vector<std::uint16_t> offsets;
-  row_ptr.reserve(rows.size() + 1);
-  base_col.reserve(rows.size());
-  offsets.reserve(static_cast<std::size_t>(nnz));
-  d.vals.reserve(static_cast<std::size_t>(nnz));
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto va = a.vals();
-  row_ptr.push_back(0);
-  for (const index_t r : rows) {
-    const auto first =
-        static_cast<std::size_t>(rp[static_cast<std::size_t>(r)]);
-    const auto len = static_cast<std::size_t>(a.row_nnz(r));
-    const auto cols = ci.subspan(first, len);
-    index_t base = 0;
-    if (len > 0) {
-      const auto [lo, hi] = std::minmax_element(cols.begin(), cols.end());
-      if (*hi - *lo > kDcsrMaxSpan)
-        throw std::length_error("fmt: Dcsr row " + std::to_string(r) +
-                                " spans " + std::to_string(*hi - *lo) +
-                                " columns, over 16 bits");
-      base = *lo;
-    }
-    base_col.push_back(base);
-    for (const index_t c : cols)
-      offsets.push_back(static_cast<std::uint16_t>(c - base));
-    const auto vals = va.subspan(first, len);
-    d.vals.insert(d.vals.end(), vals.begin(), vals.end());
-    row_ptr.push_back(row_ptr.back() + static_cast<offset_t>(len));
+  const auto nrows = static_cast<std::int64_t>(rows.size());
+  offset_t nnz = 0;
+  for (const index_t r : rows) nnz += a.row_nnz(r);
+  const bool parallel = nnz >= kParallelDcsrNnz;
+
+  // σ sort, then the slice fill: each slice runs kDcsrSlice lanes for as
+  // many steps as its first row, the longest after the sort.
+  std::vector<index_t> sorted(rows.size());
+  const std::int64_t nwin = (nrows + kDcsrSortWindow - 1) / kDcsrSortWindow;
+  offset_t lane_steps = 0;
+#pragma omp parallel for schedule(static) reduction(+ : lane_steps) \
+    if (parallel)
+  for (std::int64_t w = 0; w < nwin; ++w) {
+    const auto lo = static_cast<std::size_t>(w * kDcsrSortWindow);
+    const auto hi = std::min(rows.size(), lo + kDcsrSortWindow);
+    sort_window(std::span<const index_t>(rows).subspan(lo, hi - lo),
+                sorted.data() + lo, rp);
+    for (std::size_t p = lo; p < hi; p += kDcsrSlice)
+      lane_steps += kDcsrSlice * a.row_nnz(sorted[p]);
+  }
+  if (nnz > 0 && static_cast<double>(nnz) >=
+                     kDcsrMinSliceFill * static_cast<double>(lane_steps)) {
+    d.slice = kDcsrSlice;
+    rows.swap(sorted);
+  }
+
+  std::vector<offset_t> row_ptr(rows.size() + 1, 0);
+  for (std::size_t p = 0; p < rows.size(); ++p)
+    row_ptr[p + 1] = row_ptr[p] + a.row_nnz(rows[p]);
+  std::vector<index_t> base_col(rows.size(), 0);
+  std::vector<std::uint16_t> offsets(static_cast<std::size_t>(nnz));
+  d.vals.assign(static_cast<std::size_t>(nnz), T{});
+  index_t* const base = base_col.data();
+  std::uint16_t* const off = offsets.data();
+  T* const val = d.vals.data();
+  std::atomic<std::int64_t> bad{nrows};  // first packed row over 16 bits
+  for_each_slice(
+      rows, row_ptr, rp, d.slice, parallel,
+      {{ci.data(), sizeof(index_t)}, {va.data(), sizeof(T)}},
+      [&](std::size_t p0, const SliceRows& s) {
+        for (std::size_t i = 0; i < s.h; ++i) {
+          if (s.len[i] == 0) continue;
+          const index_t* c = ci.data() + s.src[i];
+          const auto [lo, hi] = std::minmax_element(c, c + s.len[i]);
+          base[p0 + i] = *lo;
+          if (*hi - *lo <= kDcsrMaxSpan) continue;
+          auto first = bad.load();
+          const auto p = static_cast<std::int64_t>(p0 + i);
+          while (p < first && !bad.compare_exchange_weak(first, p)) {
+          }
+        }
+        slice_entries(s, [&](std::size_t i, std::size_t dst, std::size_t src) {
+          off[dst] = static_cast<std::uint16_t>(ci[src] - base[p0 + i]);
+          val[dst] = va[src];
+        });
+      });
+  if (bad.load() < nrows) {
+    const index_t r = rows[static_cast<std::size_t>(bad.load())];
+    const auto cols = ci.subspan(
+        static_cast<std::size_t>(rp[static_cast<std::size_t>(r)]),
+        static_cast<std::size_t>(a.row_nnz(r)));
+    const auto [lo, hi] = std::minmax_element(cols.begin(), cols.end());
+    throw std::length_error("fmt: Dcsr row " + std::to_string(r) + " spans " +
+                            std::to_string(*hi - *lo) +
+                            " columns, over 16 bits");
   }
   d.rows = std::move(rows);
   d.row_ptr = std::move(row_ptr);
@@ -266,19 +431,22 @@ BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
     }
     case FormatKind::Dcsr: {
       auto& d = out.dcsr;
+      d.slice = old.dcsr.slice;
       d.rows = old.dcsr.rows;
       d.row_ptr = old.dcsr.row_ptr;
       d.base_col = old.dcsr.base_col;
       d.offsets = old.dcsr.offsets;
       d.vals = std::move(values);
-      const auto sn = static_cast<std::int64_t>(d.rows.size());
-#pragma omp parallel for schedule(static) if (sn > 1024)
-      for (std::int64_t i = 0; i < sn; ++i) {
-        const auto pr = static_cast<std::size_t>(i);
-        const auto row = src(d.rows[pr]);
-        std::copy(row.begin(), row.end(),
-                  d.vals.begin() + static_cast<std::ptrdiff_t>(d.row_ptr[pr]));
-      }
+      T* const val = d.vals.data();
+      for_each_slice(d.rows, d.row_ptr, rp, d.slice,
+                     static_cast<offset_t>(n) >= kParallelDcsrNnz,
+                     {{va.data(), sizeof(T)}},
+                     [&](std::size_t, const SliceRows& s) {
+                       slice_entries(s, [&](std::size_t, std::size_t dst,
+                                            std::size_t src) {
+                         val[dst] = va[src];
+                       });
+                     });
       break;
     }
     case FormatKind::Csr:

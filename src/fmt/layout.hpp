@@ -78,14 +78,25 @@ struct CooBin {
 
 /// Compressed-column CSR bin for banded rows: per covered row, a full-width
 /// base column (the row's smallest) plus one 16-bit offset from it per
-/// entry, in CSR order — entry j of row r sits in column
-/// base_col[r] + offsets[j]. No entry depends on its neighbour, so the
-/// kernel can split a row across independent accumulators and a value
-/// refresh is a straight per-row copy. A row whose span (max col - min
-/// col) exceeds kDcsrMaxSpan makes the bin unsuitable (the builder throws).
+/// entry — an entry of packed row p sits in column base_col[p] + its
+/// offset. A row whose span (max col - min col) exceeds kDcsrMaxSpan makes
+/// the bin unsuitable (the builder throws).
+///
+/// Entries are stored in slices of `slice` consecutive packed rows; slice
+/// s occupies [row_ptr[s*slice], row_ptr[(s+1)*slice]) of offsets/vals.
+/// Inside a slice, step k holds one entry of each of the slice's rows
+/// longer than k, in packed order, so each row's entries keep their CSR
+/// order and nothing is padded.
+/// * slice == 1: plain CSR order, rows in covered order. The kernel splits
+///   each row over independent accumulators.
+/// * slice == kDcsrSlice: rows sorted by descending length inside each
+///   kDcsrSortWindow window, so a slice's live rows are always a prefix.
+///   The kernel runs one SIMD lane per row. The builder slices a bin only
+///   when its slice fill reaches kDcsrMinSliceFill.
 template <typename T>
 struct DeltaBin {
-  SharedArray<index_t> rows;           ///< covered actual row ids
+  int slice = 1;                       ///< rows per slice: 1 or kDcsrSlice
+  SharedArray<index_t> rows;           ///< covered actual row ids, packed
   SharedArray<offset_t> row_ptr;       ///< packed, rows.size()+1 entries
   SharedArray<index_t> base_col;       ///< smallest column per row (0 if empty)
   SharedArray<std::uint16_t> offsets;  ///< per-entry column - base_col
@@ -158,8 +169,8 @@ template <typename T>
                                             const BuildLimits& limits = {});
 
 /// Value-refreshed copy of `old` for `a`'s values: the structure arrays
-/// are shared with `old`, and only the value array is written — row-
-/// parallel, a straight per-row copy. The old layout is never
+/// are shared with `old`, and only the value array is written, in the
+/// same parallel walk the builder makes. The old layout is never
 /// mutated, because in-flight launches may still hold shared_ptrs to it.
 /// `values` is the array to write into: a spare from an earlier refresh of
 /// the same layout structure saves the page faults of a fresh allocation;

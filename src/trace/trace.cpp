@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -21,10 +22,9 @@ std::atomic<std::uint64_t> g_next_request{0};
 std::atomic<bool> g_drop_warned{false};
 
 /// Streaming-observer registration. Swapped atomically as one pointer so a
-/// racing emit() can never see a torn (fn, ctx) pair; replaced
-/// registrations are intentionally leaked — attach/detach is rare (a
-/// handful per process) and a racing emit may still be dereferencing the
-/// old one.
+/// racing emit() can never see a torn (fn, ctx) pair. A replaced
+/// registration is never freed, because a racing emit may still be
+/// reading it; observer_reg()'s list owns them all.
 struct ObserverReg {
   EventObserver fn = nullptr;
   void* ctx = nullptr;
@@ -36,6 +36,19 @@ std::atomic<std::uint64_t> g_sample_counter{0};
 std::atomic<std::int64_t> g_epoch_ns{0};
 
 thread_local std::uint64_t t_request_id = 0;
+
+/// The registration for (fn, ctx), created on first use and kept for the
+/// life of the process: attach/detach is rare (a handful of distinct
+/// pairs per process), so the list stays short. The list is never
+/// destroyed, so no emit can outlive it.
+ObserverReg* observer_reg(EventObserver fn, void* ctx) {
+  static std::mutex mu;
+  static auto& regs = *new std::list<ObserverReg>;
+  std::lock_guard<std::mutex> lock(mu);
+  for (ObserverReg& r : regs)
+    if (r.fn == fn && r.ctx == ctx) return &r;
+  return &regs.emplace_back(ObserverReg{fn, ctx});
+}
 
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -146,10 +159,8 @@ void start(const TraceConfig& config) {
 }
 
 void set_event_observer(EventObserver observer, void* ctx) {
-  ObserverReg* reg =
-      observer != nullptr ? new ObserverReg{observer, ctx} : nullptr;
-  // The old registration leaks by design — see ObserverReg.
-  (void)g_observer.exchange(reg, std::memory_order_acq_rel);
+  g_observer.store(observer != nullptr ? observer_reg(observer, ctx) : nullptr,
+                   std::memory_order_release);
 }
 
 bool sample_request() {

@@ -145,10 +145,11 @@ void emit_async_instant(const char* name, const char* category,
 /// event lands in the thread's ring. The callback must be cheap and
 /// non-blocking (it runs on kernel-launch and serve hot paths) — the
 /// intended implementation is a bounded ring push that drops on overflow
-/// (obs::StreamingSink). Passing nullptr detaches. The previous
-/// registration is intentionally leaked (a racing emit may still be
-/// reading it); detach while other threads may be emitting only if the
-/// observer's context outlives them.
+/// (obs::StreamingSink). Passing nullptr detaches. A registration is
+/// kept for the life of the process, one per distinct (observer, ctx)
+/// pair, because a racing emit may still be reading a replaced one;
+/// detach while other threads may be emitting only if the observer's
+/// context outlives them.
 using EventObserver = void (*)(void* ctx, const TraceEvent& ev);
 void set_event_observer(EventObserver observer, void* ctx);
 

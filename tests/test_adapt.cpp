@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <sstream>
@@ -639,6 +640,53 @@ TEST(PlanStore, RoundTripThroughDisk) {
   EXPECT_DOUBLE_EQ(got->gflops, 3.5);
   EXPECT_EQ(got->trials, 7u);
   EXPECT_GT(got->saved_unix_ms, 0);  // stamped by put()
+}
+
+/// Two stores flushing to one path from two threads never clobber each
+/// other's temp file: every flush succeeds, the surviving file parses and
+/// holds one writer's complete entry set, and no temp file is left over.
+TEST(PlanStore, ConcurrentFlushesToOnePathLeaveOneWritersFile) {
+  ScopedFile file("test_adapt_concurrent_flush.json");
+  const auto fill = [&](PlanStore& store, std::int64_t first) {
+    for (std::int64_t i = 0; i < 5; ++i) {
+      StoredPlan sp;
+      sp.plan = sample_plan();
+      sp.gflops = static_cast<double>(first);
+      store.put(serve::Fingerprint{first + i, 10, 20, 0x1234}, sp);
+    }
+  };
+  PlanStore a(file.path);
+  PlanStore b(file.path);
+  fill(a, 100);
+  fill(b, 200);
+  std::atomic<int> failures{0};
+  const auto flush_50 = [&](const PlanStore& store) {
+    for (int i = 0; i < 50; ++i) {
+      try {
+        store.flush();
+      } catch (const std::exception&) {
+        failures.fetch_add(1);
+      }
+    }
+  };
+  std::thread ta(flush_50, std::cref(a));
+  std::thread tb(flush_50, std::cref(b));
+  ta.join();
+  tb.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  PlanStore back(file.path);
+  EXPECT_EQ(back.load().loaded, 5u);
+  const std::int64_t first = back.lookup({100, 10, 20, 0x1234}) ? 100 : 200;
+  for (std::int64_t i = 0; i < 5; ++i) {
+    const auto got = back.lookup({first + i, 10, 20, 0x1234});
+    ASSERT_TRUE(got.has_value()) << "entry " << first + i;
+    EXPECT_DOUBLE_EQ(got->gflops, static_cast<double>(first));
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(".")) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_NE(name.rfind(file.path + ".tmp", 0), 0u) << "left over: " << name;
+  }
 }
 
 TEST(PlanStore, PutKeepsNewerRevision) {

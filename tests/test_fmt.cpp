@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "binning/binning.hpp"
@@ -23,6 +25,7 @@
 #include "fmt/plan_layouts.hpp"
 #include "gen/generators.hpp"
 #include "kernels/reference.hpp"
+#include "kernels/registry.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -201,6 +204,7 @@ TEST(Layouts, RefreshSharesStructureAndChecksItsIdentity) {
   const auto x = random_vector<float>(static_cast<std::size_t>(a.cols()), 47);
   const auto backend = exec::shared_backend(exec::BackendKind::Native);
   int refreshed = 0;
+  int sliced = 0;
   for (const int bin : bins.occupied_bins()) {
     const auto vrows = std::span<const index_t>(bins.bin(bin));
     for (const auto kind : {fmt::FormatKind::Ell, fmt::FormatKind::Coo,
@@ -228,6 +232,8 @@ TEST(Layouts, RefreshSharesStructureAndChecksItsIdentity) {
           break;
         default:
           EXPECT_EQ(fresh.dcsr.offsets.data(), old.dcsr.offsets.data());
+          EXPECT_EQ(fresh.dcsr.slice, old.dcsr.slice);
+          sliced += old.dcsr.slice > 1;
           break;
       }
       expect_layout_exact(*backend, b, fresh, x);
@@ -237,6 +243,7 @@ TEST(Layouts, RefreshSharesStructureAndChecksItsIdentity) {
     }
   }
   EXPECT_GT(refreshed, 3);
+  EXPECT_GT(sliced, 0);  // a sliced bin's values are stored transposed
 }
 
 /// Dcsr keeps each row's entries in CSR order, column-sorted or not: the
@@ -273,12 +280,163 @@ TEST(Layouts, DcsrRefreshOfUnsortedRowsKeepsCsrOrder) {
                                    0, 60 * 8 + 70 * 7}));
 }
 
+// --- sliced Dcsr ------------------------------------------------------------
+
+/// Rows of `lo`..`hi` entries (uniformly drawn) starting at the row's own
+/// index, with every `empty_every`th row empty and every third row's
+/// columns in descending order: uniform enough for a Dcsr bin to slice.
+template <typename T>
+CsrMatrix<T> uniform_band(index_t rows, index_t lo, index_t hi,
+                          index_t empty_every, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<offset_t> rp{0};
+  std::vector<index_t> ci;
+  std::vector<T> vals;
+  for (index_t r = 0; r < rows; ++r) {
+    if (r % empty_every != 0) {
+      const auto len = lo + static_cast<index_t>(rng.bounded(
+                                static_cast<std::uint64_t>(hi - lo + 1)));
+      for (index_t k = 0; k < len; ++k) {
+        ci.push_back(r % 3 == 0 ? r + len - 1 - k : r + k);
+        vals.push_back(static_cast<T>(rng.uniform(-1.0, 1.0)));
+      }
+    }
+    rp.push_back(static_cast<offset_t>(ci.size()));
+  }
+  return CsrMatrix<T>(rows, rows + hi, std::move(rp), std::move(ci),
+                      std::move(vals));
+}
+
+/// Virtual rows 0, step, 2*step, ... below n.
+std::vector<index_t> every_vrow(index_t n, index_t step) {
+  std::vector<index_t> v;
+  for (index_t i = 0; i < n; i += step) v.push_back(i);
+  return v;
+}
+
+fmt::BinLayout<float> dcsr_of_all_rows(const CsrMatrix<float>& a) {
+  const auto vrows = every_vrow(a.rows(), 1);
+  return fmt::build_bin_layout(a, std::span<const index_t>(vrows), 1,
+                               fmt::FormatKind::Dcsr, 0);
+}
+
+template <typename X>
+bool same_array(const fmt::SharedArray<X>& a, const fmt::SharedArray<X>& b) {
+  return a.size() == b.size() && std::equal(a.data(), a.data() + a.size(),
+                                            b.data());
+}
+
+/// Two builds of one bin are identical array for array.
+void expect_same_dcsr(const fmt::BinLayout<float>& a,
+                      const fmt::BinLayout<float>& b) {
+  EXPECT_EQ(a.dcsr.slice, b.dcsr.slice);
+  EXPECT_TRUE(same_array(a.dcsr.rows, b.dcsr.rows));
+  EXPECT_TRUE(same_array(a.dcsr.row_ptr, b.dcsr.row_ptr));
+  EXPECT_TRUE(same_array(a.dcsr.base_col, b.dcsr.base_col));
+  EXPECT_TRUE(same_array(a.dcsr.offsets, b.dcsr.offsets));
+  EXPECT_EQ(a.dcsr.vals, b.dcsr.vals);
+}
+
+/// The builder slices a bin when its slice fill reaches kDcsrMinSliceFill,
+/// deterministically, sorting rows only inside their window, and still
+/// checks every row's span. (Bins of 2^20+ entries build in parallel;
+/// solve_stream's exactness checks cover that path, which is too slow
+/// for a unit test under tsan's OpenMP handling.)
+TEST(SlicedDcsr, UniformBinsSliceAndSkewedOrTinyBinsDoNot) {
+  const auto band = gen::banded<float>(4100, 12, 0.7, 71);
+  const auto sliced = dcsr_of_all_rows(band);
+  EXPECT_EQ(sliced.dcsr.slice, fmt::kDcsrSlice);
+  // Every array keeps the length it has in an unsliced bin.
+  EXPECT_EQ(sliced.dcsr.rows.size(), 4100u);
+  EXPECT_EQ(sliced.dcsr.row_ptr.size(), 4101u);
+  EXPECT_EQ(sliced.dcsr.base_col.size(), 4100u);
+  EXPECT_EQ(sliced.dcsr.offsets.size(), static_cast<std::size_t>(band.nnz()));
+  EXPECT_EQ(sliced.dcsr.vals.size(), static_cast<std::size_t>(band.nnz()));
+  // Each window holds its own rows, by descending length.
+  for (std::size_t w = 0; w < 4100; w += fmt::kDcsrSortWindow) {
+    const std::size_t end =
+        std::min<std::size_t>(4100, w + fmt::kDcsrSortWindow);
+    std::vector<index_t> ids(sliced.dcsr.rows.data() + w,
+                             sliced.dcsr.rows.data() + end);
+    for (std::size_t i = 0; i + 1 < ids.size(); ++i)
+      ASSERT_GE(band.row_nnz(ids[i]), band.row_nnz(ids[i + 1]));
+    std::sort(ids.begin(), ids.end());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      ASSERT_EQ(ids[i], static_cast<index_t>(w + i));
+  }
+  expect_same_dcsr(sliced, dcsr_of_all_rows(band));
+
+  // A power-law bin would leave most lanes idle, and tiny hand-built bins
+  // cannot fill a slice: they keep one row at a time, in covered order.
+  // (The bins of DcsrRefreshOfUnsortedRowsKeepsCsrOrder and of the
+  // benchmark's bytes-model test.)
+  EXPECT_EQ(
+      dcsr_of_all_rows(gen::power_law<float>(4000, 4000, 2.0, 300, 79))
+          .dcsr.slice,
+      1);
+  const auto unsorted = dcsr_of_all_rows(make_csr(
+      8, {{{5, 1.f}, {1, 2.f}, {3, 3.f}}, {{0, 4.f}, {2, 5.f}}, {},
+          {{7, 6.f}, {6, 7.f}}}));
+  EXPECT_EQ(unsorted.dcsr.slice, 1);
+  EXPECT_EQ(unsorted.dcsr.rows[2], 2);
+  const CsrMatrix<float> bytes_model(4, 6, {0, 2, 5, 5, 6},
+                                     {0, 1, 1, 2, 3, 5},
+                                     {1, 2, 3, 4, 5, 6});
+  const std::vector<index_t> first_two{0, 1};
+  EXPECT_EQ(fmt::build_bin_layout(bytes_model,
+                                  std::span<const index_t>(first_two), 1,
+                                  fmt::FormatKind::Dcsr, 0)
+                .dcsr.slice,
+            1);
+
+  // A row spanning over 16 bits fails a sliced bin, as it does any other.
+  auto wide = std::vector<std::vector<std::pair<index_t, float>>>(512);
+  for (std::size_t r = 0; r < wide.size(); ++r)
+    for (index_t k = 0; k < 8; ++k)
+      wide[r].push_back({static_cast<index_t>(r) + k, 1.0f});
+  wide[300].back().first = 70000;
+  EXPECT_THROW((void)dcsr_of_all_rows(make_csr(70001, wide)),
+               std::length_error);
+}
+
+/// A sliced bin accumulates each row in CSR order on one fma chain, the
+/// order of the CSR Serial kernel: equal bits for float (the AVX-512 path
+/// where the build targets it) and double (the portable path), on rows
+/// that cross slice and window boundaries, with rows % 16 != 0, empty
+/// rows and descending columns, over contiguous and strided bins.
+TEST(SlicedDcsr, MatchesCsrSerialBitForBit) {
+  const auto backend = exec::shared_backend(exec::BackendKind::Native);
+  const auto check = [&](const auto& a, index_t unit, index_t step) {
+    using T = typename std::decay_t<decltype(a)>::value_type;
+    const auto vrows = every_vrow((a.rows() + unit - 1) / unit, step);
+    const auto layout = fmt::build_bin_layout(
+        a, std::span<const index_t>(vrows), unit, fmt::FormatKind::Dcsr, 0);
+    ASSERT_EQ(layout.dcsr.slice, fmt::kDcsrSlice);
+    const auto x = random_vector<T>(static_cast<std::size_t>(a.cols()), 97);
+    const auto m = static_cast<std::size_t>(a.rows());
+    std::vector<T> y_layout(m, T(7));
+    std::vector<T> y_csr(m, T(7));
+    backend->run_layout(a, layout, std::span<const T>(x),
+                        std::span<T>(y_layout));
+    backend->run_binned(kernels::KernelId::Serial, a, std::span<const T>(x),
+                        std::span<T>(y_csr), std::span<const index_t>(vrows),
+                        unit);
+    EXPECT_EQ(std::memcmp(y_layout.data(), y_csr.data(), m * sizeof(T)), 0);
+  };
+  ASSERT_NE(1031 % fmt::kDcsrSlice, 0);
+  check(uniform_band<float>(1031, 20, 28, 37, 83), 1, 1);
+  check(uniform_band<double>(1031, 20, 28, 37, 83), 1, 1);
+  check(uniform_band<float>(1031, 20, 28, 37, 89), 3, 2);
+  check(uniform_band<double>(1031, 20, 28, 37, 89), 3, 2);
+}
+
 /// run_spmm promises bit-identity with per-column runs, and layout bins
 /// keep it: every layout's batched launch equals its single-vector launch
 /// bit for bit. The banded input's Dcsr rows (~20-40 entries) run the
 /// lane-split main loop and its tail; width 33 crosses kMaxNativeBatch.
 TEST(Layouts, BatchedExecutionMatchesSingleVector) {
   const auto backend = exec::shared_backend(exec::BackendKind::Native);
+  int sliced = 0;  // sliced Dcsr layouts checked
   const auto check = [&](const CsrMatrix<float>& a, index_t unit,
                          std::initializer_list<fmt::FormatKind> kinds,
                          int batch) {
@@ -291,6 +449,7 @@ TEST(Layouts, BatchedExecutionMatchesSingleVector) {
       for (const int b : bins.occupied_bins()) {
         const auto layout = fmt::build_bin_layout(
             a, std::span<const index_t>(bins.bin(b)), bins.unit(), kind, b);
+        sliced += kind == fmt::FormatKind::Dcsr && layout.dcsr.slice > 1;
         std::vector<float> y_batch(m * static_cast<std::size_t>(batch),
                                    -1.0f);
         backend->run_layout_batch(a, layout, std::span<const float>(x),
@@ -318,12 +477,17 @@ TEST(Layouts, BatchedExecutionMatchesSingleVector) {
   for (index_t r = 0; r < long_rows.rows(); ++r)
     longest = std::max(longest, long_rows.row_nnz(r));
   ASSERT_GE(longest, 2 * 8 + 1);  // two full lane chunks and a tail
+  const auto banded_rows = gen::banded<float>(250, 12, 0.8, 67);
   for (const int batch : {3, 33}) {
     check(short_rows, 16,
           {fmt::FormatKind::Ell, fmt::FormatKind::Coo, fmt::FormatKind::Dcsr},
           batch);
     check(long_rows, 25, {fmt::FormatKind::Dcsr}, batch);
+    // Uniform banded rows in one bin: a sliced bin, whose 4-column passes
+    // and per-column remainder must agree per column too.
+    check(banded_rows, banded_rows.rows(), {fmt::FormatKind::Dcsr}, batch);
   }
+  EXPECT_GT(sliced, 0);
 }
 
 TEST(Layouts, BuildersRejectUnsuitableBins) {
