@@ -9,8 +9,10 @@
 //   adapt_convergence [--rows N] [--requests R] [--trial-fraction F]
 //                     [--recovery-floor 0.9] [--check] [--json out.json]
 //                     [--profile out.json] [--misbin] [--misbin-unit U]
-//                     [--formats] [--format-floor 0.95]
 //                     [--iter] [--iters N] [--width W] [--iter-floor 0.7]
+//
+// Any other flag is an error (exit 2), so a stale command line fails
+// instead of silently running the default mode.
 //
 // Default mode mispredicts the per-bin kernels at the oracle's own
 // granularity (the first-level bandit's recovery story). --misbin instead
@@ -19,11 +21,8 @@
 // the heuristic, and enables the BanditTuner's second-level U exploration:
 // recovery then requires whole-plan shadow trials at neighboring
 // granularities and a re-binned promotion carrying tuned-U provenance into
-// the store. --formats is the fourth-level gate: serve two corpora on the
-// native backend from CSR-everywhere plans with explore_formats enabled —
-// a near-uniform short-row corpus where the bandit must discover and
-// promote the ELL-packed layout, and a scatter (power-law) corpus that
-// must not regress under format exploration.
+// the store. Per-bin formats are not explored online: FormatMode::Auto
+// picks them at plan time (BENCH_adapt_levels.json has the ablation).
 //
 // --profile (default and --misbin modes) writes the adapted service's
 // RunProfile: its serve block (cache hits, planning passes, latency
@@ -35,9 +34,6 @@
 //   3. (--misbin only) U trials ran, the promoted plan left the wrong
 //      granularity behind (unit != misbin unit, unit_tuned provenance set),
 //      and the corrected U is what the store serves after the restart
-//   4. (--formats only) format trials ran, the uniform corpus's stored
-//      plan carries an ELL bin, and each corpus's refined throughput is
-//      >= format-floor * its CSR-only native baseline
 //
 // --iter is the solver-loop gate: drive an iter::IterativeSession power
 // iteration (block width W) from the same Serial-everywhere misprediction
@@ -51,6 +47,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 
 #include "bench_common.hpp"
 
@@ -107,174 +104,15 @@ double plan_gflops(const CsrMatrix<float>& a, const core::Plan& plan,
                       .format_policy({.min_reuse = 0, .eager = true})
                       .build();
   std::vector<float> y(static_cast<std::size_t>(a.rows()));
-  // Best-of-3: the gate compares two of these numbers against a 5% floor,
-  // so per-measurement noise must stay well under that.
+  // Best-of-3: the gate compares two of these numbers (refined vs oracle)
+  // against --recovery-floor, so per-measurement noise must stay well
+  // under that margin.
   double best = 0.0;
   for (int i = 0; i < 3; ++i)
     best = std::max(best, gflops(a.nnz(), time_spmv([&] {
                       rt.run(x, std::span<float>(y));
                     })));
   return best;
-}
-
-/// True when any bin of `plan` is stamped with `kind`.
-bool has_format(const core::Plan& plan, fmt::FormatKind kind) {
-  for (const auto& bp : plan.bin_kernels)
-    if (bp.format == kind) return true;
-  return false;
-}
-
-/// The --formats gate: serve a corpus on the native backend from a
-/// CSR-everywhere heuristic plan with fourth-level format exploration
-/// enabled, and report the refined plan against the CSR-only baseline.
-struct FormatsGateResult {
-  double baseline_gf = 0.0;
-  double refined_gf = 0.0;
-  core::Plan refined;
-  std::uint64_t f_trials = 0;
-  std::uint64_t f_promotions = 0;
-};
-
-FormatsGateResult run_formats_corpus(
-    const std::shared_ptr<const CsrMatrix<float>>& a, int requests,
-    double trial_fraction, const std::string& store_path) {
-  std::remove(store_path.c_str());
-  const auto x = random_x(static_cast<std::size_t>(a->cols()), 4242);
-  core::HeuristicPredictor pred;
-
-  FormatsGateResult r;
-  // CSR-only native baseline: the heuristic plan with every bin pinned to
-  // the shared CSR arrays (FormatMode::Csr is the Tuner default).
-  const auto base_plan = core::Tuner(*a)
-                             .predictor(pred)
-                             .backend(exec::BackendKind::Native)
-                             .build()
-                             .plan();
-  r.baseline_gf = plan_gflops(*a, base_plan, x);
-
-  prof::RunProfile profile;
-  serve::ServiceOptions opts;
-  opts.workers = 1;
-  opts.backend = exec::BackendKind::Native;
-  opts.profile = &profile;
-  adapt::AdaptOptions aopts;
-  aopts.trial_fraction = trial_fraction;
-  aopts.hot_bins = 8;
-  aopts.explore_formats = true;
-  aopts.format_trial_fraction = 0.7;
-  aopts.format_min_samples = 2;
-  // Forgiving hysteresis: the bench wants convergence within the request
-  // budget; production defaults are more conservative.
-  aopts.format_hysteresis = 1.02;
-  aopts.format_cooldown = 2;
-  opts.adapt = aopts;
-  adapt::PlanStore store(store_path);
-  opts.plan_store = &store;
-  {
-    serve::SpmvService<float> service(pred, opts);
-    for (int i = 0; i < requests; ++i) (void)service.run(a, x);
-    service.shutdown();
-  }
-  r.f_trials = profile.adapt.f_trials;
-  r.f_promotions = profile.adapt.f_promotions;
-
-  adapt::PlanStore reread(store_path);
-  (void)reread.load();
-  const auto stored = reread.lookup(serve::fingerprint_of(*a));
-  r.refined = stored.has_value() ? stored->plan : base_plan;
-  r.refined_gf = plan_gflops(*a, r.refined, x);
-  std::remove(store_path.c_str());
-  return r;
-}
-
-int run_formats_gate(const util::Cli& cli) {
-  const auto rows = static_cast<index_t>(cli.get_int("rows", 20000));
-  const int requests = static_cast<int>(cli.get_int("requests", 600));
-  const double trial_fraction = cli.get_double("trial-fraction", 1.0);
-  const double floor = cli.get_double("format-floor", 0.95);
-  const bool check = cli.get_bool("check", false);
-
-  std::printf("=== bench adapt_convergence --formats (rows=%d, "
-              "requests=%d, trial_fraction=%.2f) ===\n\n",
-              rows, requests, trial_fraction);
-
-  // Near-uniform short rows (every row degree 6): the ELL-packed sweet
-  // spot the bandit must find. Columns are drawn from a space wider than
-  // the 16-bit row-span budget so row spans disqualify DCSR — on narrow
-  // matrices 16-bit column offsets legitimately beat ELL, which is not
-  // the regime this gate probes. Scatter: a long power-law tail — format
-  // exploration must not cost throughput where layouts don't pay.
-  const auto ucols = std::max<index_t>(rows, 70000);
-  const auto uniform = std::make_shared<const CsrMatrix<float>>(
-      gen::fixed_degree<float>(rows, ucols, 6, 2));
-  const auto scatter = std::make_shared<const CsrMatrix<float>>(
-      gen::power_law<float>(rows, rows, 2.0, 300, 1));
-
-  const auto uni = run_formats_corpus(uniform, requests, trial_fraction,
-                                      "adapt_formats_uniform.tmp.json");
-  const auto sca = run_formats_corpus(scatter, requests, trial_fraction,
-                                      "adapt_formats_scatter.tmp.json");
-
-  std::printf("%-14s %12s %12s %8s %9s %11s   %s\n", "corpus",
-              "csr[GF/s]", "refined[GF/s]", "ratio", "f_trials",
-              "f_promotions", "refined plan");
-  for (const auto* row : {&uni, &sca}) {
-    std::printf("%-14s %12.2f %12.2f %7.2fx %9llu %11llu   %s\n",
-                row == &uni ? "uniform-short" : "scatter",
-                row->baseline_gf, row->refined_gf,
-                row->refined_gf / row->baseline_gf,
-                static_cast<unsigned long long>(row->f_trials),
-                static_cast<unsigned long long>(row->f_promotions),
-                row->refined.to_string().c_str());
-  }
-
-  const std::string json_path = cli.get("json");
-  if (!json_path.empty()) {
-    prof::Json j = prof::Json::object();
-    j.set("rows", static_cast<double>(rows));
-    j.set("requests", static_cast<double>(requests));
-    j.set("uniform_csr_gflops", uni.baseline_gf);
-    j.set("uniform_refined_gflops", uni.refined_gf);
-    j.set("uniform_f_trials", static_cast<double>(uni.f_trials));
-    j.set("uniform_f_promotions", static_cast<double>(uni.f_promotions));
-    j.set("uniform_ell_promoted", has_format(uni.refined,
-                                             fmt::FormatKind::Ell));
-    j.set("scatter_csr_gflops", sca.baseline_gf);
-    j.set("scatter_refined_gflops", sca.refined_gf);
-    j.set("scatter_f_trials", static_cast<double>(sca.f_trials));
-    j.set("scatter_f_promotions", static_cast<double>(sca.f_promotions));
-    std::ofstream out(json_path);
-    out << j.dump(2) << "\n";
-    std::printf("summary written to %s\n", json_path.c_str());
-  }
-
-  if (!check) return 0;
-  bool ok = true;
-  if (uni.f_trials == 0) {
-    std::printf("FAIL: no format trials ran on the uniform corpus\n");
-    ok = false;
-  }
-  if (!has_format(uni.refined, fmt::FormatKind::Ell)) {
-    std::printf("FAIL: uniform-short corpus did not promote an ELL bin\n");
-    ok = false;
-  }
-  if (uni.refined_gf < floor * uni.baseline_gf) {
-    std::printf("FAIL: uniform refined %.2f GF/s below %.2f x csr "
-                "baseline %.2f GF/s\n",
-                uni.refined_gf, floor, uni.baseline_gf);
-    ok = false;
-  }
-  if (sca.refined_gf < floor * sca.baseline_gf) {
-    std::printf("FAIL: scatter corpus regressed under format exploration "
-                "(%.2f GF/s vs baseline %.2f GF/s)\n",
-                sca.refined_gf, sca.baseline_gf);
-    ok = false;
-  }
-  if (!ok) return 1;
-  std::printf("OK: ELL promoted on the uniform corpus (%llu format "
-              "trials); no scatter regression\n",
-              static_cast<unsigned long long>(uni.f_trials));
-  return 0;
 }
 
 /// Blocked iteration throughput of `plan`: best-of-3 Y = A·X at `width`
@@ -485,7 +323,15 @@ int run_iter_gate(const util::Cli& cli) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  if (cli.get_bool("formats", false)) return run_formats_gate(cli);
+  try {
+    cli.reject_unknown({"rows", "requests", "trial-fraction",
+                        "recovery-floor", "check", "json", "profile",
+                        "misbin", "misbin-unit", "iter", "iters", "width",
+                        "iter-floor"});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "adapt_convergence: %s\n", e.what());
+    return 2;
+  }
   if (cli.get_bool("iter", false)) return run_iter_gate(cli);
   const auto rows = static_cast<index_t>(cli.get_int("rows", 20000));
   const bool misbin = cli.get_bool("misbin", false);

@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "exec/backend.hpp"
-#include "fmt/estimate.hpp"
-#include "fmt/layout.hpp"
 #include "trace/trace.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -61,45 +59,6 @@ double whole_plan_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
   }
 }
 
-/// Timed execution of one bin under one physical format: CSR runs the
-/// bin's planned kernel, any other format builds the layout OUTSIDE the
-/// timed section and launches the backend's layout kernel. A layout the
-/// builder rejects returns a negative sentinel — the caller negative-caches
-/// the format so the failing transformation is never re-attempted; a kernel
-/// that cannot run earns a zero-reward sample. Neither crashes the worker.
-template <typename T>
-double bin_format_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
-                         std::span<const T> x, std::span<T> y,
-                         std::span<const index_t> vrows, index_t unit,
-                         kernels::KernelId kernel, fmt::FormatKind format,
-                         int bin_id, double flops) {
-  fmt::BinLayout<T> layout;
-  if (format != fmt::FormatKind::Csr) {
-    try {
-      layout = fmt::build_bin_layout(a, vrows, unit, format, bin_id);
-    } catch (const std::exception& e) {
-      util::log_warn() << "adapt format trial: builder rejected bin "
-                       << bin_id << " as " << fmt::format_cname(format)
-                       << " (excluded from future trials): " << e.what();
-      return -1.0;
-    }
-  }
-  try {
-    if (format == fmt::FormatKind::Csr) {
-      util::Timer t;
-      backend.run_binned(kernel, a, x, y, vrows, unit);
-      return flops / std::max(t.elapsed_s(), 1e-12) * 1e-9;
-    }
-    util::Timer t;
-    backend.run_layout(a, layout, x, y);
-    return flops / std::max(t.elapsed_s(), 1e-12) * 1e-9;
-  } catch (const std::exception& e) {
-    util::log_warn() << "adapt format trial failed (bin " << bin_id << ", "
-                     << fmt::format_cname(format) << "): " << e.what();
-    return 0.0;
-  }
-}
-
 }  // namespace
 
 template <typename T>
@@ -120,10 +79,6 @@ BanditTuner<T>::BanditTuner(const clsim::Engine& engine, AdaptOptions opts)
       opts_.unit_pool.end());
   opts_.unit_min_samples = std::max(1, opts_.unit_min_samples);
   opts_.unit_cooldown = std::max(0, opts_.unit_cooldown);
-  opts_.backend_min_samples = std::max(1, opts_.backend_min_samples);
-  opts_.backend_cooldown = std::max(0, opts_.backend_cooldown);
-  opts_.format_min_samples = std::max(1, opts_.format_min_samples);
-  opts_.format_cooldown = std::max(0, opts_.format_cooldown);
 }
 
 template <typename T>
@@ -360,230 +315,21 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::unit_trial(
 }
 
 template <typename T>
-std::optional<typename BanditTuner<T>::Promotion>
-BanditTuner<T>::backend_trial(KeyState& st, const core::Plan& plan,
-                              const binning::BinSet& bins,
-                              const CsrMatrix<T>& a, std::span<const T> x) {
-  // Two backends only, so the challenger is simply "the other one" — no
-  // pick policy needed (kBackendCount is a compile-time invariant here).
-  static_assert(exec::kBackendCount == 2,
-                "backend_trial assumes a two-arm backend space");
-  const exec::BackendKind incumbent_b = plan.backend;
-  const exec::BackendKind challenger_b =
-      incumbent_b == exec::BackendKind::Clsim ? exec::BackendKind::Native
-                                              : exec::BackendKind::Clsim;
-
-  // Back-to-back whole-plan measurement on identical bins and kernels —
-  // the arms isolate the execution engine, nothing else.
-  double inc_gflops = 0.0;
-  double ch_gflops = 0.0;
-  {
-    trace::TraceSpan span("adapt-trial-backend", "adapt");
-    span.arg("challenger", static_cast<std::int64_t>(challenger_b));
-    if (opts_.measure_backend_override) {
-      inc_gflops = opts_.measure_backend_override(incumbent_b);
-      ch_gflops = opts_.measure_backend_override(challenger_b);
-    } else {
-      inc_gflops = whole_plan_gflops(backend_for(incumbent_b), a, x, bins,
-                                     plan.bin_kernels);
-      ch_gflops = whole_plan_gflops(backend_for(challenger_b), a, x, bins,
-                                    plan.bin_kernels);
-    }
-  }
-  st.backends[static_cast<int>(incumbent_b)].add(inc_gflops);
-  st.backends[static_cast<int>(challenger_b)].add(ch_gflops);
-  stats_.trials += 1;
-  stats_.b_trials += 1;
-  const double flops =
-      2.0 * static_cast<double>(std::max<std::int64_t>(1, a.nnz()));
-  if (ch_gflops > 0.0 && inc_gflops > ch_gflops)
-    stats_.regret_s += flops * 1e-9 / ch_gflops - flops * 1e-9 / inc_gflops;
-
-  const Arm& inc_arm = st.backends[static_cast<int>(incumbent_b)];
-  const Arm& ch_arm = st.backends[static_cast<int>(challenger_b)];
-  const auto min_n = static_cast<std::uint64_t>(opts_.backend_min_samples);
-  if (inc_arm.samples < min_n || ch_arm.samples < min_n) return std::nullopt;
-  if (ch_arm.mean_gflops <= inc_arm.mean_gflops * opts_.backend_hysteresis)
-    return std::nullopt;
-
-  // Promote: the same plan re-stamped with the challenger backend. Bins
-  // and kernels are untouched (rebinned stays false); the PlanCache
-  // rebuild resolves the new backend from the plan, and the store
-  // write-through persists it. The kernel/unit arms reset when observe()
-  // next sees the new backend — their timings described the old engine —
-  // while the backend arms persist, preventing a flap straight back.
-  Promotion promo;
-  promo.plan = plan;
-  promo.plan.backend = challenger_b;
-  promo.plan.revision = plan.revision + 1;
-  promo.gflops = ch_arm.mean_gflops;
-  promo.level = 3;
-  stats_.promotions += 1;
-  stats_.b_promotions += 1;
-  st.backend_cooldown = opts_.backend_cooldown;
-  trace::emit_instant("adapt-promote-backend", "adapt");
-  util::log_info() << "adapt: promoting backend "
-                   << exec::backend_name(incumbent_b) << " -> "
-                   << exec::backend_name(challenger_b) << " ("
-                   << inc_arm.mean_gflops << " -> " << ch_arm.mean_gflops
-                   << " GFLOP/s whole-plan, revision " << promo.plan.revision
-                   << ")";
-  return promo;
-}
-
-template <typename T>
-fmt::FormatKind BanditTuner<T>::pick_format_challenger(
-    const FormatArms& fa, const std::vector<fmt::FormatKind>& pool,
-    fmt::FormatKind incumbent) {
-  // Builder-rejected formats are negative-cached and never re-picked: a
-  // rejection is deterministic for a given bin (the build would just fail
-  // and re-log every time), so re-exploring it buys nothing.
-  // Unexplored suitable formats first, in the estimator's priority order —
-  // every plausible layout gets one sample before exploitation starts.
-  for (fmt::FormatKind k : pool) {
-    if (k == incumbent || fa.rejected[static_cast<std::size_t>(k)]) continue;
-    if (fa.arms[static_cast<std::size_t>(k)].samples == 0) return k;
-  }
-  std::vector<fmt::FormatKind> candidates;
-  candidates.reserve(pool.size());
-  for (fmt::FormatKind k : pool)
-    if (k != incumbent && !fa.rejected[static_cast<std::size_t>(k)])
-      candidates.push_back(k);
-  if (candidates.empty()) return incumbent;
-  if (rng_.uniform() < opts_.epsilon)
-    return candidates[rng_.bounded(candidates.size())];
-  fmt::FormatKind best = candidates.front();
-  double best_mean = -1.0;
-  for (fmt::FormatKind k : candidates) {
-    const double m = fa.arms[static_cast<std::size_t>(k)].mean_gflops;
-    if (m > best_mean) {
-      best_mean = m;
-      best = k;
-    }
-  }
-  return best;
-}
-
-template <typename T>
-std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::format_trial(
-    KeyState& st, const core::Plan& plan, const binning::BinSet& bins,
-    const CsrMatrix<T>& a, std::span<const T> x) {
-  // Same hottest-bin rotation as the kernel trials — a format change pays
-  // off where the non-zeros are.
-  const int bin = st.hot[st.next_hot % st.hot.size()];
-  st.next_hot += 1;
-  const auto& vrows = bins.bin(bin);
-  const auto vspan = std::span<const index_t>(vrows);
-
-  // The challenger pool is what the estimator deems plausible for this
-  // bin's shape (CSR always included); a pool of just CSR means there is
-  // nothing worth timing.
-  const fmt::BinFeatures feat = fmt::compute_bin_features(a, vspan, bins.unit());
-  const std::vector<fmt::FormatKind> pool = fmt::suitable_formats(feat);
-  const fmt::FormatKind incumbent = plan.format_for(bin);
-  FormatArms& fa = st.formats[bin];
-  fa.pulls += 1;
-  const fmt::FormatKind challenger =
-      pick_format_challenger(fa, pool, incumbent);
-  if (challenger == incumbent) return std::nullopt;
-
-  const std::int64_t nnz = bin_nnz(a, vspan, bins.unit());
-  const double flops =
-      2.0 * static_cast<double>(std::max<std::int64_t>(1, nnz));
-
-  // Back-to-back measurement on the bin's planned kernel: incumbent format
-  // first, challenger second, same scratch output. Layout builds happen
-  // outside the timed sections (see bin_format_gflops).
-  double inc_gflops = 0.0;
-  double ch_gflops = 0.0;
-  {
-    trace::TraceSpan span("adapt-trial-format", "adapt");
-    span.arg("bin", bin);
-    span.arg("challenger", static_cast<std::int64_t>(challenger));
-    if (opts_.measure_format_override) {
-      inc_gflops = opts_.measure_format_override(bin, incumbent);
-      ch_gflops = opts_.measure_format_override(bin, challenger);
-    } else {
-      const exec::Backend& backend = backend_for(plan.backend);
-      const kernels::KernelId kernel = plan.kernel_for(bin);
-      std::vector<T> y(static_cast<std::size_t>(a.rows()));
-      inc_gflops =
-          bin_format_gflops(backend, a, x, std::span<T>(y), vspan,
-                            bins.unit(), kernel, incumbent, bin, flops);
-      ch_gflops =
-          bin_format_gflops(backend, a, x, std::span<T>(y), vspan,
-                            bins.unit(), kernel, challenger, bin, flops);
-    }
-  }
-  // A negative measurement is the builder-rejection sentinel: negative-cache
-  // the format (pick_format_challenger excludes it from now on) and record
-  // the trial as a zero-reward sample.
-  if (inc_gflops < 0.0) {
-    fa.rejected[static_cast<std::size_t>(incumbent)] = true;
-    inc_gflops = 0.0;
-  }
-  if (ch_gflops < 0.0) {
-    fa.rejected[static_cast<std::size_t>(challenger)] = true;
-    ch_gflops = 0.0;
-  }
-  fa.arms[static_cast<std::size_t>(incumbent)].add(inc_gflops);
-  fa.arms[static_cast<std::size_t>(challenger)].add(ch_gflops);
-  stats_.trials += 1;
-  stats_.f_trials += 1;
-  if (ch_gflops > 0.0 && inc_gflops > ch_gflops)
-    stats_.regret_s += flops * 1e-9 / ch_gflops - flops * 1e-9 / inc_gflops;
-
-  const Arm& inc_arm = fa.arms[static_cast<std::size_t>(incumbent)];
-  const Arm& ch_arm = fa.arms[static_cast<std::size_t>(challenger)];
-  const auto min_n = static_cast<std::uint64_t>(opts_.format_min_samples);
-  if (inc_arm.samples < min_n || ch_arm.samples < min_n) return std::nullopt;
-  if (ch_arm.mean_gflops <= inc_arm.mean_gflops * opts_.format_hysteresis)
-    return std::nullopt;
-
-  // Promote: copy the plan, re-stamp this one bin's format, bump the
-  // revision. Bins and kernels are untouched (rebinned stays false); the
-  // serving layer's next AutoSpmv rebuild sees uses_formats() and
-  // materializes the layout through the amortization policy.
-  Promotion promo;
-  promo.plan = plan;
-  promo.plan.revision = plan.revision + 1;
-  for (core::BinPlan& bp : promo.plan.bin_kernels)
-    if (bp.bin_id == bin) bp.format = challenger;
-  promo.gflops = ch_arm.mean_gflops;
-  promo.level = 4;
-  stats_.promotions += 1;
-  stats_.f_promotions += 1;
-  st.format_cooldown = opts_.format_cooldown;
-  trace::emit_instant("adapt-promote-format", "adapt");
-  util::log_info() << "adapt: promoting bin " << bin << " format "
-                   << fmt::format_cname(incumbent) << " -> "
-                   << fmt::format_cname(challenger) << " ("
-                   << inc_arm.mean_gflops << " -> " << ch_arm.mean_gflops
-                   << " GFLOP/s, revision " << promo.plan.revision << ")";
-  return promo;
-}
-
-template <typename T>
 bool BanditTuner<T>::ensure_state(KeyState& st, const core::Plan& plan,
                                   const binning::BinSet& bins,
                                   const CsrMatrix<T>& a) {
   if (st.hot.empty() || st.unit != bins.unit() ||
       st.backend != static_cast<int>(plan.backend) ||
       st.plan_revision != plan.revision) {
-    if (st.backend != static_cast<int>(plan.backend)) {
-      // Backend switched (a backend promotion landed): every kernel- and
-      // unit-arm mean was timed on the old execution engine and is
-      // meaningless on the new one. The backend arms themselves persist —
-      // they are cross-backend comparisons by construction.
+    if (st.unit != bins.unit() ||
+        st.backend != static_cast<int>(plan.backend)) {
+      // New key, re-binned at a different granularity, or a plan on the
+      // other backend (a warm start may carry either): bin ids now cover
+      // different rows, or every kernel timing describes the other engine,
+      // so the kernel arms are stale. Unit arms are whole-plan timings of
+      // the matrix and survive re-binning, but not an engine change.
+      if (st.backend != static_cast<int>(plan.backend)) st.units.clear();
       st.bins.clear();
-      st.units.clear();
-      st.formats.clear();
-      st.next_hot = 0;
-    } else if (st.unit != bins.unit()) {
-      // New key, or re-binned at a different granularity: bin ids now
-      // cover different rows, so every arm measurement is stale.
-      st.bins.clear();
-      st.formats.clear();
       st.next_hot = 0;
     }
     // Otherwise the plan moved at the same granularity (a promotion
@@ -642,31 +388,6 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::observe(
       st.unit_cooldown -= 1;
     } else if (rng_.uniform() < opts_.unit_trial_fraction) {
       return unit_trial(st, plan, bins, a, x);
-    }
-  }
-
-  // Third level: divert a share of the remaining trials to whole-plan
-  // backend exploration. Drawn after the U diversion so a kernel trial is
-  // still the common case; the cooldown ticks down on trials that reach
-  // this point, letting a freshly promoted backend settle first.
-  if (opts_.explore_backends) {
-    if (st.backend_cooldown > 0) {
-      st.backend_cooldown -= 1;
-    } else if (rng_.uniform() < opts_.backend_trial_fraction) {
-      return backend_trial(st, plan, bins, a, x);
-    }
-  }
-
-  // Fourth level: divert a share of the remaining trials to per-bin format
-  // exploration. Gated on the plan's backend actually being able to run
-  // alternative layouts — a clsim plan stays CSR-everywhere, keeping the
-  // two backends differentially comparable.
-  if (opts_.explore_formats &&
-      backend_for(plan.backend).supports_formats()) {
-    if (st.format_cooldown > 0) {
-      st.format_cooldown -= 1;
-    } else if (rng_.uniform() < opts_.format_trial_fraction) {
-      return format_trial(st, plan, bins, a, x);
     }
   }
 

@@ -37,37 +37,6 @@
 // whole-plan measurements of the matrix and survive re-binning, which stops
 // an immediate ping-pong back.
 //
-// Third level (opt-in via explore_backends): the execution backend itself
-// (spmv::exec — clsim simulation vs. the native SIMD engine) is a plan
-// property, and which one is faster depends on the matrix shape. A
-// `backend_trial_fraction` share of trials shadow-measures the WHOLE plan
-// on the alternative backend, back-to-back with the incumbent backend on
-// identical bins and kernels. Backend arms are whole-plan GFLOP/s keyed by
-// BackendKind; a confident win (backend_min_samples on both, the stricter
-// backend_hysteresis margin) promotes a plan copy re-stamped with the
-// challenger backend (revision bumped, bins untouched — rebinned stays
-// false). A backend switch invalidates every kernel- and unit-arm mean
-// (they were timed on the old backend), so those reset while the backend
-// arms themselves persist — which is what stops an immediate flap back.
-//
-// Fourth level (opt-in via explore_formats): each bin's physical layout
-// (spmv::fmt — CSR vs. ELL-packed vs. COO vs. 16-bit column offsets) is
-// a per-bin plan property on format-capable backends. A
-// `format_trial_fraction` share of trials shadow-measures ONE alternative
-// layout on one hot bin, back-to-back with the bin's incumbent format on
-// the same kernel. The challenger pool is fmt::suitable_formats() over the
-// bin's features, so obviously-hopeless layouts are never timed, and a
-// format whose layout build the builder rejects is negative-cached per bin
-// — the deterministic failure is attempted once, not on every trial; the
-// transformation itself runs OUTSIDE the timed section (arms compare
-// steady-state execution — PlanLayouts' amortization policy separately
-// decides when a build is worth paying at serving time). Format arms are
-// per-(bin, format) GFLOP/s; a confident win (format_min_samples on both,
-// format_hysteresis margin) promotes a plan copy with that one bin's
-// format re-stamped (revision bumped, bins untouched). Format arms reset
-// alongside kernel arms on a unit or backend change — they were timed on
-// that bin structure and engine.
-//
 // Latency-feedback path (solver loops — spmv::iter): a workload that runs
 // the SAME plan hundreds of times back-to-back (power iteration, CG) does
 // not need shadow launches at all — every iteration IS a measurement. The
@@ -84,12 +53,16 @@
 // 0 == "no shadow launches").
 //
 // Everything is recorded: prof counters (adapt.trials / adapt.promotions /
-// adapt.regret plus adapt.u_trials / adapt.u_promotions, adapt.b_trials /
-// adapt.b_promotions, adapt.f_trials / adapt.f_promotions and
+// adapt.regret plus adapt.u_trials / adapt.u_promotions and
 // adapt.l_trials / adapt.l_promotions) via stats(), and trace spans
-// "adapt-trial"/"adapt-promote" plus "adapt-trial-u"/"adapt-promote-u",
-// "adapt-trial-backend"/"adapt-promote-backend", "adapt-trial-format"/
-// "adapt-promote-format" and "adapt-promote-latency" in category "adapt".
+// "adapt-trial"/"adapt-promote" plus "adapt-trial-u"/"adapt-promote-u" and
+// "adapt-promote-latency" in category "adapt".
+//
+// Trials of both levels run on the plan's own backend (a warm-started plan
+// may carry either one). The backend and the per-bin formats are not
+// explored online: FormatMode::Auto stamps formats at plan time with
+// fmt::estimate_bin_format, and an ablation (BENCH_adapt_levels.json)
+// found that online format trials did not beat that rule.
 #pragma once
 
 #include <cstdint>
@@ -105,7 +78,6 @@
 #include "clsim/engine.hpp"
 #include "core/plan.hpp"
 #include "exec/backend.hpp"
-#include "fmt/format.hpp"
 #include "kernels/registry.hpp"
 #include "prof/profile.hpp"
 #include "serve/fingerprint.hpp"
@@ -163,49 +135,6 @@ struct AdaptOptions {
   /// Test seam for U trials: when set, replaces the whole-plan timed runs
   /// — returns the "measured" whole-plan GFLOP/s at granularity u.
   std::function<double(index_t)> measure_unit_override;
-
-  // --- third level: online exploration of the execution backend -------
-
-  /// Enable whole-plan shadow trials on the alternative exec backend.
-  bool explore_backends = false;
-  /// Of the trials observe() runs, the share diverted to backend trials
-  /// (drawn after the U diversion; the rest stay per-bin kernel trials).
-  double backend_trial_fraction = 0.2;
-  /// Samples required on BOTH backend arms before a promotion.
-  int backend_min_samples = 3;
-  /// Challenger backend's whole-plan mean GFLOP/s must exceed the
-  /// incumbent's by this ratio. Strictest of the three levels: a backend
-  /// switch throws away every kernel- and unit-arm measurement.
-  double backend_hysteresis = 1.25;
-  /// Trials to skip backend exploration after a backend promotion.
-  int backend_cooldown = 8;
-  /// Test seam for backend trials: when set, replaces the whole-plan timed
-  /// runs — returns the "measured" whole-plan GFLOP/s on backend `kind`.
-  std::function<double(exec::BackendKind)> measure_backend_override;
-
-  // --- fourth level: online exploration of per-bin physical formats ---
-
-  /// Enable per-bin shadow trials of alternative physical layouts. Only
-  /// effective when the plan's backend supports formats (spmv::fmt);
-  /// clsim plans stay CSR-everywhere and never divert trials here.
-  bool explore_formats = false;
-  /// Of the trials observe() runs, the share diverted to format trials
-  /// (drawn after the U and backend diversions).
-  double format_trial_fraction = 0.2;
-  /// Samples required on BOTH format arms before a promotion.
-  int format_min_samples = 3;
-  /// Challenger format's mean GFLOP/s on the bin must exceed the
-  /// incumbent's by this ratio. A format swap costs a one-off layout
-  /// build at serving time, so it sits between the kernel and unit bars.
-  double format_hysteresis = 1.15;
-  /// Trials to skip format exploration after a format promotion.
-  int format_cooldown = 8;
-  /// Test seam for format trials: when set, replaces the timed bin runs —
-  /// returns the "measured" GFLOP/s for (bin, format). A negative value is
-  /// the builder-rejection sentinel: the format is negative-cached for the
-  /// bin (excluded from future challenger picks) and the trial records a
-  /// zero-reward sample.
-  std::function<double(int, fmt::FormatKind)> measure_format_override;
 };
 
 template <typename T>
@@ -219,12 +148,11 @@ class BanditTuner {
     double gflops = 0.0;
     /// True for a U promotion: the plan was rebuilt at a different
     /// granularity (structurally different bins), not just given a new
-    /// kernel on one bin. Backend promotions keep the bins and leave this
-    /// false.
+    /// kernel on one bin.
     bool rebinned = false;
-    /// Which arm level won: 1 kernel, 2 unit (U), 3 backend, 4 format —
-    /// matching prof::Exemplar::promo_level, so a latency exemplar can
-    /// name the provenance of the plan change that preceded it.
+    /// Which arm level won: 1 kernel, 2 unit (U) — matching
+    /// prof::Exemplar::promo_level, so a latency exemplar can name the
+    /// provenance of the plan change that preceded it.
     std::uint8_t level = 1;
   };
 
@@ -297,24 +225,14 @@ class BanditTuner {
     std::uint64_t pulls = 0;  ///< trials on this bin (for UCB)
   };
 
-  /// Per-(bin, format) reward estimates (the fourth-level arm space).
-  struct FormatArms {
-    Arm arms[fmt::kFormatCount];
-    /// Negative cache of builder rejections: a format whose layout build
-    /// failed on this bin is deterministic dead weight (the build would
-    /// fail identically every time), so it is excluded from the challenger
-    /// pool instead of re-attempted.
-    bool rejected[fmt::kFormatCount] = {};
-    std::uint64_t pulls = 0;
-  };
-
   /// Per-fingerprint bandit state. Kernel-arm means are (bin, kernel)
   /// measurements of the matrix itself, so they survive plan-revision
-  /// bumps (promotions); only a granularity change invalidates them (bin
-  /// ids then cover different rows) and resets them. Unit-arm means are
-  /// whole-plan measurements, valid across re-binning, so they persist for
-  /// the key's whole lifetime — that persistence is what prevents U
-  /// ping-pong after a switch.
+  /// bumps (promotions); only a granularity or backend change invalidates
+  /// them (bin ids then cover different rows, or the timings describe the
+  /// other engine) and resets them. Unit-arm means are whole-plan
+  /// measurements, valid across re-binning, so they persist until the
+  /// backend changes — that persistence is what prevents U ping-pong after
+  /// a switch.
   struct KeyState {
     std::uint64_t plan_revision = 0;
     index_t unit = -1;          ///< granularity the kernel arms were measured at
@@ -325,20 +243,8 @@ class BanditTuner {
     std::unordered_map<index_t, Arm> units;
     /// Remaining trials before the next U trial is allowed.
     int unit_cooldown = 0;
-    /// Backend the kernel/unit arms were measured on (-1 = unset). A
-    /// change invalidates both arm spaces — timings on one backend say
-    /// nothing about the other — but the backend arms themselves persist.
+    /// Backend the kernel and unit arms were measured on (-1 = unset).
     int backend = -1;
-    /// Whole-plan GFLOP/s per exec::BackendKind (the third-level arms).
-    std::unordered_map<int, Arm> backends;
-    /// Remaining trials before the next backend trial is allowed.
-    int backend_cooldown = 0;
-    /// Per-bin format arms (fourth level). Timings describe one bin
-    /// structure on one backend, so they reset with the kernel arms on a
-    /// unit or backend change.
-    std::unordered_map<int, FormatArms> formats;
-    /// Remaining trials before the next format trial is allowed.
-    int format_cooldown = 0;
     /// Latency-feedback phase: next_variant() alternates incumbent and
     /// challenger iterations so the arms accumulate paired samples.
     bool l_challenge_next = false;
@@ -360,20 +266,9 @@ class BanditTuner {
                                       const binning::BinSet& bins,
                                       const CsrMatrix<T>& a,
                                       std::span<const T> x);
-  std::optional<Promotion> backend_trial(KeyState& st, const core::Plan& plan,
-                                         const binning::BinSet& bins,
-                                         const CsrMatrix<T>& a,
-                                         std::span<const T> x);
-  fmt::FormatKind pick_format_challenger(
-      const FormatArms& fa, const std::vector<fmt::FormatKind>& pool,
-      fmt::FormatKind incumbent);
-  std::optional<Promotion> format_trial(KeyState& st, const core::Plan& plan,
-                                        const binning::BinSet& bins,
-                                        const CsrMatrix<T>& a,
-                                        std::span<const T> x);
-  /// The backend trials and incumbent measurements run on. Clsim resolves
-  /// to the engine the tuner was built with, so engine counters keep
-  /// attributing trial launches.
+  /// The backend a plan's trials run on. Clsim resolves to the engine the
+  /// tuner was built with, so engine counters keep attributing trial
+  /// launches.
   [[nodiscard]] const exec::Backend& backend_for(exec::BackendKind kind) const;
 
   const clsim::Engine& engine_;

@@ -14,6 +14,7 @@
 #include <stdexcept>
 
 #include "core/plan_io.hpp"
+#include "util/fsync.hpp"
 #include "util/log.hpp"
 
 namespace spmv::adapt {
@@ -39,20 +40,6 @@ bool write_all(int fd, const std::string& data) {
     done += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-/// fsyncs the directory holding `path`, so a rename into it survives a
-/// crash. Best effort: the new file is already in place, so a directory
-/// that cannot be opened or synced is not an error.
-void sync_parent_dir(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "."
-                          : slash == 0              ? "/"
-                                                    : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;
-  (void)::fsync(fd);
-  ::close(fd);
 }
 
 std::uint64_t hash_from_hex(const std::string& s) {
@@ -245,7 +232,7 @@ void PlanStore::flush() const {
     std::remove(tmp.c_str());
     throw std::runtime_error("cannot rename " + tmp + " -> " + path_);
   }
-  sync_parent_dir(path_);
+  util::fsync_parent_dir(path_);
 }
 
 std::optional<StoredPlan> PlanStore::lookup(const serve::Fingerprint& key) {

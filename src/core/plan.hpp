@@ -48,10 +48,9 @@ struct Plan {
   /// plan records both what was predicted and what exploration settled on.
   index_t predicted_unit = 0;
   /// Execution backend the plan was tuned for — a *plan* property, like
-  /// unit and the per-bin kernels, so backend swaps promoted by the adapt
-  /// layer persist through plan_io / the PlanStore and warm-started
-  /// services resume on the backend that won. Plans from pre-backend
-  /// artifacts load as Clsim.
+  /// unit and the per-bin kernels, so it persists through plan_io / the
+  /// PlanStore and warm-started services resume on the backend the plan
+  /// was tuned for. Plans from pre-backend artifacts load as Clsim.
   exec::BackendKind backend = exec::BackendKind::Clsim;
   /// Sharded-plan provenance (spmv::shard): which row shard of which parent
   /// matrix this plan was tuned for. shard_index -1 (the default) marks an

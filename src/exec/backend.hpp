@@ -7,10 +7,9 @@
 //
 // Backend choice is a *plan* property, not a service property: core::Plan
 // carries a BackendKind that travels through plan_io / the PlanStore, and
-// the Tuner resolves it to an instance at build time (see tuner.hpp). That
-// is what lets the adapt layer promote a backend swap per matrix and have
-// the PlanCache/PlanStore machinery persist it like any other tuning
-// decision.
+// the Tuner resolves it to an instance at build time (see tuner.hpp), so a
+// stored plan warm-starts on the backend it was tuned for, and the adapt
+// layer's trials run on that same backend.
 //
 // Semantics contract: every backend computes the same per-row products over
 // a bin's covered rows (the RowMap rule in kernels/binned_common.hpp) —

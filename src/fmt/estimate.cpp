@@ -62,20 +62,6 @@ FormatKind estimate_bin_format(const BinFeatures& f) {
   return FormatKind::Csr;
 }
 
-std::vector<FormatKind> suitable_formats(const BinFeatures& f) {
-  std::vector<FormatKind> out = {FormatKind::Csr};
-  if (f.nnz == 0) return out;
-  if (f.padding_ratio <= 2.0 && f.max_len <= 256) out.push_back(FormatKind::Ell);
-  if (f.max_row_span <= kDcsrMaxSpan && f.avg_len >= 4.0)
-    out.push_back(FormatKind::Dcsr);
-  // Same scatter signals as the point estimate, at half strength: COO only
-  // enters the pool when the bin shows some emptiness or short rows — on a
-  // dense uniform bin it cannot beat CSR, so timing it is pure trial waste.
-  if (f.empty_rows * 4 >= f.rows || f.avg_len <= 4.0)
-    out.push_back(FormatKind::Coo);
-  return out;
-}
-
 template BinFeatures compute_bin_features(const CsrMatrix<float>&,
                                           std::span<const index_t>, index_t);
 template BinFeatures compute_bin_features(const CsrMatrix<double>&,

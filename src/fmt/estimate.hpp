@@ -7,12 +7,11 @@
 // Table-I kernel predictor, lifted one level up to physical layout
 // (Elafrou et al.'s feature-based selection in PAPERS.md). The estimator is
 // deliberately conservative: it only leaves CSR when the features say the
-// transformation is near-certain to pay; the bandit's format arms explore
-// the remaining suitable candidates online.
+// transformation is near-certain to pay. It is the only format selector:
+// online per-bin format trials did not beat it (BENCH_adapt_levels.json).
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "fmt/format.hpp"
 #include "sparse/csr.hpp"
@@ -40,13 +39,6 @@ template <typename T>
 /// rows (every gap provably fits 16 bits, avg length >= 8), COO for
 /// scatter/mostly-empty bins, CSR otherwise.
 [[nodiscard]] FormatKind estimate_bin_format(const BinFeatures& f);
-
-/// All formats worth trying on this bin — the bandit's challenger pool.
-/// Guards are looser than estimate_bin_format's (a format the estimator
-/// would not pick outright can still win a shadow trial) but still exclude
-/// layouts the builder would reject or that cannot possibly pay. Csr is
-/// always first.
-[[nodiscard]] std::vector<FormatKind> suitable_formats(const BinFeatures& f);
 
 extern template BinFeatures compute_bin_features(const CsrMatrix<float>&,
                                                  std::span<const index_t>,

@@ -48,8 +48,8 @@ inline constexpr int kDcsrSortWindow = 256;
 inline constexpr double kDcsrMinSliceFill = 0.75;
 
 /// Execution-wide format policy, the `--format csr|auto` CLI knob. Csr pins
-/// every bin to the shared arrays (pre-PR-7 behaviour); Auto lets the
-/// estimator stamp per-bin formats and the bandit explore alternatives.
+/// every bin to the shared arrays (the original CSR-only behaviour); Auto
+/// lets the estimator stamp per-bin formats.
 enum class FormatMode : int {
   Csr = 0,
   Auto = 1,

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "prof/json.hpp"
+#include "util/fsync.hpp"
 #include "util/log.hpp"
 
 namespace spmv::obs {
@@ -214,6 +215,24 @@ void StreamingSink::ensure_stream_locked() {
     util::log_warn() << "StreamingSink: cannot open " << path;
   }
   segment_bytes_ = 0;
+  segment_records_ = 0;
+}
+
+void StreamingSink::lose_segment_locked(const std::string& why) {
+  // The active segment will never become a numbered one (the next open
+  // truncates it), so its records move from flushed to dropped and the
+  // file goes now: pushed == flushed + dropped keeps describing what is on
+  // disk.
+  util::log_warn() << "StreamingSink: " << why << "; dropping "
+                   << segment_records_ << " record(s) of the active segment";
+  if (stream_.is_open()) stream_.close();
+  std::error_code ec;
+  std::filesystem::remove(active_path(), ec);  // best-effort
+  flushed_ -= segment_records_;
+  bytes_written_ -= segment_bytes_;
+  dropped_.fetch_add(segment_records_, std::memory_order_relaxed);
+  segment_records_ = 0;
+  segment_bytes_ = 0;
 }
 
 void StreamingSink::drain_locked() {
@@ -237,8 +256,10 @@ void StreamingSink::drain_locked() {
       if (stream_.is_open()) {
         stream_ << line;
         segment_bytes_ += line.size();
+        segment_records_ += 1;
         bytes_written_ += line.size();
         flushed_ += 1;
+        if (!stream_) lose_segment_locked("write failed");
       } else {
         ring.dropped.fetch_add(1, std::memory_order_relaxed);
         dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -246,12 +267,19 @@ void StreamingSink::drain_locked() {
       if (segment_bytes_ >= opts_.segment_max_bytes) rotate_locked();
     }
   }
-  if (stream_.is_open()) stream_.flush();
+  if (stream_.is_open() && !stream_.flush())
+    lose_segment_locked("flush failed");
 }
 
 void StreamingSink::rotate_locked() {
   if (!stream_.is_open() || segment_bytes_ == 0) return;
+  // Durable before it is named: a crash after the rename must not leave a
+  // numbered segment whose data never reached the disk.
   stream_.close();
+  if (stream_.fail() || !util::fsync_file(active_path())) {
+    lose_segment_locked("cannot write segment " + active_path());
+    return;
+  }
   char name[64];
   std::snprintf(name, sizeof(name), "segment-%06llu.jsonl",
                 static_cast<unsigned long long>(next_segment_));
@@ -264,10 +292,10 @@ void StreamingSink::rotate_locked() {
   // half-named half-written segment.
   std::filesystem::rename(active_path(), dst, ec);
   if (ec) {
-    util::log_warn() << "StreamingSink: rotate failed: " << ec.message();
-    segment_bytes_ = 0;
+    lose_segment_locked("rotate to " + dst + " failed: " + ec.message());
     return;
   }
+  util::fsync_parent_dir(dst);
   segments_.push_back(dst);
   rotations_ += 1;
   while (segments_.size() > opts_.max_segments) {
@@ -275,6 +303,7 @@ void StreamingSink::rotate_locked() {
     segments_.erase(segments_.begin());
   }
   segment_bytes_ = 0;
+  segment_records_ = 0;
 }
 
 void StreamingSink::close() {

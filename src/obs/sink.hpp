@@ -95,8 +95,11 @@ struct SinkOptions {
 
 struct SinkStats {
   std::uint64_t pushed = 0;    ///< records accepted into any ring
-  std::uint64_t dropped = 0;   ///< records rejected (ring full / closed)
-  std::uint64_t flushed = 0;   ///< records written to segment files
+  /// Records lost: rejected (ring full / closed), or written to a segment
+  /// that could not be written, synced or renamed. Only ring rejections
+  /// count in dropped_by_ring.
+  std::uint64_t dropped = 0;
+  std::uint64_t flushed = 0;   ///< records in written segment files
   std::uint64_t rotations = 0; ///< completed-segment renames
   std::uint64_t bytes_written = 0;
   /// Per-producer-group drop accounting (size == producer_groups): which
@@ -191,6 +194,9 @@ class StreamingSink {
   /// must hold io_mutex_.
   void rotate_locked();
   void ensure_stream_locked();
+  /// Discard the active segment after a write, sync or rename failure and
+  /// count its records as dropped; caller must hold io_mutex_.
+  void lose_segment_locked(const std::string& why);
 
   SinkOptions opts_;
   std::size_t mask_ = 0;  ///< per-ring capacity (power of two) - 1
@@ -204,6 +210,7 @@ class StreamingSink {
   mutable std::mutex io_mutex_;  ///< consumer side: drain, rotate, stats
   std::ofstream stream_;
   std::size_t segment_bytes_ = 0;
+  std::uint64_t segment_records_ = 0;  ///< records in the active segment
   std::uint64_t next_segment_ = 1;
   std::uint64_t flushed_ = 0;
   std::uint64_t rotations_ = 0;

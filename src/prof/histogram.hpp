@@ -28,7 +28,7 @@ struct Exemplar {
   std::uint8_t backend = 0;       ///< exec::BackendKind of the plan
   bool formats = false;           ///< plan carried non-CSR bin layouts
   /// Arm level of the latest adapt promotion applied before this sample:
-  /// 0 none, 1 kernel, 2 unit (U), 3 backend, 4 format.
+  /// 0 none, 1 kernel, 2 unit (U).
   std::uint8_t promo_level = 0;
   /// Shard partition that produced the sample (spmv::shard); -1 = the
   /// sample did not come from a sharded service.

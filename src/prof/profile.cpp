@@ -245,10 +245,6 @@ Json RunProfile::to_json() const {
     ad.set("regret_s", adapt.regret_s);
     ad.set("u_trials", adapt.u_trials);
     ad.set("u_promotions", adapt.u_promotions);
-    ad.set("b_trials", adapt.b_trials);
-    ad.set("b_promotions", adapt.b_promotions);
-    ad.set("f_trials", adapt.f_trials);
-    ad.set("f_promotions", adapt.f_promotions);
     ad.set("l_trials", adapt.l_trials);
     ad.set("l_promotions", adapt.l_promotions);
     j.set("adapt", ad);
@@ -383,20 +379,12 @@ RunProfile RunProfile::from_json(const Json& j) {
     p.adapt.promotions = ad->at("promotions").as_uint();
     p.adapt.regret_s = ad->at("regret_s").as_number();
     // U-exploration counters arrived later; older artifacts omit them.
+    // Artifacts from before the backend and format levels were removed
+    // also carry b_/f_ trial and promotion counters, which are ignored.
     if (const Json* v = ad->find("u_trials"); v != nullptr)
       p.adapt.u_trials = v->as_uint();
     if (const Json* v = ad->find("u_promotions"); v != nullptr)
       p.adapt.u_promotions = v->as_uint();
-    // Backend-exploration counters are newer still.
-    if (const Json* v = ad->find("b_trials"); v != nullptr)
-      p.adapt.b_trials = v->as_uint();
-    if (const Json* v = ad->find("b_promotions"); v != nullptr)
-      p.adapt.b_promotions = v->as_uint();
-    // Format-exploration counters (spmv::fmt) are the newest.
-    if (const Json* v = ad->find("f_trials"); v != nullptr)
-      p.adapt.f_trials = v->as_uint();
-    if (const Json* v = ad->find("f_promotions"); v != nullptr)
-      p.adapt.f_promotions = v->as_uint();
     if (const Json* v = ad->find("l_trials"); v != nullptr)
       p.adapt.l_trials = v->as_uint();
     if (const Json* v = ad->find("l_promotions"); v != nullptr)
@@ -481,8 +469,6 @@ const char* promo_label(std::uint8_t level) {
   switch (level) {
     case 1: return "kernel";
     case 2: return "unit";
-    case 3: return "backend";
-    case 4: return "format";
     default: return "none";
   }
 }
@@ -685,15 +671,6 @@ std::string prometheus_text(const RunProfile& profile) {
            static_cast<double>(a.u_trials));
     metric(out, "spmv_adapt_u_promotions_total", "counter",
            "Binning-unit (U) promotions", static_cast<double>(a.u_promotions));
-    metric(out, "spmv_adapt_b_trials_total", "counter",
-           "Backend exploration trials", static_cast<double>(a.b_trials));
-    metric(out, "spmv_adapt_b_promotions_total", "counter",
-           "Backend promotions", static_cast<double>(a.b_promotions));
-    metric(out, "spmv_adapt_f_trials_total", "counter",
-           "Per-bin format exploration trials",
-           static_cast<double>(a.f_trials));
-    metric(out, "spmv_adapt_f_promotions_total", "counter",
-           "Per-bin format promotions", static_cast<double>(a.f_promotions));
     metric(out, "spmv_adapt_l_trials_total", "counter",
            "Latency-feedback challenger iterations observed",
            static_cast<double>(a.l_trials));

@@ -87,18 +87,6 @@ struct AdaptStats {
   /// the plan at a different U (counted inside `trials`/`promotions` too).
   std::uint64_t u_trials = 0;
   std::uint64_t u_promotions = 0;
-  /// Third-level exploration of the execution backend (spmv::exec):
-  /// whole-plan shadow trials on the alternative backend, and promotions
-  /// that re-stamped the plan's backend (counted inside
-  /// `trials`/`promotions` too).
-  std::uint64_t b_trials = 0;
-  std::uint64_t b_promotions = 0;
-  /// Fourth-level exploration of per-bin physical formats (spmv::fmt):
-  /// per-bin shadow trials of an alternative layout, and promotions that
-  /// re-stamped one bin's format (counted inside `trials`/`promotions`
-  /// too).
-  std::uint64_t f_trials = 0;
-  std::uint64_t f_promotions = 0;
   /// Latency-feedback arm path (spmv::iter): kernel arms fed from measured
   /// per-iteration serve latencies instead of dedicated shadow launches.
   /// l_trials counts challenger iterations observed this way — NOT counted
@@ -115,10 +103,6 @@ struct AdaptStats {
     regret_s += other.regret_s;
     u_trials += other.u_trials;
     u_promotions += other.u_promotions;
-    b_trials += other.b_trials;
-    b_promotions += other.b_promotions;
-    f_trials += other.f_trials;
-    f_promotions += other.f_promotions;
     l_trials += other.l_trials;
     l_promotions += other.l_promotions;
   }

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -47,6 +48,14 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+void Cli::reject_unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& flag : flags_) {
+    if (std::find(known.begin(), known.end(), flag.first) == known.end())
+      throw std::invalid_argument("unknown flag --" + flag.first);
+  }
 }
 
 }  // namespace spmv::util

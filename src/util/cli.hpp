@@ -3,8 +3,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace spmv::util {
@@ -21,6 +23,10 @@ class Cli {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+
+  /// Throws std::invalid_argument naming the first flag not in `known`, so
+  /// a stale or misspelt flag fails instead of being silently ignored.
+  void reject_unknown(std::initializer_list<std::string_view> known) const;
 
   /// Positional (non-flag) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const {

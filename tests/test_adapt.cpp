@@ -20,7 +20,6 @@
 #include "core/plan_io.hpp"
 #include "core/tuner.hpp"
 #include "exec/backend.hpp"
-#include "fmt/format.hpp"
 #include "gen/generators.hpp"
 #include "kernels/reference.hpp"
 #include "serve/fingerprint.hpp"
@@ -250,320 +249,6 @@ TEST(BanditTuner, UnitHysteresisAndCooldownPreventPingPong) {
   EXPECT_EQ(cool.stats().u_trials, u_trials_at_promo)
       << "U trials ran during the cooldown window";
   EXPECT_EQ(cool.stats().u_promotions, 1u);
-}
-
-TEST(BanditTuner, BackendExplorationPromotesRestampedPlan) {
-  const auto a = gen::power_law<float>(1500, 1500, 2.0, 150, 71);
-  core::Plan plan;
-  plan.unit = 100;
-  plan.revision = 5;
-  const auto bins = binning::bin_matrix(a, 100);
-  for (int b : bins.occupied_bins())
-    plan.bin_kernels.push_back({b, kernels::KernelId::Serial});
-  const auto x = random_vector<float>(static_cast<std::size_t>(a.cols()), 73);
-  const auto key = serve::fingerprint_of(a);
-
-  AdaptOptions opts;
-  opts.trial_fraction = 1.0;
-  opts.explore_backends = true;
-  opts.backend_trial_fraction = 1.0;  // every trial is a backend trial
-  opts.backend_min_samples = 2;
-  opts.backend_hysteresis = 1.10;
-  // Rigged: the native backend runs the whole plan 10x faster.
-  opts.measure_backend_override = [](exec::BackendKind k) {
-    return k == exec::BackendKind::Native ? 10.0 : 1.0;
-  };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
-
-  std::optional<BanditTuner<float>::Promotion> promo;
-  int trials = 0;
-  for (; trials < 50 && !promo.has_value(); ++trials)
-    promo = tuner.observe(key, plan, bins, a, x);
-  ASSERT_TRUE(promo.has_value()) << "no backend promotion within 50 trials";
-  EXPECT_LE(trials, opts.backend_min_samples + 1);
-
-  // The promotion is a pure re-stamp: same granularity and kernels, no
-  // rebinning, bumped revision, the challenger backend on the plan.
-  EXPECT_FALSE(promo->rebinned);
-  EXPECT_EQ(promo->plan.backend, exec::BackendKind::Native);
-  EXPECT_EQ(promo->plan.unit, plan.unit);
-  EXPECT_EQ(promo->plan.revision, plan.revision + 1);
-  ASSERT_EQ(promo->plan.bin_kernels.size(), plan.bin_kernels.size());
-  for (std::size_t i = 0; i < plan.bin_kernels.size(); ++i)
-    EXPECT_EQ(promo->plan.bin_kernels[i].kernel, plan.bin_kernels[i].kernel);
-  EXPECT_DOUBLE_EQ(promo->gflops, 10.0);
-
-  const auto s = tuner.stats();
-  EXPECT_GE(s.b_trials,
-            static_cast<std::uint64_t>(opts.backend_min_samples));
-  EXPECT_EQ(s.b_promotions, 1u);
-
-  // The backend counters survive the profile JSON round trip and reach
-  // Prometheus.
-  prof::RunProfile p;
-  p.adapt = s;
-  const auto parsed =
-      prof::RunProfile::from_json(prof::Json::parse(p.to_json_text()));
-  EXPECT_EQ(parsed.adapt.b_trials, s.b_trials);
-  EXPECT_EQ(parsed.adapt.b_promotions, s.b_promotions);
-  EXPECT_NE(prof::prometheus_text(p).find("spmv_adapt_b_promotions_total"),
-            std::string::npos);
-}
-
-TEST(BanditTuner, BackendHysteresisAndCooldownPreventFlapping) {
-  const auto a = gen::power_law<float>(1200, 1200, 2.0, 120, 77);
-  core::Plan plan;
-  plan.unit = 100;
-  const auto bins = binning::bin_matrix(a, 100);
-  for (int b : bins.occupied_bins())
-    plan.bin_kernels.push_back({b, kernels::KernelId::Serial});
-  const auto x = random_vector<float>(static_cast<std::size_t>(a.cols()), 79);
-  const auto key = serve::fingerprint_of(a);
-
-  // Native is genuinely ~10% faster but noisy (±2%); the backend swap
-  // demands 25%, so it must never fire — a cross-engine switch invalidates
-  // every kernel arm, making flapping far more expensive than a kernel
-  // flap, hence the strictest hysteresis of the three arm levels.
-  util::Xoshiro256 noise(81);
-  AdaptOptions opts;
-  opts.trial_fraction = 1.0;
-  opts.explore_backends = true;
-  opts.backend_trial_fraction = 1.0;
-  opts.backend_min_samples = 2;
-  opts.backend_hysteresis = 1.25;
-  opts.measure_backend_override = [&noise](exec::BackendKind k) {
-    const double base = k == exec::BackendKind::Native ? 1.10 : 1.0;
-    return base * noise.uniform(0.98, 1.02);
-  };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
-  for (int i = 0; i < 200; ++i)
-    EXPECT_FALSE(tuner.observe(key, plan, bins, a, x).has_value())
-        << "backend flapped on trial " << i;
-  EXPECT_EQ(tuner.stats().b_promotions, 0u);
-  EXPECT_EQ(tuner.stats().b_trials, 200u);
-
-  // Cooldown: after a genuine backend promotion, the next
-  // `backend_cooldown` observe() calls must not run backend trials — the
-  // fresh backend's kernel arms need samples before it can be challenged.
-  AdaptOptions copts = opts;
-  copts.backend_hysteresis = 1.05;
-  copts.backend_cooldown = 10;
-  copts.measure_backend_override = [](exec::BackendKind k) {
-    return k == exec::BackendKind::Native ? 10.0 : 1.0;
-  };
-  copts.measure_override = [](kernels::KernelId, int /*bin*/) { return 1.0; };
-  BanditTuner<float> cool(clsim::default_engine(), copts);
-  std::optional<BanditTuner<float>::Promotion> promo;
-  for (int i = 0; i < 50 && !promo.has_value(); ++i)
-    promo = cool.observe(key, plan, bins, a, x);
-  ASSERT_TRUE(promo.has_value());
-  const auto b_trials_at_promo = cool.stats().b_trials;
-  for (int i = 0; i < copts.backend_cooldown; ++i)
-    (void)cool.observe(key, promo->plan, bins, a, x);
-  EXPECT_EQ(cool.stats().b_trials, b_trials_at_promo)
-      << "backend trials ran during the cooldown window";
-  EXPECT_EQ(cool.stats().b_promotions, 1u);
-}
-
-TEST(BanditTuner, FormatExplorationPromotesRestampedBin) {
-  // Near-uniform short rows: the estimator's challenger pool for every bin
-  // contains ELL, and the rigged registry makes it 10x CSR.
-  const auto a = gen::fixed_degree<float>(2000, 2000, 6, 91);
-  core::Plan plan;
-  plan.unit = 100;
-  plan.revision = 7;
-  plan.backend = exec::BackendKind::Native;  // format trials need a
-                                             // format-capable backend
-  const auto bins = binning::bin_matrix(a, 100);
-  for (int b : bins.occupied_bins())
-    plan.bin_kernels.push_back({b, kernels::KernelId::Serial});
-  const auto x = random_vector<float>(static_cast<std::size_t>(a.cols()), 93);
-  const auto key = serve::fingerprint_of(a);
-
-  AdaptOptions opts;
-  opts.trial_fraction = 1.0;
-  opts.explore_formats = true;
-  opts.format_trial_fraction = 1.0;  // every trial is a format trial
-  opts.format_min_samples = 2;
-  opts.format_hysteresis = 1.10;
-  opts.hot_bins = 1;
-  opts.measure_format_override = [](int /*bin*/, fmt::FormatKind k) {
-    return k == fmt::FormatKind::Ell ? 10.0 : 1.0;
-  };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
-
-  std::optional<BanditTuner<float>::Promotion> promo;
-  int trials = 0;
-  for (; trials < 50 && !promo.has_value(); ++trials)
-    promo = tuner.observe(key, plan, bins, a, x);
-  ASSERT_TRUE(promo.has_value()) << "no format promotion within 50 trials";
-  // Bounded convergence: unexplored-first over at most kFormatCount - 1
-  // challengers, each needing format_min_samples samples.
-  EXPECT_LE(trials, (fmt::kFormatCount - 1) * opts.format_min_samples + 1);
-
-  // The promotion is a one-bin format re-stamp: same granularity, kernels,
-  // and backend; no rebinning; bumped revision.
-  EXPECT_FALSE(promo->rebinned);
-  EXPECT_EQ(promo->plan.unit, plan.unit);
-  EXPECT_EQ(promo->plan.backend, plan.backend);
-  EXPECT_EQ(promo->plan.revision, plan.revision + 1);
-  EXPECT_TRUE(promo->plan.uses_formats());
-  ASSERT_EQ(promo->plan.bin_kernels.size(), plan.bin_kernels.size());
-  int changed = 0;
-  for (std::size_t i = 0; i < plan.bin_kernels.size(); ++i) {
-    EXPECT_EQ(promo->plan.bin_kernels[i].kernel, plan.bin_kernels[i].kernel);
-    if (promo->plan.bin_kernels[i].format != fmt::FormatKind::Csr) {
-      EXPECT_EQ(promo->plan.bin_kernels[i].format, fmt::FormatKind::Ell);
-      changed += 1;
-    }
-  }
-  EXPECT_EQ(changed, 1);
-  EXPECT_DOUBLE_EQ(promo->gflops, 10.0);
-
-  const auto s = tuner.stats();
-  EXPECT_GE(s.f_trials,
-            static_cast<std::uint64_t>(opts.format_min_samples));
-  EXPECT_EQ(s.f_promotions, 1u);
-
-  // The format counters survive the profile JSON round trip and reach
-  // Prometheus.
-  prof::RunProfile p;
-  p.adapt = s;
-  const auto parsed =
-      prof::RunProfile::from_json(prof::Json::parse(p.to_json_text()));
-  EXPECT_EQ(parsed.adapt.f_trials, s.f_trials);
-  EXPECT_EQ(parsed.adapt.f_promotions, s.f_promotions);
-  EXPECT_NE(prof::prometheus_text(p).find("spmv_adapt_f_promotions_total"),
-            std::string::npos);
-}
-
-TEST(BanditTuner, FormatHysteresisAndCooldownPreventFlapping) {
-  const auto a = gen::fixed_degree<float>(1500, 1500, 5, 95);
-  core::Plan plan;
-  plan.unit = 100;
-  plan.backend = exec::BackendKind::Native;
-  const auto bins = binning::bin_matrix(a, 100);
-  for (int b : bins.occupied_bins())
-    plan.bin_kernels.push_back({b, kernels::KernelId::Serial});
-  const auto x = random_vector<float>(static_cast<std::size_t>(a.cols()), 97);
-  const auto key = serve::fingerprint_of(a);
-
-  // Challengers are genuinely ~5% faster but noisy (±2%); the format swap
-  // demands 15%, so it must never fire — a layout change costs a
-  // materialization, so marginal wins are not worth chasing.
-  util::Xoshiro256 noise(99);
-  AdaptOptions opts;
-  opts.trial_fraction = 1.0;
-  opts.explore_formats = true;
-  opts.format_trial_fraction = 1.0;
-  opts.format_min_samples = 2;
-  opts.format_hysteresis = 1.15;
-  opts.hot_bins = 1;
-  opts.measure_format_override = [&noise](int /*bin*/, fmt::FormatKind k) {
-    const double base = k == fmt::FormatKind::Csr ? 1.0 : 1.05;
-    return base * noise.uniform(0.98, 1.02);
-  };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
-  for (int i = 0; i < 200; ++i)
-    EXPECT_FALSE(tuner.observe(key, plan, bins, a, x).has_value())
-        << "format flapped on trial " << i;
-  EXPECT_EQ(tuner.stats().f_promotions, 0u);
-  EXPECT_EQ(tuner.stats().f_trials, 200u);
-
-  // Cooldown: after a genuine format promotion, the next `format_cooldown`
-  // observe() calls must not run format trials against the new incumbent.
-  AdaptOptions copts = opts;
-  copts.format_hysteresis = 1.05;
-  copts.format_cooldown = 10;
-  copts.measure_format_override = [](int /*bin*/, fmt::FormatKind k) {
-    return k == fmt::FormatKind::Ell ? 10.0 : 1.0;
-  };
-  copts.measure_override = [](kernels::KernelId, int /*bin*/) { return 1.0; };
-  BanditTuner<float> cool(clsim::default_engine(), copts);
-  std::optional<BanditTuner<float>::Promotion> promo;
-  for (int i = 0; i < 50 && !promo.has_value(); ++i)
-    promo = cool.observe(key, plan, bins, a, x);
-  ASSERT_TRUE(promo.has_value());
-  const auto f_trials_at_promo = cool.stats().f_trials;
-  for (int i = 0; i < copts.format_cooldown; ++i)
-    (void)cool.observe(key, promo->plan, bins, a, x);
-  EXPECT_EQ(cool.stats().f_trials, f_trials_at_promo)
-      << "format trials ran during the cooldown window";
-  EXPECT_EQ(cool.stats().f_promotions, 1u);
-}
-
-TEST(BanditTuner, RejectedFormatsAreNegativeCachedNotRetried) {
-  // A builder rejection is deterministic for a given bin: re-picking the
-  // format would just re-run the failing transformation and re-log the
-  // warning on every epsilon-greedy draw. The rejection sentinel (negative
-  // measurement) must exclude the format after exactly one attempt, while
-  // the surviving challengers keep exploring and can still promote.
-  const auto a = gen::fixed_degree<float>(1500, 1500, 6, 107);
-  core::Plan plan;
-  plan.unit = 100;
-  plan.backend = exec::BackendKind::Native;
-  const auto bins = binning::bin_matrix(a, 100);
-  for (int b : bins.occupied_bins())
-    plan.bin_kernels.push_back({b, kernels::KernelId::Serial});
-  const auto x = random_vector<float>(static_cast<std::size_t>(a.cols()), 109);
-  const auto key = serve::fingerprint_of(a);
-
-  // fixed_degree(6) pool per bin: {Csr, Ell, Dcsr} (COO is gated out by
-  // the scatter signals). Rig Ell as builder-rejected, Dcsr as the winner.
-  int ell_attempts = 0;
-  AdaptOptions opts;
-  opts.trial_fraction = 1.0;
-  opts.explore_formats = true;
-  opts.format_trial_fraction = 1.0;
-  opts.format_min_samples = 2;
-  opts.format_hysteresis = 1.10;
-  opts.hot_bins = 1;
-  opts.epsilon = 0.5;  // heavy exploration: a non-cached reject WOULD recur
-  opts.measure_format_override = [&ell_attempts](int /*bin*/,
-                                                 fmt::FormatKind k) {
-    if (k == fmt::FormatKind::Ell) {
-      ell_attempts += 1;
-      return -1.0;  // builder rejection sentinel
-    }
-    return k == fmt::FormatKind::Dcsr ? 10.0 : 1.0;
-  };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
-
-  std::optional<BanditTuner<float>::Promotion> promo;
-  for (int i = 0; i < 100 && !promo.has_value(); ++i)
-    promo = tuner.observe(key, plan, bins, a, x);
-  ASSERT_TRUE(promo.has_value());
-  EXPECT_EQ(ell_attempts, 1) << "rejected format was re-tried";
-  for (const core::BinPlan& bp : promo->plan.bin_kernels)
-    EXPECT_NE(bp.format, fmt::FormatKind::Ell);
-  EXPECT_EQ(tuner.stats().f_promotions, 1u);
-}
-
-TEST(BanditTuner, FormatTrialsSkipFormatBlindBackends) {
-  // A clsim-stamped plan cannot execute layouts, so the fourth arm level
-  // must never divert — the trial budget stays with the kernel arms.
-  const auto a = gen::fixed_degree<float>(1000, 1000, 4, 101);
-  core::Plan plan;
-  plan.unit = 100;  // backend stays the default (Clsim)
-  const auto bins = binning::bin_matrix(a, 100);
-  for (int b : bins.occupied_bins())
-    plan.bin_kernels.push_back({b, kernels::KernelId::Serial});
-  const auto x = random_vector<float>(static_cast<std::size_t>(a.cols()), 103);
-
-  AdaptOptions opts;
-  opts.trial_fraction = 1.0;
-  opts.explore_formats = true;
-  opts.format_trial_fraction = 1.0;
-  opts.measure_override = [](kernels::KernelId, int /*bin*/) { return 1.0; };
-  opts.measure_format_override = [](int, fmt::FormatKind) {
-    ADD_FAILURE() << "format trial ran on a format-blind backend";
-    return 1.0;
-  };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
-  for (int i = 0; i < 30; ++i)
-    (void)tuner.observe(serve::fingerprint_of(a), plan, bins, a, x);
-  EXPECT_EQ(tuner.stats().f_trials, 0u);
-  EXPECT_EQ(tuner.stats().trials, 30u);  // all 30 were kernel trials
 }
 
 TEST(BanditTuner, RealMeasurementsDoNotThrow) {

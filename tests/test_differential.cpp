@@ -277,7 +277,7 @@ TEST(Differential, RandomMatricesAllKernelsAllDispatchPaths) {
 }
 
 /// Per-bin physical layouts (spmv::fmt) against the exact reference: for
-/// each random matrix, every layout the estimator deems suitable for every
+/// each random matrix, every non-CSR layout the builder accepts for every
 /// occupied bin is materialized and executed on every format-capable
 /// backend — single-vector and batched — and must reproduce the exact
 /// product on the bin's covered rows while leaving the rest of y untouched
@@ -326,8 +326,7 @@ TEST(Differential, FormatLayoutsComposeExactly) {
       const std::string bname = exec::backend_name(backend->kind()) + "/";
       for (const int b : bins.occupied_bins()) {
         const auto vspan = std::span<const index_t>(bins.bin(b));
-        const auto feat = fmt::compute_bin_features(a, vspan, bins.unit());
-        for (const fmt::FormatKind kind : fmt::suitable_formats(feat)) {
+        for (const fmt::FormatKind kind : fmt::all_formats()) {
           if (kind == fmt::FormatKind::Csr) continue;
           fmt::BinLayout<double> layout;
           try {

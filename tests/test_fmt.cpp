@@ -615,50 +615,6 @@ TEST(Estimator, PicksTheExpectedFormatPerRegime) {
   EXPECT_EQ(fmt::estimate_bin_format(empty), fmt::FormatKind::Csr);
 }
 
-TEST(Estimator, SuitableFormatsAlwaysStartWithCsr) {
-  const auto a = gen::power_law<float>(400, 400, 2.0, 40, 61);
-  const auto bins = binning::bin_matrix(a, 32);
-  for (const int b : bins.occupied_bins()) {
-    const auto f = fmt::compute_bin_features(
-        a, std::span<const index_t>(bins.bin(b)), bins.unit());
-    const auto pool = fmt::suitable_formats(f);
-    ASSERT_FALSE(pool.empty());
-    EXPECT_EQ(pool.front(), fmt::FormatKind::Csr);
-    // No duplicates; every entry is a known kind.
-    for (std::size_t i = 0; i < pool.size(); ++i)
-      for (std::size_t j = i + 1; j < pool.size(); ++j)
-        EXPECT_NE(pool[i], pool[j]);
-  }
-}
-
-TEST(Estimator, SuitablePoolGatesCooOnScatterSignals) {
-  // Dense uniform bin (no empty rows, avg length well above the scatter
-  // bar): COO cannot beat CSR there, so it must not cost a shadow trial.
-  const auto dense = gen::fixed_degree<float>(200, 800, 8, 43);
-  const auto dbins = binning::bin_matrix(dense, dense.rows());
-  const auto df = fmt::compute_bin_features(
-      dense,
-      std::span<const index_t>(dbins.bin(dbins.occupied_bins().front())),
-      dbins.unit());
-  EXPECT_EQ(df.empty_rows, 0u);
-  EXPECT_GT(df.avg_len, 4.0);
-  const auto dpool = fmt::suitable_formats(df);
-  EXPECT_EQ(std::count(dpool.begin(), dpool.end(), fmt::FormatKind::Coo), 0);
-
-  // Mostly-empty scatter bin: COO stays in the pool.
-  auto rows = std::vector<std::vector<std::pair<index_t, float>>>(100);
-  rows[0] = {{0, 1.0f}, {90, 2.0f}, {17, 1.5f}};
-  rows[50] = {{7, 3.0f}};
-  const auto scatter = make_csr(100, rows);
-  const auto sbins = binning::bin_matrix(scatter, scatter.rows());
-  const auto sf = fmt::compute_bin_features(
-      scatter,
-      std::span<const index_t>(sbins.bin(sbins.occupied_bins().front())),
-      sbins.unit());
-  const auto spool = fmt::suitable_formats(sf);
-  EXPECT_EQ(std::count(spool.begin(), spool.end(), fmt::FormatKind::Coo), 1);
-}
-
 // --- PlanLayouts (lazy amortized cache) -----------------------------------
 
 TEST(PlanLayoutsCache, DefersUntilReuseAmortizesThenBuildsOnce) {

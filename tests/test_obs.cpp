@@ -1,5 +1,6 @@
 // spmv::obs: streaming-sink segment round trips, crash-safe rotation
-// bounds, injected-drop accounting (paused flusher), concurrent producers
+// bounds, injected-drop accounting (paused flusher), a failed rotation's
+// or full disk's lost records counted as dropped, concurrent producers
 // (the tsan target), trace-observer attach, and the end-to-end acceptance
 // path: every non-empty latency bucket's exemplar trace id resolves to a
 // span in the rotated segment files.
@@ -197,6 +198,74 @@ TEST(ObsSink, PushAfterCloseIsCountedAsDropped) {
   EXPECT_EQ(stats.pushed, 0u);
   EXPECT_EQ(stats.dropped, 2u);
   sink.close();  // idempotent
+}
+
+TEST(ObsSink, FailedRotationCountsTheLostSegmentAsDropped) {
+  // A non-empty directory squatting on the first segment name makes that
+  // rename fail (EISDIR). The records of the segment it was meant to hold
+  // are lost, and the counters must say so: every accepted record is
+  // either in a segment file on disk or counted as dropped.
+  ObsDir dir("rotate_fail");
+  std::filesystem::create_directories(dir.path() +
+                                      "/segment-000001.jsonl/occupied");
+  obs::SinkOptions sopts;
+  sopts.directory = dir.path();
+  sopts.segment_max_bytes = 512;  // rotate every handful of records
+  sopts.max_segments = 1000;      // retention must not delete anything
+  sopts.start_paused = true;      // flush_now() drives every write
+  obs::StreamingSink sink(sopts);
+
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(sink.push(make_span("fill", static_cast<std::uint64_t>(i))));
+    if (i % 10 == 9) sink.flush_now();
+  }
+  sink.close();
+
+  const auto stats = sink.stats();
+  EXPECT_EQ(stats.pushed, 100u);
+  EXPECT_GE(stats.rotations, 2u);
+  EXPECT_GT(stats.dropped, 0u);
+  EXPECT_EQ(stats.pushed, stats.flushed + stats.dropped);
+
+  std::uint64_t lines = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir.path())) {
+    if (e.is_regular_file())
+      lines += read_records({e.path().string()}).size();
+  }
+  EXPECT_EQ(lines, stats.flushed);
+  EXPECT_FALSE(std::filesystem::exists(sink.active_path()));
+}
+
+TEST(ObsSink, FullDiskCountsTheLostSegmentAsDropped) {
+  // The active segment is a symlink to /dev/full: every flush fails with
+  // ENOSPC. The sink must discard that segment (the link goes with it),
+  // count its records as dropped, and carry on in a fresh file.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ObsDir dir("enospc");
+  std::filesystem::create_directories(dir.path());
+  obs::SinkOptions sopts;
+  sopts.directory = dir.path();
+  sopts.start_paused = true;
+  obs::StreamingSink sink(sopts);
+  std::filesystem::create_symlink("/dev/full", sink.active_path());
+
+  for (int i = 0; i < 5; ++i)
+    ASSERT_TRUE(sink.push(make_span("lost", static_cast<std::uint64_t>(i))));
+  sink.flush_now();
+  EXPECT_EQ(sink.stats().dropped, 5u);
+  EXPECT_EQ(sink.stats().flushed, 0u);
+  EXPECT_FALSE(std::filesystem::is_symlink(sink.active_path()));
+
+  for (int i = 5; i < 8; ++i)
+    ASSERT_TRUE(sink.push(make_span("kept", static_cast<std::uint64_t>(i))));
+  sink.close();
+  const auto stats = sink.stats();
+  EXPECT_EQ(stats.pushed, 8u);
+  EXPECT_EQ(stats.flushed, 3u);
+  EXPECT_EQ(stats.dropped, 5u);
+  const auto records = read_records(sink.segment_files());
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records.front().at("trace_id").as_uint(), 5u);
 }
 
 TEST(ObsSink, ConcurrentProducersLoseNothingTheRingAccepted) {

@@ -162,6 +162,13 @@ TEST(ProfRunProfile, JsonRoundTrip) {
               .arena_high_water_bytes = 8192};
   p.add_candidate("U=100", 0.05, 18, 0.002);
   p.add_candidate("single-bin", 0.04, 9, 0.004);
+  p.adapt = {.trials = 40,
+             .promotions = 5,
+             .regret_s = 0.25,
+             .u_trials = 9,
+             .u_promotions = 1,
+             .l_trials = 6,
+             .l_promotions = 2};
 
   const auto restored =
       prof::RunProfile::from_json(prof::Json::parse(p.to_json_text()));
@@ -183,8 +190,31 @@ TEST(ProfRunProfile, JsonRoundTrip) {
   ASSERT_EQ(restored.tuning.size(), 2u);
   EXPECT_EQ(restored.tuning[1].label, "single-bin");
   EXPECT_DOUBLE_EQ(restored.tuning_total_s, 0.09);
+  EXPECT_EQ(restored.adapt.trials, 40u);
+  EXPECT_EQ(restored.adapt.u_promotions, 1u);
+  EXPECT_EQ(restored.adapt.l_trials, 6u);
   // Serializing again is a fixed point.
   EXPECT_EQ(restored.to_json_text(), p.to_json_text());
+
+  // Artifacts written while the bandit still had backend and format levels
+  // carry b_/f_ trial and promotion counters in the adapt block. They
+  // still load, and every other counter survives.
+  std::string old_text = p.to_json_text();
+  const auto at = old_text.find("\"l_trials\"");
+  ASSERT_NE(at, std::string::npos);
+  old_text.insert(at,
+                  "\"b_trials\": 3, \"b_promotions\": 1, \"f_trials\": 7, "
+                  "\"f_promotions\": 2, ");
+  const auto old_profile =
+      prof::RunProfile::from_json(prof::Json::parse(old_text));
+  EXPECT_EQ(old_profile.adapt.trials, 40u);
+  EXPECT_EQ(old_profile.adapt.promotions, 5u);
+  EXPECT_DOUBLE_EQ(old_profile.adapt.regret_s, 0.25);
+  EXPECT_EQ(old_profile.adapt.u_trials, 9u);
+  EXPECT_EQ(old_profile.adapt.u_promotions, 1u);
+  EXPECT_EQ(old_profile.adapt.l_trials, 6u);
+  EXPECT_EQ(old_profile.adapt.l_promotions, 2u);
+  EXPECT_EQ(old_profile.to_json_text(), p.to_json_text());
 }
 
 TEST(ProfHistogram, BucketIndexAndPercentiles) {
@@ -412,7 +442,7 @@ TEST(ProfHistogram, ExemplarsMergeAndSurviveJsonRoundTrip) {
   ea.plan_revision = 3;
   ea.backend = 1;
   ea.formats = true;
-  ea.promo_level = 4;
+  ea.promo_level = 2;
   a.add(1e-3, ea);
 
   prof::LatencyHistogram b;
@@ -437,7 +467,7 @@ TEST(ProfHistogram, ExemplarsMergeAndSurviveJsonRoundTrip) {
   EXPECT_EQ(ex.plan_revision, 3u);
   EXPECT_EQ(ex.backend, 1);
   EXPECT_TRUE(ex.formats);
-  EXPECT_EQ(ex.promo_level, 4);
+  EXPECT_EQ(ex.promo_level, 2);
   EXPECT_DOUBLE_EQ(ex.value_s, 1e-3);
   EXPECT_EQ(restored.exemplar(slow).trace_id, 9u);
 

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -257,6 +259,25 @@ TEST(Cli, BooleanSpellings) {
   EXPECT_TRUE(cli.get_bool("b", false));
   EXPECT_TRUE(cli.get_bool("c", false));
   EXPECT_FALSE(cli.get_bool("d", true));
+}
+
+TEST(Cli, RejectUnknownNamesTheFirstStrayFlag) {
+  const char* argv[] = {"prog", "--rows=10", "--check", "pos"};
+  const Cli cli(4, argv);
+  EXPECT_NO_THROW(cli.reject_unknown({"rows", "check"}));
+  EXPECT_NO_THROW(cli.reject_unknown({"check", "rows", "iter"}));
+  // Positional arguments are not flags; a flag nobody lists throws, even
+  // one in bare boolean form (the stale `--formats --check` case).
+  const char* stale[] = {"prog", "--formats", "--check"};
+  const Cli old(3, stale);
+  try {
+    old.reject_unknown({"rows", "check"});
+    FAIL() << "unknown flag accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--formats"), std::string::npos);
+  }
+  const char* none[] = {"prog"};
+  EXPECT_NO_THROW(Cli(1, none).reject_unknown({}));
 }
 
 }  // namespace
