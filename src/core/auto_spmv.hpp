@@ -32,6 +32,26 @@ namespace spmv::core {
 template <typename T>
 class Tuner;
 
+/// A predictor-driven plan with what planning computed on the way: the
+/// bins the plan executes over and the matrix's row statistics.
+struct PlannedMatrix {
+  Plan plan;
+  binning::BinSet bins;
+  RowStats stats;
+};
+
+/// The predictor-driven planning pass (paper Figure 3): row statistics,
+/// the stage-1 granularity (or `forced`), binning, the stage-2 kernel per
+/// occupied bin and — under FormatMode::Auto on a format-capable backend —
+/// the estimator's format per bin. The plan is stamped with the backend's
+/// kind. Stage timings accumulate into `timing` when it is non-null.
+template <typename T>
+[[nodiscard]] PlannedMatrix plan_matrix(
+    const CsrMatrix<T>& a, const Predictor& predictor,
+    const exec::Backend& backend, fmt::FormatMode format_mode,
+    std::optional<Predictor::UnitChoice> forced = std::nullopt,
+    prof::PlanTiming* timing = nullptr);
+
 template <typename T>
 class AutoSpmv {
  public:
@@ -122,6 +142,12 @@ class AutoSpmv {
   std::shared_ptr<fmt::PlanLayouts<T>> layouts_;
 };
 
+extern template PlannedMatrix plan_matrix(
+    const CsrMatrix<float>&, const Predictor&, const exec::Backend&,
+    fmt::FormatMode, std::optional<Predictor::UnitChoice>, prof::PlanTiming*);
+extern template PlannedMatrix plan_matrix(
+    const CsrMatrix<double>&, const Predictor&, const exec::Backend&,
+    fmt::FormatMode, std::optional<Predictor::UnitChoice>, prof::PlanTiming*);
 extern template class AutoSpmv<float>;
 extern template class AutoSpmv<double>;
 

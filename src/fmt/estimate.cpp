@@ -2,41 +2,55 @@
 
 #include <algorithm>
 
+#include "sparse/matrix_stats.hpp"
+
 namespace spmv::fmt {
 
 template <typename T>
 BinFeatures compute_bin_features(const CsrMatrix<T>& a,
                                  std::span<const index_t> vrows,
                                  index_t unit) {
-  BinFeatures f;
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const index_t m = a.rows();
-  for (const index_t v : vrows) {
-    const auto first = static_cast<std::int64_t>(v) * unit;
-    for (index_t k = 0; k < unit; ++k) {
-      const std::int64_t r = first + k;
-      if (r >= m) break;
-      f.rows += 1;
+  const auto nv = static_cast<std::int64_t>(vrows.size());
+  std::size_t rows = 0;
+  std::size_t empty_rows = 0;
+  offset_t nnz = 0;
+  offset_t max_len = 0;
+  index_t max_row_span = 0;
+#pragma omp parallel for schedule(static) \
+    reduction(+ : rows, empty_rows, nnz) \
+    reduction(max : max_len, max_row_span) if (plans_in_parallel(a))
+  for (std::int64_t i = 0; i < nv; ++i) {
+    const auto first =
+        static_cast<std::int64_t>(vrows[static_cast<std::size_t>(i)]) * unit;
+    const auto last = std::min<std::int64_t>(first + unit, m);
+    for (std::int64_t r = first; r < last; ++r) {
+      rows += 1;
       const offset_t beg = rp[static_cast<std::size_t>(r)];
       const offset_t end = rp[static_cast<std::size_t>(r) + 1];
-      const offset_t len = end - beg;
-      f.nnz += len;
-      f.max_len = std::max(f.max_len, len);
-      if (len == 0) {
-        f.empty_rows += 1;
+      nnz += end - beg;
+      max_len = std::max(max_len, end - beg);
+      if (beg == end) {
+        empty_rows += 1;
         continue;
       }
       index_t lo = ci[static_cast<std::size_t>(beg)];
       index_t hi = lo;
       for (offset_t j = beg + 1; j < end; ++j) {
-        const index_t c = ci[static_cast<std::size_t>(j)];
-        lo = std::min(lo, c);
-        hi = std::max(hi, c);
+        lo = std::min(lo, ci[static_cast<std::size_t>(j)]);
+        hi = std::max(hi, ci[static_cast<std::size_t>(j)]);
       }
-      f.max_row_span = std::max(f.max_row_span, hi - lo);
+      max_row_span = std::max(max_row_span, hi - lo);
     }
   }
+  BinFeatures f;
+  f.rows = rows;
+  f.nnz = nnz;
+  f.empty_rows = empty_rows;
+  f.max_len = max_len;
+  f.max_row_span = max_row_span;
   if (f.rows > 0 && f.nnz > 0) {
     f.avg_len = static_cast<double>(f.nnz) / static_cast<double>(f.rows);
     f.padding_ratio = static_cast<double>(f.rows) *

@@ -29,6 +29,9 @@ struct BinFeatures {
   index_t max_row_span = 0;    ///< max over rows of (max col - min col)
 };
 
+/// One pass over the bin's rows. Every field reduces from integers, so the
+/// result is exact, and on a matrix that plans_in_parallel() the pass is an
+/// OpenMP reduction over the bin's virtual rows.
 template <typename T>
 [[nodiscard]] BinFeatures compute_bin_features(const CsrMatrix<T>& a,
                                                std::span<const index_t> vrows,

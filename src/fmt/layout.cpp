@@ -13,33 +13,36 @@ namespace {
 
 /// Actual row ids a bin covers: each virtual row v expands to rows
 /// [v*unit, min((v+1)*unit, m)), in slot order. Includes empty rows — the
-/// layout kernels own the zeroing of every covered y entry.
-std::vector<index_t> covered_rows(std::span<const index_t> vrows,
-                                  index_t unit, index_t m) {
-  std::vector<index_t> rows;
+/// layout kernels own the zeroing of every covered y entry. `nnz` gets the
+/// covered rows' entry count, one row_ptr difference per virtual row.
+template <typename T>
+util::Buffer<index_t> covered_rows(const CsrMatrix<T>& a,
+                                   std::span<const index_t> vrows,
+                                   index_t unit, offset_t& nnz) {
+  const auto rp = a.row_ptr();
+  const index_t m = a.rows();
+  util::Buffer<index_t> rows;
   rows.reserve(vrows.size() * static_cast<std::size_t>(unit));
+  nnz = 0;
   for (const index_t v : vrows) {
     const auto first = static_cast<std::int64_t>(v) * unit;
-    for (index_t k = 0; k < unit; ++k) {
-      const std::int64_t r = first + k;
-      if (r >= m) break;
+    const auto last = std::min<std::int64_t>(first + unit, m);
+    for (std::int64_t r = first; r < last; ++r)
       rows.push_back(static_cast<index_t>(r));
-    }
+    if (first < last)
+      nnz += rp[static_cast<std::size_t>(last)] -
+             rp[static_cast<std::size_t>(first)];
   }
   return rows;
 }
 
 template <typename T>
-void build_ell(const CsrMatrix<T>& a, std::vector<index_t> rows,
-               BinLayout<T>& out, const BuildLimits& limits) {
+void build_ell(const CsrMatrix<T>& a, util::Buffer<index_t> rows,
+               offset_t nnz, BinLayout<T>& out, const BuildLimits& limits) {
   auto& e = out.ell;
-  offset_t nnz = 0;
   index_t width = 0;
-  for (const index_t r : rows) {
-    const offset_t len = a.row_nnz(r);
-    nnz += len;
-    width = std::max(width, static_cast<index_t>(len));
-  }
+  for (const index_t r : rows)
+    width = std::max(width, static_cast<index_t>(a.row_nnz(r)));
   if (width > limits.ell_max_width)
     throw std::length_error("fmt: ELL bin width " + std::to_string(width) +
                             " exceeds limit");
@@ -51,8 +54,8 @@ void build_ell(const CsrMatrix<T>& a, std::vector<index_t> rows,
                             std::to_string(limits.ell_max_expansion) + "x");
   e.width = width;
   const std::size_t n = rows.size() * static_cast<std::size_t>(width);
-  std::vector<index_t> col(n, index_t{-1});
-  e.val.assign(n, T(0));
+  util::Buffer<index_t> col(n, index_t{-1});
+  e.val.assign(n, T(0));  // the padding
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto va = a.vals();
@@ -73,13 +76,11 @@ void build_ell(const CsrMatrix<T>& a, std::vector<index_t> rows,
 }
 
 template <typename T>
-void build_coo(const CsrMatrix<T>& a, std::vector<index_t> rows,
-               BinLayout<T>& out) {
+void build_coo(const CsrMatrix<T>& a, util::Buffer<index_t> rows,
+               offset_t nnz, BinLayout<T>& out) {
   auto& c = out.coo;
-  offset_t nnz = 0;
-  for (const index_t r : rows) nnz += a.row_nnz(r);
-  std::vector<index_t> entry_row;
-  std::vector<index_t> entry_col;
+  util::Buffer<index_t> entry_row;
+  util::Buffer<index_t> entry_col;
   entry_row.reserve(static_cast<std::size_t>(nnz));
   entry_col.reserve(static_cast<std::size_t>(nnz));
   c.entry_val.reserve(static_cast<std::size_t>(nnz));
@@ -246,21 +247,23 @@ void sort_window(std::span<const index_t> in, index_t* out,
 }
 
 template <typename T>
-void build_dcsr(const CsrMatrix<T>& a, std::vector<index_t> rows,
-                BinLayout<T>& out) {
+void build_dcsr(const CsrMatrix<T>& a, util::Buffer<index_t> rows,
+                offset_t nnz, BinLayout<T>& out) {
   auto& d = out.dcsr;
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto va = a.vals();
   const auto nrows = static_cast<std::int64_t>(rows.size());
-  offset_t nnz = 0;
-  for (const index_t r : rows) nnz += a.row_nnz(r);
   const bool parallel = nnz >= kParallelDcsrNnz;
 
   // σ sort, then the slice fill: each slice runs kDcsrSlice lanes for as
-  // many steps as its first row, the longest after the sort.
-  std::vector<index_t> sorted(rows.size());
+  // many steps as its first row, the longest after the sort. A window's
+  // entry count is the same in either row order, so its start in
+  // offsets/vals (win_ptr) is known before the order is.
+  util::Buffer<index_t> sorted(rows.size());
   const std::int64_t nwin = (nrows + kDcsrSortWindow - 1) / kDcsrSortWindow;
+  util::Buffer<offset_t> win_ptr(static_cast<std::size_t>(nwin) + 1);
+  win_ptr[0] = 0;
   offset_t lane_steps = 0;
 #pragma omp parallel for schedule(static) reduction(+ : lane_steps) \
     if (parallel)
@@ -269,21 +272,37 @@ void build_dcsr(const CsrMatrix<T>& a, std::vector<index_t> rows,
     const auto hi = std::min(rows.size(), lo + kDcsrSortWindow);
     sort_window(std::span<const index_t>(rows).subspan(lo, hi - lo),
                 sorted.data() + lo, rp);
+    offset_t entries = 0;
+    for (std::size_t p = lo; p < hi; ++p) entries += a.row_nnz(sorted[p]);
+    win_ptr[static_cast<std::size_t>(w) + 1] = entries;
     for (std::size_t p = lo; p < hi; p += kDcsrSlice)
       lane_steps += kDcsrSlice * a.row_nnz(sorted[p]);
   }
+  for (std::size_t w = 0; w < static_cast<std::size_t>(nwin); ++w)
+    win_ptr[w + 1] += win_ptr[w];
   if (nnz > 0 && static_cast<double>(nnz) >=
                      kDcsrMinSliceFill * static_cast<double>(lane_steps)) {
     d.slice = kDcsrSlice;
     rows.swap(sorted);
   }
 
-  std::vector<offset_t> row_ptr(rows.size() + 1, 0);
-  for (std::size_t p = 0; p < rows.size(); ++p)
-    row_ptr[p + 1] = row_ptr[p] + a.row_nnz(rows[p]);
-  std::vector<index_t> base_col(rows.size(), 0);
-  std::vector<std::uint16_t> offsets(static_cast<std::size_t>(nnz));
-  d.vals.assign(static_cast<std::size_t>(nnz), T{});
+  util::Buffer<offset_t> row_ptr(rows.size() + 1);
+  row_ptr[0] = 0;
+#pragma omp parallel for schedule(static) if (parallel)
+  for (std::int64_t w = 0; w < nwin; ++w) {
+    const auto lo = static_cast<std::size_t>(w * kDcsrSortWindow);
+    const auto hi = std::min(rows.size(), lo + kDcsrSortWindow);
+    offset_t at = win_ptr[static_cast<std::size_t>(w)];
+    for (std::size_t p = lo; p < hi; ++p) {
+      at += a.row_nnz(rows[p]);
+      row_ptr[p + 1] = at;
+    }
+  }
+  // Written only by the slice walk below: these arrays are never
+  // value-initialised, so the (parallel) walk is their first touch.
+  util::Buffer<index_t> base_col(rows.size());
+  util::Buffer<std::uint16_t> offsets(static_cast<std::size_t>(nnz));
+  d.vals.resize(static_cast<std::size_t>(nnz));
   index_t* const base = base_col.data();
   std::uint16_t* const off = offsets.data();
   T* const val = d.vals.data();
@@ -293,7 +312,10 @@ void build_dcsr(const CsrMatrix<T>& a, std::vector<index_t> rows,
       {{ci.data(), sizeof(index_t)}, {va.data(), sizeof(T)}},
       [&](std::size_t p0, const SliceRows& s) {
         for (std::size_t i = 0; i < s.h; ++i) {
-          if (s.len[i] == 0) continue;
+          if (s.len[i] == 0) {
+            base[p0 + i] = 0;
+            continue;
+          }
           const index_t* c = ci.data() + s.src[i];
           const auto [lo, hi] = std::minmax_element(c, c + s.len[i]);
           base[p0 + i] = *lo;
@@ -344,16 +366,17 @@ BinLayout<T> build_bin_layout(const CsrMatrix<T>& a,
   out.kind = kind;
   out.bin_id = bin_id;
   out.source_structure = a.structure_id();
-  auto rows = covered_rows(vrows, unit, a.rows());
+  offset_t nnz = 0;
+  auto rows = covered_rows(a, vrows, unit, nnz);
   switch (kind) {
     case FormatKind::Ell:
-      build_ell(a, std::move(rows), out, limits);
+      build_ell(a, std::move(rows), nnz, out, limits);
       break;
     case FormatKind::Coo:
-      build_coo(a, std::move(rows), out);
+      build_coo(a, std::move(rows), nnz, out);
       break;
     case FormatKind::Dcsr:
-      build_dcsr(a, std::move(rows), out);
+      build_dcsr(a, std::move(rows), nnz, out);
       break;
     case FormatKind::Csr:
       break;  // unreachable
@@ -365,7 +388,7 @@ BinLayout<T> build_bin_layout(const CsrMatrix<T>& a,
 template <typename T>
 BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
                                    const BinLayout<T>& old,
-                                   std::vector<T> values) {
+                                   util::Buffer<T> values) {
   if (old.kind == FormatKind::Csr)
     throw std::invalid_argument(
         "fmt: CSR bins execute from the shared arrays; nothing to refresh");
@@ -386,9 +409,10 @@ BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
         static_cast<std::size_t>(a.row_nnz(r)));
   };
   // Every entry of the value array is written below (ELL padding too), so
-  // whatever `values` held before does not matter — only its size.
+  // whatever `values` held before does not matter — only its size. A fresh
+  // array is left unwritten until then.
   const std::size_t n = layout_values(old).size();
-  if (values.size() != n) values = std::vector<T>(n);
+  if (values.size() != n) values = util::Buffer<T>(n);
   switch (old.kind) {
     case FormatKind::Ell: {
       auto& e = out.ell;
@@ -461,7 +485,7 @@ BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
       const CsrMatrix<T>&, std::span<const index_t>, index_t, FormatKind, \
       int, const BuildLimits&);                                           \
   template BinLayout<T> refresh_layout_values(                            \
-      const CsrMatrix<T>&, const BinLayout<T>&, std::vector<T>);
+      const CsrMatrix<T>&, const BinLayout<T>&, util::Buffer<T>);
 SPMV_FMT_LAYOUT_INSTANTIATE(float)
 SPMV_FMT_LAYOUT_INSTANTIATE(double)
 #undef SPMV_FMT_LAYOUT_INSTANTIATE

@@ -9,6 +9,12 @@
 // e.g. ELL padding blow-up or a row span overflowing 16 bits), and
 // record their own wall-clock cost so the lazy materialization layer can
 // amortize it against observed reuse.
+//
+// Layout arrays are written once. The value arrays, Dcsr's offsets and its
+// other per-row arrays are util::Buffers, which allocate without
+// value-initialising: the builder's (parallel, for large Dcsr bins) walk
+// over the bin is each entry's first write, and so the first touch of each
+// page. ELL padding is the one explicit fill.
 #pragma once
 
 #include <cstddef>
@@ -19,33 +25,38 @@
 
 #include "fmt/format.hpp"
 #include "sparse/csr.hpp"
+#include "util/buffer.hpp"
 
 namespace spmv::fmt {
 
 /// Immutable, reference-counted array: copies share one buffer. A layout's
 /// structure arrays are SharedArrays, so a value refresh hands the new
 /// layout the old one's structure without copying a byte of it. Reads like
-/// a const std::vector (size, data, [] and a span view).
+/// a const std::vector (size, data, [] and a span view), and takes over any
+/// std::vector, util::Buffer included.
 template <typename X>
 class SharedArray {
  public:
   SharedArray() = default;
-  SharedArray(std::vector<X> v)  // NOLINT: implicit, like assigning a vector
-      : owner_(std::make_shared<const std::vector<X>>(std::move(v))),
-        data_(owner_->data()),
-        size_(owner_->size()) {}
+  template <typename Alloc>
+  SharedArray(std::vector<X, Alloc> v) {  // NOLINT: implicit, like a vector
+    auto owner = std::make_shared<const std::vector<X, Alloc>>(std::move(v));
+    data_ = owner->data();
+    size_ = owner->size();
+    owner_ = std::move(owner);
+  }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] const X* data() const { return data_; }
   const X& operator[](std::size_t i) const { return data_[i]; }
   operator std::span<const X>() const { return {data_, size_}; }
   /// The shared buffer (null when default-constructed).
-  [[nodiscard]] const std::shared_ptr<const std::vector<X>>& owner() const {
+  [[nodiscard]] const std::shared_ptr<const void>& owner() const {
     return owner_;
   }
 
  private:
-  std::shared_ptr<const std::vector<X>> owner_;
+  std::shared_ptr<const void> owner_;
   const X* data_ = nullptr;
   std::size_t size_ = 0;
 };
@@ -59,7 +70,7 @@ struct EllBin {
   index_t width = 0;               ///< max row length in the bin
   SharedArray<index_t> rows;       ///< covered actual row ids (incl. empty)
   SharedArray<index_t> col;        ///< column-major, rows.size()*width
-  std::vector<T> val;              ///< same shape, padded with 0
+  util::Buffer<T> val;             ///< same shape, padded with 0
 };
 
 /// Coordinate-triple bin for scatter / mostly-empty bins: only the actual
@@ -72,7 +83,7 @@ struct CooBin {
   SharedArray<index_t> rows;        ///< covered actual row ids (for zeroing)
   SharedArray<index_t> entry_row;   ///< per-entry row id, non-decreasing
   SharedArray<index_t> entry_col;
-  std::vector<T> entry_val;
+  util::Buffer<T> entry_val;
   SharedArray<std::size_t> chunk_ptr;  ///< chunk offsets into the triples
 };
 
@@ -100,7 +111,7 @@ struct DeltaBin {
   SharedArray<offset_t> row_ptr;       ///< packed, rows.size()+1 entries
   SharedArray<index_t> base_col;       ///< smallest column per row (0 if empty)
   SharedArray<std::uint16_t> offsets;  ///< per-entry column - base_col
-  std::vector<T> vals;                 ///< the covered rows' CSR values
+  util::Buffer<T> vals;                ///< the covered rows' CSR values
 };
 
 /// One bin's materialized layout: exactly one of the three payloads is
@@ -124,7 +135,7 @@ struct BinLayout {
 
 /// The value array of `l`'s populated payload.
 template <typename T>
-[[nodiscard]] const std::vector<T>& layout_values(const BinLayout<T>& l) {
+[[nodiscard]] const util::Buffer<T>& layout_values(const BinLayout<T>& l) {
   switch (l.kind) {
     case FormatKind::Ell: return l.ell.val;
     case FormatKind::Coo: return l.coo.entry_val;
@@ -132,8 +143,8 @@ template <typename T>
   }
 }
 template <typename T>
-[[nodiscard]] std::vector<T>& layout_values(BinLayout<T>& l) {
-  return const_cast<std::vector<T>&>(
+[[nodiscard]] util::Buffer<T>& layout_values(BinLayout<T>& l) {
+  return const_cast<util::Buffer<T>&>(
       layout_values(static_cast<const BinLayout<T>&>(l)));
 }
 
@@ -174,7 +185,8 @@ template <typename T>
 /// mutated, because in-flight launches may still hold shared_ptrs to it.
 /// `values` is the array to write into: a spare from an earlier refresh of
 /// the same layout structure saves the page faults of a fresh allocation;
-/// any other size is replaced by a fresh array. Used after
+/// any other size is replaced by a fresh, unwritten array. Every entry is
+/// written either way, so what `values` held does not matter. Used after
 /// CsrMatrix::update_values / with_values so a matrix on an unchanged
 /// structure keeps its materialized layouts instead of paying a rebuild.
 /// Validation is O(1): `a` must be on the structure block the layout was
@@ -183,7 +195,7 @@ template <typename T>
 template <typename T>
 [[nodiscard]] BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
                                                  const BinLayout<T>& old,
-                                                 std::vector<T> values = {});
+                                                 util::Buffer<T> values = {});
 
 #define SPMV_FMT_LAYOUT_EXTERN(T)                                         \
   extern template struct BinLayout<T>;                                    \
@@ -191,7 +203,7 @@ template <typename T>
       const CsrMatrix<T>&, std::span<const index_t>, index_t, FormatKind, \
       int, const BuildLimits&);                                           \
   extern template BinLayout<T> refresh_layout_values(                     \
-      const CsrMatrix<T>&, const BinLayout<T>&, std::vector<T>);
+      const CsrMatrix<T>&, const BinLayout<T>&, util::Buffer<T>);
 SPMV_FMT_LAYOUT_EXTERN(float)
 SPMV_FMT_LAYOUT_EXTERN(double)
 #undef SPMV_FMT_LAYOUT_EXTERN

@@ -59,7 +59,8 @@ template <typename T>
 class PlanLayouts {
  public:
   explicit PlanLayouts(AmortizationPolicy policy = {})
-      : policy_(policy), pool_(std::make_shared<ValuePool<T>>()) {}
+      : policy_(policy),
+        pool_(std::make_shared<ValuePool<util::Buffer<T>>>()) {}
 
   /// Record one execution of `a` (call once per whole-plan run). Returns
   /// the instance's updated reuse count.
@@ -124,7 +125,7 @@ class PlanLayouts {
   std::vector<Slot> slots_;
   std::uint64_t tick_ = 0;
   LayoutStats stats_;
-  std::shared_ptr<ValuePool<T>> pool_;
+  std::shared_ptr<ValuePool<util::Buffer<T>>> pool_;
 };
 
 extern template class PlanLayouts<float>;

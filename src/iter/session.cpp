@@ -5,9 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/auto_spmv.hpp"
 #include "core/exhaustive.hpp"
-#include "fmt/estimate.hpp"
-#include "sparse/matrix_stats.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -81,33 +80,20 @@ IterativeSession<T>::build_state(std::shared_ptr<const CsrMatrix<T>> a) {
     st->plan = std::move(stored->plan);
     st->plan.normalize();
     st->plan.backend = backend_->kind();
+    st->bins = std::make_shared<const binning::BinSet>(
+        core::bins_for_plan(*a, st->plan));
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.warm_starts += 1;
   } else {
-    const RowStats rstats = compute_row_stats(*a);
-    const core::Predictor::UnitChoice choice = predictor_.predict_unit(rstats);
-    st->plan.unit = choice.unit;
-    st->plan.single_bin = choice.single_bin;
-    st->plan.backend = backend_->kind();
-    const binning::BinSet bins = core::bins_for_plan(*a, st->plan);
-    for (int b : bins.occupied_bins())
-      st->plan.bin_kernels.push_back(
-          {b, predictor_.predict_kernel(rstats, st->plan.unit, b)});
-    if (opts_.format == fmt::FormatMode::Auto &&
-        backend_->supports_formats()) {
-      for (core::BinPlan& bp : st->plan.bin_kernels) {
-        const auto f =
-            fmt::compute_bin_features(*a, bins.bin(bp.bin_id), st->plan.unit);
-        bp.format = fmt::estimate_bin_format(f);
-      }
-    }
+    core::PlannedMatrix p =
+        core::plan_matrix(*a, predictor_, *backend_, opts_.format);
+    st->plan = std::move(p.plan);
+    st->bins = std::make_shared<const binning::BinSet>(std::move(p.bins));
     if (opts_.plan_store != nullptr)
       opts_.plan_store->put(st->key, adapt::StoredPlan{st->plan});
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.planning_passes += 1;
   }
-  st->bins = std::make_shared<const binning::BinSet>(
-      core::bins_for_plan(*a, st->plan));
   if (st->plan.uses_formats() && backend_->supports_formats())
     st->layouts = std::make_shared<fmt::PlanLayouts<T>>(opts_.format_policy);
   st->a = std::move(a);

@@ -216,8 +216,8 @@ class IterativeSession {
   mutable std::mutex mu_;          ///< guards state_ swaps
   std::shared_ptr<const State> state_;
   /// One-deep spare of retired CSR value arrays (see own()).
-  std::shared_ptr<ValuePool<T>> values_pool_ =
-      std::make_shared<ValuePool<T>>();
+  std::shared_ptr<ValuePool<std::vector<T>>> values_pool_ =
+      std::make_shared<ValuePool<std::vector<T>>>();
 
   mutable std::mutex stats_mu_;
   SessionStats stats_;

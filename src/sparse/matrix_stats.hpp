@@ -21,7 +21,20 @@ struct RowStats {
   offset_t max_nnz = 0;  ///< Max_NNZ in Table I
 };
 
-/// Compute RowStats in one pass over row_ptr.
+/// Matrices with at least this many row_ptr plus col_idx entries plan in
+/// parallel: compute_row_stats and fmt::compute_bin_features become OpenMP
+/// reductions. Smaller ones stay on the calling thread, because serve and
+/// shard workers plan small matrices beside each other.
+inline constexpr std::int64_t kParallelPlanSize = std::int64_t{1} << 22;
+
+template <typename T>
+[[nodiscard]] bool plans_in_parallel(const CsrMatrix<T>& a) {
+  return static_cast<std::int64_t>(a.rows()) + a.nnz() >= kParallelPlanSize;
+}
+
+/// Compute RowStats in one pass over row_ptr: exact integer sums of the row
+/// lengths and their squares, min and max, then the mean and population
+/// variance from those.
 template <typename T>
 RowStats compute_row_stats(const CsrMatrix<T>& a);
 

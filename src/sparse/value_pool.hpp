@@ -14,6 +14,11 @@
 // Spares are keyed by a weak reference to the immutable structure block the
 // values belong to: a spare is handed out only for that same structure,
 // and it is dropped once the structure dies (prune()).
+//
+// The pool is generic over the array type V: std::vector<T> for CSR values,
+// util::Buffer<T> for layout values. take() hands out a fresh V(n) when it
+// has no spare, so a fresh Buffer is not zero-filled: the caller's write is
+// its first touch, and a caller must write every entry it reads.
 #pragma once
 
 #include <cstddef>
@@ -25,32 +30,31 @@
 
 namespace spmv {
 
-template <typename T>
+template <typename V>
 class ValuePool {
  public:
   /// The spare held for `structure` when it has exactly `n` entries
-  /// (counted in recycled()), else a fresh zero-filled n-entry array.
-  std::vector<T> take(const std::shared_ptr<const void>& structure,
-                      std::size_t n) {
+  /// (counted in recycled()), else a fresh V(n), whose entries are
+  /// unwritten when V is a util::Buffer.
+  V take(const std::shared_ptr<const void>& structure, std::size_t n) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto it = spares_.begin(); it != spares_.end(); ++it) {
         if (same_owner(it->structure, structure) &&
             it->values.size() == n) {
-          std::vector<T> v = std::move(it->values);
+          V v = std::move(it->values);
           spares_.erase(it);
           recycled_ += 1;
           return v;
         }
       }
     }
-    return std::vector<T>(n);
+    return V(n);
   }
 
   /// Hold `values` as the spare for `structure`. One deep: a structure
   /// that already has a spare keeps the one it has.
-  void put(const std::shared_ptr<const void>& structure,
-           std::vector<T> values) {
+  void put(const std::shared_ptr<const void>& structure, V values) {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Spare& s : spares_)
       if (same_owner(s.structure, structure)) return;
@@ -82,7 +86,7 @@ class ValuePool {
  private:
   struct Spare {
     std::weak_ptr<const void> structure;
-    std::vector<T> values;
+    V values;
   };
 
   static bool same_owner(const std::weak_ptr<const void>& a,
@@ -98,11 +102,11 @@ class ValuePool {
 /// `obj` as a shared_ptr whose deleter returns the value array that
 /// `values_of(obj)` names to `pool` (when the pool still exists), keyed by
 /// `structure`, then frees the object and the spares of dead structures.
-template <typename Obj, typename T, typename ValuesOf>
+template <typename Obj, typename V, typename ValuesOf>
 std::shared_ptr<const Obj> recycling_ptr(
-    std::unique_ptr<Obj> obj, const std::shared_ptr<ValuePool<T>>& pool,
+    std::unique_ptr<Obj> obj, const std::shared_ptr<ValuePool<V>>& pool,
     std::shared_ptr<const void> structure, ValuesOf values_of) {
-  std::weak_ptr<ValuePool<T>> weak = pool;
+  std::weak_ptr<ValuePool<V>> weak = pool;
   std::weak_ptr<const void> key = structure;
   return std::shared_ptr<const Obj>(
       obj.release(), [weak, key, values_of](Obj* p) {

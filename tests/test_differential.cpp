@@ -26,11 +26,15 @@
 #include <vector>
 
 #include "binning/binning.hpp"
+#include "core/auto_spmv.hpp"
 #include "core/predictor.hpp"
 #include "core/tuner.hpp"
 #include "exec/backend.hpp"
 #include "fmt/estimate.hpp"
 #include "fmt/layout.hpp"
+#include "gen/corpus.hpp"
+#include "gen/generators.hpp"
+#include "gen/representative.hpp"
 #include "iter/session.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/registry.hpp"
@@ -38,7 +42,9 @@
 #include "prof/profile.hpp"
 #include "shard/sharded_service.hpp"
 #include "sparse/convert.hpp"
+#include "sparse/matrix_stats.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -250,6 +256,138 @@ void differential_one(const exec::Backend& backend,
         ctx(base, index, seed,
             bname + "batch[" + std::to_string(b) + "/" +
                 std::to_string(batch) + "] " + kernels::kernel_name(bid)));
+}
+
+/// Row statistics as planning computed them before they became an integer
+/// reduction: a serial Welford pass, one division per row.
+RowStats welford_row_stats(const CsrMatrix<float>& a) {
+  RowStats s;
+  s.rows = a.rows();
+  s.cols = a.cols();
+  s.nnz = a.nnz();
+  util::RunningStats rs;
+  for (index_t i = 0; i < a.rows(); ++i)
+    rs.add(static_cast<double>(a.row_nnz(i)));
+  s.avg_nnz = rs.mean();
+  s.var_nnz = rs.variance();
+  s.min_nnz = static_cast<offset_t>(rs.min());
+  s.max_nnz = static_cast<offset_t>(rs.max());
+  return s;
+}
+
+/// A bin's format features as planning computed them before they became a
+/// reduction: one serial scan of the bin's rows.
+fmt::BinFeatures serial_bin_features(const CsrMatrix<float>& a,
+                                     std::span<const index_t> vrows,
+                                     index_t unit) {
+  fmt::BinFeatures f;
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  for (const index_t v : vrows) {
+    for (index_t k = 0; k < unit; ++k) {
+      const std::int64_t r = static_cast<std::int64_t>(v) * unit + k;
+      if (r >= a.rows()) break;
+      f.rows += 1;
+      const auto row = static_cast<std::size_t>(r);
+      const auto beg = static_cast<std::size_t>(rp[row]);
+      const auto end = static_cast<std::size_t>(rp[row + 1]);
+      const auto len = static_cast<offset_t>(end - beg);
+      f.nnz += len;
+      f.max_len = std::max(f.max_len, len);
+      if (len == 0) {
+        f.empty_rows += 1;
+        continue;
+      }
+      index_t lo = ci[beg];
+      index_t hi = lo;
+      for (std::size_t j = beg + 1; j < end; ++j) {
+        lo = std::min(lo, ci[j]);
+        hi = std::max(hi, ci[j]);
+      }
+      f.max_row_span = std::max(f.max_row_span, hi - lo);
+    }
+  }
+  if (f.rows > 0 && f.nnz > 0) {
+    f.avg_len = static_cast<double>(f.nnz) / static_cast<double>(f.rows);
+    f.padding_ratio = static_cast<double>(f.rows) *
+                      static_cast<double>(f.max_len) /
+                      static_cast<double>(f.nnz);
+  }
+  return f;
+}
+
+/// plan_matrix on `a` gives the plan the serial reference statistics and
+/// feature scan give: the same unit, single_bin, and per-bin kernel and
+/// format. Integer statistics match exactly; the mean and variance, now
+/// rounded from exact integer sums instead of accumulated, match to 1e-12.
+void expect_same_plan(const CsrMatrix<float>& a, const std::string& where) {
+  const core::HeuristicPredictor pred;
+  const auto backend = exec::shared_backend(exec::BackendKind::Native);
+  const core::PlannedMatrix got =
+      core::plan_matrix(a, pred, *backend, fmt::FormatMode::Auto);
+
+  const RowStats ref = welford_row_stats(a);
+  EXPECT_EQ(got.stats.rows, ref.rows) << where;
+  EXPECT_EQ(got.stats.cols, ref.cols) << where;
+  EXPECT_EQ(got.stats.nnz, ref.nnz) << where;
+  EXPECT_EQ(got.stats.min_nnz, ref.min_nnz) << where;
+  EXPECT_EQ(got.stats.max_nnz, ref.max_nnz) << where;
+  EXPECT_NEAR(got.stats.avg_nnz, ref.avg_nnz, 1e-12 * ref.avg_nnz) << where;
+  EXPECT_NEAR(got.stats.var_nnz, ref.var_nnz, 1e-12 * ref.var_nnz) << where;
+
+  const auto choice = pred.predict_unit(ref);
+  ASSERT_EQ(got.plan.unit, choice.unit) << where;
+  ASSERT_EQ(got.plan.single_bin, choice.single_bin) << where;
+  const auto bins = core::bins_for_plan(a, got.plan);
+  ASSERT_EQ(got.plan.bin_kernels.size(), bins.occupied_bins().size())
+      << where;
+  for (const core::BinPlan& bp : got.plan.bin_kernels) {
+    const auto vrows = std::span<const index_t>(bins.bin(bp.bin_id));
+    EXPECT_EQ(bp.kernel, pred.predict_kernel(ref, choice.unit, bp.bin_id))
+        << where << ", bin " << bp.bin_id;
+    const fmt::BinFeatures want =
+        serial_bin_features(a, vrows, got.plan.unit);
+    const fmt::BinFeatures have =
+        fmt::compute_bin_features(a, vrows, got.plan.unit);
+    EXPECT_EQ(have.rows, want.rows) << where << ", bin " << bp.bin_id;
+    EXPECT_EQ(have.nnz, want.nnz) << where << ", bin " << bp.bin_id;
+    EXPECT_EQ(have.empty_rows, want.empty_rows) << where;
+    EXPECT_EQ(have.max_len, want.max_len) << where;
+    EXPECT_EQ(have.max_row_span, want.max_row_span) << where;
+    EXPECT_EQ(have.avg_len, want.avg_len) << where;
+    EXPECT_EQ(have.padding_ratio, want.padding_ratio) << where;
+    EXPECT_EQ(bp.format, fmt::estimate_bin_format(want))
+        << where << ", bin " << bp.bin_id;
+  }
+}
+
+/// Planning features are integer reductions (parallel on large matrices)
+/// and must not change a plan: the 16 representative analogues (capped at
+/// 20k rows; crankseg_2 then still plans in parallel), 60 corpus matrices
+/// drawn from SPMV_TEST_SEED, and one banded matrix above the parallel
+/// bound.
+TEST(Differential, PlansMatchSerialReferenceFeatures) {
+  for (auto info : gen::representative_catalogue()) {
+    info.scale *= std::min(1.0, 20000.0 / (static_cast<double>(
+                                               info.paper_rows) *
+                                           info.scale));
+    expect_same_plan(gen::make_representative<float>(info, 3),
+                     "representative " + info.name);
+  }
+  const std::uint64_t base = base_seed();
+  gen::CorpusOptions opts;
+  opts.count = 60;
+  opts.seed = base;
+  const auto specs = gen::sample_corpus(opts);
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    expect_same_plan(gen::make_corpus_matrix<float>(specs[i]),
+                     "corpus matrix " + std::to_string(i) + " (" +
+                         gen::family_name(specs[i].family) +
+                         "; replay with SPMV_TEST_SEED=" +
+                         std::to_string(base) + ")");
+  const auto big = gen::banded<float>(250000, 10, 0.9, base);
+  ASSERT_TRUE(plans_in_parallel(big));
+  expect_same_plan(big, "banded above the parallel bound");
 }
 
 TEST(Differential, RandomMatricesAllKernelsAllDispatchPaths) {

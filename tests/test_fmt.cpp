@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <type_traits>
@@ -217,7 +218,7 @@ TEST(Layouts, RefreshSharesStructureAndChecksItsIdentity) {
       }
       const auto rebuilt =
           fmt::build_bin_layout(b, vrows, bins.unit(), kind, bin);
-      const std::vector<float> stale(fmt::layout_values(old).size(), 99.0f);
+      const util::Buffer<float> stale(fmt::layout_values(old).size(), 99.0f);
       const auto fresh = fmt::refresh_layout_values(b, old, stale);
       EXPECT_EQ(fmt::layout_values(fresh), fmt::layout_values(rebuilt))
           << fmt::format_cname(kind) << " bin " << bin;
@@ -268,7 +269,8 @@ TEST(Layouts, DcsrRefreshOfUnsortedRowsKeepsCsrOrder) {
   const std::vector<float> values{10.f, 20.f, 30.f, 40.f, 50.f, 60.f, 70.f};
   const auto b = a.with_values(values);
   const auto fresh = fmt::refresh_layout_values(b, old);
-  EXPECT_EQ(fresh.dcsr.vals, values);
+  EXPECT_EQ(std::vector<float>(fresh.dcsr.vals.begin(), fresh.dcsr.vals.end()),
+            values);
   EXPECT_EQ(fresh.dcsr.offsets.data(), old.dcsr.offsets.data());
   // Small integers: every sum is exact, so the kernel must hit it exactly.
   const std::vector<float> x{1.f, 2.f, 3.f, 4.f, 5.f, 6.f, 7.f, 8.f};
@@ -339,9 +341,8 @@ void expect_same_dcsr(const fmt::BinLayout<float>& a,
 
 /// The builder slices a bin when its slice fill reaches kDcsrMinSliceFill,
 /// deterministically, sorting rows only inside their window, and still
-/// checks every row's span. (Bins of 2^20+ entries build in parallel;
-/// solve_stream's exactness checks cover that path, which is too slow
-/// for a unit test under tsan's OpenMP handling.)
+/// checks every row's span. (Bins of 2^20+ entries build in parallel:
+/// SlicedDcsr.ParallelBuildMatchesCsrSerialAndRefreshes covers that path.)
 TEST(SlicedDcsr, UniformBinsSliceAndSkewedOrTinyBinsDoNot) {
   const auto band = gen::banded<float>(4100, 12, 0.7, 71);
   const auto sliced = dcsr_of_all_rows(band);
@@ -428,6 +429,56 @@ TEST(SlicedDcsr, MatchesCsrSerialBitForBit) {
   check(uniform_band<double>(1031, 20, 28, 37, 83), 1, 1);
   check(uniform_band<float>(1031, 20, 28, 37, 89), 3, 2);
   check(uniform_band<double>(1031, 20, 28, 37, 89), 3, 2);
+}
+
+/// Bins of 2^20 entries or more (kParallelDcsrNnz) build and refresh on
+/// every thread, and their arrays are never value-initialised: the
+/// parallel slice walk is their first write. A ~1.2M-entry bin built that
+/// way runs bit-identical to CSR Serial, and a refresh gives the bytes of a
+/// fresh build both into a never-written array and into a recycled one
+/// that holds NaNs.
+TEST(SlicedDcsr, ParallelBuildMatchesCsrSerialAndRefreshes) {
+  const auto backend = exec::shared_backend(exec::BackendKind::Native);
+  const auto check = [&](const auto& a) {
+    using T = typename std::decay_t<decltype(a)>::value_type;
+    ASSERT_GE(a.nnz(), 1200000);
+    ASSERT_GE(a.nnz(), offset_t{1} << 20);  // fmt's parallel-build bound
+    const auto vrows = every_vrow(a.rows(), 1);
+    const auto span = std::span<const index_t>(vrows);
+    const auto layout =
+        fmt::build_bin_layout(a, span, 1, fmt::FormatKind::Dcsr, 0);
+    ASSERT_EQ(layout.dcsr.slice, fmt::kDcsrSlice);
+    const auto x = random_vector<T>(static_cast<std::size_t>(a.cols()), 97);
+    const auto m = static_cast<std::size_t>(a.rows());
+    std::vector<T> y_layout(m, T(7));
+    std::vector<T> y_csr(m, T(7));
+    backend->run_layout(a, layout, std::span<const T>(x),
+                        std::span<T>(y_layout));
+    backend->run_binned(kernels::KernelId::Serial, a, std::span<const T>(x),
+                        std::span<T>(y_csr), span, 1);
+    EXPECT_EQ(std::memcmp(y_layout.data(), y_csr.data(), m * sizeof(T)), 0);
+
+    const auto vals =
+        random_vector<T>(static_cast<std::size_t>(a.nnz()), 101);
+    const auto b = a.with_values(std::span<const T>(vals));
+    const auto rebuilt =
+        fmt::build_bin_layout(b, span, 1, fmt::FormatKind::Dcsr, 0);
+    const std::size_t bytes = rebuilt.dcsr.vals.size() * sizeof(T);
+    const auto fresh = fmt::refresh_layout_values(b, layout);
+    ASSERT_EQ(fresh.dcsr.vals.size(), rebuilt.dcsr.vals.size());
+    EXPECT_EQ(std::memcmp(fresh.dcsr.vals.data(), rebuilt.dcsr.vals.data(),
+                          bytes),
+              0);
+    util::Buffer<T> recycled(rebuilt.dcsr.vals.size(),
+                             std::numeric_limits<T>::quiet_NaN());
+    const auto reused =
+        fmt::refresh_layout_values(b, layout, std::move(recycled));
+    EXPECT_EQ(std::memcmp(reused.dcsr.vals.data(), rebuilt.dcsr.vals.data(),
+                          bytes),
+              0);
+  };
+  check(uniform_band<float>(50000, 20, 30, 37, 103));
+  check(uniform_band<double>(50000, 20, 30, 37, 107));
 }
 
 /// run_spmm promises bit-identity with per-column runs, and layout bins
