@@ -121,13 +121,6 @@ void AutoSpmv<T>::run(std::span<const T> x, std::span<T> y,
 }
 
 template <typename T>
-void AutoSpmv<T>::run_batch(std::span<const T> x, std::span<T> y, int batch,
-                            prof::RunProfile* profile) const {
-  execute_plan_batch(ctx_.backend(), a_, x, y, batch, bins_, plan_, profile,
-                     layouts_.get());
-}
-
-template <typename T>
 void AutoSpmv<T>::run_spmm(std::span<const T> x, std::span<T> y, int width,
                            prof::RunProfile* profile) const {
   execute_plan_spmm(ctx_.backend(), a_, x, y, width, bins_, plan_, profile,

@@ -67,26 +67,11 @@ class AutoSpmv {
   void run(std::span<const T> x, std::span<T> y,
            prof::RunProfile* profile) const;
 
-  /// Batched Y = A·X: `batch` input vectors stored column-major in `x`
-  /// (each a.cols() long; see kernels::batch_column), results in the
-  /// matching columns of `y` (each a.rows() long). The per-bin plan and —
-  /// for kernels with a native batched variant — the CSR traversal are
-  /// shared across the whole batch; the rest loop per vector.
-  void run_batch(std::span<const T> x, std::span<T> y, int batch) const {
-    run_batch(x, y, batch, profile_);
-  }
-
-  /// Batched run recording telemetry into `profile` (one run() sample for
-  /// the whole batch).
-  void run_batch(std::span<const T> x, std::span<T> y, int batch,
-                 prof::RunProfile* profile) const;
-
-  /// True SpMM Y = A·X for `width` dense right-hand sides (column-major,
-  /// same vector layout as run_batch). CSR bins go through the backend's
-  /// blocked one-traversal run_spmm kernels — or its counted per-column
-  /// fallback when the backend has none — instead of run_batch's capped
-  /// batched variants; per output column the result is bit-identical to
-  /// `width` run() calls (see core::execute_plan_spmm).
+  /// SpMM Y = A·X for `width` dense right-hand sides stored column-major
+  /// in `x` (each a.cols() long; see kernels::batch_column), results in the
+  /// matching columns of `y` (each a.rows() long). The plan and the CSR
+  /// traversal are shared across the block; per output column the result
+  /// is bit-identical to `width` run() calls (see core::execute_plan_spmm).
   void run_spmm(std::span<const T> x, std::span<T> y, int width) const {
     run_spmm(x, y, width, profile_);
   }

@@ -46,26 +46,6 @@ void note_layout_run(fmt::PlanLayouts<T>* layouts, const CsrMatrix<T>& a,
 
 }  // namespace
 
-template <typename T>
-void execute_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
-                  std::span<const T> x, std::span<T> y,
-                  const binning::BinSet& bins, const Plan& plan,
-                  fmt::PlanLayouts<T>* layouts) {
-  if (bins.unit() != plan.unit)
-    throw std::invalid_argument("execute_plan: bins/plan unit mismatch");
-  note_layout_run(layouts, a, plan);
-  for (const BinPlan& bp : plan.bin_kernels) {
-    const auto& vrows = bins.bin(bp.bin_id);
-    if (vrows.empty()) continue;
-    if (const auto l = resolve_layout(backend, layouts, a, vrows, bins.unit(),
-                                      bp)) {
-      backend.run_layout(a, *l, x, y);
-      continue;
-    }
-    backend.run_binned(bp.kernel, a, x, y, vrows, bins.unit());
-  }
-}
-
 namespace {
 
 /// Non-zeros covered by a bin's virtual rows at granularity `unit`.
@@ -85,104 +65,82 @@ std::int64_t bin_nnz(const CsrMatrix<T>& a, std::span<const index_t> vrows,
 using EngineSnapshot =
     decltype(std::declval<const clsim::Engine&>().counters().snapshot());
 
+/// The one bin loop behind execute_plan and execute_plan_spmm: per occupied
+/// bin, launch its layout or its planned kernel over `width` columns
+/// (width 1 is the single-vector case). A non-null profile additionally
+/// records per-bin wall time and workload, the engine-counter delta, and
+/// — for width > 1 — the fallback-column delta.
+template <typename T>
+void run_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
+              std::span<const T> x, std::span<T> y, int width,
+              const binning::BinSet& bins, const Plan& plan,
+              prof::RunProfile* profile, fmt::PlanLayouts<T>* layouts) {
+  if (bins.unit() != plan.unit)
+    throw std::invalid_argument("execute_plan: bins/plan unit mismatch");
+  note_layout_run(layouts, a, plan);
+  // Engine counters only exist for backends that drive a clsim engine.
+  const clsim::Engine* engine =
+      profile != nullptr ? backend.engine() : nullptr;
+  std::optional<EngineSnapshot> before;
+  if (engine != nullptr) before = engine->counters().snapshot();
+  const std::uint64_t fallback_before =
+      profile != nullptr ? prof::spmm_fallback_columns() : 0;
+  util::Timer total;
+  for (const BinPlan& bp : plan.bin_kernels) {
+    const auto& vrows = bins.bin(bp.bin_id);
+    if (vrows.empty()) continue;
+    const auto layout =
+        resolve_layout(backend, layouts, a, vrows, bins.unit(), bp);
+    // Both entries route width 1 to their single-vector launch.
+    const auto launch = [&] {
+      if (layout != nullptr)
+        backend.run_layout_batch(a, *layout, x, y, width);
+      else
+        backend.run_spmm(bp.kernel, a, x, y, width, vrows, bins.unit());
+    };
+    if (profile == nullptr) {
+      launch();
+      continue;
+    }
+    util::Timer t;
+    launch();
+    std::string label = kernels::kernel_name(bp.kernel);
+    if (layout != nullptr)
+      label += std::string("+") + fmt::format_cname(bp.format);
+    profile->add_bin_run(bp.bin_id, label,
+                         static_cast<std::int64_t>(vrows.size()),
+                         bins.rows_in_bin(bp.bin_id),
+                         bin_nnz(a, std::span<const index_t>(vrows),
+                                 bins.unit()),
+                         t.elapsed_s());
+  }
+  if (profile == nullptr) return;
+  profile->runs += 1;
+  profile->run_total_s += total.elapsed_s();
+  if (width > 1)
+    profile->spmm_fallback_columns +=
+        prof::spmm_fallback_columns() - fallback_before;
+  if (engine != nullptr)
+    profile->merge_engine_delta(
+        engine->counters().snapshot().delta_since(*before));
+}
+
 }  // namespace
 
 template <typename T>
 void execute_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
                   std::span<const T> x, std::span<T> y,
                   const binning::BinSet& bins, const Plan& plan,
-                  prof::RunProfile* profile, fmt::PlanLayouts<T>* layouts) {
-  if (profile == nullptr) {
-    execute_plan(backend, a, x, y, bins, plan, layouts);
-    return;
-  }
-  if (bins.unit() != plan.unit)
-    throw std::invalid_argument("execute_plan: bins/plan unit mismatch");
-  note_layout_run(layouts, a, plan);
-  // Engine counters only exist for backends that drive a clsim engine.
-  const clsim::Engine* engine = backend.engine();
-  std::optional<EngineSnapshot> before;
-  if (engine != nullptr) before = engine->counters().snapshot();
-  util::Timer total;
-  for (const BinPlan& bp : plan.bin_kernels) {
-    const auto& vrows = bins.bin(bp.bin_id);
-    if (vrows.empty()) continue;
-    util::Timer t;
-    std::string label = kernels::kernel_name(bp.kernel);
-    if (const auto l = resolve_layout(backend, layouts, a, vrows, bins.unit(),
-                                      bp)) {
-      backend.run_layout(a, *l, x, y);
-      label += std::string("+") + fmt::format_cname(bp.format);
-    } else {
-      backend.run_binned(bp.kernel, a, x, y, vrows, bins.unit());
-    }
-    profile->add_bin_run(bp.bin_id, label,
-                         static_cast<std::int64_t>(vrows.size()),
-                         bins.rows_in_bin(bp.bin_id),
-                         bin_nnz(a, std::span<const index_t>(vrows),
-                                 bins.unit()),
-                         t.elapsed_s());
-  }
-  profile->runs += 1;
-  profile->run_total_s += total.elapsed_s();
-  if (engine != nullptr)
-    profile->merge_engine_delta(
-        engine->counters().snapshot().delta_since(*before));
+                  fmt::PlanLayouts<T>* layouts) {
+  run_plan(backend, a, x, y, 1, bins, plan, nullptr, layouts);
 }
 
 template <typename T>
-void execute_plan_batch(const exec::Backend& backend, const CsrMatrix<T>& a,
-                        std::span<const T> x, std::span<T> y, int batch,
-                        const binning::BinSet& bins, const Plan& plan,
-                        prof::RunProfile* profile,
-                        fmt::PlanLayouts<T>* layouts) {
-  if (bins.unit() != plan.unit)
-    throw std::invalid_argument("execute_plan_batch: bins/plan unit mismatch");
-  note_layout_run(layouts, a, plan);
-  if (profile == nullptr) {
-    for (const BinPlan& bp : plan.bin_kernels) {
-      const auto& vrows = bins.bin(bp.bin_id);
-      if (vrows.empty()) continue;
-      if (const auto l = resolve_layout(backend, layouts, a, vrows,
-                                        bins.unit(), bp)) {
-        backend.run_layout_batch(a, *l, x, y, batch);
-        continue;
-      }
-      backend.run_binned_batch(bp.kernel, a, x, y, batch, vrows, bins.unit());
-    }
-    return;
-  }
-  const clsim::Engine* engine = backend.engine();
-  std::optional<EngineSnapshot> before;
-  if (engine != nullptr) before = engine->counters().snapshot();
-  const std::uint64_t fallback_before = prof::spmm_fallback_columns();
-  util::Timer total;
-  for (const BinPlan& bp : plan.bin_kernels) {
-    const auto& vrows = bins.bin(bp.bin_id);
-    if (vrows.empty()) continue;
-    util::Timer t;
-    std::string label = kernels::kernel_name(bp.kernel);
-    if (const auto l = resolve_layout(backend, layouts, a, vrows, bins.unit(),
-                                      bp)) {
-      backend.run_layout_batch(a, *l, x, y, batch);
-      label += std::string("+") + fmt::format_cname(bp.format);
-    } else {
-      backend.run_binned_batch(bp.kernel, a, x, y, batch, vrows, bins.unit());
-    }
-    profile->add_bin_run(bp.bin_id, label,
-                         static_cast<std::int64_t>(vrows.size()),
-                         bins.rows_in_bin(bp.bin_id),
-                         bin_nnz(a, std::span<const index_t>(vrows),
-                                 bins.unit()),
-                         t.elapsed_s());
-  }
-  profile->runs += 1;
-  profile->run_total_s += total.elapsed_s();
-  profile->spmm_fallback_columns +=
-      prof::spmm_fallback_columns() - fallback_before;
-  if (engine != nullptr)
-    profile->merge_engine_delta(
-        engine->counters().snapshot().delta_since(*before));
+void execute_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
+                  std::span<const T> x, std::span<T> y,
+                  const binning::BinSet& bins, const Plan& plan,
+                  prof::RunProfile* profile, fmt::PlanLayouts<T>* layouts) {
+  run_plan(backend, a, x, y, 1, bins, plan, profile, layouts);
 }
 
 template <typename T>
@@ -191,53 +149,7 @@ void execute_plan_spmm(const exec::Backend& backend, const CsrMatrix<T>& a,
                        const binning::BinSet& bins, const Plan& plan,
                        prof::RunProfile* profile,
                        fmt::PlanLayouts<T>* layouts) {
-  if (bins.unit() != plan.unit)
-    throw std::invalid_argument("execute_plan_spmm: bins/plan unit mismatch");
-  note_layout_run(layouts, a, plan);
-  if (profile == nullptr) {
-    for (const BinPlan& bp : plan.bin_kernels) {
-      const auto& vrows = bins.bin(bp.bin_id);
-      if (vrows.empty()) continue;
-      if (const auto l = resolve_layout(backend, layouts, a, vrows,
-                                        bins.unit(), bp)) {
-        backend.run_layout_batch(a, *l, x, y, width);
-        continue;
-      }
-      backend.run_spmm(bp.kernel, a, x, y, width, vrows, bins.unit());
-    }
-    return;
-  }
-  const clsim::Engine* engine = backend.engine();
-  std::optional<EngineSnapshot> before;
-  if (engine != nullptr) before = engine->counters().snapshot();
-  const std::uint64_t fallback_before = prof::spmm_fallback_columns();
-  util::Timer total;
-  for (const BinPlan& bp : plan.bin_kernels) {
-    const auto& vrows = bins.bin(bp.bin_id);
-    if (vrows.empty()) continue;
-    util::Timer t;
-    std::string label = kernels::kernel_name(bp.kernel);
-    if (const auto l = resolve_layout(backend, layouts, a, vrows, bins.unit(),
-                                      bp)) {
-      backend.run_layout_batch(a, *l, x, y, width);
-      label += std::string("+") + fmt::format_cname(bp.format);
-    } else {
-      backend.run_spmm(bp.kernel, a, x, y, width, vrows, bins.unit());
-    }
-    profile->add_bin_run(bp.bin_id, label,
-                         static_cast<std::int64_t>(vrows.size()),
-                         bins.rows_in_bin(bp.bin_id),
-                         bin_nnz(a, std::span<const index_t>(vrows),
-                                 bins.unit()),
-                         t.elapsed_s());
-  }
-  profile->runs += 1;
-  profile->run_total_s += total.elapsed_s();
-  profile->spmm_fallback_columns +=
-      prof::spmm_fallback_columns() - fallback_before;
-  if (engine != nullptr)
-    profile->merge_engine_delta(
-        engine->counters().snapshot().delta_since(*before));
+  run_plan(backend, a, x, y, width, bins, plan, profile, layouts);
 }
 
 namespace {
@@ -367,15 +279,6 @@ void execute_plan(const clsim::Engine& engine, const CsrMatrix<T>& a,
 }
 
 template <typename T>
-void execute_plan_batch(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                        std::span<const T> x, std::span<T> y, int batch,
-                        const binning::BinSet& bins, const Plan& plan,
-                        prof::RunProfile* profile) {
-  execute_plan_batch(exec::ClsimBackend(engine), a, x, y, batch, bins, plan,
-                     profile);
-}
-
-template <typename T>
 TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
                            std::span<const T> x, const CandidatePools& pools,
                            const ExhaustiveOptions& opts) {
@@ -392,11 +295,6 @@ TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
                              std::span<const T>, std::span<T>,               \
                              const binning::BinSet&, const Plan&,            \
                              prof::RunProfile*, fmt::PlanLayouts<T>*);       \
-  template void execute_plan_batch(const exec::Backend&, const CsrMatrix<T>&,\
-                                   std::span<const T>, std::span<T>, int,    \
-                                   const binning::BinSet&, const Plan&,      \
-                                   prof::RunProfile*,                        \
-                                   fmt::PlanLayouts<T>*);                    \
   template void execute_plan_spmm(const exec::Backend&, const CsrMatrix<T>&, \
                                   std::span<const T>, std::span<T>, int,     \
                                   const binning::BinSet&, const Plan&,       \
@@ -413,10 +311,6 @@ TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
                              std::span<const T>, std::span<T>,               \
                              const binning::BinSet&, const Plan&,            \
                              prof::RunProfile*);                             \
-  template void execute_plan_batch(const clsim::Engine&, const CsrMatrix<T>&,\
-                                   std::span<const T>, std::span<T>, int,    \
-                                   const binning::BinSet&, const Plan&,      \
-                                   prof::RunProfile*);                       \
   template TuneResult exhaustive_tune(const clsim::Engine&,                  \
                                       const CsrMatrix<T>&,                   \
                                       std::span<const T>,                    \

@@ -57,25 +57,11 @@ void execute_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
                   prof::RunProfile* profile,
                   fmt::PlanLayouts<T>* layouts = nullptr);
 
-/// Batched Y = A·X through `plan`: `batch` input vectors stored
-/// column-major in `x` (each a.cols() long), results in the matching
-/// columns of `y` (each a.rows() long). Per-bin kernels with a batched
-/// variant share one CSR traversal across the batch; the rest loop one
-/// single-vector launch per column (see exec::Backend::run_binned_batch).
-template <typename T>
-void execute_plan_batch(const exec::Backend& backend, const CsrMatrix<T>& a,
-                        std::span<const T> x, std::span<T> y, int batch,
-                        const binning::BinSet& bins, const Plan& plan,
-                        prof::RunProfile* profile = nullptr,
-                        fmt::PlanLayouts<T>* layouts = nullptr);
-
-/// True SpMM through `plan`: Y = A·X for `width` dense right-hand sides
-/// (column-major, kernels::batch_column layout). Differs from
-/// execute_plan_batch in which backend entry carries CSR bins: run_spmm's
-/// blocked one-traversal kernels (or its counted per-column fallback on
-/// backends without them) instead of the batch dispatcher's capped native
-/// variants. Layout bins go through run_layout_batch either way — the
-/// native layout batch kernels are already one-traversal at any width. Per
+/// SpMM through `plan`: Y = A·X for `width` dense right-hand sides
+/// (column-major, kernels::batch_column layout, each a.cols() long; results
+/// in the matching columns of `y`, each a.rows() long). The one
+/// multi-vector path: CSR bins go through the backend's run_spmm, layout
+/// bins through run_layout_batch, and width 1 is exactly execute_plan. Per
 /// output column the result is bit-identical to `width` single-vector
 /// execute_plan runs. The profiled variant additionally records the
 /// prof::spmm_fallback_columns delta this execution caused.
@@ -140,12 +126,6 @@ void execute_plan(const clsim::Engine& engine, const CsrMatrix<T>& a,
                   prof::RunProfile* profile);
 
 template <typename T>
-void execute_plan_batch(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                        std::span<const T> x, std::span<T> y, int batch,
-                        const binning::BinSet& bins, const Plan& plan,
-                        prof::RunProfile* profile = nullptr);
-
-template <typename T>
 TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
                            std::span<const T> x, const CandidatePools& pools,
                            const ExhaustiveOptions& opts = {});
@@ -162,12 +142,6 @@ TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
                                     std::span<T>, const binning::BinSet&,    \
                                     const Plan&, prof::RunProfile*,          \
                                     fmt::PlanLayouts<T>*);                   \
-  extern template void execute_plan_batch(const exec::Backend&,              \
-                                          const CsrMatrix<T>&,               \
-                                          std::span<const T>, std::span<T>,  \
-                                          int, const binning::BinSet&,       \
-                                          const Plan&, prof::RunProfile*,    \
-                                          fmt::PlanLayouts<T>*);             \
   extern template void execute_plan_spmm(const exec::Backend&,               \
                                          const CsrMatrix<T>&,                \
                                          std::span<const T>, std::span<T>,   \
@@ -185,11 +159,6 @@ TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
                                     const CsrMatrix<T>&, std::span<const T>, \
                                     std::span<T>, const binning::BinSet&,    \
                                     const Plan&, prof::RunProfile*);         \
-  extern template void execute_plan_batch(const clsim::Engine&,              \
-                                          const CsrMatrix<T>&,               \
-                                          std::span<const T>, std::span<T>,  \
-                                          int, const binning::BinSet&,       \
-                                          const Plan&, prof::RunProfile*);   \
   extern template TuneResult exhaustive_tune(                                \
       const clsim::Engine&, const CsrMatrix<T>&, std::span<const T>,         \
       const CandidatePools&, const ExhaustiveOptions&);

@@ -99,7 +99,7 @@ class Tuner {
 
   /// When bin layouts are materialized (see fmt::AmortizationPolicy);
   /// defaults to lazy amortized building. Tests and shadow trials set
-  /// `.eager = true` to build on first touch.
+  /// `.min_reuse = 0` to build on first touch.
   Tuner& format_policy(fmt::AmortizationPolicy policy) {
     format_policy_ = policy;
     return *this;

@@ -7,7 +7,6 @@
 #include "exec/native_backend.hpp"
 #include "fmt/layout.hpp"
 #include "kernels/binned_common.hpp"
-#include "prof/counters.hpp"
 #include "trace/trace.hpp"
 
 namespace spmv::exec {
@@ -61,28 +60,6 @@ void Backend::run_full_impl(kernels::KernelId id, const CsrMatrix<T>& a,
   run_binned_impl<T>(id, a, x, y, vrows, 1);
 }
 
-template <typename T>
-void Backend::run_binned_batch_impl(kernels::KernelId id,
-                                    const CsrMatrix<T>& a,
-                                    std::span<const T> x, std::span<T> y,
-                                    int batch,
-                                    std::span<const index_t> vrows,
-                                    index_t unit) const {
-  if (batch <= 0)
-    throw std::invalid_argument("run_binned_batch: batch must be positive");
-  if (x.size() != static_cast<std::size_t>(a.cols()) *
-                      static_cast<std::size_t>(batch) ||
-      y.size() != static_cast<std::size_t>(a.rows()) *
-                      static_cast<std::size_t>(batch))
-    throw std::invalid_argument("run_binned_batch: X/Y extents do not match "
-                                "cols*batch / rows*batch");
-  if (batch == 1) return run_binned_impl<T>(id, a, x, y, vrows, unit);
-  trace::TraceSpan span(kernels::kernel_cname(id), "kernel-batch");
-  span.arg("width", batch);
-  span.arg("virtual_rows", static_cast<std::int64_t>(vrows.size()));
-  do_run_binned_batch(id, a, x, y, batch, vrows, unit);
-}
-
 void Backend::run_binned(kernels::KernelId id, const CsrMatrix<float>& a,
                          std::span<const float> x, std::span<float> y,
                          std::span<const index_t> vrows, index_t unit) const {
@@ -105,21 +82,6 @@ void Backend::run_full(kernels::KernelId id, const CsrMatrix<double>& a,
   run_full_impl<double>(id, a, x, y);
 }
 
-void Backend::run_binned_batch(kernels::KernelId id, const CsrMatrix<float>& a,
-                               std::span<const float> x, std::span<float> y,
-                               int batch, std::span<const index_t> vrows,
-                               index_t unit) const {
-  run_binned_batch_impl<float>(id, a, x, y, batch, vrows, unit);
-}
-
-void Backend::run_binned_batch(kernels::KernelId id,
-                               const CsrMatrix<double>& a,
-                               std::span<const double> x, std::span<double> y,
-                               int batch, std::span<const index_t> vrows,
-                               index_t unit) const {
-  run_binned_batch_impl<double>(id, a, x, y, batch, vrows, unit);
-}
-
 template <typename T>
 void Backend::run_spmm_impl(kernels::KernelId id, const CsrMatrix<T>& a,
                             std::span<const T> x, std::span<T> y, int width,
@@ -138,34 +100,6 @@ void Backend::run_spmm_impl(kernels::KernelId id, const CsrMatrix<T>& a,
   span.arg("width", width);
   span.arg("virtual_rows", static_cast<std::int64_t>(vrows.size()));
   do_run_spmm(id, a, x, y, width, vrows, unit);
-}
-
-template <typename T>
-void Backend::fallback_spmm_impl(kernels::KernelId id, const CsrMatrix<T>& a,
-                                 std::span<const T> x, std::span<T> y,
-                                 int width, std::span<const index_t> vrows,
-                                 index_t unit) const {
-  // No blocked SpMM on this backend: every column is one single-vector
-  // launch, and every one of them is a fallback column worth counting.
-  prof::add_spmm_fallback_columns(static_cast<std::uint64_t>(width));
-  for (int b = 0; b < width; ++b) {
-    do_run_binned(id, a, kernels::batch_column(x, a.cols(), b),
-                  kernels::batch_column(y, a.rows(), b), vrows, unit);
-  }
-}
-
-void Backend::do_run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,
-                          std::span<const float> x, std::span<float> y,
-                          int width, std::span<const index_t> vrows,
-                          index_t unit) const {
-  fallback_spmm_impl<float>(id, a, x, y, width, vrows, unit);
-}
-
-void Backend::do_run_spmm(kernels::KernelId id, const CsrMatrix<double>& a,
-                          std::span<const double> x, std::span<double> y,
-                          int width, std::span<const index_t> vrows,
-                          index_t unit) const {
-  fallback_spmm_impl<double>(id, a, x, y, width, vrows, unit);
 }
 
 void Backend::run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,

@@ -1,9 +1,10 @@
 // spmv::exec — the execution-backend seam. A Backend owns kernel dispatch
-// (run_binned / run_full / run_binned_batch) for one execution model; the
-// rest of the stack (core::AutoSpmv, serve::SpmvService, adapt::BanditTuner)
-// targets this interface instead of clsim::Engine directly, so a plan can
-// execute on the paper's lockstep simulator (ClsimBackend) or on tight
-// auto-vectorized CPU loops (NativeBackend) without any caller changing.
+// (run_binned / run_full for one vector, run_spmm for a block of vectors)
+// for one execution model; the rest of the stack (core::AutoSpmv,
+// serve::SpmvService, adapt::BanditTuner) targets this interface instead
+// of clsim::Engine directly, so a plan can execute on the paper's
+// lockstep simulator (ClsimBackend) or on tight auto-vectorized CPU loops
+// (NativeBackend) without any caller changing.
 //
 // Backend choice is a *plan* property, not a service property: core::Plan
 // carries a BackendKind that travels through plan_io / the PlanStore, and
@@ -104,44 +105,22 @@ class Backend {
   void run_full(kernels::KernelId id, const CsrMatrix<double>& a,
                 std::span<const double> x, std::span<double> y) const;
 
-  /// Batched Y = A·X over the bin's rows: `batch` input vectors stored
-  /// column-major in `x` (kernels::batch_column layout, each a.cols()
+  /// SpMM over the bin's rows: Y = A·X for `width` dense right-hand sides
+  /// stored column-major (kernels::batch_column layout, each a.cols()
   /// long), results written to the matching columns of `y` (each a.rows()
-  /// long). Backends share one CSR traversal across the batch where their
-  /// execution model allows it.
-  void run_binned_batch(kernels::KernelId id, const CsrMatrix<float>& a,
-                        std::span<const float> x, std::span<float> y,
-                        int batch, std::span<const index_t> vrows,
-                        index_t unit) const;
-  void run_binned_batch(kernels::KernelId id, const CsrMatrix<double>& a,
-                        std::span<const double> x, std::span<double> y,
-                        int batch, std::span<const index_t> vrows,
-                        index_t unit) const;
-
-  /// True SpMM over the bin's rows: Y = A·X for `width` dense right-hand
-  /// sides stored column-major (kernels::batch_column layout, like
-  /// run_binned_batch). Unlike run_binned_batch — whose per-backend batch
-  /// kernels may cap the width they traverse in one pass and whose shapes
-  /// follow the simulated execution model — run_spmm is the solver-facing
-  /// entry: backends with a native SpMM (supports_spmm() true) share one
-  /// CSR traversal across a register/cache-blocked column tile at any
-  /// width, and guarantee that per output column the products accumulate in
-  /// exactly the order the single-vector kernel `id` would use, so a
-  /// width-N run is bit-identical to N single-vector runs. Backends without
-  /// one lower width-N to N single-vector launches (counted in
-  /// prof::spmm_fallback_columns), which satisfies the same contract
-  /// trivially. width == 1 routes through run_binned.
+  /// long). The one multi-vector entry point: every backend shares one CSR
+  /// traversal across the columns where its execution model allows it, and
+  /// per output column the products accumulate in exactly the order the
+  /// single-vector kernel `id` would use, so a width-N run is bit-identical
+  /// to N run_binned calls. Columns a backend cannot block are run one by
+  /// one and counted in prof::spmm_fallback_columns. width == 1 routes
+  /// through run_binned.
   void run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,
                 std::span<const float> x, std::span<float> y, int width,
                 std::span<const index_t> vrows, index_t unit) const;
   void run_spmm(kernels::KernelId id, const CsrMatrix<double>& a,
                 std::span<const double> x, std::span<double> y, int width,
                 std::span<const index_t> vrows, index_t unit) const;
-
-  /// Whether this backend has a blocked one-traversal SpMM (do_run_spmm
-  /// override). False means run_spmm falls back to per-column
-  /// single-vector launches.
-  [[nodiscard]] virtual bool supports_spmm() const { return false; }
 
   /// Whether this backend executes materialized bin layouts (spmv::fmt).
   /// Backends that return false always execute bins from the shared CSR
@@ -160,8 +139,8 @@ class Backend {
   void run_layout(const CsrMatrix<double>& a, const fmt::BinLayout<double>& l,
                   std::span<const double> x, std::span<double> y) const;
 
-  /// Batched layout execution (kernels::batch_column layout, like
-  /// run_binned_batch).
+  /// Multi-vector layout execution (kernels::batch_column layout, like
+  /// run_spmm).
   void run_layout_batch(const CsrMatrix<float>& a,
                         const fmt::BinLayout<float>& l,
                         std::span<const float> x, std::span<float> y,
@@ -180,35 +159,16 @@ class Backend {
                              std::span<const double> x, std::span<double> y,
                              std::span<const index_t> vrows,
                              index_t unit) const = 0;
-  /// Only called with batch >= 2 and validated extents; batch == 1 routes
-  /// through do_run_binned.
-  virtual void do_run_binned_batch(kernels::KernelId id,
-                                   const CsrMatrix<float>& a,
-                                   std::span<const float> x,
-                                   std::span<float> y, int batch,
-                                   std::span<const index_t> vrows,
-                                   index_t unit) const = 0;
-  virtual void do_run_binned_batch(kernels::KernelId id,
-                                   const CsrMatrix<double>& a,
-                                   std::span<const double> x,
-                                   std::span<double> y, int batch,
-                                   std::span<const index_t> vrows,
-                                   index_t unit) const = 0;
-
-  /// SpMM hooks. Not pure: the base implementations execute the width
-  /// columns one by one through do_run_binned (counting each column in
-  /// prof::spmm_fallback_columns), so only backends with a real blocked
-  /// SpMM (supports_spmm() true) need to override them. Only called with
-  /// width >= 2 and validated extents; width == 1 routes through
-  /// do_run_binned.
+  /// SpMM hooks. Only called with width >= 2 and validated extents;
+  /// width == 1 routes through do_run_binned.
   virtual void do_run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,
                            std::span<const float> x, std::span<float> y,
                            int width, std::span<const index_t> vrows,
-                           index_t unit) const;
+                           index_t unit) const = 0;
   virtual void do_run_spmm(kernels::KernelId id, const CsrMatrix<double>& a,
                            std::span<const double> x, std::span<double> y,
                            int width, std::span<const index_t> vrows,
-                           index_t unit) const;
+                           index_t unit) const = 0;
 
   /// Layout execution hooks. Not pure: the base implementations throw
   /// std::logic_error, so only format-capable backends (supports_formats()
@@ -239,18 +199,9 @@ class Backend {
   void run_full_impl(kernels::KernelId id, const CsrMatrix<T>& a,
                      std::span<const T> x, std::span<T> y) const;
   template <typename T>
-  void run_binned_batch_impl(kernels::KernelId id, const CsrMatrix<T>& a,
-                             std::span<const T> x, std::span<T> y, int batch,
-                             std::span<const index_t> vrows,
-                             index_t unit) const;
-  template <typename T>
   void run_spmm_impl(kernels::KernelId id, const CsrMatrix<T>& a,
                      std::span<const T> x, std::span<T> y, int width,
                      std::span<const index_t> vrows, index_t unit) const;
-  template <typename T>
-  void fallback_spmm_impl(kernels::KernelId id, const CsrMatrix<T>& a,
-                          std::span<const T> x, std::span<T> y, int width,
-                          std::span<const index_t> vrows, index_t unit) const;
   template <typename T>
   void run_layout_impl(const CsrMatrix<T>& a, const fmt::BinLayout<T>& l,
                        std::span<const T> x, std::span<T> y) const;

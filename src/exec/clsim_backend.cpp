@@ -1,5 +1,5 @@
 // Kernel dispatch for the clsim execution model: the switch over the nine
-// pool kernels and the batched-launch slicing.
+// pool kernels and the SpMM launch slicing.
 #include "exec/clsim_backend.hpp"
 
 #include <algorithm>
@@ -106,22 +106,24 @@ void dispatch_native_batch(KernelId id, const clsim::Engine& engine,
       "ClsimBackend: kernel has no batched variant");
 }
 
-/// Slice a wide batch into native limit-sized launches, falling back to one
-/// single-vector launch per column when no native variant fits. The
+/// SpMM: slice the block into native limit-sized batched launches, falling
+/// back to one single-vector launch per column when no native variant
+/// fits. Each batched lane accumulates its columns in the single-vector
+/// kernel's order, so every column matches run_binned bit for bit. The
 /// single-vector fallbacks go through the backend's public run_binned so
 /// they emit their own "kernel" trace spans.
 template <typename T>
-void dispatch_binned_batch(const ClsimBackend& self, KernelId id,
-                           const clsim::Engine& engine, const CsrMatrix<T>& a,
-                           std::span<const T> x, std::span<T> y, int batch,
-                           std::span<const index_t> vrows, index_t unit) {
+void dispatch_spmm(const ClsimBackend& self, KernelId id,
+                   const clsim::Engine& engine, const CsrMatrix<T>& a,
+                   std::span<const T> x, std::span<T> y, int width,
+                   std::span<const index_t> vrows, index_t unit) {
   const int limit = native_batch_limit<T>(id);
   if (limit >= 2) {
     // Native path, sliced so each launch's accumulators fit the arena.
     const auto cols = static_cast<std::size_t>(a.cols());
     const auto rows = static_cast<std::size_t>(a.rows());
-    for (int b0 = 0; b0 < batch; b0 += limit) {
-      const int w = std::min(limit, batch - b0);
+    for (int b0 = 0; b0 < width; b0 += limit) {
+      const int w = std::min(limit, width - b0);
       const auto xw = x.subspan(static_cast<std::size_t>(b0) * cols,
                                 static_cast<std::size_t>(w) * cols);
       const auto yw = y.subspan(static_cast<std::size_t>(b0) * rows,
@@ -134,11 +136,10 @@ void dispatch_binned_batch(const ClsimBackend& self, KernelId id,
     }
     return;
   }
-  // Fallback: one single-vector launch per batch column. Used to be
-  // silent — every column that misses the blocked path is now counted so
-  // profiled runs can see the batch widths the native variants truncate.
-  prof::add_spmm_fallback_columns(static_cast<std::uint64_t>(batch));
-  for (int b = 0; b < batch; ++b) {
+  // Fallback: one single-vector launch per column, each one counted so
+  // profiled runs see the columns that miss the blocked path.
+  prof::add_spmm_fallback_columns(static_cast<std::uint64_t>(width));
+  for (int b = 0; b < width; ++b) {
     self.run_binned(id, a, kernels::batch_column(x, a.cols(), b),
                     kernels::batch_column(y, a.rows(), b), vrows, unit);
   }
@@ -163,22 +164,21 @@ void ClsimBackend::do_run_binned(kernels::KernelId id,
   dispatch_binned(id, *engine_, a, x, y, vrows, unit);
 }
 
-void ClsimBackend::do_run_binned_batch(kernels::KernelId id,
-                                       const CsrMatrix<float>& a,
-                                       std::span<const float> x,
-                                       std::span<float> y, int batch,
-                                       std::span<const index_t> vrows,
-                                       index_t unit) const {
-  dispatch_binned_batch(*this, id, *engine_, a, x, y, batch, vrows, unit);
+void ClsimBackend::do_run_spmm(kernels::KernelId id,
+                               const CsrMatrix<float>& a,
+                               std::span<const float> x, std::span<float> y,
+                               int width, std::span<const index_t> vrows,
+                               index_t unit) const {
+  dispatch_spmm(*this, id, *engine_, a, x, y, width, vrows, unit);
 }
 
-void ClsimBackend::do_run_binned_batch(kernels::KernelId id,
-                                       const CsrMatrix<double>& a,
-                                       std::span<const double> x,
-                                       std::span<double> y, int batch,
-                                       std::span<const index_t> vrows,
-                                       index_t unit) const {
-  dispatch_binned_batch(*this, id, *engine_, a, x, y, batch, vrows, unit);
+void ClsimBackend::do_run_spmm(kernels::KernelId id,
+                               const CsrMatrix<double>& a,
+                               std::span<const double> x,
+                               std::span<double> y, int width,
+                               std::span<const index_t> vrows,
+                               index_t unit) const {
+  dispatch_spmm(*this, id, *engine_, a, x, y, width, vrows, unit);
 }
 
 }  // namespace spmv::exec

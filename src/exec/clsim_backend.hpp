@@ -33,14 +33,14 @@ class ClsimBackend final : public Backend {
                      std::span<const double> x, std::span<double> y,
                      std::span<const index_t> vrows,
                      index_t unit) const override;
-  void do_run_binned_batch(kernels::KernelId id, const CsrMatrix<float>& a,
-                           std::span<const float> x, std::span<float> y,
-                           int batch, std::span<const index_t> vrows,
-                           index_t unit) const override;
-  void do_run_binned_batch(kernels::KernelId id, const CsrMatrix<double>& a,
-                           std::span<const double> x, std::span<double> y,
-                           int batch, std::span<const index_t> vrows,
-                           index_t unit) const override;
+  void do_run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,
+                   std::span<const float> x, std::span<float> y, int width,
+                   std::span<const index_t> vrows,
+                   index_t unit) const override;
+  void do_run_spmm(kernels::KernelId id, const CsrMatrix<double>& a,
+                   std::span<const double> x, std::span<double> y, int width,
+                   std::span<const index_t> vrows,
+                   index_t unit) const override;
 
  private:
   const clsim::Engine* engine_;

@@ -39,14 +39,14 @@ constexpr std::int64_t kInlineSlots = 256;
 // changes how the stream is organized, mirroring how the clsim kernels
 // differ only in thread organization.
 //
-// The CSR-path kernels (scalar, batched, and SpMM) spell every
-// multiply-add as std::fma rather than `acc += a * b`: with
-// -ffp-contract=fast the compiler may contract one inlined copy of a loop
-// to FMA and leave another as mul+add, which silently breaks the
-// bit-identity contracts between the single-vector, batched, and SpMM
-// paths. An explicit fma is one correctly-rounded operation everywhere,
-// so identical accumulation order in the source guarantees identical bits
-// in the output regardless of inline site or optimization level.
+// The CSR-path kernels (scalar and SpMM) spell every multiply-add as
+// std::fma rather than `acc += a * b`: with -ffp-contract=fast the
+// compiler may contract one inlined copy of a loop to FMA and leave
+// another as mul+add, which silently breaks the bit-identity contract
+// between the single-vector and SpMM paths. An explicit fma is one
+// correctly-rounded operation everywhere, so identical accumulation order
+// in the source guarantees identical bits in the output regardless of
+// inline site or optimization level.
 
 /// Serial: plain scalar loop.
 template <typename T>
@@ -173,56 +173,6 @@ void native_binned(int threads, KernelId id, const CsrMatrix<T>& a,
   throw std::invalid_argument("NativeBackend: bad kernel id");
 }
 
-/// Batched Y = A·X: one CSR traversal per row feeds a stack block of up to
-/// kMaxNativeBatch accumulators (the kernel_serial_batch trick). The shape
-/// id does not change the traversal here — with the whole batch in
-/// registers the inner b-loop already saturates the SIMD units — so every
-/// kernel shares this path (clsim, by contrast, has no batched Vector).
-template <typename T>
-void native_binned_batch(int threads, const CsrMatrix<T>& a,
-                         std::span<const T> x, std::span<T> y, int batch,
-                         std::span<const index_t> vrows, index_t unit) {
-  const RowMap map{vrows, unit, a.rows()};
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto v = a.vals();
-  const auto n = static_cast<std::size_t>(a.cols());
-  const auto m = static_cast<std::size_t>(a.rows());
-  const std::int64_t slots = map.total_slots();
-#ifndef _OPENMP
-  (void)threads;
-#endif
-  for (int b0 = 0; b0 < batch; b0 += kernels::kMaxNativeBatch) {
-    const int w = std::min(kernels::kMaxNativeBatch, batch - b0);
-    const std::size_t xoff = static_cast<std::size_t>(b0) * n;
-    const std::size_t yoff = static_cast<std::size_t>(b0) * m;
-#ifdef _OPENMP
-    const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic, 64) num_threads(nt) \
-    if (slots > kInlineSlots)
-#endif
-    for (std::int64_t s = 0; s < slots; ++s) {
-      const index_t r = map.slot_to_row(s);
-      if (r < 0) continue;
-      const auto lo =
-          static_cast<std::size_t>(rp[static_cast<std::size_t>(r)]);
-      const auto hi =
-          static_cast<std::size_t>(rp[static_cast<std::size_t>(r) + 1]);
-      T acc[kernels::kMaxNativeBatch] = {};
-      for (std::size_t k = lo; k < hi; ++k) {
-        const T av = v[k];
-        const auto c = static_cast<std::size_t>(ci[k]);
-        for (int b = 0; b < w; ++b)
-          acc[b] = std::fma(
-              av, x[xoff + static_cast<std::size_t>(b) * n + c], acc[b]);
-      }
-      for (int b = 0; b < w; ++b)
-        y[yoff + static_cast<std::size_t>(b) * m +
-          static_cast<std::size_t>(r)] = acc[b];
-    }
-  }
-}
-
 // --- true SpMM (blocked multi-vector traversal) -----------------------
 //
 // One CSR traversal of the bin's rows feeds a register tile of output
@@ -236,7 +186,7 @@ void native_binned_batch(int threads, const CsrMatrix<T>& a,
 
 /// Column-tile width for Sub<X>: the tile keeps X*W partial accumulators
 /// on the stack, so wider lane counts take narrower tiles (X*W <= 256
-/// scalars — half a 4 KiB page of doubles), capped at the batch blocking
+/// scalars — half a 4 KiB page of doubles), capped at the column blocking
 /// the other multi-vector paths use.
 constexpr int spmm_tile_width(int lanes) {
   const int w = 256 / lanes;
@@ -368,6 +318,54 @@ void spmm_lanes(int threads, const CsrMatrix<T>& a, std::span<const T> x,
       });
 }
 
+/// Serial: row-outer, one pass over a row's (val, col) stream feeds a
+/// local block of `step` accumulators. Per column that is ascending k from
+/// zero, exactly dot_plain. Written as its own loop rather than a
+/// spmm_loop tile: rows here are often a few nonzeros long, and the
+/// tile's per-row staging cost more than the row's work.
+template <typename T>
+void spmm_serial(int threads, const CsrMatrix<T>& a, std::span<const T> x,
+                 std::span<T> y, int width, const RowMap& map, int step) {
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  const auto v = a.vals();
+  const auto n = static_cast<std::size_t>(a.cols());
+  const auto m = static_cast<std::size_t>(a.rows());
+  const std::int64_t slots = map.total_slots();
+#ifndef _OPENMP
+  (void)threads;
+#endif
+  for (int b0 = 0; b0 < width; b0 += step) {
+    const int w = std::min(step, width - b0);
+    const std::size_t xoff = static_cast<std::size_t>(b0) * n;
+    const std::size_t yoff = static_cast<std::size_t>(b0) * m;
+#ifdef _OPENMP
+    const int nt = threads > 0 ? threads : omp_get_max_threads();
+#pragma omp parallel for schedule(dynamic, 64) num_threads(nt) \
+    if (slots > kInlineSlots)
+#endif
+    for (std::int64_t s = 0; s < slots; ++s) {
+      const index_t r = map.slot_to_row(s);
+      if (r < 0) continue;
+      const auto lo =
+          static_cast<std::size_t>(rp[static_cast<std::size_t>(r)]);
+      const auto hi =
+          static_cast<std::size_t>(rp[static_cast<std::size_t>(r) + 1]);
+      T acc[kernels::kMaxNativeBatch] = {};
+      for (std::size_t k = lo; k < hi; ++k) {
+        const T av = v[k];
+        const std::size_t c = xoff + static_cast<std::size_t>(ci[k]);
+        for (int b = 0; b < w; ++b)
+          acc[b] = std::fma(av, x[c + static_cast<std::size_t>(b) * n],
+                            acc[b]);
+      }
+      for (int b = 0; b < w; ++b)
+        y[yoff + static_cast<std::size_t>(b) * m +
+          static_cast<std::size_t>(r)] = acc[b];
+    }
+  }
+}
+
 template <typename T>
 void native_spmm(int threads, KernelId id, const CsrMatrix<T>& a,
                  std::span<const T> x, std::span<T> y, int width,
@@ -381,27 +379,8 @@ void native_spmm(int threads, KernelId id, const CsrMatrix<T>& a,
   const std::size_t span = sampled_span(rp, ci, map);
   switch (id) {
     case KernelId::Serial:
-      // Column-outer, ascending-k inner: per column exactly dot_plain,
-      // with the row's stream L1-resident across the column block.
-      return spmm_loop<T, kernels::kMaxNativeBatch>(
-          threads, y, map, width, m,
-          spmm_block_step<T>(kernels::kMaxNativeBatch, span),
-          [&](index_t r, int b0, int w, T* out) {
-            const std::size_t xoff = static_cast<std::size_t>(b0) * n;
-            const auto lo =
-                static_cast<std::size_t>(rp[static_cast<std::size_t>(r)]);
-            const auto hi =
-                static_cast<std::size_t>(rp[static_cast<std::size_t>(r) + 1]);
-            for (int b = 0; b < w; ++b) {
-              const std::size_t xcol =
-                  xoff + static_cast<std::size_t>(b) * n;
-              T acc{};
-              for (std::size_t k = lo; k < hi; ++k)
-                acc = std::fma(
-                    v[k], x[xcol + static_cast<std::size_t>(ci[k])], acc);
-              out[b] = acc;
-            }
-          });
+      return spmm_serial(threads, a, x, y, width, map,
+                         spmm_block_step<T>(kernels::kMaxNativeBatch, span));
     case KernelId::Sub2:
       return spmm_lanes<T, 2, spmm_tile_width(2)>(threads, a, x, y, width,
                                                   map, span);
@@ -664,8 +643,8 @@ void native_dcsr(int threads, const fmt::DeltaBin<T>& d, std::span<const T> x,
 }
 
 /// Batched ELL and COO: the same traversals feeding a stack block of up
-/// to kMaxNativeBatch accumulators per row (the native_binned_batch
-/// trick), blocked by b0 for wider batches.
+/// to kMaxNativeBatch accumulators per row, blocked by b0 for wider
+/// batches.
 template <typename T>
 void native_ell_batch(int threads, const fmt::EllBin<T>& e,
                       std::span<const T> x, std::span<T> y, int batch,
@@ -851,26 +830,6 @@ void NativeBackend::do_run_binned(kernels::KernelId id,
                                   std::span<const index_t> vrows,
                                   index_t unit) const {
   native_binned(options_.threads, id, a, x, y, vrows, unit);
-}
-
-void NativeBackend::do_run_binned_batch(kernels::KernelId id,
-                                        const CsrMatrix<float>& a,
-                                        std::span<const float> x,
-                                        std::span<float> y, int batch,
-                                        std::span<const index_t> vrows,
-                                        index_t unit) const {
-  (void)id;
-  native_binned_batch(options_.threads, a, x, y, batch, vrows, unit);
-}
-
-void NativeBackend::do_run_binned_batch(kernels::KernelId id,
-                                        const CsrMatrix<double>& a,
-                                        std::span<const double> x,
-                                        std::span<double> y, int batch,
-                                        std::span<const index_t> vrows,
-                                        index_t unit) const {
-  (void)id;
-  native_binned_batch(options_.threads, a, x, y, batch, vrows, unit);
 }
 
 void NativeBackend::do_run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,

@@ -6,9 +6,9 @@
 // Sub<X> keeps X partial accumulators (the CPU analogue of X cooperating
 // lanes — it unrolls the nonzero stream X-wide so the compiler can keep the
 // partial sums in SIMD registers), Vector is an `omp simd` reduction over
-// the whole row. Batched launches reuse the one-CSR-traversal trick from
-// kernel_serial_batch: one pass over a row's nonzeros feeds up to
-// kernels::kMaxNativeBatch stack accumulators.
+// the whole row. SpMM launches share one CSR traversal across a tile of
+// output columns, accumulating each column in its shape's single-vector
+// order, so a width-N run is bit-identical to N single-vector runs.
 //
 // Results match ClsimBackend up to floating-point association order; the
 // differential suite checks both against the exact reference under the
@@ -38,11 +38,6 @@ class NativeBackend final : public Backend {
   /// walks, COO triple chunks, delta-decoded CSR — each scalar + batched.
   [[nodiscard]] bool supports_formats() const override { return true; }
 
-  /// Native has true blocked SpMM: one CSR traversal feeds a register tile
-  /// of output columns at any width, per-column bit-identical to the
-  /// single-vector kernel of the same shape.
-  [[nodiscard]] bool supports_spmm() const override { return true; }
-
  protected:
   void do_run_binned(kernels::KernelId id, const CsrMatrix<float>& a,
                      std::span<const float> x, std::span<float> y,
@@ -52,14 +47,6 @@ class NativeBackend final : public Backend {
                      std::span<const double> x, std::span<double> y,
                      std::span<const index_t> vrows,
                      index_t unit) const override;
-  void do_run_binned_batch(kernels::KernelId id, const CsrMatrix<float>& a,
-                           std::span<const float> x, std::span<float> y,
-                           int batch, std::span<const index_t> vrows,
-                           index_t unit) const override;
-  void do_run_binned_batch(kernels::KernelId id, const CsrMatrix<double>& a,
-                           std::span<const double> x, std::span<double> y,
-                           int batch, std::span<const index_t> vrows,
-                           index_t unit) const override;
   void do_run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,
                    std::span<const float> x, std::span<float> y, int width,
                    std::span<const index_t> vrows,

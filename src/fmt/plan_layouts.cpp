@@ -62,7 +62,7 @@ std::shared_ptr<const BinLayout<T>> PlanLayouts<T>::acquire(
     if (it->second != nullptr) stats_.hits += 1;
     return it->second;  // null = negative-cached build failure -> CSR
   }
-  if (!policy_.eager && s.uses < policy_.min_reuse) {
+  if (s.uses < policy_.min_reuse) {
     stats_.deferrals += 1;
     return nullptr;
   }

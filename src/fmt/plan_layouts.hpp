@@ -37,9 +37,8 @@ namespace spmv::fmt {
 /// When a bin layout is worth materializing.
 struct AmortizationPolicy {
   /// Executions of the same matrix instance before a layout is built.
-  /// 0 (or `eager`) builds on first touch — tests and shadow trials.
+  /// 0 builds on first touch — tests and shadow trials.
   std::uint64_t min_reuse = 3;
-  bool eager = false;
 };
 
 /// Counters for provenance output (benches, spmv_tool).

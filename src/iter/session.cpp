@@ -111,12 +111,8 @@ void IterativeSession<T>::execute(const std::shared_ptr<const State>& st,
     plan = &variant->plan;
   }
   util::Timer t;
-  if (width == 1)
-    core::execute_plan(*backend_, *st->a, x, y, *st->bins, *plan,
-                       opts_.profile, st->layouts.get());
-  else
-    core::execute_plan_spmm(*backend_, *st->a, x, y, width, *st->bins, *plan,
-                            opts_.profile, st->layouts.get());
+  core::execute_plan_spmm(*backend_, *st->a, x, y, width, *st->bins, *plan,
+                          opts_.profile, st->layouts.get());
   const double seconds = t.elapsed_s();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);

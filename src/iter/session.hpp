@@ -79,7 +79,7 @@ struct SessionOptions {
   exec::BackendKind backend = exec::BackendKind::Clsim;
   /// Per-bin format mode for fresh predictor-driven plans (`--format`).
   fmt::FormatMode format = fmt::FormatMode::Csr;
-  /// When bin layouts are materialized (tests set `.eager = true`).
+  /// When bin layouts are materialized (tests set `.min_reuse = 0`).
   fmt::AmortizationPolicy format_policy;
   /// Optional telemetry sink: flush()/destruction folds the tuner's
   /// AdaptStats into profile->adapt; executions record per-bin timings

@@ -2,8 +2,8 @@
 // different thread organizations (paper §III-B, Algorithms 3-5), plus the
 // registry used by the auto-tuner to enumerate and name them.
 //
-// Dispatch lives in spmv::exec: exec::Backend::run_binned / run_full /
-// run_binned_batch is the execution entry point.
+// Dispatch lives in spmv::exec: exec::Backend::run_binned / run_full (one
+// vector) and run_spmm (a block of vectors) are the execution entry points.
 #pragma once
 
 #include <optional>
@@ -59,8 +59,8 @@ int lanes_per_row(KernelId id);
 /// fitting the device's 32 KiB local-memory arena with headroom.
 inline constexpr int kMaxNativeBatch = 32;
 
-/// True when `id` has a native multi-vector variant; run_binned_batch
-/// loops the single-vector kernel per column for the rest.
+/// True when `id` has a native multi-vector variant; ClsimBackend's
+/// run_spmm loops the single-vector kernel per column for the rest.
 bool has_batched_variant(KernelId id);
 
 // --- individual kernels (implemented in kernel_*.cpp) -----------------

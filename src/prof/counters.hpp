@@ -33,15 +33,12 @@ class ScopedEnable {
 
 /// Process-wide count of dense right-hand-side columns that were executed
 /// through a per-column single-vector fallback instead of a true blocked
-/// multi-vector traversal — the `spmm.fallback_columns` telemetry. Two code
-/// paths feed it: the base Backend::do_run_spmm default (a backend with no
-/// native SpMM lowers width-N to N single-vector launches) and the clsim
-/// batch dispatcher when a kernel shape has no batched variant or its
-/// simulated local-memory arena cannot fit even two columns. Before this
-/// counter existed those fallbacks were silent; profiled runs now surface
-/// the columns that missed the blocked path (RunProfile
-/// spmm_fallback_columns). Mutation is gated by enabled() like every other
-/// counter; reads are always live.
+/// multi-vector traversal — the `spmm.fallback_columns` telemetry. One code
+/// path feeds it: ClsimBackend's SpMM when a kernel shape (Vector) has no
+/// batched variant or its simulated local-memory arena cannot fit even two
+/// columns. Profiled runs surface the columns that missed the blocked path
+/// (RunProfile spmm_fallback_columns). Mutation is gated by enabled() like
+/// every other counter; reads are always live.
 std::uint64_t spmm_fallback_columns();
 
 /// Add `n` fallback columns (no-op unless enabled()).

@@ -20,8 +20,8 @@ struct SpmvService<T>::Request {
   std::shared_ptr<const CsrMatrix<T>> matrix;
   std::vector<T> x;
   /// Dense right-hand-side columns in `x`. 1 = an ordinary SpMV request
-  /// (coalescable with same-matrix neighbours); >1 = a true-SpMM request
-  /// that executes alone through core::execute_plan_spmm.
+  /// (coalescable with same-matrix neighbours); >1 = an SpMM request that
+  /// executes alone.
   int width = 1;
   std::promise<std::vector<T>> result;
   util::Timer queued;  ///< started at submit; read at dispatch
@@ -243,38 +243,29 @@ void SpmvService<T>::worker_loop() {
     try {
       trace::TraceSpan span("execute-batch", "serve");
       span.arg("width", width);
-      if (spmm) {
-        // True SpMM: one blocked execution, the result block delivered
-        // whole to the single owning request.
-        std::vector<T> ys(rows * static_cast<std::size_t>(width));
-        core::execute_plan_spmm(rt.backend(), a,
-                                std::span<const T>(batch.front().x),
-                                std::span<T>(ys), width, rt.bins(), rt.plan(),
-                                nullptr, rt.layouts());
-        complete(batch.front(), std::move(ys));
-      } else if (width == 1) {
-        std::vector<T> y(rows);
-        // Per-plan execution: the runtime's resolved backend, not a
-        // service-wide one, so mixed-backend plans coexist in one cache.
-        // rt.layouts() (null when the plan is all-CSR) accelerates format
-        // bins; PlanLayouts keys by matrix instance, so the request's own
-        // matrix gets its own layout slot even under shared structure.
-        core::execute_plan(rt.backend(), a,
-                           std::span<const T>(batch.front().x),
-                           std::span<T>(y), rt.bins(), rt.plan(),
-                           rt.layouts());
-        complete(batch.front(), std::move(y));
-      } else {
-        // Column-major gather/scatter around one batched execution.
-        std::vector<T> xs(cols * static_cast<std::size_t>(width));
-        std::vector<T> ys(rows * static_cast<std::size_t>(width));
+      // One SpMM execution for every batch shape: an SpMM request's own
+      // block, a lone SpMV (width 1), or coalesced vectors gathered
+      // column-major. Per-plan execution: the runtime's resolved backend,
+      // not a service-wide one, so mixed-backend plans coexist in one
+      // cache. rt.layouts() (null when the plan is all-CSR) accelerates
+      // format bins; PlanLayouts keys by matrix instance, so the request's
+      // own matrix gets its own layout slot even under shared structure.
+      std::span<const T> xs(batch.front().x);
+      std::vector<T> gathered;
+      if (batch.size() > 1) {
+        gathered.resize(cols * static_cast<std::size_t>(width));
         for (int b = 0; b < width; ++b)
           std::copy(batch[static_cast<std::size_t>(b)].x.begin(),
                     batch[static_cast<std::size_t>(b)].x.end(),
-                    xs.begin() + static_cast<std::size_t>(b) * cols);
-        core::execute_plan_batch(rt.backend(), a, std::span<const T>(xs),
-                                 std::span<T>(ys), width, rt.bins(),
-                                 rt.plan(), nullptr, rt.layouts());
+                    gathered.begin() + static_cast<std::size_t>(b) * cols);
+        xs = std::span<const T>(gathered);
+      }
+      std::vector<T> ys(rows * static_cast<std::size_t>(width));
+      core::execute_plan_spmm(rt.backend(), a, xs, std::span<T>(ys), width,
+                              rt.bins(), rt.plan(), nullptr, rt.layouts());
+      if (batch.size() == 1) {
+        complete(batch.front(), std::move(ys));
+      } else {
         for (int b = 0; b < width; ++b) {
           const auto first = ys.begin() + static_cast<std::size_t>(b) * rows;
           complete(batch[static_cast<std::size_t>(b)],

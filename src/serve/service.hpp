@@ -1,7 +1,7 @@
 // SpmvService — a concurrent SpMV serving layer: clients submit (matrix,
 // vector) requests; worker threads drain them through plan-cached runtimes
 // (serve/plan_cache.hpp), coalescing queued vectors against the same matrix
-// into one batched execution (core::execute_plan_batch).
+// into one SpMM execution (core::execute_plan_spmm).
 //
 //   spmv::core::HeuristicPredictor pred;
 //   spmv::serve::SpmvService<float> service(pred);
@@ -14,7 +14,9 @@
 // Batching: a worker popping the queue head also claims up to max_batch-1
 // later requests for the *same matrix object* (pointer identity — values
 // matter, so structural equality is not enough) and executes them as one
-// column-major Y = A·X batch.
+// column-major Y = A·X SpMM. Every result is bit-identical to the same
+// request served alone, so whether a request was coalesced never changes
+// its bits.
 //
 // Warm start & online tuning (spmv::adapt): attach a PlanStore and the
 // service loads it at construction (cache misses with a stored plan skip

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -229,33 +230,34 @@ void differential_one(const exec::Backend& backend,
                             kernels::kernel_name(id)));
   }
 
-  // Batched dispatch: `batch` input vectors column-major, each column
-  // checked against its own exact reference product.
-  const int batch = 1 + static_cast<int>(pick.bounded(4));
-  std::vector<T> xb(static_cast<std::size_t>(batch) *
-                    static_cast<std::size_t>(a.cols()));
-  std::vector<std::vector<double>> exact_b(static_cast<std::size_t>(batch));
-  for (int b = 0; b < batch; ++b) {
-    const auto col = random_x(static_cast<std::size_t>(ad.cols()),
-                              seed + 1000 + static_cast<std::uint64_t>(b));
-    for (std::size_t c = 0; c < col.size(); ++c)
-      xb[static_cast<std::size_t>(b) * col.size() + c] = static_cast<T>(col[c]);
-    exact_b[static_cast<std::size_t>(b)] =
-        kernels::spmv_exact(ad, std::span<const double>(col));
+  // SpMM dispatch: `width` input vectors column-major; every column must
+  // equal its own single-vector run_binned composition bit for bit.
+  const int width = 1 + static_cast<int>(pick.bounded(4));
+  const auto n = static_cast<std::size_t>(a.cols());
+  std::vector<T> xb(static_cast<std::size_t>(width) * n);
+  for (int b = 0; b < width; ++b) {
+    const auto col = random_x(n, seed + 1000 + static_cast<std::uint64_t>(b));
+    for (std::size_t c = 0; c < n; ++c)
+      xb[static_cast<std::size_t>(b) * n + c] = static_cast<T>(col[c]);
   }
   const KernelId bid =
       kernels::all_kernels()[pick.bounded(kernels::all_kernels().size())];
-  std::vector<T> yb(static_cast<std::size_t>(batch) * m, T(-12345));
+  std::vector<T> yb(static_cast<std::size_t>(width) * m, T(-12345));
   for (int b : bins.occupied_bins())
-    backend.run_binned_batch(bid, a, std::span<const T>(xb), std::span<T>(yb),
-                             batch, bins.bin(b), unit);
-  for (int b = 0; b < batch; ++b)
-    expect_close<T>(
-        std::span<const T>(yb).subspan(static_cast<std::size_t>(b) * m, m),
-        exact_b[static_cast<std::size_t>(b)],
-        ctx(base, index, seed,
-            bname + "batch[" + std::to_string(b) + "/" +
-                std::to_string(batch) + "] " + kernels::kernel_name(bid)));
+    backend.run_spmm(bid, a, std::span<const T>(xb), std::span<T>(yb), width,
+                     bins.bin(b), unit);
+  for (int b = 0; b < width; ++b) {
+    const auto off = static_cast<std::size_t>(b);
+    std::vector<T> y(m, T(-12345));
+    for (int bin : bins.occupied_bins())
+      backend.run_binned(bid, a, std::span<const T>(xb).subspan(off * n, n),
+                         std::span<T>(y), bins.bin(bin), unit);
+    ASSERT_EQ(std::memcmp(yb.data() + off * m, y.data(), m * sizeof(T)), 0)
+        << ctx(base, index, seed,
+               bname + "spmm[" + std::to_string(b) + "/" +
+                   std::to_string(width) + "] " + kernels::kernel_name(bid) +
+                   " not bit-identical to run_binned");
+  }
 }
 
 /// Row statistics as planning computed them before they became an integer
@@ -648,7 +650,7 @@ void spmm_differential_one(const exec::Backend& backend,
                       .backend(backend)
                       .formats(use_auto ? fmt::FormatMode::Auto
                                         : fmt::FormatMode::Csr)
-                      .format_policy({.min_reuse = 0, .eager = true})
+                      .format_policy({.min_reuse = 0})
                       .build();
   const auto m = static_cast<std::size_t>(a.rows());
   const auto n = static_cast<std::size_t>(a.cols());
@@ -700,40 +702,46 @@ TEST(Differential, SpmmBitIdenticalToPerColumnRuns) {
   }
 }
 
-/// spmm.fallback_columns regression: a backend without a blocked SpMM
-/// (supports_spmm() false — clsim) must count every column it serves
-/// through the per-column fallback, and the profiled execute_plan_spmm
-/// must attribute exactly that delta to the run; a backend with native
-/// blocked kernels (supports_spmm() true) must count nothing.
+/// spmm.fallback_columns regression: a plan with one Vector bin and one
+/// Serial bin. Clsim has no batched Vector, so it must count exactly
+/// `width` fallback columns per Vector launch (its Serial bin runs
+/// batched), and the profiled execute_plan_spmm must attribute exactly
+/// that delta to the run; native blocks every shape and counts nothing.
 TEST(Differential, SpmmFallbackColumnsCounted) {
   const std::uint64_t base = base_seed();
   const std::uint64_t seed = matrix_seed(base, 500000);
-  const auto a = random_csr(seed);
-  const core::HeuristicPredictor pred;
+  // Row lengths 1..60 at unit 1 occupy several bins: the first runs
+  // Vector, every other one Serial.
+  const auto a = gen::power_law<double>(600, 600, 2.0, 60, seed);
   const prof::ScopedEnable counters_on;
   constexpr int kWidth = 4;
   const auto x = random_x(static_cast<std::size_t>(a.cols()) * kWidth,
                           seed ^ 0xFA11ULL);
+  const auto bins = binning::bin_matrix(a, 1);
+  ASSERT_GE(bins.occupied_bins().size(), 2u);
+  core::Plan plan;
+  for (const int b : bins.occupied_bins())
+    plan.bin_kernels.push_back(
+        {b, plan.bin_kernels.empty() ? KernelId::Vector : KernelId::Serial});
+  constexpr std::uint64_t kVectorLaunches = 1;
   for (const auto& backend : test_backends()) {
     const std::string where =
         ctx(base, 500000, seed,
             exec::backend_name(backend->kind()) + "/spmm-fallback");
-    const auto rt = core::Tuner(a).predictor(pred).backend(*backend).build();
+    const auto rt = core::Tuner(a).plan(plan).backend(*backend).build();
     std::vector<double> y(static_cast<std::size_t>(a.rows()) * kWidth);
     prof::RunProfile profile;
     const std::uint64_t before = prof::spmm_fallback_columns();
     rt.run_spmm(std::span<const double>(x), std::span<double>(y), kWidth,
                 &profile);
     const std::uint64_t delta = prof::spmm_fallback_columns() - before;
-    if (backend->supports_spmm()) {
-      EXPECT_EQ(delta, 0u) << where << ": blocked SpMM fell back";
-      EXPECT_EQ(profile.spmm_fallback_columns, 0u) << where;
-    } else {
-      // One per-column fallback per CSR bin launch, `width` columns each.
-      EXPECT_GE(delta, static_cast<std::uint64_t>(kWidth)) << where;
-      EXPECT_EQ(profile.spmm_fallback_columns, delta)
-          << where << ": profiled delta disagrees with the counter";
-    }
+    const std::uint64_t expected =
+        backend->kind() == exec::BackendKind::Clsim
+            ? kWidth * kVectorLaunches
+            : 0;
+    EXPECT_EQ(delta, expected) << where;
+    EXPECT_EQ(profile.spmm_fallback_columns, delta)
+        << where << ": profiled delta disagrees with the counter";
   }
 }
 

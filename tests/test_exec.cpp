@@ -99,14 +99,14 @@ TEST(ExecValidation, BatchExtentsAndWidthChecked) {
   std::vector<float> x(64 * 2), y(64 * 2);
   for (auto kind : exec::all_backends()) {
     const auto backend = exec::shared_backend(kind);
-    EXPECT_THROW(backend->run_binned_batch(KernelId::Serial, a,
-                                           std::span<const float>(x),
-                                           std::span<float>(y), 0, vrows, 8),
+    EXPECT_THROW(backend->run_spmm(KernelId::Serial, a,
+                                   std::span<const float>(x),
+                                   std::span<float>(y), 0, vrows, 8),
                  std::invalid_argument)
         << exec::backend_name(kind);
-    EXPECT_THROW(backend->run_binned_batch(KernelId::Serial, a,
-                                           std::span<const float>(x),
-                                           std::span<float>(y), 3, vrows, 8),
+    EXPECT_THROW(backend->run_spmm(KernelId::Serial, a,
+                                   std::span<const float>(x),
+                                   std::span<float>(y), 3, vrows, 8),
                  std::invalid_argument)
         << exec::backend_name(kind);
   }

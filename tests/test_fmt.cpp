@@ -702,7 +702,7 @@ TEST(PlanLayoutsCache, DefersUntilReuseAmortizesThenBuildsOnce) {
   EXPECT_EQ(layouts.acquire(a, std::span<const index_t>(bins.bin(b)),
                             bins.unit(), fmt::FormatKind::Csr, b),
             nullptr);
-  fmt::PlanLayouts<float> eager({.eager = true});
+  fmt::PlanLayouts<float> eager({.min_reuse = 0});
   EXPECT_NE(eager.acquire(a, std::span<const index_t>(bins.bin(b)),
                           bins.unit(), fmt::FormatKind::Coo, b),
             nullptr);
@@ -718,7 +718,7 @@ TEST(PlanLayoutsCache, FailedBuildsAreNegativelyCached) {
   const auto a = make_csr(200, rows);
   const auto bins = binning::bin_matrix(a, a.rows());
   const int b = bins.occupied_bins().front();
-  fmt::PlanLayouts<float> layouts({.eager = true});
+  fmt::PlanLayouts<float> layouts({.min_reuse = 0});
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(layouts.acquire(a, std::span<const index_t>(bins.bin(b)),
                               bins.unit(), fmt::FormatKind::Ell, b),
@@ -830,7 +830,7 @@ TEST(AutoFormats, ForcedFormatsOnClsimPlanFallBackToCsr) {
   auto spmv = core::Tuner(a).predictor(pred).build();
   core::Plan plan = spmv.plan();
   for (auto& bp : plan.bin_kernels) bp.format = fmt::FormatKind::Ell;
-  fmt::PlanLayouts<float> layouts({.eager = true});
+  fmt::PlanLayouts<float> layouts({.min_reuse = 0});
   const auto x = random_vector<float>(static_cast<std::size_t>(a.cols()), 97);
   const auto exact = kernels::spmv_exact(a, std::span<const float>(x));
   std::vector<float> y(static_cast<std::size_t>(a.rows()));
@@ -850,7 +850,7 @@ TEST(AutoFormats, BatchedExecutePlanWithLayoutsMatchesExact) {
                         .predictor(pred)
                         .backend(exec::BackendKind::Native)
                         .formats(fmt::FormatMode::Auto)
-                        .format_policy({.eager = true})
+                        .format_policy({.min_reuse = 0})
                         .build();
   ASSERT_TRUE(spmv.plan().uses_formats());
   constexpr int kBatch = 4;
@@ -858,15 +858,19 @@ TEST(AutoFormats, BatchedExecutePlanWithLayoutsMatchesExact) {
   const auto m = static_cast<std::size_t>(a.rows());
   const auto x = random_vector<float>(n * kBatch, 103);
   std::vector<float> y(m * kBatch);
-  spmv.run_batch(std::span<const float>(x), std::span<float>(y), kBatch);
+  spmv.run_spmm(std::span<const float>(x), std::span<float>(y), kBatch);
   for (int col = 0; col < kBatch; ++col) {
-    const auto exact = kernels::spmv_exact(
-        a, std::span<const float>(x).subspan(
-               static_cast<std::size_t>(col) * n, n));
-    for (std::size_t i = 0; i < m; ++i)
-      ASSERT_NEAR(y[static_cast<std::size_t>(col) * m + i], exact[i],
-                  2e-4 * (std::abs(exact[i]) + 1.0))
+    const auto xc =
+        std::span<const float>(x).subspan(static_cast<std::size_t>(col) * n, n);
+    const auto exact = kernels::spmv_exact(a, xc);
+    std::vector<float> single(m);
+    spmv.run(xc, std::span<float>(single));
+    for (std::size_t i = 0; i < m; ++i) {
+      ASSERT_EQ(y[static_cast<std::size_t>(col) * m + i], single[i])
+          << "col " << col << " row " << i << " not bit-identical to run()";
+      ASSERT_NEAR(single[i], exact[i], 2e-4 * (std::abs(exact[i]) + 1.0))
           << "col " << col << " row " << i;
+    }
   }
   EXPECT_GE(spmv.layouts()->stats().builds, 1u);
 }

@@ -170,7 +170,7 @@ TEST(IterSession, FuzzUpdateValuesNeverInvalidatesPlanOrLayouts) {
     if (i % 2 == 0) {
       opts.backend = exec::BackendKind::Native;
       opts.format = fmt::FormatMode::Auto;
-      opts.format_policy = {.min_reuse = 0, .eager = true};
+      opts.format_policy = {.min_reuse = 0};
     }
     const core::HeuristicPredictor pred;
     iter::IterativeSession<double> session(a0, pred, opts);
@@ -215,7 +215,7 @@ TEST(IterSession, UpdateValuesRefreshesMaterializedLayouts) {
   iter::SessionOptions opts;
   opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
-  opts.format_policy = {.min_reuse = 0, .eager = true};
+  opts.format_policy = {.min_reuse = 0};
   iter::IterativeSession<double> session(a, pred, opts);
   ASSERT_TRUE(session.plan().uses_formats())
       << "estimator no longer stamps ELL on the uniform corpus: "
@@ -256,7 +256,7 @@ TEST(IterSession, FuzzRefreshValuesReusesLayoutsWithoutRebuilds) {
                         .predictor(pred)
                         .backend(exec::BackendKind::Native)
                         .formats(fmt::FormatMode::Auto)
-                        .format_policy({.min_reuse = 0, .eager = true})
+                        .format_policy({.min_reuse = 0})
                         .build();
     if (rt.layouts() == nullptr) continue;  // all-CSR plan: nothing to test
     const auto x = random_vec(static_cast<std::size_t>(a.cols()),
@@ -358,7 +358,7 @@ TEST(IterSession, ReplaceMatrixWithShiftedColumnsRebinds) {
   iter::SessionOptions opts;
   opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
-  opts.format_policy = {.min_reuse = 0, .eager = true};
+  opts.format_policy = {.min_reuse = 0};
   iter::IterativeSession<double> session(a, pred, opts);
   const auto x = random_vec(static_cast<std::size_t>(a->cols()), 5);
   std::vector<double> y(static_cast<std::size_t>(a->rows()));
@@ -410,7 +410,7 @@ TEST(IterSession, UpdateValuesSharesStructureAndRecyclesValueBuffers) {
   iter::SessionOptions opts;
   opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
-  opts.format_policy = {.min_reuse = 0, .eager = true};
+  opts.format_policy = {.min_reuse = 0};
   for (std::size_t m = 0; m < 3; ++m) {
     const std::string where = "corpus matrix " + std::to_string(m);
     const auto a = std::make_shared<const CsrMatrix<double>>(make(m));

@@ -8,10 +8,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <thread>
 
 #include "adapt/plan_store.hpp"
+#include "binning/binning.hpp"
 #include "core/predictor.hpp"
 #include "core/tuner.hpp"
 #include "exec/backend.hpp"
@@ -176,94 +178,81 @@ TEST(PlanCache, ZeroCapacityThrows) {
                std::invalid_argument);
 }
 
-// --- Batched execution ----------------------------------------------------
+// --- Multi-vector execution (SpMM) ---------------------------------------
 
-TEST(BatchedRun, NativeSerialBatchMatchesReference) {
-  const auto a = gen::power_law<double>(1500, 1500, 2.0, 200, 17);
-  core::HeuristicPredictor pred;
-  const auto spmv = core::Tuner(a).predictor(pred).build();
-
-  constexpr int kBatch = 4;
+/// Y = A·X through run_spmm on every backend: each column must equal a
+/// run() of that column through the same runtime bit for bit, and match
+/// the exact product within `tol`.
+template <typename T>
+void expect_spmm_matches_runs(const CsrMatrix<T>& a, const core::Plan& plan,
+                              int width, double tol) {
   const auto n = static_cast<std::size_t>(a.cols());
   const auto m = static_cast<std::size_t>(a.rows());
-  const auto xs = random_vector<double>(n * kBatch, 19);
-  std::vector<double> ys(m * kBatch);
-  spmv.run_batch(xs, std::span<double>(ys), kBatch);
-
-  for (int b = 0; b < kBatch; ++b) {
-    expect_matches_exact<double>(
-        a, std::span<const double>(xs).subspan(static_cast<std::size_t>(b) * n, n),
-        std::span<const double>(ys).subspan(static_cast<std::size_t>(b) * m, m),
-        1e-9);
-  }
-}
-
-TEST(BatchedRun, NativeSubvectorBatchMatchesReference) {
-  // Force subvector plans across widths; the batch path dispatches the
-  // native staged kernel (sliced by the local-memory limit) and must stay
-  // exact, including at widths beyond one native launch.
-  const auto a = gen::fem_blocks<double>(120, 16, 90, 0.4, 23);
-  for (const auto id : {kernels::KernelId::Sub2, kernels::KernelId::Sub16,
-                        kernels::KernelId::Sub128}) {
-    core::Plan plan;
-    plan.unit = 16;
-    const auto bins = binning::bin_matrix(a, 16);
-    for (int b : bins.occupied_bins()) plan.bin_kernels.push_back({b, id});
-    const auto spmv = core::Tuner(a).plan(plan).build();
-
-    constexpr int kBatch = 15;  // > the double/Sub2 per-launch limit
-    const auto n = static_cast<std::size_t>(a.cols());
-    const auto m = static_cast<std::size_t>(a.rows());
-    const auto xs = random_vector<double>(n * kBatch, 29);
-    std::vector<double> ys(m * kBatch);
-    spmv.run_batch(xs, std::span<double>(ys), kBatch);
-    for (int b = 0; b < kBatch; ++b) {
-      expect_matches_exact<double>(
-          a,
-          std::span<const double>(xs).subspan(static_cast<std::size_t>(b) * n,
-                                              n),
-          std::span<const double>(ys).subspan(static_cast<std::size_t>(b) * m,
-                                              m),
-          1e-9);
+  const auto xs = random_vector<T>(n * static_cast<std::size_t>(width), 29);
+  for (const auto kind : exec::all_backends()) {
+    const auto spmv = core::Tuner(a).plan(plan).backend(kind).build();
+    std::vector<T> ys(m * static_cast<std::size_t>(width));
+    spmv.run_spmm(xs, std::span<T>(ys), width);
+    for (int b = 0; b < width; ++b) {
+      const auto off = static_cast<std::size_t>(b);
+      const auto x = std::span<const T>(xs).subspan(off * n, n);
+      std::vector<T> y(m);
+      spmv.run(x, std::span<T>(y));
+      ASSERT_EQ(std::memcmp(ys.data() + off * m, y.data(), m * sizeof(T)), 0)
+          << exec::backend_name(kind) << " column " << b << " of " << width
+          << " not bit-identical to run()";
+      expect_matches_exact<T>(a, x, std::span<const T>(y), tol);
     }
   }
 }
 
-TEST(BatchedRun, FallbackKernelsMatchReference) {
-  // Force a plan whose kernel has no native batched variant (Vector): the
-  // batch path must loop per column and still be exact.
-  const auto a = gen::fem_blocks<float>(120, 16, 90, 0.4, 23);
+/// A plan running kernel `id` in every occupied bin at granularity `unit`.
+template <typename T>
+core::Plan forced_plan(const CsrMatrix<T>& a, index_t unit,
+                       kernels::KernelId id) {
   core::Plan plan;
-  plan.unit = 16;
-  const auto bins = binning::bin_matrix(a, 16);
-  for (int b : bins.occupied_bins())
-    plan.bin_kernels.push_back({b, kernels::KernelId::Vector});
-  const auto spmv = core::Tuner(a).plan(plan).build();
+  plan.unit = unit;
+  const auto bins = binning::bin_matrix(a, unit);
+  for (int b : bins.occupied_bins()) plan.bin_kernels.push_back({b, id});
+  return plan;
+}
 
-  constexpr int kBatch = 3;
-  const auto n = static_cast<std::size_t>(a.cols());
-  const auto m = static_cast<std::size_t>(a.rows());
-  const auto xs = random_vector<float>(n * kBatch, 29);
-  std::vector<float> ys(m * kBatch);
-  spmv.run_batch(xs, std::span<float>(ys), kBatch);
-  for (int b = 0; b < kBatch; ++b) {
-    expect_matches_exact<float>(
-        a, std::span<const float>(xs).subspan(static_cast<std::size_t>(b) * n, n),
-        std::span<const float>(ys).subspan(static_cast<std::size_t>(b) * m, m),
-        2e-4);
-  }
+TEST(BatchedRun, NativeSerialBatchMatchesReference) {
+  const auto a = gen::power_law<double>(1500, 1500, 2.0, 200, 17);
+  core::HeuristicPredictor pred;
+  const auto plan = core::Tuner(a).predictor(pred).build().plan();
+  expect_spmm_matches_runs<double>(a, plan, 4, 1e-9);
+  expect_spmm_matches_runs<double>(
+      a, forced_plan(a, 16, kernels::KernelId::Serial), 4, 1e-9);
+}
+
+TEST(BatchedRun, NativeSubvectorBatchMatchesReference) {
+  // Subvector plans across widths, at a width beyond one clsim batched
+  // launch (the double/Sub2 per-launch limit is below 15).
+  const auto a = gen::fem_blocks<double>(120, 16, 90, 0.4, 23);
+  for (const auto id : {kernels::KernelId::Sub2, kernels::KernelId::Sub16,
+                        kernels::KernelId::Sub128})
+    expect_spmm_matches_runs<double>(a, forced_plan(a, 16, id), 15, 1e-9);
+}
+
+TEST(BatchedRun, FallbackKernelsMatchReference) {
+  // Vector has no clsim batched variant: clsim runs it per column, native
+  // reuses the single-vector reduction per column. Both stay bit-identical.
+  const auto a = gen::fem_blocks<float>(120, 16, 90, 0.4, 23);
+  expect_spmm_matches_runs<float>(
+      a, forced_plan(a, 16, kernels::KernelId::Vector), 3, 2e-4);
 }
 
 TEST(BatchedRun, BadExtentsThrow) {
   const auto a = gen::diagonal<float>(100);
   core::HeuristicPredictor pred;
   const auto spmv = core::Tuner(a).predictor(pred).build();
-  std::vector<float> xs(200), ys(100);  // ys too small for batch=2
-  EXPECT_THROW(spmv.run_batch(std::span<const float>(xs),
-                              std::span<float>(ys), 2),
+  std::vector<float> xs(200), ys(100);  // ys too small for width 2
+  EXPECT_THROW(spmv.run_spmm(std::span<const float>(xs),
+                             std::span<float>(ys), 2),
                std::invalid_argument);
-  EXPECT_THROW(spmv.run_batch(std::span<const float>(xs),
-                              std::span<float>(ys), 0),
+  EXPECT_THROW(spmv.run_spmm(std::span<const float>(xs),
+                             std::span<float>(ys), 0),
                std::invalid_argument);
 }
 
@@ -341,6 +330,81 @@ TEST(SpmvService, BatchesCoalesceAndStayExact) {
   EXPECT_EQ(parsed.serve.requests, profile.serve.requests);
   EXPECT_EQ(parsed.serve.batches, profile.serve.batches);
   EXPECT_EQ(parsed.serve.batch_width_hist, profile.serve.batch_width_hist);
+}
+
+/// Predictor for the coalescing test: unit 16 with Sub2 in every bin, and
+/// the first planning pass parks until the test opens the gate, which
+/// holds the single worker on a request while others queue behind it.
+class GatedSub2Predictor final : public core::Predictor {
+ public:
+  [[nodiscard]] UnitChoice predict_unit(const RowStats&) const override {
+    if (!first_.exchange(false)) return {16, false};
+    gate_.wait();
+    return {16, false};
+  }
+  [[nodiscard]] kernels::KernelId predict_kernel(const RowStats&, index_t,
+                                                 int) const override {
+    return kernels::KernelId::Sub2;
+  }
+  void open() { open_.set_value(); }
+
+ private:
+  mutable std::atomic<bool> first_{true};
+  std::promise<void> open_;
+  std::shared_future<void> gate_ = open_.get_future().share();
+};
+
+TEST(SpmvService, CoalescedResultsBitIdenticalToSingleRuns) {
+  // One native worker, Sub2 CSR bins. An SpMM request on another matrix
+  // holds the worker (its planning is gated) while four single-vector
+  // requests for `a` queue up; they must then run as one width-4 batch
+  // and each result must equal run() through the cached runtime bit for
+  // bit — coalescing may not change what a request gets back.
+  GatedSub2Predictor pred;
+  ServiceOptions opts;
+  opts.workers = 1;
+  opts.backend = exec::BackendKind::Native;
+  auto a = std::make_shared<const CsrMatrix<double>>(
+      gen::fem_blocks<double>(120, 16, 90, 0.4, 23));
+  auto blocker = std::make_shared<const CsrMatrix<double>>(
+      gen::banded<double>(2000, 8, 0.7, 5));
+  const auto n = static_cast<std::size_t>(a->cols());
+  constexpr int kBlockerWidth = 2;
+  constexpr int kRequests = 4;
+
+  SpmvService<double> service(pred, opts);
+  auto held = service.submit_spmm(
+      blocker,
+      random_vector<double>(
+          static_cast<std::size_t>(blocker->cols()) * kBlockerWidth, 3),
+      kBlockerWidth);
+  std::vector<std::vector<double>> xs;
+  std::vector<std::future<std::vector<double>>> futs;
+  for (int i = 0; i < kRequests; ++i) {
+    xs.push_back(random_vector<double>(n, 200 + static_cast<std::uint64_t>(i)));
+    futs.push_back(service.submit(a, xs.back()));
+  }
+  pred.open();
+  (void)held.get();
+  std::vector<std::vector<double>> ys;
+  for (auto& f : futs) ys.push_back(f.get());
+
+  const auto hist = service.stats().batch_width_hist;
+  ASSERT_GE(hist.size(), static_cast<std::size_t>(kRequests));
+  std::uint64_t wide = 0;
+  for (std::size_t w = kRequests - 1; w < hist.size(); ++w) wide += hist[w];
+  EXPECT_GE(wide, 1u) << "the queued requests never coalesced";
+
+  const auto entry = service.cache().get(a);
+  for (int i = 0; i < kRequests; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    std::vector<double> y(static_cast<std::size_t>(a->rows()));
+    entry->runtime.run(std::span<const double>(xs[k]), std::span<double>(y));
+    ASSERT_EQ(ys[k].size(), y.size());
+    EXPECT_EQ(std::memcmp(ys[k].data(), y.data(), y.size() * sizeof(double)),
+              0)
+        << "request " << i << " differs from a single run()";
+  }
 }
 
 TEST(SpmvService, StructurallyEqualMatricesWithDifferentValuesStayExact) {

@@ -532,7 +532,7 @@ TEST(StressIter, RecycledValueBuffersNeverTearInFlightRuns) {
   iter::SessionOptions opts;
   opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
-  opts.format_policy = {.min_reuse = 0, .eager = true};
+  opts.format_policy = {.min_reuse = 0};
 
   constexpr int kSets = 3;
   std::vector<std::vector<float>> sets;
