@@ -1,17 +1,12 @@
 #include "clsim/device.hpp"
 
-#include <algorithm>
-#include <thread>
+#include "util/threads.hpp"
 
 namespace spmv::clsim {
 
 int Device::resolved_compute_units() const {
   if (compute_units > 0) return compute_units;
-  // hardware_concurrency() reads procfs on glibc — far too slow to query
-  // per launch, so resolve it once per process.
-  static const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  return hw;
+  return util::process_threads();
 }
 
 const Device& default_device() {

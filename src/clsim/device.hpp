@@ -14,7 +14,8 @@ namespace spmv::clsim {
 /// cycles on GCN) and a 32 KiB local data share per compute unit.
 struct Device {
   /// Number of compute units = host threads used to execute work-groups.
-  /// 0 means "all hardware threads".
+  /// 0 means util::process_threads(): OMP_NUM_THREADS, or the CPUs the
+  /// process may run on.
   int compute_units = 0;
 
   /// Maximum lanes (work-items) per work-group.
@@ -27,7 +28,7 @@ struct Device {
   [[nodiscard]] int resolved_compute_units() const;
 };
 
-/// The process-wide default device (hardware concurrency, 256 lanes).
+/// The process-wide default device (util::process_threads(), 256 lanes).
 const Device& default_device();
 
 }  // namespace spmv::clsim

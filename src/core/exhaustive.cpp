@@ -65,11 +65,13 @@ std::int64_t bin_nnz(const CsrMatrix<T>& a, std::span<const index_t> vrows,
 using EngineSnapshot =
     decltype(std::declval<const clsim::Engine&>().counters().snapshot());
 
-/// The one bin loop behind execute_plan and execute_plan_spmm: per occupied
-/// bin, launch its layout or its planned kernel over `width` columns
-/// (width 1 is the single-vector case). A non-null profile additionally
-/// records per-bin wall time and workload, the engine-counter delta, and
-/// — for width > 1 — the fallback-column delta.
+/// The one bin loop behind execute_plan and execute_plan_spmm: resolve
+/// every occupied bin to its layout or its planned kernel, then hand the
+/// whole list to the backend at `width` columns (width 1 is the
+/// single-vector case) — one parallel region on the native backend. A
+/// non-null profile runs the bins one run_bins call each instead, so each
+/// bin's wall time and workload can be recorded, and also records the
+/// engine-counter delta and — for width > 1 — the fallback-column delta.
 template <typename T>
 void run_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
               std::span<const T> x, std::span<T> y, int width,
@@ -78,43 +80,45 @@ void run_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
   if (bins.unit() != plan.unit)
     throw std::invalid_argument("execute_plan: bins/plan unit mismatch");
   note_layout_run(layouts, a, plan);
-  // Engine counters only exist for backends that drive a clsim engine.
-  const clsim::Engine* engine =
-      profile != nullptr ? backend.engine() : nullptr;
-  std::optional<EngineSnapshot> before;
-  if (engine != nullptr) before = engine->counters().snapshot();
-  const std::uint64_t fallback_before =
-      profile != nullptr ? prof::spmm_fallback_columns() : 0;
-  util::Timer total;
+  std::vector<exec::BinTask<T>> tasks;
+  std::vector<const BinPlan*> planned;
+  // Keeps each acquired layout alive across the run even if its cache
+  // slot is evicted meanwhile.
+  std::vector<std::shared_ptr<const fmt::BinLayout<T>>> held;
+  tasks.reserve(plan.bin_kernels.size());
   for (const BinPlan& bp : plan.bin_kernels) {
     const auto& vrows = bins.bin(bp.bin_id);
     if (vrows.empty()) continue;
-    const auto layout =
-        resolve_layout(backend, layouts, a, vrows, bins.unit(), bp);
-    // Both entries route width 1 to their single-vector launch.
-    const auto launch = [&] {
-      if (layout != nullptr)
-        backend.run_layout_batch(a, *layout, x, y, width);
-      else
-        backend.run_spmm(bp.kernel, a, x, y, width, vrows, bins.unit());
-    };
-    if (profile == nullptr) {
-      launch();
-      continue;
-    }
+    auto layout = resolve_layout(backend, layouts, a, vrows, bins.unit(), bp);
+    tasks.push_back({bp.kernel, vrows, bins.unit(), layout.get()});
+    planned.push_back(&bp);
+    if (layout != nullptr) held.push_back(std::move(layout));
+  }
+  if (profile == nullptr) {
+    backend.run_bins(a, std::span<const exec::BinTask<T>>(tasks), x, y,
+                     width);
+    return;
+  }
+  // Engine counters only exist for backends that drive a clsim engine.
+  const clsim::Engine* engine = backend.engine();
+  std::optional<EngineSnapshot> before;
+  if (engine != nullptr) before = engine->counters().snapshot();
+  const std::uint64_t fallback_before = prof::spmm_fallback_columns();
+  util::Timer total;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const exec::BinTask<T>& task = tasks[i];
+    const BinPlan& bp = *planned[i];
     util::Timer t;
-    launch();
+    backend.run_bins(a, std::span<const exec::BinTask<T>>(&task, 1), x, y,
+                     width);
     std::string label = kernels::kernel_name(bp.kernel);
-    if (layout != nullptr)
+    if (task.layout != nullptr)
       label += std::string("+") + fmt::format_cname(bp.format);
     profile->add_bin_run(bp.bin_id, label,
-                         static_cast<std::int64_t>(vrows.size()),
+                         static_cast<std::int64_t>(task.vrows.size()),
                          bins.rows_in_bin(bp.bin_id),
-                         bin_nnz(a, std::span<const index_t>(vrows),
-                                 bins.unit()),
-                         t.elapsed_s());
+                         bin_nnz(a, task.vrows, bins.unit()), t.elapsed_s());
   }
-  if (profile == nullptr) return;
   profile->runs += 1;
   profile->run_total_s += total.elapsed_s();
   if (width > 1)

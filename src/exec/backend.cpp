@@ -175,6 +175,66 @@ void Backend::run_layout_batch(const CsrMatrix<double>& a,
   run_layout_batch_impl<double>(a, l, x, y, batch);
 }
 
+template <typename T>
+void Backend::run_bins_impl(const CsrMatrix<T>& a,
+                            std::span<const BinTask<T>> tasks,
+                            std::span<const T> x, std::span<T> y,
+                            int width) const {
+  if (width <= 0)
+    throw std::invalid_argument("run_bins: width must be positive");
+  if (x.size() != static_cast<std::size_t>(a.cols()) *
+                      static_cast<std::size_t>(width) ||
+      y.size() != static_cast<std::size_t>(a.rows()) *
+                      static_cast<std::size_t>(width))
+    throw std::invalid_argument("run_bins: X/Y extents do not match "
+                                "cols*width / rows*width");
+  trace::TraceSpan span("run-bins", "exec");
+  span.arg("bins", static_cast<std::int64_t>(tasks.size()));
+  span.arg("width", width);
+  do_run_bins(a, tasks, x, y, width);
+}
+
+template <typename T>
+void Backend::default_run_bins(const CsrMatrix<T>& a,
+                               std::span<const BinTask<T>> tasks,
+                               std::span<const T> x, std::span<T> y,
+                               int width) const {
+  for (const BinTask<T>& t : tasks) {
+    if (t.layout != nullptr)
+      run_layout_batch_impl<T>(a, *t.layout, x, y, width);
+    else
+      run_spmm_impl<T>(t.kernel, a, x, y, width, t.vrows, t.unit);
+  }
+}
+
+void Backend::run_bins(const CsrMatrix<float>& a,
+                       std::span<const BinTask<float>> tasks,
+                       std::span<const float> x, std::span<float> y,
+                       int width) const {
+  run_bins_impl<float>(a, tasks, x, y, width);
+}
+
+void Backend::run_bins(const CsrMatrix<double>& a,
+                       std::span<const BinTask<double>> tasks,
+                       std::span<const double> x, std::span<double> y,
+                       int width) const {
+  run_bins_impl<double>(a, tasks, x, y, width);
+}
+
+void Backend::do_run_bins(const CsrMatrix<float>& a,
+                          std::span<const BinTask<float>> tasks,
+                          std::span<const float> x, std::span<float> y,
+                          int width) const {
+  default_run_bins<float>(a, tasks, x, y, width);
+}
+
+void Backend::do_run_bins(const CsrMatrix<double>& a,
+                          std::span<const BinTask<double>> tasks,
+                          std::span<const double> x, std::span<double> y,
+                          int width) const {
+  default_run_bins<double>(a, tasks, x, y, width);
+}
+
 namespace {
 
 [[noreturn]] void throw_no_format_support(const Backend& b) {

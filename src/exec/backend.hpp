@@ -1,10 +1,10 @@
 // spmv::exec — the execution-backend seam. A Backend owns kernel dispatch
-// (run_binned / run_full for one vector, run_spmm for a block of vectors)
-// for one execution model; the rest of the stack (core::AutoSpmv,
-// serve::SpmvService, adapt::BanditTuner) targets this interface instead
-// of clsim::Engine directly, so a plan can execute on the paper's
-// lockstep simulator (ClsimBackend) or on tight auto-vectorized CPU loops
-// (NativeBackend) without any caller changing.
+// (run_binned / run_full for one vector, run_spmm for a block of vectors,
+// run_bins for every bin of one plan) for one execution model; the rest of
+// the stack (core::AutoSpmv, serve::SpmvService, adapt::BanditTuner)
+// targets this interface instead of clsim::Engine directly, so a plan can
+// execute on the paper's lockstep simulator (ClsimBackend) or on tight
+// auto-vectorized CPU loops (NativeBackend) without any caller changing.
 //
 // Backend choice is a *plan* property, not a service property: core::Plan
 // carries a BackendKind that travels through plan_io / the PlanStore, and
@@ -68,6 +68,18 @@ BackendKind backend_from_name(const std::string& name);
 /// an uncaught exception type.
 std::optional<BackendKind> try_backend_from_name(const std::string& name);
 
+/// One bin of a plan, resolved for execution: the bin's virtual rows at
+/// granularity `unit`, run from the shared CSR arrays with pool kernel
+/// `kernel`, or from `layout` when it is non-null (the kernel id is then
+/// unused). The spans and the layout are borrowed for the call.
+template <typename T>
+struct BinTask {
+  kernels::KernelId kernel = kernels::KernelId::Serial;
+  std::span<const index_t> vrows;
+  index_t unit = 1;
+  const fmt::BinLayout<T>* layout = nullptr;
+};
+
 /// Abstract kernel-dispatch interface. Implementations are stateless apart
 /// from configuration and safe to share across threads; the public entry
 /// points validate arguments and emit the per-kernel trace spans, then
@@ -121,6 +133,23 @@ class Backend {
   void run_spmm(kernels::KernelId id, const CsrMatrix<double>& a,
                 std::span<const double> x, std::span<double> y, int width,
                 std::span<const index_t> vrows, index_t unit) const;
+
+  /// Execute every bin of one plan over `width` columns (the run_spmm
+  /// layout; width 1 is one vector): each task runs as run_layout_batch
+  /// when it carries a layout, else as run_spmm, and every covered row gets
+  /// the bits that single-bin launch would write. Tasks must cover disjoint
+  /// rows, as the bins of one BinSet do; rows no task covers are
+  /// untouched. The base implementation launches the bins one after
+  /// another; NativeBackend runs them all in one parallel region. Throws
+  /// std::logic_error for a layout task when supports_formats() is false.
+  void run_bins(const CsrMatrix<float>& a,
+                std::span<const BinTask<float>> tasks,
+                std::span<const float> x, std::span<float> y,
+                int width) const;
+  void run_bins(const CsrMatrix<double>& a,
+                std::span<const BinTask<double>> tasks,
+                std::span<const double> x, std::span<double> y,
+                int width) const;
 
   /// Whether this backend executes materialized bin layouts (spmv::fmt).
   /// Backends that return false always execute bins from the shared CSR
@@ -190,6 +219,17 @@ class Backend {
                                    std::span<const double> x,
                                    std::span<double> y, int batch) const;
 
+  /// Plan execution hooks. Called with validated extents; the defaults
+  /// launch each task through the public single-bin entries.
+  virtual void do_run_bins(const CsrMatrix<float>& a,
+                           std::span<const BinTask<float>> tasks,
+                           std::span<const float> x, std::span<float> y,
+                           int width) const;
+  virtual void do_run_bins(const CsrMatrix<double>& a,
+                           std::span<const BinTask<double>> tasks,
+                           std::span<const double> x, std::span<double> y,
+                           int width) const;
+
  private:
   template <typename T>
   void run_binned_impl(kernels::KernelId id, const CsrMatrix<T>& a,
@@ -205,6 +245,14 @@ class Backend {
   template <typename T>
   void run_layout_impl(const CsrMatrix<T>& a, const fmt::BinLayout<T>& l,
                        std::span<const T> x, std::span<T> y) const;
+  template <typename T>
+  void run_bins_impl(const CsrMatrix<T>& a, std::span<const BinTask<T>> tasks,
+                     std::span<const T> x, std::span<T> y, int width) const;
+  template <typename T>
+  void default_run_bins(const CsrMatrix<T>& a,
+                        std::span<const BinTask<T>> tasks,
+                        std::span<const T> x, std::span<T> y,
+                        int width) const;
   template <typename T>
   void run_layout_batch_impl(const CsrMatrix<T>& a, const fmt::BinLayout<T>& l,
                              std::span<const T> x, std::span<T> y,

@@ -6,13 +6,12 @@
 #include <cstdint>
 #include <stdexcept>
 #include <type_traits>
+#include <vector>
 
 #include "fmt/layout.hpp"
 #include "kernels/binned_common.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "prof/counters.hpp"
+#include "util/threads.hpp"
 
 // Sliced Dcsr bins of float run an AVX-512 kernel when the build targets
 // it (-march=native on such a host); everything else runs the portable
@@ -28,10 +27,6 @@ namespace {
 
 using kernels::KernelId;
 using kernels::RowMap;
-
-/// Bins at or below this many slots run inline: a fork/join costs more
-/// than the work it would distribute.
-constexpr std::int64_t kInlineSlots = 256;
 
 // --- per-row dot products, one per kernel shape -----------------------
 //
@@ -106,20 +101,11 @@ T dot_simd(std::span<const offset_t> rp, std::span<const index_t> ci,
   return acc;
 }
 
-/// Partition the bin's slots across threads (dynamic chunks, like
-/// kernels::spmv_omp_rows) and write each covered row's dot product. Slots
-/// never alias a row within one launch, so the writes are race-free.
+/// Write each covered row's dot product for slots [s0, s1) of a bin.
 template <typename T, typename Dot>
-void slot_loop(int threads, std::span<T> y, const RowMap& map, Dot dot) {
-  const std::int64_t slots = map.total_slots();
-#ifdef _OPENMP
-  const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic, 64) num_threads(nt) \
-    if (slots > kInlineSlots)
-#else
-  (void)threads;
-#endif
-  for (std::int64_t s = 0; s < slots; ++s) {
+void slot_range(std::span<T> y, const RowMap& map, std::int64_t s0,
+                std::int64_t s1, Dot dot) {
+  for (std::int64_t s = s0; s < s1; ++s) {
     const index_t r = map.slot_to_row(s);
     if (r < 0) continue;
     y[static_cast<std::size_t>(r)] = dot(r);
@@ -127,50 +113,48 @@ void slot_loop(int threads, std::span<T> y, const RowMap& map, Dot dot) {
 }
 
 template <typename T>
-void native_binned(int threads, KernelId id, const CsrMatrix<T>& a,
-                   std::span<const T> x, std::span<T> y,
-                   std::span<const index_t> vrows, index_t unit) {
-  const RowMap map{vrows, unit, a.rows()};
+void csr_range(KernelId id, const CsrMatrix<T>& a, std::span<const T> x,
+               std::span<T> y, const RowMap& map, std::int64_t s0,
+               std::int64_t s1) {
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto v = a.vals();
   switch (id) {
     case KernelId::Serial:
-      return slot_loop(threads, y, map,
-                       [&](index_t r) { return dot_plain(rp, ci, v, x, r); });
+      return slot_range(y, map, s0, s1,
+                        [&](index_t r) { return dot_plain(rp, ci, v, x, r); });
     case KernelId::Sub2:
-      return slot_loop(threads, y, map, [&](index_t r) {
+      return slot_range(y, map, s0, s1, [&](index_t r) {
         return dot_lanes<T, 2>(rp, ci, v, x, r);
       });
     case KernelId::Sub4:
-      return slot_loop(threads, y, map, [&](index_t r) {
+      return slot_range(y, map, s0, s1, [&](index_t r) {
         return dot_lanes<T, 4>(rp, ci, v, x, r);
       });
     case KernelId::Sub8:
-      return slot_loop(threads, y, map, [&](index_t r) {
+      return slot_range(y, map, s0, s1, [&](index_t r) {
         return dot_lanes<T, 8>(rp, ci, v, x, r);
       });
     case KernelId::Sub16:
-      return slot_loop(threads, y, map, [&](index_t r) {
+      return slot_range(y, map, s0, s1, [&](index_t r) {
         return dot_lanes<T, 16>(rp, ci, v, x, r);
       });
     case KernelId::Sub32:
-      return slot_loop(threads, y, map, [&](index_t r) {
+      return slot_range(y, map, s0, s1, [&](index_t r) {
         return dot_lanes<T, 32>(rp, ci, v, x, r);
       });
     case KernelId::Sub64:
-      return slot_loop(threads, y, map, [&](index_t r) {
+      return slot_range(y, map, s0, s1, [&](index_t r) {
         return dot_lanes<T, 64>(rp, ci, v, x, r);
       });
     case KernelId::Sub128:
-      return slot_loop(threads, y, map, [&](index_t r) {
+      return slot_range(y, map, s0, s1, [&](index_t r) {
         return dot_lanes<T, 128>(rp, ci, v, x, r);
       });
     case KernelId::Vector:
-      return slot_loop(threads, y, map,
-                       [&](index_t r) { return dot_simd(rp, ci, v, x, r); });
+      return slot_range(y, map, s0, s1,
+                        [&](index_t r) { return dot_simd(rp, ci, v, x, r); });
   }
-  throw std::invalid_argument("NativeBackend: bad kernel id");
 }
 
 // --- true SpMM (blocked multi-vector traversal) -----------------------
@@ -195,32 +179,48 @@ constexpr int spmm_tile_width(int lanes) {
              : (w < 1 ? 1 : w);
 }
 
-/// Sampled average column span of the bin's rows: the slice of one X
-/// column a traversal actually touches per row. For banded/stencil
-/// structures this is a narrow sliding window no matter how tall the
-/// vectors are, so the span — not the vector length — bounds how many
-/// columns can share one pass over A.
-std::size_t sampled_span(std::span<const offset_t> rp,
-                         std::span<const index_t> ci, const RowMap& map) {
+/// What 64 evenly spaced slots of a CSR bin show: the nonzeros per slot
+/// (slots past the last row count as empty) and, when `spans` is set, the
+/// average column span of the non-empty rows: the slice of one X column a
+/// traversal actually touches per row. For banded/stencil structures the
+/// span is a narrow sliding window no matter how tall the vectors are, so
+/// it — not the vector length — bounds how many columns can share one pass
+/// over A. Bins hold rows of similar length (that is what binning does),
+/// so the sampled length stands in for the bin's nonzeros without a walk
+/// over all of its rows.
+struct RowSample {
+  double len = 0.0;
+  std::size_t span = 1;
+};
+
+RowSample sample_rows(std::span<const offset_t> rp,
+                      std::span<const index_t> ci, const RowMap& map,
+                      bool spans) {
   const std::int64_t slots = map.total_slots();
   const std::int64_t stride = std::max<std::int64_t>(1, slots / 64);
-  std::size_t total = 0, rows = 0;
+  std::size_t nnz = 0, samples = 0, span = 0, rows = 0;
   for (std::int64_t s = 0; s < slots; s += stride) {
+    ++samples;
     const index_t r = map.slot_to_row(s);
     if (r < 0) continue;
     const auto lo = static_cast<std::size_t>(rp[static_cast<std::size_t>(r)]);
     const auto hi =
         static_cast<std::size_t>(rp[static_cast<std::size_t>(r) + 1]);
-    if (hi <= lo) continue;
+    nnz += hi - lo;
+    if (!spans || hi <= lo) continue;
     index_t cmin = ci[lo], cmax = ci[lo];
     for (std::size_t k = lo + 1; k < hi; ++k) {
       cmin = std::min(cmin, ci[k]);
       cmax = std::max(cmax, ci[k]);
     }
-    total += static_cast<std::size_t>(cmax - cmin) + 1;
+    span += static_cast<std::size_t>(cmax - cmin) + 1;
     ++rows;
   }
-  return rows > 0 ? std::max<std::size_t>(total / rows, 1) : 1;
+  RowSample out;
+  if (samples > 0)
+    out.len = static_cast<double>(nnz) / static_cast<double>(samples);
+  if (rows > 0) out.span = std::max<std::size_t>(span / rows, 1);
+  return out;
 }
 
 /// Runtime column-block step: the columns traversed together must keep
@@ -239,7 +239,7 @@ int spmm_block_step(int tile_w, std::size_t span) {
                     1, tile_w);
 }
 
-/// Drive `tile` over every slot for each `step`-wide block of output
+/// Drive `tile` over slots [s0, s1) for each `step`-wide block of output
 /// columns (step <= W, the tile's compile-time accumulator capacity).
 /// `tile(r, xoff, w, out)` must fill out[0..w) with row r's dot products
 /// against columns [xoff/n, xoff/n + w); out arrives zero-initialized for
@@ -247,21 +247,13 @@ int spmm_block_step(int tile_w, std::size_t span) {
 /// independent of `step` — blocking only decides which columns share one
 /// pass over A, so the bit-identity contract is unaffected.
 template <typename T, int W, typename Tile>
-void spmm_loop(int threads, std::span<T> y, const RowMap& map, int width,
-               std::size_t m, int step, Tile tile) {
-  const std::int64_t slots = map.total_slots();
-#ifndef _OPENMP
-  (void)threads;
-#endif
+void spmm_loop(std::span<T> y, const RowMap& map, std::int64_t s0,
+               std::int64_t s1, int width, std::size_t m, int step,
+               Tile tile) {
   for (int b0 = 0; b0 < width; b0 += step) {
     const int w = std::min(step, width - b0);
     const std::size_t yoff = static_cast<std::size_t>(b0) * m;
-#ifdef _OPENMP
-    const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic, 64) num_threads(nt) \
-    if (slots > kInlineSlots)
-#endif
-    for (std::int64_t s = 0; s < slots; ++s) {
+    for (std::int64_t s = s0; s < s1; ++s) {
       const index_t r = map.slot_to_row(s);
       if (r < 0) continue;
       T out[W];
@@ -282,9 +274,9 @@ void spmm_loop(int threads, std::span<T> y, const RowMap& map, int width,
 /// means the row's (val, col) stream is re-read per column from L1 instead
 /// of from memory: cache blocking on A, register blocking per column.
 template <typename T, int X, int W>
-void spmm_lanes(int threads, const CsrMatrix<T>& a, std::span<const T> x,
-                std::span<T> y, int width, const RowMap& map,
-                std::size_t span) {
+void spmm_lanes(const CsrMatrix<T>& a, std::span<const T> x, std::span<T> y,
+                int width, const RowMap& map, std::int64_t s0,
+                std::int64_t s1, std::size_t span) {
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto v = a.vals();
@@ -292,7 +284,7 @@ void spmm_lanes(int threads, const CsrMatrix<T>& a, std::span<const T> x,
   const auto m = static_cast<std::size_t>(a.rows());
   const int step = spmm_block_step<T>(W, span);
   spmm_loop<T, W>(
-      threads, y, map, width, m, step,
+      y, map, s0, s1, width, m, step,
       [&](index_t r, int b0, int w, T* out) {
         const std::size_t xoff = static_cast<std::size_t>(b0) * n;
         const auto lo =
@@ -324,27 +316,19 @@ void spmm_lanes(int threads, const CsrMatrix<T>& a, std::span<const T> x,
 /// spmm_loop tile: rows here are often a few nonzeros long, and the
 /// tile's per-row staging cost more than the row's work.
 template <typename T>
-void spmm_serial(int threads, const CsrMatrix<T>& a, std::span<const T> x,
-                 std::span<T> y, int width, const RowMap& map, int step) {
+void spmm_serial(const CsrMatrix<T>& a, std::span<const T> x, std::span<T> y,
+                 int width, const RowMap& map, std::int64_t s0,
+                 std::int64_t s1, int step) {
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto v = a.vals();
   const auto n = static_cast<std::size_t>(a.cols());
   const auto m = static_cast<std::size_t>(a.rows());
-  const std::int64_t slots = map.total_slots();
-#ifndef _OPENMP
-  (void)threads;
-#endif
   for (int b0 = 0; b0 < width; b0 += step) {
     const int w = std::min(step, width - b0);
     const std::size_t xoff = static_cast<std::size_t>(b0) * n;
     const std::size_t yoff = static_cast<std::size_t>(b0) * m;
-#ifdef _OPENMP
-    const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic, 64) num_threads(nt) \
-    if (slots > kInlineSlots)
-#endif
-    for (std::int64_t s = 0; s < slots; ++s) {
+    for (std::int64_t s = s0; s < s1; ++s) {
       const index_t r = map.slot_to_row(s);
       if (r < 0) continue;
       const auto lo =
@@ -366,42 +350,41 @@ void spmm_serial(int threads, const CsrMatrix<T>& a, std::span<const T> x,
   }
 }
 
+/// SpMM over slots [s0, s1) of a bin whose sampled column span is `span`.
 template <typename T>
-void native_spmm(int threads, KernelId id, const CsrMatrix<T>& a,
-                 std::span<const T> x, std::span<T> y, int width,
-                 std::span<const index_t> vrows, index_t unit) {
-  const RowMap map{vrows, unit, a.rows()};
+void csr_spmm_range(KernelId id, const CsrMatrix<T>& a, std::span<const T> x,
+                    std::span<T> y, int width, const RowMap& map,
+                    std::int64_t s0, std::int64_t s1, std::size_t span) {
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto v = a.vals();
   const auto n = static_cast<std::size_t>(a.cols());
   const auto m = static_cast<std::size_t>(a.rows());
-  const std::size_t span = sampled_span(rp, ci, map);
   switch (id) {
     case KernelId::Serial:
-      return spmm_serial(threads, a, x, y, width, map,
+      return spmm_serial(a, x, y, width, map, s0, s1,
                          spmm_block_step<T>(kernels::kMaxNativeBatch, span));
     case KernelId::Sub2:
-      return spmm_lanes<T, 2, spmm_tile_width(2)>(threads, a, x, y, width,
-                                                  map, span);
+      return spmm_lanes<T, 2, spmm_tile_width(2)>(a, x, y, width, map, s0,
+                                                  s1, span);
     case KernelId::Sub4:
-      return spmm_lanes<T, 4, spmm_tile_width(4)>(threads, a, x, y, width,
-                                                  map, span);
+      return spmm_lanes<T, 4, spmm_tile_width(4)>(a, x, y, width, map, s0,
+                                                  s1, span);
     case KernelId::Sub8:
-      return spmm_lanes<T, 8, spmm_tile_width(8)>(threads, a, x, y, width,
-                                                  map, span);
+      return spmm_lanes<T, 8, spmm_tile_width(8)>(a, x, y, width, map, s0,
+                                                  s1, span);
     case KernelId::Sub16:
-      return spmm_lanes<T, 16, spmm_tile_width(16)>(threads, a, x, y, width,
-                                                    map, span);
+      return spmm_lanes<T, 16, spmm_tile_width(16)>(a, x, y, width, map, s0,
+                                                    s1, span);
     case KernelId::Sub32:
-      return spmm_lanes<T, 32, spmm_tile_width(32)>(threads, a, x, y, width,
-                                                    map, span);
+      return spmm_lanes<T, 32, spmm_tile_width(32)>(a, x, y, width, map, s0,
+                                                    s1, span);
     case KernelId::Sub64:
-      return spmm_lanes<T, 64, spmm_tile_width(64)>(threads, a, x, y, width,
-                                                    map, span);
+      return spmm_lanes<T, 64, spmm_tile_width(64)>(a, x, y, width, map, s0,
+                                                    s1, span);
     case KernelId::Sub128:
-      return spmm_lanes<T, 128, spmm_tile_width(128)>(threads, a, x, y,
-                                                      width, map, span);
+      return spmm_lanes<T, 128, spmm_tile_width(128)>(a, x, y, width, map,
+                                                      s0, s1, span);
     case KernelId::Vector:
       // dot_simd's association is whatever the compiler vectorized for the
       // single-vector kernel, so the only way to match it bit-for-bit is
@@ -409,7 +392,7 @@ void native_spmm(int threads, KernelId id, const CsrMatrix<T>& a,
       // stream still stays L1-resident across the tile — cache blocking
       // rather than register blocking.
       return spmm_loop<T, kernels::kMaxNativeBatch>(
-          threads, y, map, width, m,
+          y, map, s0, s1, width, m,
           spmm_block_step<T>(kernels::kMaxNativeBatch, span),
           [&](index_t r, int b0, int w, T* out) {
             const std::size_t xoff = static_cast<std::size_t>(b0) * n;
@@ -419,7 +402,6 @@ void native_spmm(int threads, KernelId id, const CsrMatrix<T>& a,
                   x.subspan(xoff + static_cast<std::size_t>(b) * n, n), r);
           });
   }
-  throw std::invalid_argument("NativeBackend: bad kernel id");
 }
 
 // --- layout kernels (spmv::fmt) ---------------------------------------
@@ -429,25 +411,18 @@ void native_spmm(int threads, KernelId id, const CsrMatrix<T>& a,
 // nothing else — the same composition contract as the CSR slot loop, so a
 // plan can mix CSR bins and layout bins freely.
 
-/// ELL: per packed row, walk the column-major padded stream. Entries are
-/// packed from k=0, so the first pad column (-1) ends the row.
+/// ELL, packed rows [r0, r1): per row, walk the column-major padded
+/// stream. Entries are packed from k=0, so the first pad column (-1) ends
+/// the row.
 template <typename T>
-void native_ell(int threads, const fmt::EllBin<T>& e, std::span<const T> x,
-                std::span<T> y) {
-  const auto nrows = static_cast<std::int64_t>(e.rows.size());
-#ifdef _OPENMP
-  const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(static) num_threads(nt) \
-    if (nrows > kInlineSlots)
-#else
-  (void)threads;
-#endif
-  for (std::int64_t r = 0; r < nrows; ++r) {
+void ell_range(const fmt::EllBin<T>& e, std::int64_t r0, std::int64_t r1,
+               std::span<const T> x, std::span<T> y) {
+  const auto nrows = e.rows.size();
+  for (std::int64_t r = r0; r < r1; ++r) {
     T acc{};
     for (index_t k = 0; k < e.width; ++k) {
-      const auto idx = static_cast<std::size_t>(k) *
-                           static_cast<std::size_t>(nrows) +
-                       static_cast<std::size_t>(r);
+      const auto idx =
+          static_cast<std::size_t>(k) * nrows + static_cast<std::size_t>(r);
       const index_t c = e.col[idx];
       if (c < 0) break;
       acc += e.val[idx] * x[static_cast<std::size_t>(c)];
@@ -456,34 +431,21 @@ void native_ell(int threads, const fmt::EllBin<T>& e, std::span<const T> x,
   }
 }
 
-/// COO: zero every covered row, then accumulate triples chunk-parallel.
-/// Chunks never split a row (layout invariant), so concurrent `+=` into y
-/// target disjoint entries.
+/// COO, chunks [ch0, ch1): zero the packed rows the chunks own, then
+/// accumulate their triples in entry order. Chunks never split a row
+/// (layout invariant), so the rows a chunk range zeroes are exactly the
+/// rows it accumulates into, and concurrent ranges touch disjoint y
+/// entries.
 template <typename T>
-void native_coo(int threads, const fmt::CooBin<T>& c, std::span<const T> x,
-                std::span<T> y) {
-  const auto nrows = static_cast<std::int64_t>(c.rows.size());
-#ifdef _OPENMP
-  const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(static) num_threads(nt) \
-    if (nrows > kInlineSlots)
-#else
-  (void)threads;
-#endif
-  for (std::int64_t r = 0; r < nrows; ++r)
-    y[static_cast<std::size_t>(c.rows[static_cast<std::size_t>(r)])] = T{};
-  const auto nchunks = static_cast<std::int64_t>(c.chunk_ptr.size()) - 1;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 1) num_threads(nt) \
-    if (nchunks > 1)
-#endif
-  for (std::int64_t ch = 0; ch < nchunks; ++ch) {
-    const std::size_t lo = c.chunk_ptr[static_cast<std::size_t>(ch)];
-    const std::size_t hi = c.chunk_ptr[static_cast<std::size_t>(ch) + 1];
-    for (std::size_t j = lo; j < hi; ++j)
-      y[static_cast<std::size_t>(c.entry_row[j])] +=
-          c.entry_val[j] * x[static_cast<std::size_t>(c.entry_col[j])];
-  }
+void coo_range(const fmt::CooBin<T>& c, std::int64_t ch0, std::int64_t ch1,
+               std::span<const T> x, std::span<T> y) {
+  const auto u0 = static_cast<std::size_t>(ch0);
+  const auto u1 = static_cast<std::size_t>(ch1);
+  for (std::size_t p = c.chunk_row[u0]; p < c.chunk_row[u1]; ++p)
+    y[static_cast<std::size_t>(c.rows[p])] = T{};
+  for (std::size_t j = c.chunk_ptr[u0]; j < c.chunk_ptr[u1]; ++j)
+    y[static_cast<std::size_t>(c.entry_row[j])] +=
+        c.entry_val[j] * x[static_cast<std::size_t>(c.entry_col[j])];
 }
 
 /// Dcsr lane count: each row accumulates over this many partial sums.
@@ -604,41 +566,32 @@ void store_slice(const fmt::DeltaBin<T>& d, std::size_t s0,
         static_cast<std::size_t>(d.rows[s0 + i])] = out[c][i];
 }
 
-/// Slices per dynamic chunk of the Dcsr kernels: 64 rows at slice height
-/// 1, and one whole sort window when sliced — a window's rows are
-/// permuted, so splitting it across threads would share y's cache lines.
+/// Slices a work item of a Dcsr bin is cut at: 64 rows at slice height 1,
+/// and one whole sort window when sliced — a window's rows are permuted,
+/// so splitting it across threads would share y's cache lines.
 constexpr std::int64_t dcsr_chunk(std::int64_t slice) {
   return slice == 1 ? 64 : fmt::kDcsrSortWindow / fmt::kDcsrSlice;
 }
 
-/// Dcsr: one lane-split dot product per packed row, or one lane per row
-/// of each slice.
+/// Dcsr, slices [s0, s1): one lane-split dot product per packed row, or
+/// one lane per row of each slice.
 template <typename T>
-void native_dcsr(int threads, const fmt::DeltaBin<T>& d, std::span<const T> x,
-                 std::span<T> y) {
-  const auto nrows = static_cast<std::int64_t>(d.rows.size());
+void dcsr_range(const fmt::DeltaBin<T>& d, std::int64_t s0, std::int64_t s1,
+                std::span<const T> x, std::span<T> y) {
   const std::int64_t slice = d.slice;
-  const std::int64_t nslices = (nrows + slice - 1) / slice;
-#ifdef _OPENMP
-  const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic, dcsr_chunk(slice)) \
-    num_threads(nt) if (nrows > kInlineSlots)
-#else
-  (void)threads;
-#endif
-  for (std::int64_t s = 0; s < nslices; ++s) {
-    const auto s0 = static_cast<std::size_t>(s * slice);
+  for (std::int64_t s = s0; s < s1; ++s) {
+    const auto p0 = static_cast<std::size_t>(s * slice);
     if (slice == 1) {
-      const auto lo = static_cast<std::size_t>(d.row_ptr[s0]);
-      const auto hi = static_cast<std::size_t>(d.row_ptr[s0 + 1]);
+      const auto lo = static_cast<std::size_t>(d.row_ptr[p0]);
+      const auto hi = static_cast<std::size_t>(d.row_ptr[p0 + 1]);
       dcsr_dots<1>(d.vals.data() + lo, d.offsets.data() + lo, hi - lo,
-                   x.data() + d.base_col[s0], 0,
-                   &y[static_cast<std::size_t>(d.rows[s0])]);
+                   x.data() + d.base_col[p0], 0,
+                   &y[static_cast<std::size_t>(d.rows[p0])]);
       continue;
     }
     T out[1][fmt::kDcsrSlice];
-    slice_dots<1>(d, s0, x.data(), 0, out);
-    store_slice<1>(d, s0, out, y);
+    slice_dots<1>(d, p0, x.data(), 0, out);
+    store_slice<1>(d, p0, out, y);
   }
 }
 
@@ -646,28 +599,19 @@ void native_dcsr(int threads, const fmt::DeltaBin<T>& d, std::span<const T> x,
 /// to kMaxNativeBatch accumulators per row, blocked by b0 for wider
 /// batches.
 template <typename T>
-void native_ell_batch(int threads, const fmt::EllBin<T>& e,
-                      std::span<const T> x, std::span<T> y, int batch,
-                      std::size_t n, std::size_t m) {
-  const auto nrows = static_cast<std::int64_t>(e.rows.size());
-#ifndef _OPENMP
-  (void)threads;
-#endif
+void ell_batch_range(const fmt::EllBin<T>& e, std::int64_t r0,
+                     std::int64_t r1, std::span<const T> x, std::span<T> y,
+                     int batch, std::size_t n, std::size_t m) {
+  const auto nrows = e.rows.size();
   for (int b0 = 0; b0 < batch; b0 += kernels::kMaxNativeBatch) {
     const int w = std::min(kernels::kMaxNativeBatch, batch - b0);
     const std::size_t xoff = static_cast<std::size_t>(b0) * n;
     const std::size_t yoff = static_cast<std::size_t>(b0) * m;
-#ifdef _OPENMP
-    const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(static) num_threads(nt) \
-    if (nrows > kInlineSlots)
-#endif
-    for (std::int64_t r = 0; r < nrows; ++r) {
+    for (std::int64_t r = r0; r < r1; ++r) {
       T acc[kernels::kMaxNativeBatch] = {};
       for (index_t k = 0; k < e.width; ++k) {
-        const auto idx = static_cast<std::size_t>(k) *
-                             static_cast<std::size_t>(nrows) +
-                         static_cast<std::size_t>(r);
+        const auto idx =
+            static_cast<std::size_t>(k) * nrows + static_cast<std::size_t>(r);
         const index_t c = e.col[idx];
         if (c < 0) break;
         const T av = e.val[idx];
@@ -684,74 +628,47 @@ void native_ell_batch(int threads, const fmt::EllBin<T>& e,
 }
 
 template <typename T>
-void native_coo_batch(int threads, const fmt::CooBin<T>& c,
-                      std::span<const T> x, std::span<T> y, int batch,
-                      std::size_t n, std::size_t m) {
-  const auto nrows = static_cast<std::int64_t>(c.rows.size());
-  const auto nchunks = static_cast<std::int64_t>(c.chunk_ptr.size()) - 1;
-#ifndef _OPENMP
-  (void)threads;
-#endif
+void coo_batch_range(const fmt::CooBin<T>& c, std::int64_t ch0,
+                     std::int64_t ch1, std::span<const T> x, std::span<T> y,
+                     int batch, std::size_t n, std::size_t m) {
+  const auto u0 = static_cast<std::size_t>(ch0);
+  const auto u1 = static_cast<std::size_t>(ch1);
   for (int b0 = 0; b0 < batch; b0 += kernels::kMaxNativeBatch) {
     const int w = std::min(kernels::kMaxNativeBatch, batch - b0);
     const std::size_t xoff = static_cast<std::size_t>(b0) * n;
     const std::size_t yoff = static_cast<std::size_t>(b0) * m;
-#ifdef _OPENMP
-    const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(static) num_threads(nt) \
-    if (nrows > kInlineSlots)
-#endif
-    for (std::int64_t r = 0; r < nrows; ++r) {
-      const auto row =
-          static_cast<std::size_t>(c.rows[static_cast<std::size_t>(r)]);
+    for (std::size_t p = c.chunk_row[u0]; p < c.chunk_row[u1]; ++p) {
+      const auto row = static_cast<std::size_t>(c.rows[p]);
       for (int b = 0; b < w; ++b)
         y[yoff + static_cast<std::size_t>(b) * m + row] = T{};
     }
-#ifdef _OPENMP
-    const int nt2 = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic, 1) num_threads(nt2) \
-    if (nchunks > 1)
-#endif
-    for (std::int64_t ch = 0; ch < nchunks; ++ch) {
-      const std::size_t lo = c.chunk_ptr[static_cast<std::size_t>(ch)];
-      const std::size_t hi = c.chunk_ptr[static_cast<std::size_t>(ch) + 1];
-      for (std::size_t j = lo; j < hi; ++j) {
-        const auto row = static_cast<std::size_t>(c.entry_row[j]);
-        const auto col = static_cast<std::size_t>(c.entry_col[j]);
-        const T av = c.entry_val[j];
-        for (int b = 0; b < w; ++b)
-          y[yoff + static_cast<std::size_t>(b) * m + row] +=
-              av * x[xoff + static_cast<std::size_t>(b) * n + col];
-      }
+    for (std::size_t j = c.chunk_ptr[u0]; j < c.chunk_ptr[u1]; ++j) {
+      const auto row = static_cast<std::size_t>(c.entry_row[j]);
+      const auto col = static_cast<std::size_t>(c.entry_col[j]);
+      const T av = c.entry_val[j];
+      for (int b = 0; b < w; ++b)
+        y[yoff + static_cast<std::size_t>(b) * m + row] +=
+            av * x[xoff + static_cast<std::size_t>(b) * n + col];
     }
   }
 }
 
 /// Batched Dcsr: per row or slice, kLayoutColumns columns at a time and
-/// one at a time for the rest — the exact per-column order of native_dcsr.
+/// one at a time for the rest — the exact per-column order of dcsr_range.
 template <typename T>
-void native_dcsr_batch(int threads, const fmt::DeltaBin<T>& d,
-                       std::span<const T> x, std::span<T> y, int batch,
-                       std::size_t n, std::size_t m) {
-  const auto nrows = static_cast<std::int64_t>(d.rows.size());
+void dcsr_batch_range(const fmt::DeltaBin<T>& d, std::int64_t s0,
+                      std::int64_t s1, std::span<const T> x, std::span<T> y,
+                      int batch, std::size_t n, std::size_t m) {
   const std::int64_t slice = d.slice;
-  const std::int64_t nslices = (nrows + slice - 1) / slice;
-#ifdef _OPENMP
-  const int nt = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic, dcsr_chunk(slice)) \
-    num_threads(nt) if (nrows > kInlineSlots)
-#else
-  (void)threads;
-#endif
-  for (std::int64_t s = 0; s < nslices; ++s) {
-    const auto s0 = static_cast<std::size_t>(s * slice);
+  for (std::int64_t s = s0; s < s1; ++s) {
+    const auto p0 = static_cast<std::size_t>(s * slice);
     if (slice == 1) {
-      const auto lo = static_cast<std::size_t>(d.row_ptr[s0]);
-      const auto len = static_cast<std::size_t>(d.row_ptr[s0 + 1]) - lo;
+      const auto lo = static_cast<std::size_t>(d.row_ptr[p0]);
+      const auto len = static_cast<std::size_t>(d.row_ptr[p0 + 1]) - lo;
       const T* v = d.vals.data() + lo;
       const std::uint16_t* off = d.offsets.data() + lo;
-      const T* xb = x.data() + static_cast<std::size_t>(d.base_col[s0]);
-      const auto row = static_cast<std::size_t>(d.rows[s0]);
+      const T* xb = x.data() + static_cast<std::size_t>(d.base_col[p0]);
+      const auto row = static_cast<std::size_t>(d.rows[p0]);
       T out[kLayoutColumns];
       int b = 0;
       for (; b + kLayoutColumns <= batch; b += kLayoutColumns) {
@@ -771,45 +688,265 @@ void native_dcsr_batch(int threads, const fmt::DeltaBin<T>& d,
     for (; b + kLayoutColumns <= batch; b += kLayoutColumns) {
       T out[kLayoutColumns][fmt::kDcsrSlice];
       slice_dots<kLayoutColumns>(
-          d, s0, x.data() + static_cast<std::size_t>(b) * n, n, out);
+          d, p0, x.data() + static_cast<std::size_t>(b) * n, n, out);
       store_slice<kLayoutColumns>(
-          d, s0, out, y.subspan(static_cast<std::size_t>(b) * m), m);
+          d, p0, out, y.subspan(static_cast<std::size_t>(b) * m), m);
     }
     for (; b < batch; ++b) {
       T out[1][fmt::kDcsrSlice];
-      slice_dots<1>(d, s0, x.data() + static_cast<std::size_t>(b) * n, 0,
+      slice_dots<1>(d, p0, x.data() + static_cast<std::size_t>(b) * n, 0,
                     out);
-      store_slice<1>(d, s0, out, y.subspan(static_cast<std::size_t>(b) * m));
+      store_slice<1>(d, p0, out, y.subspan(static_cast<std::size_t>(b) * m));
     }
   }
 }
 
+// --- the work list ----------------------------------------------------
+//
+// One SpMV (or SpMM) over a whole plan is one list of work items — runs of
+// slots of a CSR bin, packed rows of an ELL bin, chunks of a COO bin,
+// slices of a Dcsr bin — cut so that each carries about the same work,
+// counted as nonzeros plus rows. The items run in one parallel region
+// under dynamic scheduling; bins cover disjoint rows, and an item writes
+// only rows of its own range, so no barrier separates the bins. Each row
+// is computed whole by one item in its kernel's usual order, so how the
+// bins are cut never changes a bit of the result.
+
+/// Least work worth an item: below it a claim costs about what the work
+/// does.
+constexpr std::int64_t kItemWork = 2048;
+
+/// Least work worth a parallel region, about 15-30 us of SpMV: below it
+/// the list runs inline. A region's fork/join and its threads' spinning
+/// at the closing barrier cost about what a smaller list does, and once
+/// other processes share the cores, a spinning team thread costs them a
+/// core for up to a scheduler slice. Above it the team is the whole
+/// budget, never a size picked per list: libgomp ends the pool threads a
+/// smaller team leaves idle and starts new ones for the next larger team,
+/// about 200 us a switch on the 4-core test host.
+constexpr std::int64_t kRegionWork = std::int64_t{1} << 15;
+
+/// Items per thread the cut aims for, so dynamic scheduling can even out
+/// what the work estimate misses.
+constexpr std::int64_t kItemsPerThread = 4;
+
+/// A task's units and how it may be cut: `units` units (slots, packed
+/// rows, chunks or slices), cut only at multiples of `grain`, with `work`
+/// in total. For CSR SpMM, `span` is the bin's sampled column span.
+struct TaskShape {
+  std::int64_t units = 0;
+  std::int64_t grain = 1;
+  std::int64_t work = 0;
+  std::size_t span = 1;
+};
+
+/// Units [lo, hi) of task `task`.
+struct Item {
+  std::size_t task = 0;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  std::int64_t work = 0;
+};
+
+/// Slots a CSR item is cut at: 64 rows of a bin at U = 1.
+constexpr std::int64_t kSlotGrain = 64;
+/// Packed rows an ELL item is cut at.
+constexpr std::int64_t kRowGrain = 64;
+
+/// Work of units [0, u) of `t`: nonzeros plus rows for every layout, and a
+/// uniform share of the bin's total for CSR slots (a bin holds rows of
+/// similar length — that is what binning does).
 template <typename T>
-void native_layout(int threads, const fmt::BinLayout<T>& l,
-                   std::span<const T> x, std::span<T> y) {
+std::int64_t work_before(const BinTask<T>& t, const TaskShape& sh,
+                         std::int64_t u) {
+  if (t.layout == nullptr)
+    return sh.work * u / std::max<std::int64_t>(1, sh.units);
+  const fmt::BinLayout<T>& l = *t.layout;
   switch (l.kind) {
-    case fmt::FormatKind::Ell: return native_ell(threads, l.ell, x, y);
-    case fmt::FormatKind::Coo: return native_coo(threads, l.coo, x, y);
-    case fmt::FormatKind::Dcsr: return native_dcsr(threads, l.dcsr, x, y);
-    case fmt::FormatKind::Csr: break;
+    case fmt::FormatKind::Ell:
+      return (static_cast<std::int64_t>(l.ell.width) + 1) * u;
+    case fmt::FormatKind::Coo: {
+      const auto c = static_cast<std::size_t>(u);
+      return static_cast<std::int64_t>(l.coo.chunk_ptr[c] +
+                                       l.coo.chunk_row[c]);
+    }
+    default: {
+      const auto p = std::min(static_cast<std::size_t>(u * l.dcsr.slice),
+                              l.dcsr.rows.size());
+      return static_cast<std::int64_t>(l.dcsr.row_ptr[p]) +
+             static_cast<std::int64_t>(p);
+    }
   }
-  throw std::invalid_argument("NativeBackend: bad layout kind");
+}
+
+/// Shape of one task. Rejects what no kernel runs, here rather than inside
+/// the parallel region, where an exception would end the process.
+template <typename T>
+TaskShape shape_of(const CsrMatrix<T>& a, const BinTask<T>& t, int width) {
+  TaskShape sh;
+  if (t.layout == nullptr) {
+    if (static_cast<int>(t.kernel) < 0 ||
+        static_cast<int>(t.kernel) >= kernels::kKernelCount)
+      throw std::invalid_argument("NativeBackend: bad kernel id");
+    const RowMap map{t.vrows, t.unit, a.rows()};
+    const RowSample sample = sample_rows(a.row_ptr(), a.col_idx(), map,
+                                         width > 1);
+    sh.units = map.total_slots();
+    sh.grain = kSlotGrain;
+    sh.work = sh.units + std::llround(static_cast<double>(sh.units) *
+                                      sample.len);
+    sh.span = sample.span;
+    return sh;
+  }
+  const fmt::BinLayout<T>& l = *t.layout;
+  switch (l.kind) {
+    case fmt::FormatKind::Ell:
+      sh.units = static_cast<std::int64_t>(l.ell.rows.size());
+      sh.grain = kRowGrain;
+      break;
+    case fmt::FormatKind::Coo:
+      sh.units = static_cast<std::int64_t>(l.coo.chunk_ptr.size()) - 1;
+      break;
+    case fmt::FormatKind::Dcsr:
+      sh.units = (static_cast<std::int64_t>(l.dcsr.rows.size()) +
+                  l.dcsr.slice - 1) /
+                 l.dcsr.slice;
+      sh.grain = dcsr_chunk(l.dcsr.slice);
+      break;
+    case fmt::FormatKind::Csr:
+      throw std::invalid_argument("NativeBackend: bad layout kind");
+  }
+  sh.work = work_before(t, sh, sh.units);
+  return sh;
+}
+
+/// Cut task `ti` into pieces of about `target` work each, at grain
+/// boundaries, and append them to `items`.
+template <typename T>
+void cut_task(const BinTask<T>& t, const TaskShape& sh, std::size_t ti,
+              std::int64_t target, std::vector<Item>& items) {
+  const std::int64_t cuts = (sh.units + sh.grain - 1) / sh.grain;
+  const std::int64_t pieces =
+      std::clamp<std::int64_t>((sh.work + target - 1) / target, 1, cuts);
+  const auto unit_at = [&](std::int64_t k) {
+    return std::min(k * sh.grain, sh.units);
+  };
+  std::int64_t lo = 0;
+  for (std::int64_t i = 1; i <= pieces; ++i) {
+    std::int64_t hi = sh.units;
+    if (i < pieces) {
+      // The first grain boundary whose prefix work reaches i/pieces.
+      const std::int64_t want = sh.work * i / pieces;
+      std::int64_t k0 = 0;
+      std::int64_t k1 = cuts;
+      while (k0 < k1) {
+        const std::int64_t k = k0 + (k1 - k0) / 2;
+        if (work_before(t, sh, unit_at(k)) < want)
+          k0 = k + 1;
+        else
+          k1 = k;
+      }
+      hi = unit_at(k0);
+    }
+    if (hi <= lo) continue;
+    items.push_back({ti, lo, hi,
+                     work_before(t, sh, hi) - work_before(t, sh, lo)});
+    lo = hi;
+  }
+}
+
+/// Run units [lo, hi) of one task over `width` columns.
+template <typename T>
+void run_item(const CsrMatrix<T>& a, const BinTask<T>& t, const TaskShape& sh,
+              std::int64_t lo, std::int64_t hi, std::span<const T> x,
+              std::span<T> y, int width) {
+  if (t.layout == nullptr) {
+    const RowMap map{t.vrows, t.unit, a.rows()};
+    if (width == 1)
+      csr_range(t.kernel, a, x, y, map, lo, hi);
+    else
+      csr_spmm_range(t.kernel, a, x, y, width, map, lo, hi, sh.span);
+    return;
+  }
+  const fmt::BinLayout<T>& l = *t.layout;
+  const auto n = static_cast<std::size_t>(a.cols());
+  const auto m = static_cast<std::size_t>(a.rows());
+  switch (l.kind) {
+    case fmt::FormatKind::Ell:
+      if (width == 1) return ell_range(l.ell, lo, hi, x, y);
+      return ell_batch_range(l.ell, lo, hi, x, y, width, n, m);
+    case fmt::FormatKind::Coo:
+      if (width == 1) return coo_range(l.coo, lo, hi, x, y);
+      return coo_batch_range(l.coo, lo, hi, x, y, width, n, m);
+    case fmt::FormatKind::Dcsr:
+      if (width == 1) return dcsr_range(l.dcsr, lo, hi, x, y);
+      return dcsr_batch_range(l.dcsr, lo, hi, x, y, width, n, m);
+    case fmt::FormatKind::Csr:
+      break;
+  }
+}
+
+/// The native executor: every task of `tasks` over `width` columns, as one
+/// work list in (at most) one parallel region of the calling thread's
+/// budget (util::thread_budget), inline below kRegionWork. Single-bin
+/// launches come here as a list of one.
+template <typename T>
+void run_work_list(const CsrMatrix<T>& a, std::span<const BinTask<T>> tasks,
+                   std::span<const T> x, std::span<T> y, int width) {
+  std::vector<TaskShape> shapes;
+  shapes.reserve(tasks.size());
+  std::int64_t total = 0;
+  for (const BinTask<T>& t : tasks) {
+    shapes.push_back(shape_of(a, t, width));
+    total += shapes.back().work;
+  }
+  const int team = total < kRegionWork ? 1 : util::thread_budget();
+  if (team == 1) {
+    // Inline: each task runs whole on the calling thread.
+    const prof::ActiveThreadScope active(1);
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+      if (shapes[i].units > 0)
+        run_item(a, tasks[i], shapes[i], 0, shapes[i].units, x, y, width);
+    return;
+  }
+  const std::int64_t target =
+      std::max(kItemWork, total / (team * kItemsPerThread));
+  std::vector<Item> items;
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    if (shapes[i].units > 0) cut_task(tasks[i], shapes[i], i, target, items);
+  // Heaviest first: under dynamic scheduling the light items fill in the
+  // gaps at the end instead of one heavy item trailing alone.
+  std::sort(items.begin(), items.end(), [](const Item& p, const Item& q) {
+    return p.work > q.work;
+  });
+  const auto count = static_cast<std::int64_t>(items.size());
+  const int threads = count > 1 ? team : 1;
+  // The gauge holds the team the region asks for from before the fork
+  // until after the join: the threads are held for all of it. Counted here
+  // on the caller, so no thread of the team writes it.
+  const prof::ActiveThreadScope active(threads);
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic, 1) num_threads(threads) \
+    if (threads > 1)
+#endif
+  for (std::int64_t i = 0; i < count; ++i) {
+    const Item& it = items[static_cast<std::size_t>(i)];
+    run_item(a, tasks[it.task], shapes[it.task], it.lo, it.hi, x, y, width);
+  }
 }
 
 template <typename T>
-void native_layout_batch(int threads, const fmt::BinLayout<T>& l,
-                         std::span<const T> x, std::span<T> y, int batch,
-                         std::size_t n, std::size_t m) {
-  switch (l.kind) {
-    case fmt::FormatKind::Ell:
-      return native_ell_batch(threads, l.ell, x, y, batch, n, m);
-    case fmt::FormatKind::Coo:
-      return native_coo_batch(threads, l.coo, x, y, batch, n, m);
-    case fmt::FormatKind::Dcsr:
-      return native_dcsr_batch(threads, l.dcsr, x, y, batch, n, m);
-    case fmt::FormatKind::Csr: break;
-  }
-  throw std::invalid_argument("NativeBackend: bad layout kind");
+void run_one(const CsrMatrix<T>& a, const BinTask<T>& t, std::span<const T> x,
+             std::span<T> y, int width) {
+  run_work_list(a, std::span<const BinTask<T>>(&t, 1), x, y, width);
+}
+
+template <typename T>
+void run_one(const CsrMatrix<T>& a, const fmt::BinLayout<T>& l,
+             std::span<const T> x, std::span<T> y, int width) {
+  BinTask<T> t;
+  t.layout = &l;
+  run_one(a, t, x, y, width);
 }
 
 }  // namespace
@@ -820,7 +957,7 @@ void NativeBackend::do_run_binned(kernels::KernelId id,
                                   std::span<float> y,
                                   std::span<const index_t> vrows,
                                   index_t unit) const {
-  native_binned(options_.threads, id, a, x, y, vrows, unit);
+  run_one<float>(a, {id, vrows, unit}, x, y, 1);
 }
 
 void NativeBackend::do_run_binned(kernels::KernelId id,
@@ -829,14 +966,14 @@ void NativeBackend::do_run_binned(kernels::KernelId id,
                                   std::span<double> y,
                                   std::span<const index_t> vrows,
                                   index_t unit) const {
-  native_binned(options_.threads, id, a, x, y, vrows, unit);
+  run_one<double>(a, {id, vrows, unit}, x, y, 1);
 }
 
 void NativeBackend::do_run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,
                                 std::span<const float> x, std::span<float> y,
                                 int width, std::span<const index_t> vrows,
                                 index_t unit) const {
-  native_spmm(options_.threads, id, a, x, y, width, vrows, unit);
+  run_one<float>(a, {id, vrows, unit}, x, y, width);
 }
 
 void NativeBackend::do_run_spmm(kernels::KernelId id,
@@ -845,41 +982,49 @@ void NativeBackend::do_run_spmm(kernels::KernelId id,
                                 std::span<double> y, int width,
                                 std::span<const index_t> vrows,
                                 index_t unit) const {
-  native_spmm(options_.threads, id, a, x, y, width, vrows, unit);
+  run_one<double>(a, {id, vrows, unit}, x, y, width);
 }
 
 void NativeBackend::do_run_layout(const CsrMatrix<float>& a,
                                   const fmt::BinLayout<float>& l,
                                   std::span<const float> x,
                                   std::span<float> y) const {
-  (void)a;
-  native_layout(options_.threads, l, x, y);
+  run_one<float>(a, l, x, y, 1);
 }
 
 void NativeBackend::do_run_layout(const CsrMatrix<double>& a,
                                   const fmt::BinLayout<double>& l,
                                   std::span<const double> x,
                                   std::span<double> y) const {
-  (void)a;
-  native_layout(options_.threads, l, x, y);
+  run_one<double>(a, l, x, y, 1);
 }
 
 void NativeBackend::do_run_layout_batch(const CsrMatrix<float>& a,
                                         const fmt::BinLayout<float>& l,
                                         std::span<const float> x,
                                         std::span<float> y, int batch) const {
-  native_layout_batch(options_.threads, l, x, y, batch,
-                      static_cast<std::size_t>(a.cols()),
-                      static_cast<std::size_t>(a.rows()));
+  run_one<float>(a, l, x, y, batch);
 }
 
 void NativeBackend::do_run_layout_batch(const CsrMatrix<double>& a,
                                         const fmt::BinLayout<double>& l,
                                         std::span<const double> x,
                                         std::span<double> y, int batch) const {
-  native_layout_batch(options_.threads, l, x, y, batch,
-                      static_cast<std::size_t>(a.cols()),
-                      static_cast<std::size_t>(a.rows()));
+  run_one<double>(a, l, x, y, batch);
+}
+
+void NativeBackend::do_run_bins(const CsrMatrix<float>& a,
+                                std::span<const BinTask<float>> tasks,
+                                std::span<const float> x, std::span<float> y,
+                                int width) const {
+  run_work_list<float>(a, tasks, x, y, width);
+}
+
+void NativeBackend::do_run_bins(const CsrMatrix<double>& a,
+                                std::span<const BinTask<double>> tasks,
+                                std::span<const double> x,
+                                std::span<double> y, int width) const {
+  run_work_list<double>(a, tasks, x, y, width);
 }
 
 }  // namespace spmv::exec

@@ -1,14 +1,29 @@
 // exec::NativeBackend — lowers the pool's bin shapes to tight
-// auto-vectorized C++ loops on the host CPU. Each bin launch partitions the
-// bin's slots across OpenMP threads (dynamic row-range chunks, mirroring
-// kernels::spmv_omp_rows); the kernel id selects the inner-loop
-// organization of each row's dot product: Serial is a plain scalar loop,
-// Sub<X> keeps X partial accumulators (the CPU analogue of X cooperating
-// lanes — it unrolls the nonzero stream X-wide so the compiler can keep the
-// partial sums in SIMD registers), Vector is an `omp simd` reduction over
-// the whole row. SpMM launches share one CSR traversal across a tile of
-// output columns, accumulating each column in its shape's single-vector
-// order, so a width-N run is bit-identical to N single-vector runs.
+// auto-vectorized C++ loops on the host CPU.
+//
+// Execution is one work list per call. run_bins (a whole plan, from
+// core::execute_plan) cuts every bin into items of about equal work —
+// runs of slots of a CSR bin, packed rows of an ELL bin, chunks of a COO
+// bin, whole sort windows of a sliced Dcsr bin — and runs them all in one
+// OpenMP parallel region under dynamic scheduling. The region's team is
+// at most the calling thread's budget (util/threads.hpp), so two busy
+// serve workers with two threads each never open more than four threads
+// between them, and one thread per 32k units of work (nonzeros plus
+// rows) at most, so a small list runs inline instead of waking a team.
+// Bins cover disjoint rows, so no barrier separates them. The single-bin
+// entries (run_binned, run_spmm, run_layout*) are a work list of one bin
+// through the same executor.
+//
+// The kernel id selects the inner-loop organization of each row's dot
+// product: Serial is a plain scalar loop, Sub<X> keeps X partial
+// accumulators (the CPU analogue of X cooperating lanes — it unrolls the
+// nonzero stream X-wide so the compiler can keep the partial sums in SIMD
+// registers), Vector is an `omp simd` reduction over the whole row. SpMM
+// shares one CSR traversal across a tile of output columns, accumulating
+// each column in its shape's single-vector order. Every row is computed
+// whole by one item in that order, so neither the cut nor the width
+// changes a bit: a plan run is bit-identical to per-bin launches, and a
+// width-N run to N single-vector runs.
 //
 // Results match ClsimBackend up to floating-point association order; the
 // differential suite checks both against the exact reference under the
@@ -19,20 +34,11 @@
 
 namespace spmv::exec {
 
-struct NativeOptions {
-  /// Worker threads per launch; 0 = the OpenMP runtime default. Launches
-  /// over small bins run inline regardless to avoid fork/join overhead.
-  int threads = 0;
-};
-
 class NativeBackend final : public Backend {
  public:
-  explicit NativeBackend(NativeOptions options = {}) : options_(options) {}
-
   [[nodiscard]] BackendKind kind() const override {
     return BackendKind::Native;
   }
-  [[nodiscard]] const NativeOptions& options() const { return options_; }
 
   /// Native executes materialized bin layouts (spmv::fmt): ELL column-major
   /// walks, COO triple chunks, delta-decoded CSR — each scalar + batched.
@@ -70,9 +76,14 @@ class NativeBackend final : public Backend {
                            const fmt::BinLayout<double>& l,
                            std::span<const double> x, std::span<double> y,
                            int batch) const override;
-
- private:
-  NativeOptions options_;
+  void do_run_bins(const CsrMatrix<float>& a,
+                   std::span<const BinTask<float>> tasks,
+                   std::span<const float> x, std::span<float> y,
+                   int width) const override;
+  void do_run_bins(const CsrMatrix<double>& a,
+                   std::span<const BinTask<double>> tasks,
+                   std::span<const double> x, std::span<double> y,
+                   int width) const override;
 };
 
 }  // namespace spmv::exec

@@ -109,13 +109,26 @@ void build_coo(const CsrMatrix<T>& a, util::Buffer<index_t> rows,
     chunk_ptr.push_back(next);
     i = next;
   }
+  if (chunk_ptr.size() == 1) chunk_ptr.push_back(0);
+  // Each interior boundary starts a row's entries; the chunk owns the
+  // packed rows from that row on, up to the next boundary's row.
+  std::vector<std::size_t> chunk_row{0};
+  std::size_t p = 0;
+  std::size_t e = 0;
+  for (std::size_t k = 1; k + 1 < chunk_ptr.size(); ++k) {
+    while (e < chunk_ptr[k])
+      e += static_cast<std::size_t>(a.row_nnz(rows[p++]));
+    chunk_row.push_back(p);
+  }
+  chunk_row.push_back(rows.size());
   c.rows = std::move(rows);
   c.entry_row = std::move(entry_row);
   c.entry_col = std::move(entry_col);
   c.chunk_ptr = std::move(chunk_ptr);
+  c.chunk_row = std::move(chunk_row);
   out.bytes = c.rows.size() * sizeof(index_t) +
               c.entry_row.size() * (2 * sizeof(index_t) + sizeof(T)) +
-              c.chunk_ptr.size() * sizeof(std::size_t);
+              2 * c.chunk_ptr.size() * sizeof(std::size_t);
 }
 
 /// Dcsr bins with at least this many entries build and refresh in
@@ -438,6 +451,7 @@ BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
       c.entry_row = old.coo.entry_row;
       c.entry_col = old.coo.entry_col;
       c.chunk_ptr = old.coo.chunk_ptr;
+      c.chunk_row = old.coo.chunk_row;
       c.entry_val = std::move(values);
       const auto nchunks = static_cast<std::int64_t>(c.chunk_ptr.size()) - 1;
 #pragma omp parallel for schedule(dynamic, 1) if (nchunks > 1)

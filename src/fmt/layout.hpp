@@ -77,7 +77,11 @@ struct EllBin {
 /// non-zeros are stored (row-major order), so execution skips empty rows
 /// entirely instead of probing row_ptr per slot. `chunk_ptr` partitions the
 /// triples into parallel chunks that never split a row, so concurrent
-/// chunks accumulate into disjoint y entries without atomics.
+/// chunks accumulate into disjoint y entries without atomics. There is
+/// always at least one chunk, empty when the bin has no entries, and chunk
+/// c owns packed rows [chunk_row[c], chunk_row[c+1]) — its entries' rows
+/// plus the empty rows before the next chunk's — so it can zero exactly
+/// the rows it accumulates into.
 template <typename T>
 struct CooBin {
   SharedArray<index_t> rows;        ///< covered actual row ids (for zeroing)
@@ -85,6 +89,7 @@ struct CooBin {
   SharedArray<index_t> entry_col;
   util::Buffer<T> entry_val;
   SharedArray<std::size_t> chunk_ptr;  ///< chunk offsets into the triples
+  SharedArray<std::size_t> chunk_row;  ///< chunk offsets into `rows`
 };
 
 /// Compressed-column CSR bin for banded rows: per covered row, a full-width

@@ -229,7 +229,8 @@ std::shared_ptr<const CsrMatrix<T>> IterativeSession<T>::own(
 template <typename T>
 std::shared_ptr<const CsrMatrix<T>> IterativeSession<T>::write_values(
     const CsrMatrix<T>& structure, std::span<const T> vals) const {
-  std::vector<T> buf = values_pool_->take(structure.structure(), vals.size());
+  util::Buffer<T> buf =
+      values_pool_->take(structure.structure(), vals.size());
   detail::parallel_copy(vals, std::span<T>(buf));
   return own(structure.with_values(std::move(buf)));  // checks the count
 }

@@ -215,9 +215,10 @@ class IterativeSession {
 
   mutable std::mutex mu_;          ///< guards state_ swaps
   std::shared_ptr<const State> state_;
-  /// One-deep spare of retired CSR value arrays (see own()).
-  std::shared_ptr<ValuePool<std::vector<T>>> values_pool_ =
-      std::make_shared<ValuePool<std::vector<T>>>();
+  /// One-deep spare of retired CSR value arrays (see own()). Buffers, so
+  /// a fresh array's first touch is write_values' parallel copy.
+  std::shared_ptr<ValuePool<util::Buffer<T>>> values_pool_ =
+      std::make_shared<ValuePool<util::Buffer<T>>>();
 
   mutable std::mutex stats_mu_;
   SessionStats stats_;

@@ -47,6 +47,31 @@ void add_spmm_fallback_columns(std::uint64_t n);
 /// Reset the process-wide fallback-column count (tests).
 void reset_spmm_fallback_columns();
 
+/// The `threads.active_max` gauge: the most threads ever held by native
+/// kernel execution at once, process-wide — the team each native parallel
+/// region asks for (its caller's budget) for as long as the region runs,
+/// or the one caller running a work list inline. With every worker holding its share of one
+/// thread budget (util/threads.hpp) it stays at or below the summed shares;
+/// above it means oversubscribed cores. Always recorded (not gated by
+/// enabled()): the in-flight count must see every exit that matches an
+/// entry.
+std::int64_t threads_active_max();
+
+/// Restart the gauge from the threads held right now (tests).
+void reset_threads_active_max();
+
+/// Counts `threads` threads into the gauge for its lifetime.
+class ActiveThreadScope {
+ public:
+  explicit ActiveThreadScope(std::int64_t threads);
+  ~ActiveThreadScope();
+  ActiveThreadScope(const ActiveThreadScope&) = delete;
+  ActiveThreadScope& operator=(const ActiveThreadScope&) = delete;
+
+ private:
+  std::int64_t threads_;
+};
+
 /// Point-in-time copy of an engine's counters. Cumulative fields subtract
 /// to form deltas; the arena high-water mark is a level, not a flow, so a
 /// delta carries the later value unchanged.

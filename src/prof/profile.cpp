@@ -14,6 +14,7 @@ void ServeStats::merge(const ServeStats& other) {
   queue_wait_total_s += other.queue_wait_total_s;
   queue_wait_max_s = std::max(queue_wait_max_s, other.queue_wait_max_s);
   exec_total_s += other.exec_total_s;
+  layout_build_s += other.layout_build_s;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
   cache_evictions += other.cache_evictions;
@@ -183,6 +184,7 @@ Json RunProfile::to_json() const {
     sv.set("queue_wait_total_s", serve.queue_wait_total_s);
     sv.set("queue_wait_max_s", serve.queue_wait_max_s);
     sv.set("exec_total_s", serve.exec_total_s);
+    sv.set("layout_build_s", serve.layout_build_s);
     Json cache = Json::object();
     cache.set("hits", serve.cache_hits);
     cache.set("misses", serve.cache_misses);
@@ -248,6 +250,12 @@ Json RunProfile::to_json() const {
     ad.set("l_trials", adapt.l_trials);
     ad.set("l_promotions", adapt.l_promotions);
     j.set("adapt", ad);
+  }
+
+  if (threads_active_max != 0) {
+    Json th = Json::object();
+    th.set("active_max", threads_active_max);
+    j.set("threads", th);
   }
 
   if (!trace_stats.empty()) {
@@ -319,6 +327,8 @@ RunProfile RunProfile::from_json(const Json& j) {
     p.serve.queue_wait_total_s = sv->at("queue_wait_total_s").as_number();
     p.serve.queue_wait_max_s = sv->at("queue_wait_max_s").as_number();
     p.serve.exec_total_s = sv->at("exec_total_s").as_number();
+    if (const Json* v = sv->find("layout_build_s"); v != nullptr)
+      p.serve.layout_build_s = v->as_number();
     const Json& cache = sv->at("cache");
     p.serve.cache_hits = cache.at("hits").as_uint();
     p.serve.cache_misses = cache.at("misses").as_uint();
@@ -392,6 +402,8 @@ RunProfile RunProfile::from_json(const Json& j) {
   }
 
   // Optional: only present when tracing ran alongside the profiled work.
+  if (const Json* th = j.find("threads"); th != nullptr)
+    p.threads_active_max = th->at("active_max").as_int();
   if (const Json* tr = j.find("trace"); tr != nullptr) {
     p.trace_stats.events = tr->at("events").as_uint();
     p.trace_stats.dropped_spans = tr->at("dropped_spans").as_uint();

@@ -148,6 +148,11 @@ struct ServeStats {
   double queue_wait_total_s = 0.0;  ///< summed submit->dispatch wait
   double queue_wait_max_s = 0.0;    ///< worst single-request wait
   double exec_total_s = 0.0;        ///< summed execution wall time
+  /// The part of exec_total_s spent building layouts lazily on the first
+  /// amortized runs (the runtime's fmt::LayoutStats::build_s delta across
+  /// each batch), so execution splits into kernel and build time. A build
+  /// a concurrent batch of the same entry ran counts in both batches.
+  double layout_build_s = 0.0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
@@ -241,6 +246,10 @@ struct RunProfile {
   double tuning_total_s = 0.0;
   ServeStats serve;  ///< serving-layer stats; empty unless a service ran
   AdaptStats adapt;  ///< online-tuning stats; empty unless a tuner ran
+  /// The prof::threads_active_max gauge at the last service shutdown that
+  /// folded into this profile ("threads": {"active_max"} in JSON; omitted
+  /// while 0).
+  std::int64_t threads_active_max = 0;
   /// Tracing accounting ("trace" in JSON); empty unless tracing ran. Named
   /// trace_stats, not trace, so files using both layers can keep the
   /// spmv::trace namespace unqualified.

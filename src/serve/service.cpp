@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -11,6 +12,7 @@
 #include "obs/sink.hpp"
 #include "trace/trace.hpp"
 #include "util/log.hpp"
+#include "util/threads.hpp"
 #include "util/timer.hpp"
 
 namespace spmv::serve {
@@ -37,6 +39,9 @@ struct SpmvService<T>::Queue {
   bool stopping = false;
   std::vector<std::thread> workers;
   prof::ServeStats stats;  ///< guarded by mutex (cache counters excluded)
+  /// The native threads the workers share: the constructing thread's
+  /// budget, split by how many workers are busy (util::SharedThreads).
+  util::SharedThreads threads{util::thread_budget()};
   bool profile_flushed = false;
   /// Arm level of the latest adapt promotion (prof::Exemplar::promo_level
   /// encoding; 0 until one lands). Guarded by mutex; stamped onto latency
@@ -171,6 +176,14 @@ void SpmvService<T>::worker_loop() {
       }
     }
 
+    // This batch's share of the service's threads: planning, layout builds
+    // and kernels below open their parallel regions at this size, so busy
+    // workers together use the cores once instead of once each, and a
+    // lone worker still gets all of them. Released before the futures
+    // resolve, so a client's next request does not find this worker still
+    // counted busy.
+    std::optional<util::SharedThreads::Lease> lease;
+    lease.emplace(q.threads);
     const bool spmm = batch.front().width > 1;
     const int width =
         spmm ? batch.front().width : static_cast<int>(batch.size());
@@ -224,22 +237,12 @@ void SpmvService<T>::worker_loop() {
     const core::AutoSpmv<T>& rt = entry->runtime;
     const auto rows = static_cast<std::size_t>(a.rows());
     const auto cols = static_cast<std::size_t>(a.cols());
+    const fmt::PlanLayouts<T>* layouts = rt.layouts();
+    const double built_before =
+        layouts != nullptr ? layouts->stats().build_s : 0.0;
     util::Timer exec;
-    // (latency, trace_id) per completed request: the id rides along so the
-    // latency exemplar recorded below can point back into the trace stream.
-    std::vector<std::pair<double, std::uint64_t>> latencies;
-    latencies.reserve(batch.size());
-    const auto complete = [&](Request& r, std::vector<T> y) {
-      latencies.emplace_back(r.queued.elapsed_s(), r.trace_id);
-      if (r.trace_id != 0) {
-        // Claim-to-completion under the request's own id, so together with
-        // its queue-wait span the request's lifetime is fully covered.
-        trace::emit_complete("serve-batch", "serve", claim_ns,
-                             trace::now_ns(), r.trace_id);
-        trace::emit_async_end("request", "serve", r.trace_id);
-      }
-      r.result.set_value(std::move(y));
-    };
+    std::vector<std::vector<T>> results;
+    results.reserve(batch.size());
     try {
       trace::TraceSpan span("execute-batch", "serve");
       span.arg("width", width);
@@ -264,13 +267,12 @@ void SpmvService<T>::worker_loop() {
       core::execute_plan_spmm(rt.backend(), a, xs, std::span<T>(ys), width,
                               rt.bins(), rt.plan(), nullptr, rt.layouts());
       if (batch.size() == 1) {
-        complete(batch.front(), std::move(ys));
+        results.push_back(std::move(ys));
       } else {
         for (int b = 0; b < width; ++b) {
           const auto first = ys.begin() + static_cast<std::size_t>(b) * rows;
-          complete(batch[static_cast<std::size_t>(b)],
-                   std::vector<T>(first,
-                                  first + static_cast<std::ptrdiff_t>(rows)));
+          results.emplace_back(first,
+                               first + static_cast<std::ptrdiff_t>(rows));
         }
       }
     } catch (...) {
@@ -278,28 +280,48 @@ void SpmvService<T>::worker_loop() {
       continue;
     }
     const double exec_s = exec.elapsed_s();
+    const double build_s =
+        layouts != nullptr ? layouts->stats().build_s - built_before : 0.0;
 
+    // The batch is booked before any of its futures resolves, so a caller
+    // that reads stats() once its result is back finds its batch counted.
+    const std::uint64_t done_ns = trace::now_ns();
     {
       std::lock_guard<std::mutex> lock(q.mutex);
       q.stats.add_batch(width);
       q.stats.queue_wait_total_s += wait_sum;
       q.stats.queue_wait_max_s = std::max(q.stats.queue_wait_max_s, wait_max);
       q.stats.exec_total_s += exec_s;
+      q.stats.layout_build_s += build_s;
       for (const double w : waits) q.stats.queue_wait.add(w);
       // Every latency sample carries full provenance, so any histogram
       // bucket can answer "which request, through which plan, was that?".
+      // The trace id rides along so the exemplar can point back into the
+      // trace stream.
       prof::Exemplar ex;
       ex.fingerprint = entry->key.row_hash;
       ex.plan_revision = rt.plan().revision;
       ex.backend = static_cast<std::uint8_t>(rt.plan().backend);
       ex.formats = rt.plan().uses_formats();
       ex.promo_level = q.last_promo_level;
-      for (const auto& [lat, trace_id] : latencies) {
-        ex.trace_id = trace_id;
-        q.stats.request_latency.add(lat, ex);
+      for (const Request& r : batch) {
+        ex.trace_id = r.trace_id;
+        q.stats.request_latency.add(r.queued.elapsed_s(), ex);
       }
       ex.trace_id = batch.front().trace_id;
       q.stats.batch_exec.add(exec_s, ex);
+    }
+    lease.reset();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      Request& r = batch[i];
+      if (r.trace_id != 0) {
+        // Claim-to-completion under the request's own id, so together with
+        // its queue-wait span the request's lifetime is fully covered.
+        trace::emit_complete("serve-batch", "serve", claim_ns, done_ns,
+                             r.trace_id);
+        trace::emit_async_end("request", "serve", r.trace_id);
+      }
+      r.result.set_value(std::move(results[i]));
     }
     if (opts_.obs_sink != nullptr) {
       opts_.obs_sink->push_stat("serve.batch_width", width);
@@ -311,8 +333,9 @@ void SpmvService<T>::worker_loop() {
     // opportunity. Runs synchronously on this worker (so shutdown's join
     // drains every in-flight trial) and holds the entry via shared_ptr, so
     // a trial can never touch a freed plan even if the cache evicts the
-    // entry concurrently.
+    // entry concurrently. A trial times its arms under a lease of its own.
     if (tuner_ != nullptr) {
+      const util::SharedThreads::Lease trial_lease(q.threads);
       const auto promo =
           tuner_->observe(entry->key, rt.plan(), rt.bins(), a,
                           std::span<const T>(batch.front().x));
@@ -356,6 +379,7 @@ void SpmvService<T>::shutdown() {
   if (opts_.profile != nullptr && !queue_->profile_flushed) {
     queue_->profile_flushed = true;
     opts_.profile->serve.merge(stats());
+    opts_.profile->threads_active_max = prof::threads_active_max();
     if (tuner_ != nullptr) opts_.profile->adapt.merge(tuner_->stats());
   }
 }

@@ -16,6 +16,7 @@
 #include "obs/sink.hpp"
 #include "trace/trace.hpp"
 #include "util/log.hpp"
+#include "util/threads.hpp"
 
 namespace spmv::shard {
 
@@ -108,9 +109,11 @@ ShardedService<T>::ShardedService(std::shared_ptr<const CsrMatrix<T>> a,
   // Engine slicing: split the total thread budget evenly across shards so
   // K shards executing one request concurrently use ~the whole machine,
   // not K times it.
+  // The total is the constructing thread's budget unless the options
+  // name one.
+  const int total = opts_.total_compute_units > 0 ? opts_.total_compute_units
+                                                  : util::thread_budget();
   clsim::Device dev;
-  dev.compute_units = opts_.total_compute_units;
-  const int total = dev.resolved_compute_units();
   dev.compute_units = std::max(1, total / std::max(1, k));
 
   shards_.reserve(static_cast<std::size_t>(k));
@@ -155,11 +158,17 @@ ShardedService<T>::ShardedService(std::shared_ptr<const CsrMatrix<T>> a,
     shards_.push_back(std::move(sh));
   }
 
+  // Native execution takes the same split: each of the k * workers shard
+  // workers gets an equal share of the total. Every request fans out to
+  // all k shards at once, so the k shares are busy together by
+  // construction.
   const int workers = std::max(1, opts_.workers_per_shard);
+  const int share = util::thread_share(total, k * workers);
   state_->workers.reserve(static_cast<std::size_t>(k * workers));
   for (int s = 0; s < k; ++s)
     for (int w = 0; w < workers; ++w)
-      state_->workers.emplace_back([this, s] { worker_loop(s); });
+      state_->workers.emplace_back(
+          [this, s, share] { worker_loop(s, share); });
 }
 
 template <typename T>
@@ -245,7 +254,8 @@ void ShardedService<T>::dispatch_locked() {
 }
 
 template <typename T>
-void ShardedService<T>::worker_loop(int shard) {
+void ShardedService<T>::worker_loop(int shard, int threads) {
+  util::set_thread_budget(threads);
   // Route this worker's obs records (trace spans via attach(), stat deltas
   // via push_stat) to the shard's own producer-group ring; ring 0 stays
   // for everything else (submitters, the unsharded world).
@@ -418,6 +428,7 @@ void ShardedService<T>::shutdown() {
     if (!st.folded) {
       st.folded = true;
       opts_.profile->serve.merge(stats_unlocked());
+      opts_.profile->threads_active_max = prof::threads_active_max();
       for (const auto& sh : shards_)
         if (sh->tuner != nullptr)
           opts_.profile->adapt.merge(sh->tuner->stats());

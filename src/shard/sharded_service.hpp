@@ -73,9 +73,11 @@ struct ShardedOptions {
   /// max(2, 2 * workers_per_shard). Small on purpose: backlog beyond it
   /// waits in the fair queue where DRR ordering applies.
   std::size_t dispatch_window = 0;
-  /// Engine threads split across the K shard slices; 0 = all hardware
-  /// threads. Each shard's clsim engine gets max(1, total / K) compute
-  /// units — its own ThreadPool slice.
+  /// Engine threads split across the K shard slices; 0 = the constructing
+  /// thread's budget (util::thread_budget: OMP_NUM_THREADS or the CPUs
+  /// the process may run on). Each shard's clsim engine gets max(1, total / K) compute
+  /// units — its own ThreadPool slice — and each shard worker a native
+  /// thread budget of max(1, total / (K * workers_per_shard)).
   int total_compute_units = 0;
   /// Backend/format stamped onto fresh predictor-driven shard plans;
   /// warm-started and promoted plans keep their own (same contract as
@@ -151,7 +153,8 @@ class ShardedService {
   struct Shard;
   struct State;  ///< pimpl: fair queue, <deque>/<thread>, stats
 
-  void worker_loop(int shard);
+  /// One shard worker; `threads` is its share of the thread budget.
+  void worker_loop(int shard, int threads);
   void dispatch_locked();
   /// stats() body; caller holds the state mutex.
   [[nodiscard]] prof::ServeStats stats_unlocked() const;

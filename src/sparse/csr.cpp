@@ -50,7 +50,7 @@ template <typename T>
 CsrMatrix<T>::CsrMatrix(index_t rows, index_t cols,
                         std::vector<offset_t> row_ptr,
                         std::vector<index_t> col_idx, std::vector<T> vals)
-    : vals_(std::move(vals)) {
+    : vals_(vals.begin(), vals.end()) {
   if (rows < 0 || cols < 0)
     throw std::invalid_argument("CsrMatrix: negative dimensions");
   if (row_ptr.size() != static_cast<std::size_t>(rows) + 1)

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sparse/types.hpp"
+#include "util/buffer.hpp"
 
 namespace spmv {
 
@@ -50,8 +51,9 @@ class CsrMatrix {
 
   CsrMatrix() : s_(empty_structure()) {}
 
-  /// Adopt pre-built arrays. Throws std::invalid_argument when the basic
-  /// shape constraints are violated (full validation is validate()).
+  /// Adopt pre-built arrays; the values are copied, on the calling thread,
+  /// into the matrix's own util::Buffer. Throws std::invalid_argument when the basic shape
+  /// constraints are violated (full validation is validate()).
   CsrMatrix(index_t rows, index_t cols, std::vector<offset_t> row_ptr,
             std::vector<index_t> col_idx, std::vector<T> vals);
 
@@ -124,12 +126,12 @@ class CsrMatrix {
   /// CSR order, else std::invalid_argument.
   [[nodiscard]] CsrMatrix with_values(std::span<const T> new_vals) const {
     check_value_count(new_vals.size());
-    std::vector<T> v(new_vals.size());
+    util::Buffer<T> v(new_vals.size());
     detail::parallel_copy(new_vals, std::span<T>(v));
     return with_values(std::move(v));
   }
   /// Same, adopting `new_vals` as the value array without copying it.
-  [[nodiscard]] CsrMatrix with_values(std::vector<T>&& new_vals) const {
+  [[nodiscard]] CsrMatrix with_values(util::Buffer<T>&& new_vals) const {
     check_value_count(new_vals.size());
     CsrMatrix m;
     m.s_ = s_;
@@ -140,8 +142,8 @@ class CsrMatrix {
   /// Move the value array out, leaving *this an empty 0x0 matrix — how a
   /// retiring matrix hands its (already page-touched) buffer to the next
   /// value write on the same structure.
-  [[nodiscard]] std::vector<T> release_values() && {
-    std::vector<T> v = std::move(vals_);
+  [[nodiscard]] util::Buffer<T> release_values() && {
+    util::Buffer<T> v = std::move(vals_);
     *this = CsrMatrix();
     return v;
   }
@@ -207,7 +209,9 @@ class CsrMatrix {
   }
 
   std::shared_ptr<const Structure> s_;
-  std::vector<T> vals_;
+  /// A util::Buffer, so a fresh value array is not zero-filled before its
+  /// first write (with_values, the constructor's copy) touches it.
+  util::Buffer<T> vals_;
   std::uint64_t instance_id_ = detail::next_matrix_instance_id();
 };
 

@@ -2,14 +2,20 @@
 // shared-instance contract of shared_backend()/wrap_engine(), ExecContext
 // validation, batch argument validation at the interface layer, numeric
 // clsim-vs-native parity on a few structured matrices (the full random
-// corpus lives in test_differential).
+// corpus lives in test_differential), and the native work list's bits
+// against per-bin launches.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "autospmv.hpp"
 #include "kernels/reference.hpp"
+#include "util/threads.hpp"
 
 namespace {
 
@@ -142,6 +148,157 @@ TEST(ExecParity, BackendsAgreeOnStructuredMatrices) {
       }
     }
   }
+}
+
+// --- Native work list ------------------------------------------------------
+
+/// Rows of six lengths (0, 8, 14, 20, 26, 32) around the diagonal, so at
+/// U = 1 every length is a bin of equal rows: empty rows for a zeroing-only
+/// COO bin, and equal lengths for sliced Dcsr.
+template <typename T>
+CsrMatrix<T> six_lengths(index_t n) {
+  std::vector<offset_t> rp{0};
+  std::vector<index_t> ci;
+  std::vector<T> v;
+  util::Xoshiro256 rng(23);
+  for (index_t r = 0; r < n; ++r) {
+    const index_t len = (r % 6) * 6 + (r % 6 == 0 ? 0 : 2);
+    const index_t first = std::clamp<index_t>(r - len / 2, 0, n - len);
+    for (index_t k = 0; k < len; ++k) {
+      ci.push_back(first + k);
+      v.push_back(static_cast<T>(rng.uniform(-1.0, 1.0)));
+    }
+    rp.push_back(static_cast<offset_t>(ci.size()));
+  }
+  return CsrMatrix<T>(n, n, std::move(rp), std::move(ci), std::move(v));
+}
+
+template <typename T>
+void work_list_matches_per_bin_launches() {
+  // About 140k nonzeros plus rows: enough work for a team of four.
+  const auto a = six_lengths<T>(8000);
+  const auto bins = binning::bin_matrix(a, 1);
+  const auto& backend = *exec::shared_backend(exec::BackendKind::Native);
+  core::Plan plan;
+  plan.backend = exec::BackendKind::Native;
+  const fmt::FormatKind formats[] = {fmt::FormatKind::Coo,
+                                     fmt::FormatKind::Ell,
+                                     fmt::FormatKind::Dcsr,
+                                     fmt::FormatKind::Csr};
+  const KernelId kernels[] = {KernelId::Serial, KernelId::Sub4,
+                              KernelId::Vector};
+  int i = 0;
+  for (const int b : bins.occupied_bins()) {
+    plan.bin_kernels.push_back({b, kernels[i % 3], formats[i % 4]});
+    ++i;
+  }
+  fmt::PlanLayouts<T> layouts({.min_reuse = 0});
+  // Every bin of the plan resolves to the format it asks for, and the Dcsr
+  // bin is sliced.
+  bool sliced = false;
+  for (const core::BinPlan& bp : plan.bin_kernels) {
+    if (bp.format == fmt::FormatKind::Csr) continue;
+    const auto l = layouts.acquire(a, bins.bin(bp.bin_id), 1, bp.format,
+                                   bp.bin_id);
+    ASSERT_NE(l, nullptr) << fmt::format_name(bp.format);
+    if (l->kind == fmt::FormatKind::Dcsr)
+      sliced = sliced || l->dcsr.slice == fmt::kDcsrSlice;
+  }
+  ASSERT_TRUE(sliced);
+
+  const auto m = static_cast<std::size_t>(a.rows());
+  const auto n = static_cast<std::size_t>(a.cols());
+  const int budget = util::thread_budget();
+  for (const int width : {1, 8}) {
+    const auto w = static_cast<std::size_t>(width);
+    const auto x = random_vector<T>(n * w, 31 + w);
+    // Reference: one launch per bin, each run whole on one thread.
+    std::vector<T> ref(m * w, T(-7));
+    util::set_thread_budget(1);
+    for (const core::BinPlan& bp : plan.bin_kernels) {
+      const auto& vrows = bins.bin(bp.bin_id);
+      if (bp.format == fmt::FormatKind::Csr) {
+        backend.run_spmm(bp.kernel, a, std::span<const T>(x),
+                         std::span<T>(ref), width, vrows, 1);
+      } else {
+        const auto l = layouts.acquire(a, vrows, 1, bp.format, bp.bin_id);
+        backend.run_layout_batch(a, *l, std::span<const T>(x),
+                                 std::span<T>(ref), width);
+      }
+    }
+    // The plan as one work list, cut for a team of four.
+    util::set_thread_budget(4);
+    std::vector<T> y(m * w, T(-9));
+    core::execute_plan_spmm(backend, a, std::span<const T>(x),
+                            std::span<T>(y), width, bins, plan, nullptr,
+                            &layouts);
+    EXPECT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(T)), 0)
+        << "width " << width;
+  }
+  util::set_thread_budget(budget);
+}
+
+TEST(NativeWorkList, PlanRunMatchesPerBinLaunchesBitForBit) {
+  work_list_matches_per_bin_launches<float>();
+  work_list_matches_per_bin_launches<double>();
+}
+
+TEST(NativeWorkList, BadTasksThrowBeforeAnyWork) {
+  const auto a = gen::diagonal<float>(64);
+  const auto bins = binning::bin_matrix(a, 8);
+  std::vector<float> x(64, 1.0f), y(64, 0.0f);
+  const auto& backend = *exec::shared_backend(exec::BackendKind::Native);
+  exec::BinTask<float> bad;
+  bad.kernel = static_cast<KernelId>(kernels::kKernelCount);
+  bad.vrows = bins.bin(bins.occupied_bins().front());
+  bad.unit = 8;
+  const std::span<const exec::BinTask<float>> tasks(&bad, 1);
+  EXPECT_THROW(backend.run_bins(a, tasks, std::span<const float>(x),
+                                std::span<float>(y), 1),
+               std::invalid_argument);
+  EXPECT_THROW(backend.run_bins(a, {}, std::span<const float>(x),
+                                std::span<float>(y), 2),
+               std::invalid_argument);
+}
+
+TEST(ThreadBudget, SetOnOneThreadGovernsOnlyThatThread) {
+  const int before = util::thread_budget();
+  int inside = 0;
+  std::thread t([&] {
+    util::set_thread_budget(1);
+    inside = util::thread_budget();
+  });
+  t.join();
+  EXPECT_EQ(inside, 1);
+  EXPECT_EQ(util::thread_budget(), before);
+  EXPECT_EQ(util::thread_share(8, 3), 2);
+  EXPECT_EQ(util::thread_share(2, 4), 1);
+}
+
+TEST(ThreadBudget, SharedThreadsSplitByBusyWorkers) {
+  util::SharedThreads pool(4);
+  const int before = util::thread_budget();
+  {
+    // A lone worker gets the whole total.
+    const util::SharedThreads::Lease alone(pool);
+    EXPECT_EQ(alone.threads(), 4);
+    EXPECT_EQ(util::thread_budget(), 4);
+  }
+  util::set_thread_budget(before);
+  // A second worker that arrives while the first holds every thread waits
+  // for them, then takes its half: it was one of two busy workers.
+  auto first = std::make_unique<util::SharedThreads::Lease>(pool);
+  std::atomic<int> second_threads{0};
+  std::thread second([&] {
+    const util::SharedThreads::Lease lease(pool);
+    second_threads.store(lease.threads());
+  });
+  while (pool.busy() < 2) std::this_thread::yield();
+  EXPECT_EQ(second_threads.load(), 0);
+  first.reset();
+  second.join();
+  EXPECT_EQ(second_threads.load(), 2);
+  EXPECT_EQ(pool.busy(), 0);
 }
 
 }  // namespace

@@ -316,11 +316,15 @@ TEST(ProfServeStats, MergeFoldsCountersMaxesAndHistograms) {
   b.queue_wait_total_s = 0.25;
   b.queue_wait_max_s = 0.4;
   b.cache_misses = 2;
+  b.exec_total_s = 0.3;
+  b.layout_build_s = 0.125;
   b.add_batch(3);
   b.request_latency.add(2e-3);
   b.batch_exec.add(5e-4);
 
+  a.layout_build_s = 0.25;
   a.merge(b);
+  EXPECT_DOUBLE_EQ(a.layout_build_s, 0.375);
   EXPECT_EQ(a.requests, 15u);
   EXPECT_EQ(a.rejected, 1u);
   EXPECT_EQ(a.batches, 6u);  // 4 + 1 (add_batch) + 1 (merged)
@@ -591,11 +595,19 @@ TEST(ProfRunProfile, TraceStatsRoundTripThroughJson) {
   // Absent from JSON while empty, so old artifacts stay byte-identical.
   EXPECT_EQ(prof::Json::parse(p.to_json_text()).find("trace"), nullptr);
 
+  EXPECT_EQ(prof::Json::parse(p.to_json_text()).find("threads"), nullptr);
+
   p.trace_stats.events = 123;
   p.trace_stats.dropped_spans = 7;
   p.trace_stats.threads = 4;
+  p.threads_active_max = 6;
+  p.serve.requests = 3;
+  p.serve.exec_total_s = 0.5;
+  p.serve.layout_build_s = 0.2;
   const auto restored =
       prof::RunProfile::from_json(prof::Json::parse(p.to_json_text()));
+  EXPECT_EQ(restored.threads_active_max, 6);
+  EXPECT_DOUBLE_EQ(restored.serve.layout_build_s, 0.2);
   EXPECT_EQ(restored.trace_stats.events, 123u);
   EXPECT_EQ(restored.trace_stats.dropped_spans, 7u);
   EXPECT_EQ(restored.trace_stats.threads, 4);

@@ -285,6 +285,35 @@ TEST(SpmvService, SingleRequestIsExact) {
   EXPECT_EQ(s.cache_misses, 1u);
 }
 
+/// The execution ledger splits off lazy layout builds: requests before the
+/// amortization threshold build nothing, and the batch that materializes
+/// the layouts books their build time inside its execution time.
+TEST(SpmvService, LayoutBuildTimeIsBookedInsideExecution) {
+  core::HeuristicPredictor pred;
+  prof::RunProfile profile;
+  ServiceOptions opts;
+  opts.workers = 1;
+  opts.backend = exec::BackendKind::Native;
+  opts.format = fmt::FormatMode::Auto;
+  opts.profile = &profile;
+  SpmvService<float> service(pred, opts);
+  const auto a = std::make_shared<const CsrMatrix<float>>(
+      gen::banded<float>(4000, 6, 0.7, 41));
+  const auto x = random_vector<float>(static_cast<std::size_t>(a->cols()), 43);
+  (void)service.run(a, x);
+  EXPECT_EQ(service.stats().layout_build_s, 0.0);
+  for (int i = 0; i < 4; ++i) (void)service.run(a, x);
+  const auto entry = service.cache().get(a);
+  ASSERT_TRUE(entry->runtime.plan().uses_formats())
+      << entry->runtime.plan().to_string();
+  const auto s = service.stats();
+  EXPECT_GT(s.layout_build_s, 0.0);
+  EXPECT_LE(s.layout_build_s, s.exec_total_s);
+  service.shutdown();
+  EXPECT_DOUBLE_EQ(profile.serve.layout_build_s, s.layout_build_s);
+  EXPECT_GE(profile.threads_active_max, 1);
+}
+
 TEST(SpmvService, BatchesCoalesceAndStayExact) {
   core::HeuristicPredictor pred;
   ServiceOptions opts;

@@ -26,10 +26,12 @@
 #include "gen/generators.hpp"
 #include "iter/session.hpp"
 #include "kernels/reference.hpp"
+#include "prof/counters.hpp"
 #include "serve/service.hpp"
 #include "shard/sharded_service.hpp"
 #include "sparse/convert.hpp"
 #include "util/rng.hpp"
+#include "util/threads.hpp"
 
 namespace {
 
@@ -585,6 +587,95 @@ TEST(StressIter, RecycledValueBuffersNeverTearInFlightRuns) {
   EXPECT_EQ(st.value_updates, static_cast<std::uint64_t>(kUpdates)) << note;
   EXPECT_EQ(st.planning_passes, 1u) << note;
   EXPECT_GT(st.recycled_value_buffers, 0u) << note;
+}
+
+/// The thread budget under load: a two-worker SpmvService fed mixed SpMV
+/// and SpMM by four submitting threads, beside an IterativeSession stepping
+/// on its own thread with the whole machine. The workers' leases never
+/// hold more than the machine together (a lone worker all of it, two busy
+/// workers half each), so the threads inside native execution at once
+/// never exceed that plus the session's share — the threads.active_max
+/// gauge checks it. Results are checked too.
+TEST(StressServe, ThreadBudgetHoldsBesideASession) {
+  const std::uint64_t base = base_seed();
+  const std::string note =
+      " (replay with SPMV_TEST_SEED=" + std::to_string(base) + ")";
+  const int hw = util::process_threads();
+  constexpr int kWorkers = 2;
+  constexpr int kSubmitters = 4;
+  constexpr int kRequests = 16;  // per submitter
+  constexpr int kWidth = 4;
+  // Large enough that runs open four-thread regions (about 150k nonzeros
+  // plus rows, above 4 x the executor's least work per thread), small
+  // enough for tsan.
+  const auto a = std::make_shared<const CsrMatrix<float>>(
+      gen::banded<float>(16000, 6, 0.7, base & 0xffff));
+  const auto b = std::make_shared<const CsrMatrix<float>>(
+      gen::banded<float>(14000, 8, 0.6, (base >> 16) & 0xffff));
+  const core::HeuristicPredictor pred;
+
+  prof::reset_threads_active_max();
+  std::atomic<bool> done{false};
+  std::atomic<int> session_steps{0};
+  std::thread session_thread([&] {
+    util::set_thread_budget(hw);
+    iter::SessionOptions so;
+    so.backend = exec::BackendKind::Native;
+    so.format = fmt::FormatMode::Auto;
+    iter::IterativeSession<float> session(a, pred, so);
+    session.seed(random_x(static_cast<std::size_t>(a->cols()), base + 1));
+    while (!done.load(std::memory_order_acquire)) {
+      (void)session.step();
+      session_steps.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  serve::ServiceOptions opts;
+  opts.workers = kWorkers;
+  opts.backend = exec::BackendKind::Native;
+  opts.format = fmt::FormatMode::Auto;
+  std::atomic<int> wrong{0};
+  {
+    serve::SpmvService<float> svc(pred, opts);
+    std::vector<std::thread> submitters;
+    for (int c = 0; c < kSubmitters; ++c) {
+      submitters.emplace_back([&, c] {
+        for (int i = 0; i < kRequests; ++i) {
+          const auto& m = (i + c) % 2 == 0 ? a : b;
+          const int width = i % 4 == 3 ? kWidth : 1;
+          const auto cols = static_cast<std::size_t>(m->cols());
+          const auto rows = static_cast<std::size_t>(m->rows());
+          const auto x =
+              random_x(cols * static_cast<std::size_t>(width),
+                       base + 100 * static_cast<std::uint64_t>(c) +
+                           static_cast<std::uint64_t>(i));
+          const auto y = width == 1 ? svc.run(m, x)
+                                    : svc.run_spmm(m, x, width);
+          for (int k = 0; k < width; ++k) {
+            const auto ref = kernels::spmv_exact(
+                *m, std::span<const float>(x).subspan(
+                        static_cast<std::size_t>(k) * cols, cols));
+            for (std::size_t r = 0; r < rows; ++r) {
+              const double got = y[static_cast<std::size_t>(k) * rows + r];
+              if (std::abs(got - ref[r]) > 1e-3 * (std::abs(ref[r]) + 1.0))
+                wrong.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& t : submitters) t.join();
+  }
+  done.store(true, std::memory_order_release);
+  session_thread.join();
+
+  const std::int64_t seen = prof::threads_active_max();
+  const std::int64_t bound = 2 * static_cast<std::int64_t>(hw);
+  EXPECT_EQ(wrong.load(), 0) << note;
+  EXPECT_GT(session_steps.load(), 0) << note;
+  EXPECT_GE(seen, 1) << note;
+  EXPECT_LE(seen, bound) << "threads.active_max " << seen << " on " << hw
+                         << " hardware threads" << note;
 }
 
 }  // namespace
