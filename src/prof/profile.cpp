@@ -18,6 +18,7 @@ void ServeStats::merge(const ServeStats& other) {
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
   cache_evictions += other.cache_evictions;
+  cache_plan_hits += other.cache_plan_hits;
   cache_warm_hits += other.cache_warm_hits;
   planning_passes += other.planning_passes;
   cache_promotions += other.cache_promotions;
@@ -190,6 +191,7 @@ Json RunProfile::to_json() const {
     cache.set("misses", serve.cache_misses);
     cache.set("evictions", serve.cache_evictions);
     cache.set("hit_rate", serve.cache_hit_rate());
+    cache.set("plan_hits", serve.cache_plan_hits);
     cache.set("warm_hits", serve.cache_warm_hits);
     cache.set("planning_passes", serve.planning_passes);
     cache.set("promotions", serve.cache_promotions);
@@ -337,6 +339,9 @@ RunProfile RunProfile::from_json(const Json& j) {
     // simply omit them.
     if (const Json* v = cache.find("warm_hits"); v != nullptr)
       p.serve.cache_warm_hits = v->as_uint();
+    // The plan tier's counter is newer still.
+    if (const Json* v = cache.find("plan_hits"); v != nullptr)
+      p.serve.cache_plan_hits = v->as_uint();
     if (const Json* v = cache.find("planning_passes"); v != nullptr)
       p.serve.planning_passes = v->as_uint();
     if (const Json* v = cache.find("promotions"); v != nullptr)
@@ -594,6 +599,9 @@ std::string prometheus_text(const RunProfile& profile) {
            "Plan-cache evictions", static_cast<double>(s.cache_evictions));
     metric(out, "spmv_serve_cache_hit_rate", "gauge",
            "Plan-cache hit fraction", s.cache_hit_rate());
+    metric(out, "spmv_serve_cache_plan_hits_total", "counter",
+           "Cache misses rebuilt from a kept plan",
+           static_cast<double>(s.cache_plan_hits));
     metric(out, "spmv_serve_cache_warm_hits_total", "counter",
            "Cache misses satisfied from a warm PlanStore",
            static_cast<double>(s.cache_warm_hits));

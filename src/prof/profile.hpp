@@ -156,6 +156,9 @@ struct ServeStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
+  /// Misses rebuilt from a plan the cache kept after evicting its runtime
+  /// (no store lookup, no predictor pass).
+  std::uint64_t cache_plan_hits = 0;
   /// Misses satisfied from a warm PlanStore (no predictor pass needed).
   std::uint64_t cache_warm_hits = 0;
   /// Misses that ran a full predictor-driven planning pass.

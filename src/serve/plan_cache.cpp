@@ -1,6 +1,7 @@
 #include "serve/plan_cache.hpp"
 
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -18,6 +19,9 @@ PlanCache<T>::PlanCache(const core::Predictor& predictor,
     : predictor_(predictor),
       engine_(engine),
       capacity_(capacity),
+      plan_capacity_(capacity > SIZE_MAX / kPlansPerRuntime
+                         ? SIZE_MAX
+                         : capacity * kPlansPerRuntime),
       store_(store),
       default_backend_(default_backend),
       format_mode_(format_mode) {
@@ -26,13 +30,49 @@ PlanCache<T>::PlanCache(const core::Predictor& predictor,
 }
 
 template <typename T>
+Fingerprint PlanCache<T>::fingerprint(const CsrMatrix<T>& a) {
+  const std::uint64_t id = a.structure_id();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const auto it = fingerprints_.find(id); it != fingerprints_.end())
+      return it->second;
+  }
+  // Hash outside the lock: up to kMaxHashedEntries row_ptr entries.
+  const Fingerprint f = fingerprint_of(a);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (fingerprints_.size() >= plan_capacity_) fingerprints_.clear();
+  fingerprints_.emplace(id, f);
+  return f;
+}
+
+template <typename T>
+void PlanCache<T>::keep_plan(const Fingerprint& key, PlanFuture plan) {
+  if (const auto it = plans_.find(key); it != plans_.end()) {
+    it->second.plan = std::move(plan);
+    plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru_pos);
+    return;
+  }
+  if (plans_.size() >= plan_capacity_) {
+    plans_.erase(plan_lru_.back());
+    plan_lru_.pop_back();
+  }
+  plan_lru_.push_front(key);
+  plans_.emplace(key, PlanSlot{std::move(plan), plan_lru_.begin()});
+}
+
+template <typename T>
 std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
     const std::shared_ptr<const CsrMatrix<T>>& matrix) {
   if (matrix == nullptr)
     throw std::invalid_argument("PlanCache::get: null matrix");
-  const Fingerprint key = fingerprint_of(*matrix);
+  const Fingerprint key = fingerprint(*matrix);
 
   std::promise<std::shared_ptr<const Entry>> promise;
+  // The plan tier's slot for `key`: a kept plan (possibly still being made
+  // by a concurrent miss) to rebuild from, or else a promise this miss
+  // keeps its own plan through.
+  PlanFuture kept;
+  std::promise<std::shared_ptr<const core::Plan>> made;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (const auto it = slots_.find(key); it != slots_.end()) {
@@ -47,7 +87,7 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
     if (slots_.size() >= capacity_) {
       // Evict the least recently used slot. An in-flight build keeps
       // running (its waiters hold the shared_future); it just won't be
-      // cached once evicted.
+      // cached once evicted. Its plan stays in the plan tier.
       const Fingerprint victim = lru_.back();
       lru_.pop_back();
       slots_.erase(victim);
@@ -55,21 +95,35 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
     }
     lru_.push_front(key);
     slots_.emplace(key, Slot{promise.get_future().share(), lru_.begin()});
+    if (const auto p = plans_.find(key); p != plans_.end()) {
+      kept = p->second.plan;
+      plan_lru_.splice(plan_lru_.begin(), plan_lru_, p->second.lru_pos);
+    } else {
+      keep_plan(key, made.get_future().share());
+    }
   }
 
-  // Plan outside the lock so a slow build never blocks hits on other keys.
-  // A warm store entry rebuilds from the stored plan (no predictor pass);
-  // otherwise the predictor plans and the result is written through.
+  // Build outside the lock so a slow build never blocks hits on other keys.
+  // A kept plan, else a warm store entry, rebuilds the runtime against this
+  // matrix (no predictor pass); otherwise the predictor plans and the
+  // result is written through to the store.
+  std::shared_ptr<const Entry> entry;
+  std::uint64_t Stats::*counter = &Stats::planning_passes;
   try {
-    std::optional<adapt::StoredPlan> stored;
-    if (store_ != nullptr) stored = store_->lookup(key);
-    std::shared_ptr<const Entry> entry;
-    if (stored.has_value()) {
+    std::shared_ptr<const core::Plan> plan;
+    if (kept.valid()) {
+      plan = kept.get();
+      counter = &Stats::plan_hits;
+    } else if (store_ != nullptr) {
+      if (auto stored = store_->lookup(key); stored.has_value()) {
+        plan = std::make_shared<const core::Plan>(std::move(stored->plan));
+        counter = &Stats::warm_hits;
+      }
+    }
+    if (plan != nullptr) {
       entry = std::shared_ptr<const Entry>(new Entry{
           key, matrix,
-          core::Tuner(*matrix).plan(stored->plan).engine(engine_).build()});
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.warm_hits += 1;
+          core::Tuner(*matrix).plan(*plan).engine(engine_).build()});
     } else {
       entry = std::shared_ptr<const Entry>(new Entry{
           key, matrix,
@@ -81,11 +135,9 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
               .build()});
       if (store_ != nullptr)
         store_->put(key, adapt::StoredPlan{entry->runtime.plan()});
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.planning_passes += 1;
     }
-    promise.set_value(entry);
-    return entry;
+    if (!kept.valid())
+      made.set_value(std::make_shared<const core::Plan>(entry->runtime.plan()));
   } catch (...) {
     promise.set_exception(std::current_exception());
     std::lock_guard<std::mutex> lock(mutex_);
@@ -93,8 +145,21 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
       lru_.erase(it->second.lru_pos);
       slots_.erase(it);
     }
+    if (!kept.valid()) {
+      made.set_exception(std::current_exception());
+      if (const auto it = plans_.find(key); it != plans_.end()) {
+        plan_lru_.erase(it->second.lru_pos);
+        plans_.erase(it);
+      }
+    }
     throw;
   }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats_.*counter += 1;
+  }
+  promise.set_value(entry);
+  return entry;
 }
 
 template <typename T>
@@ -124,10 +189,13 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::promote(
 
   // Rebuild outside the lock (binning the matrix is the expensive part).
   std::shared_ptr<const Entry> replacement;
+  std::promise<std::shared_ptr<const core::Plan>> rebuilt_plan;
   try {
     replacement = std::shared_ptr<const Entry>(new Entry{
         key, current->matrix,
         core::Tuner(*current->matrix).plan(plan).engine(engine_).build()});
+    rebuilt_plan.set_value(
+        std::make_shared<const core::Plan>(replacement->runtime.plan()));
   } catch (const std::exception& e) {
     util::log_warn() << "PlanCache::promote: rebuild failed, keeping "
                         "incumbent plan ("
@@ -155,6 +223,7 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::promote(
     ready.set_value(replacement);
     it->second.future = ready.get_future().share();
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    keep_plan(key, rebuilt_plan.get_future().share());
     stats_.promotions += 1;
     const core::Plan& replaced = now->runtime.plan();
     if (replaced.unit != plan.unit || replaced.single_bin != plan.single_bin)

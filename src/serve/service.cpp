@@ -395,6 +395,7 @@ prof::ServeStats SpmvService<T>::stats() const {
   s.cache_hits = c.hits;
   s.cache_misses = c.misses;
   s.cache_evictions = c.evictions;
+  s.cache_plan_hits = c.plan_hits;
   s.cache_warm_hits = c.warm_hits;
   s.planning_passes = c.planning_passes;
   s.cache_promotions = c.promotions;

@@ -626,6 +626,37 @@ TEST(PlanCacheAdapt, PromoteIsMonotonicAndVisible) {
     ASSERT_NEAR(y[i], exact[i], 1e-9 * (std::abs(exact[i]) + 1.0));
 }
 
+TEST(PlanCacheAdapt, PromotedRevisionSurvivesRuntimeEvictionWithoutStore) {
+  core::HeuristicPredictor pred;
+  serve::PlanCache<double> cache(pred, clsim::default_engine(), 1);
+  auto a = std::make_shared<const CsrMatrix<double>>(
+      gen::power_law<double>(900, 900, 2.0, 90, 29));
+  auto b = std::make_shared<const CsrMatrix<double>>(
+      gen::banded<double>(500, 3, 0.7, 33));
+  const auto key = serve::fingerprint_of(*a);
+
+  core::Plan improved = cache.get(a)->runtime.plan();
+  ASSERT_FALSE(improved.bin_kernels.empty());
+  improved.revision = 1;
+  improved.bin_kernels[0].kernel =
+      improved.bin_kernels[0].kernel == kernels::KernelId::Serial
+          ? kernels::KernelId::Sub2
+          : kernels::KernelId::Serial;
+  const auto promoted = cache.promote(key, improved, 2.0);
+  ASSERT_NE(promoted, nullptr);
+
+  (void)cache.get(b);  // evicts a's promoted runtime
+  const auto back = cache.get(a);
+  EXPECT_EQ(back->runtime.plan().revision, 1u);
+  EXPECT_EQ(core::plan_to_json(back->runtime.plan()).dump(),
+            core::plan_to_json(promoted->runtime.plan()).dump());
+  const auto s = cache.stats();
+  EXPECT_EQ(s.evictions, 2u);
+  EXPECT_EQ(s.plan_hits, 1u);
+  EXPECT_EQ(s.planning_passes, 2u);
+  EXPECT_EQ(s.warm_hits, 0u);
+}
+
 // A backend-swap promotion racing a kernel-arm promotion at the same
 // revision: the cache's monotonic-revision rule lets exactly one land and
 // refuses the other as stale. (tsan preset runs this under

@@ -378,6 +378,41 @@ TEST(ProfRunProfile, ServeHistogramsRoundTripThroughJson) {
   EXPECT_TRUE(old.serve.request_latency.empty());
 }
 
+TEST(ProfRunProfile, CachePlanHitsMergeRoundTripAndExport) {
+  prof::RunProfile p;
+  p.serve.requests = 10;
+  p.serve.cache_misses = 4;
+  p.serve.cache_plan_hits = 3;
+  p.serve.cache_warm_hits = 1;
+  prof::ServeStats other;
+  other.cache_plan_hits = 2;
+  p.serve.merge(other);
+  EXPECT_EQ(p.serve.cache_plan_hits, 5u);
+  EXPECT_EQ(p.serve.cache_warm_hits, 1u);
+
+  const auto restored =
+      prof::RunProfile::from_json(prof::Json::parse(p.to_json_text()));
+  EXPECT_EQ(restored.serve.cache_plan_hits, 5u);
+  EXPECT_NE(prof::prometheus_text(p).find(
+                "spmv_serve_cache_plan_hits_total 5"),
+            std::string::npos);
+
+  // Profiles written before the plan tier have no plan_hits key.
+  auto j = prof::Json::parse(p.to_json_text());
+  prof::Json cache = prof::Json::object();
+  for (const auto& [key, value] : j.at("serve").at("cache").members())
+    if (key != "plan_hits") cache.set(key, value);
+  prof::Json serve = prof::Json::object();
+  for (const auto& [key, value] : j.at("serve").members())
+    serve.set(key, key == "cache" ? cache : value);
+  prof::Json trimmed = prof::Json::object();
+  for (const auto& [key, value] : j.members())
+    trimmed.set(key, key == "serve" ? serve : value);
+  const auto old = prof::RunProfile::from_json(trimmed);
+  EXPECT_EQ(old.serve.cache_plan_hits, 0u);
+  EXPECT_EQ(old.serve.cache_warm_hits, 1u);
+}
+
 TEST(ProfPrometheus, ExposesCountersAndQuantiles) {
   prof::RunProfile p;
   p.runs = 4;

@@ -14,6 +14,7 @@
 
 #include "adapt/plan_store.hpp"
 #include "binning/binning.hpp"
+#include "core/plan_io.hpp"
 #include "core/predictor.hpp"
 #include "core/tuner.hpp"
 #include "exec/backend.hpp"
@@ -72,6 +73,12 @@ class CountingPredictor : public core::Predictor {
  private:
   const core::Predictor& inner_;
 };
+
+/// A plan's full serialized form, revision and provenance included: equal
+/// text means equal plans.
+std::string plan_text(const core::Plan& p) {
+  return core::plan_to_json(p).dump();
+}
 
 // --- Fingerprints ---------------------------------------------------------
 
@@ -170,6 +177,106 @@ TEST(PlanCache, ConcurrentMissesShareOnePlanningPass) {
   const auto s = cache.stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads - 1));
+}
+
+TEST(PlanCache, EvictedStructuresRebuildFromKeptPlans) {
+  core::HeuristicPredictor heuristic;
+  CountingPredictor pred(heuristic);
+  PlanCache<float> cache(pred, clsim::default_engine(), 2);
+  const std::vector<std::shared_ptr<const CsrMatrix<float>>> mats = {
+      std::make_shared<const CsrMatrix<float>>(gen::diagonal<float>(500)),
+      std::make_shared<const CsrMatrix<float>>(
+          gen::fixed_degree<float>(400, 400, 3, 6)),
+      std::make_shared<const CsrMatrix<float>>(
+          gen::power_law<float>(600, 600, 2.0, 100, 7))};
+
+  // a,b,c,a,b,c at capacity 2: every get misses and evicts, but only the
+  // first pass over the structures plans.
+  std::vector<std::string> planned;
+  for (const auto& m : mats)
+    planned.push_back(plan_text(cache.get(m)->runtime.plan()));
+  for (std::size_t i = 0; i < mats.size(); ++i)
+    EXPECT_EQ(plan_text(cache.get(mats[i])->runtime.plan()), planned[i])
+        << "structure " << i;
+
+  EXPECT_EQ(pred.unit_calls.load(), 3);
+  const auto s = cache.stats();
+  // The runtime tier counts exactly as it did before plans were kept.
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 6u);
+  EXPECT_EQ(s.evictions, 4u);
+  EXPECT_EQ(s.planning_passes, 3u);
+  EXPECT_EQ(s.plan_hits, 3u);
+  EXPECT_EQ(s.warm_hits, 0u);
+}
+
+TEST(PlanCache, KeptPlansHoldNoMatrix) {
+  core::HeuristicPredictor pred;
+  PlanCache<float> cache(pred, clsim::default_engine(), 1);
+  auto a = std::make_shared<const CsrMatrix<float>>(
+      gen::banded<float>(700, 4, 0.7, 19));
+  const auto same_structure = std::make_shared<const CsrMatrix<float>>(*a);
+  const std::weak_ptr<const CsrMatrix<float>> weak = a;
+  (void)cache.get(a);
+  (void)cache.get(std::make_shared<const CsrMatrix<float>>(
+      gen::diagonal<float>(300)));  // evicts a's runtime, keeps its plan
+  a.reset();
+  EXPECT_TRUE(weak.expired());
+
+  // The kept plan still rebuilds the structure, against the new matrix.
+  const auto entry = cache.get(same_structure);
+  EXPECT_EQ(entry->matrix, same_structure);
+  EXPECT_EQ(cache.stats().plan_hits, 1u);
+  EXPECT_EQ(cache.stats().planning_passes, 2u);
+}
+
+TEST(PlanCache, PlanTierEvictsLeastRecentlyUsedPastItsBound) {
+  core::HeuristicPredictor heuristic;
+  CountingPredictor pred(heuristic);
+  PlanCache<float> cache(pred, clsim::default_engine(), 1);
+  // Capacity 1 keeps kPlansPerRuntime plans; one structure more drops the
+  // least recently used.
+  const int n = static_cast<int>(kPlansPerRuntime) + 1;
+  std::vector<std::shared_ptr<const CsrMatrix<float>>> mats;
+  for (int i = 0; i < n; ++i)
+    mats.push_back(std::make_shared<const CsrMatrix<float>>(
+        gen::diagonal<float>(static_cast<index_t>(10 + i))));
+  for (const auto& m : mats) (void)cache.get(m);
+  EXPECT_EQ(pred.unit_calls.load(), n);
+
+  (void)cache.get(mats[1]);  // still kept
+  EXPECT_EQ(pred.unit_calls.load(), n);
+  EXPECT_EQ(cache.stats().plan_hits, 1u);
+  (void)cache.get(mats[0]);  // dropped past the bound: plans again
+  EXPECT_EQ(pred.unit_calls.load(), n + 1);
+  EXPECT_EQ(cache.stats().planning_passes, static_cast<std::uint64_t>(n + 1));
+}
+
+TEST(PlanCache, MemoizedFingerprintMatchesFingerprintOf) {
+  core::HeuristicPredictor pred;
+  PlanCache<float> cache(pred, clsim::default_engine(), 2);
+  const auto a = gen::power_law<float>(1200, 1200, 2.0, 150, 5);
+  const auto large = gen::fixed_degree<float>(50000, 1000, 2, 3);
+  ASSERT_GT(large.row_ptr().size(), kMaxHashedEntries);
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass reads the memo
+    EXPECT_EQ(cache.fingerprint(a), fingerprint_of(a));
+    EXPECT_EQ(cache.fingerprint(large), fingerprint_of(large));
+  }
+
+  const auto copy = a;  // shares the structure block
+  ASSERT_EQ(copy.structure_id(), a.structure_id());
+  EXPECT_EQ(cache.fingerprint(copy), fingerprint_of(copy));
+
+  auto updated = a;
+  updated.update_values(
+      std::vector<float>(static_cast<std::size_t>(a.nnz()), 2.0f));
+  ASSERT_EQ(updated.structure_id(), a.structure_id());
+  EXPECT_EQ(cache.fingerprint(updated), fingerprint_of(updated));
+  EXPECT_FALSE(cache.fingerprint(updated) == cache.fingerprint(large));
+
+  // get() keys its entries by the memoized fingerprint.
+  const auto shared = std::make_shared<const CsrMatrix<float>>(updated);
+  EXPECT_EQ(cache.get(shared)->key, fingerprint_of(a));
 }
 
 TEST(PlanCache, ZeroCapacityThrows) {
@@ -502,6 +609,46 @@ TEST(SpmvService, WarmStartFromNativeBackendPlanExecutesExactly) {
   EXPECT_EQ(entry->runtime.plan().backend, exec::BackendKind::Native);
 }
 
+TEST(SpmvService, PlanTierRebuildIsBitIdenticalToTheEvictedRuntime) {
+  // Native backend with Auto formats (Ell and Dcsr bins), so the rebuilt
+  // runtime also rebuilds its layouts: each of the first runs after the
+  // rebuild must equal the matching run before the eviction bit for bit.
+  // Under 32768 units of work, so runs stay inline (no OpenMP region for
+  // tsan to trip on).
+  core::HeuristicPredictor pred;
+  ServiceOptions opts;
+  opts.cache_capacity = 1;
+  opts.workers = 1;
+  opts.backend = exec::BackendKind::Native;
+  opts.format = fmt::FormatMode::Auto;
+  SpmvService<double> service(pred, opts);
+  auto a = std::make_shared<const CsrMatrix<double>>(
+      gen::mixed_regime<double>(600, 600, 0.4, 0.4, 2, 30, 100, 16, 71));
+  auto b = std::make_shared<const CsrMatrix<double>>(
+      gen::banded<double>(600, 4, 0.7, 73));
+  const auto x = random_vector<double>(static_cast<std::size_t>(a->cols()), 75);
+  const auto xb =
+      random_vector<double>(static_cast<std::size_t>(b->cols()), 77);
+
+  constexpr int kRuns = 5;  // past fmt's default min_reuse of 3
+  std::vector<std::vector<double>> before;
+  for (int r = 0; r < kRuns; ++r) before.push_back(service.run(a, x));
+  const std::string planned = plan_text(service.cache().get(a)->runtime.plan());
+  (void)service.run(b, xb);  // evicts a's runtime
+  for (int r = 0; r < kRuns; ++r) {
+    const auto y = service.run(a, x);
+    ASSERT_EQ(y.size(), before[static_cast<std::size_t>(r)].size());
+    EXPECT_EQ(std::memcmp(y.data(), before[static_cast<std::size_t>(r)].data(),
+                          y.size() * sizeof(double)),
+              0)
+        << "run " << r << " after the rebuild";
+  }
+  EXPECT_EQ(plan_text(service.cache().get(a)->runtime.plan()), planned);
+  const auto s = service.stats();
+  EXPECT_EQ(s.cache_plan_hits, 1u);
+  EXPECT_EQ(s.planning_passes, 2u);
+}
+
 TEST(SpmvService, BackpressureRejectsBeyondHighWater) {
   core::HeuristicPredictor pred;
   ServiceOptions opts;
@@ -594,6 +741,10 @@ TEST(SpmvServiceStress, ManyThreadsManyMatrices) {
             static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_GT(s.cache_hits, 0u);
   EXPECT_GT(s.cache_evictions, 0u);  // capacity 3 < 5 matrices
+  // Evicted runtimes keep their plans: each structure planned once, and
+  // every other miss rebuilt from the plan tier.
+  EXPECT_EQ(s.planning_passes, static_cast<std::uint64_t>(kMatrices));
+  EXPECT_EQ(s.cache_misses, s.planning_passes + s.cache_plan_hits);
 }
 
 }  // namespace

@@ -22,11 +22,14 @@
 #include <vector>
 
 #include "adapt/plan_store.hpp"
+#include "core/exhaustive.hpp"
 #include "core/predictor.hpp"
 #include "gen/generators.hpp"
 #include "iter/session.hpp"
 #include "kernels/reference.hpp"
 #include "prof/counters.hpp"
+#include "serve/fingerprint.hpp"
+#include "serve/plan_cache.hpp"
 #include "serve/service.hpp"
 #include "shard/sharded_service.hpp"
 #include "sparse/convert.hpp"
@@ -676,6 +679,84 @@ TEST(StressServe, ThreadBudgetHoldsBesideASession) {
   EXPECT_GE(seen, 1) << note;
   EXPECT_LE(seen, bound) << "threads.active_max " << seen << " on " << hw
                          << " hardware threads" << note;
+}
+
+/// Gets, promotions and evictions racing across the plan cache's two
+/// tiers: capacity 1 over three structures keeps every runtime churning
+/// while a promoter bumps one structure's revision. Invariants:
+///   - a get never returns a revision older than one already promoted
+///     (the plan tier keeps the latest revision across evictions)
+///   - each structure plans exactly once; every other miss rebuilds from
+///     the plan tier
+///   - every returned entry computes exactly against its matrix
+TEST(StressServe, PlanTiersKeepPromotionsThroughEvictionRaces) {
+  const std::uint64_t base = base_seed();
+  const std::string note =
+      " (replay with SPMV_TEST_SEED=" + std::to_string(base) + ")";
+  const core::HeuristicPredictor pred;
+  serve::PlanCache<float> cache(pred, clsim::default_engine(), 1);
+  constexpr int kMatrices = 3;
+  std::vector<std::shared_ptr<const CsrMatrix<float>>> mats;
+  for (int i = 0; i < kMatrices; ++i)
+    mats.push_back(
+        std::make_shared<const CsrMatrix<float>>(gen::power_law<float>(
+            300 + 60 * i, 300, 2.0, 40,
+            (base + static_cast<std::uint64_t>(i)) & 0xffff)));
+  const auto key0 = serve::fingerprint_of(*mats[0]);
+  const core::Plan base_plan = cache.get(mats[0])->runtime.plan();
+  const auto promote = [&](std::uint64_t revision) {
+    core::Plan p = base_plan;
+    p.revision = revision;
+    return cache.promote(key0, p, 1.0) != nullptr;
+  };
+  ASSERT_TRUE(promote(1)) << note;  // mats[0]'s runtime is cached
+
+  std::atomic<std::uint64_t> landed{1};  // newest revision promoted
+  std::atomic<bool> stop{false};
+  std::thread promoter([&] {
+    for (std::uint64_t rev = 2; !stop.load(std::memory_order_relaxed); ++rev)
+      if (promote(rev)) landed.store(rev, std::memory_order_release);
+  });
+  std::atomic<int> stale{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> getters;
+  for (int t = 0; t < 3; ++t) {
+    getters.emplace_back([&, t] {
+      util::Xoshiro256 rng(base + 100 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 40; ++i) {
+        const auto m = static_cast<std::size_t>(
+            rng.next() % static_cast<std::uint64_t>(kMatrices));
+        const std::uint64_t floor = landed.load(std::memory_order_acquire);
+        const auto entry = cache.get(mats[m]);
+        if (m == 0 && entry->runtime.plan().revision < floor)
+          stale.fetch_add(1, std::memory_order_relaxed);
+        const auto x = random_x(static_cast<std::size_t>(mats[m]->cols()),
+                                rng.next());
+        std::vector<float> y(static_cast<std::size_t>(mats[m]->rows()));
+        core::execute_plan(clsim::default_engine(), *mats[m],
+                           std::span<const float>(x), std::span<float>(y),
+                           entry->runtime.bins(), entry->runtime.plan());
+        const auto exact =
+            kernels::spmv_exact(*mats[m], std::span<const float>(x));
+        for (std::size_t r = 0; r < y.size(); ++r)
+          if (std::abs(y[r] - exact[r]) > 2e-4 * (std::abs(exact[r]) + 1.0)) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+      }
+    });
+  }
+  for (std::thread& g : getters) g.join();
+  stop.store(true, std::memory_order_relaxed);
+  promoter.join();
+
+  EXPECT_EQ(stale.load(), 0) << note;
+  EXPECT_EQ(wrong.load(), 0) << note;
+  const auto s = cache.stats();
+  EXPECT_EQ(s.planning_passes, static_cast<std::uint64_t>(kMatrices)) << note;
+  EXPECT_EQ(s.misses, s.planning_passes + s.plan_hits) << note;
+  EXPECT_GT(s.evictions, 0u) << note;
+  EXPECT_GE(s.promotions, 1u) << note;
 }
 
 }  // namespace
