@@ -696,11 +696,13 @@ int main(int argc, char** argv) {
 
   std::printf("serve stats: %llu requests in %llu batches "
               "(mean width %.1f), cache hit rate %.0f%%, "
-              "%llu plan-tier rebuild(s), mean queue wait %.3f ms\n",
+              "%llu plan-tier rebuild(s), %llu not admitted, "
+              "mean queue wait %.3f ms\n",
               static_cast<unsigned long long>(s.requests),
               static_cast<unsigned long long>(s.batches), mean_width,
               100.0 * s.cache_hit_rate(),
               static_cast<unsigned long long>(s.cache_plan_hits),
+              static_cast<unsigned long long>(s.cache_not_admitted),
               s.requests == 0
                   ? 0.0
                   : 1e3 * s.queue_wait_total_s /

@@ -20,6 +20,7 @@ void ServeStats::merge(const ServeStats& other) {
   cache_evictions += other.cache_evictions;
   cache_plan_hits += other.cache_plan_hits;
   cache_warm_hits += other.cache_warm_hits;
+  cache_not_admitted += other.cache_not_admitted;
   planning_passes += other.planning_passes;
   cache_promotions += other.cache_promotions;
   cache_rebin_promotions += other.cache_rebin_promotions;
@@ -193,6 +194,7 @@ Json RunProfile::to_json() const {
     cache.set("hit_rate", serve.cache_hit_rate());
     cache.set("plan_hits", serve.cache_plan_hits);
     cache.set("warm_hits", serve.cache_warm_hits);
+    cache.set("not_admitted", serve.cache_not_admitted);
     cache.set("planning_passes", serve.planning_passes);
     cache.set("promotions", serve.cache_promotions);
     cache.set("rebin_promotions", serve.cache_rebin_promotions);
@@ -342,6 +344,9 @@ RunProfile RunProfile::from_json(const Json& j) {
     // The plan tier's counter is newer still.
     if (const Json* v = cache.find("plan_hits"); v != nullptr)
       p.serve.cache_plan_hits = v->as_uint();
+    // Admission arrived after the plan tier.
+    if (const Json* v = cache.find("not_admitted"); v != nullptr)
+      p.serve.cache_not_admitted = v->as_uint();
     if (const Json* v = cache.find("planning_passes"); v != nullptr)
       p.serve.planning_passes = v->as_uint();
     if (const Json* v = cache.find("promotions"); v != nullptr)
@@ -605,6 +610,9 @@ std::string prometheus_text(const RunProfile& profile) {
     metric(out, "spmv_serve_cache_warm_hits_total", "counter",
            "Cache misses satisfied from a warm PlanStore",
            static_cast<double>(s.cache_warm_hits));
+    metric(out, "spmv_serve_cache_not_admitted_total", "counter",
+           "Cache misses served uncached by the frequency gate",
+           static_cast<double>(s.cache_not_admitted));
     metric(out, "spmv_serve_planning_passes_total", "counter",
            "Full predictor-driven planning passes",
            static_cast<double>(s.planning_passes));

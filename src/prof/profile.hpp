@@ -161,6 +161,9 @@ struct ServeStats {
   std::uint64_t cache_plan_hits = 0;
   /// Misses satisfied from a warm PlanStore (no predictor pass needed).
   std::uint64_t cache_warm_hits = 0;
+  /// Misses the cache's frequency gate kept out of a full runtime tier:
+  /// served an uncached runtime, nothing evicted.
+  std::uint64_t cache_not_admitted = 0;
   /// Misses that ran a full predictor-driven planning pass.
   std::uint64_t planning_passes = 0;
   /// Adapt promotions applied to cached entries.

@@ -9,6 +9,29 @@
 #include "util/log.hpp"
 
 namespace spmv::serve {
+namespace {
+
+template <typename V>
+std::shared_future<V> ready_future(V value) {
+  std::promise<V> p;
+  p.set_value(std::move(value));
+  return p.get_future().share();
+}
+
+/// The value of a finished, successful future; an empty V while it is
+/// still pending or when it holds an exception.
+template <typename V>
+V ready_value(const std::shared_future<V>& f) {
+  if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready)
+    return V{};
+  try {
+    return f.get();
+  } catch (...) {
+    return V{};
+  }
+}
+
+}  // namespace
 
 template <typename T>
 PlanCache<T>::PlanCache(const core::Predictor& predictor,
@@ -46,18 +69,36 @@ Fingerprint PlanCache<T>::fingerprint(const CsrMatrix<T>& a) {
 }
 
 template <typename T>
-void PlanCache<T>::keep_plan(const Fingerprint& key, PlanFuture plan) {
+typename PlanCache<T>::PlanSlot& PlanCache<T>::keep_plan(
+    const Fingerprint& key, PlanFuture plan) {
   if (const auto it = plans_.find(key); it != plans_.end()) {
     it->second.plan = std::move(plan);
     plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru_pos);
-    return;
+    return it->second;
   }
   if (plans_.size() >= plan_capacity_) {
     plans_.erase(plan_lru_.back());
     plan_lru_.pop_back();
   }
   plan_lru_.push_front(key);
-  plans_.emplace(key, PlanSlot{std::move(plan), plan_lru_.begin()});
+  return plans_.emplace(key, PlanSlot{std::move(plan), plan_lru_.begin()})
+      .first->second;
+}
+
+template <typename T>
+void PlanCache<T>::keep_uncached(std::unique_lock<std::mutex>& lock,
+                                 const Fingerprint& key, core::Plan plan,
+                                 double gflops) {
+  const auto it = plans_.find(key);
+  // Only a finished kept plan has a revision to compare against.
+  const std::shared_ptr<const core::Plan> kept =
+      it == plans_.end() ? nullptr : ready_value(it->second.plan);
+  if (kept == nullptr || plan.revision <= kept->revision) return;
+  plan.normalize();  // as a rebuilt runtime's plan would be
+  auto newer = std::make_shared<const core::Plan>(std::move(plan));
+  keep_plan(key, ready_future(newer));
+  lock.unlock();
+  if (store_ != nullptr) store_->put(key, adapt::StoredPlan{*newer, gflops});
 }
 
 template <typename T>
@@ -73,33 +114,52 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
   // keeps its own plan through.
   PlanFuture kept;
   std::promise<std::shared_ptr<const core::Plan>> made;
+  bool admitted = true;
   {
     std::unique_lock<std::mutex> lock(mutex_);
+    if (++gets_since_aging_ >= plan_capacity_) {
+      gets_since_aging_ = 0;
+      for (auto& [fp, slot] : plans_) slot.uses /= 2;
+    }
+    PlanSlot* counted = nullptr;
+    if (const auto p = plans_.find(key); p != plans_.end()) {
+      counted = &p->second;
+      plan_lru_.splice(plan_lru_.begin(), plan_lru_, p->second.lru_pos);
+    }
     if (const auto it = slots_.find(key); it != slots_.end()) {
       // Hit (possibly on an entry still being planned by another thread).
       stats_.hits += 1;
+      if (counted != nullptr) counted->uses += 1;
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       EntryFuture f = it->second.future;
       lock.unlock();  // the planning pass may still be in flight
       return f.get();
     }
     stats_.misses += 1;
+    if (counted != nullptr)
+      kept = counted->plan;
+    else
+      counted = &keep_plan(key, made.get_future().share());
+    counted->uses += 1;
     if (slots_.size() >= capacity_) {
-      // Evict the least recently used slot. An in-flight build keeps
-      // running (its waiters hold the shared_future); it just won't be
-      // cached once evicted. Its plan stays in the plan tier.
+      // Admit only a structure used at least as often as the least
+      // recently used runtime, which it then evicts. An evicted in-flight
+      // build keeps running (its waiters hold the shared_future); it just
+      // won't be cached. Its plan stays in the plan tier.
       const Fingerprint victim = lru_.back();
-      lru_.pop_back();
-      slots_.erase(victim);
-      stats_.evictions += 1;
+      const auto v = plans_.find(victim);
+      admitted = counted->uses >= (v != plans_.end() ? v->second.uses : 0);
+      if (admitted) {
+        lru_.pop_back();
+        slots_.erase(victim);
+        stats_.evictions += 1;
+      } else {
+        stats_.not_admitted += 1;
+      }
     }
-    lru_.push_front(key);
-    slots_.emplace(key, Slot{promise.get_future().share(), lru_.begin()});
-    if (const auto p = plans_.find(key); p != plans_.end()) {
-      kept = p->second.plan;
-      plan_lru_.splice(plan_lru_.begin(), plan_lru_, p->second.lru_pos);
-    } else {
-      keep_plan(key, made.get_future().share());
+    if (admitted) {
+      lru_.push_front(key);
+      slots_.emplace(key, Slot{promise.get_future().share(), lru_.begin()});
     }
   }
 
@@ -108,9 +168,9 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
   // matrix (no predictor pass); otherwise the predictor plans and the
   // result is written through to the store.
   std::shared_ptr<const Entry> entry;
+  std::shared_ptr<const core::Plan> plan;
   std::uint64_t Stats::*counter = &Stats::planning_passes;
   try {
-    std::shared_ptr<const core::Plan> plan;
     if (kept.valid()) {
       plan = kept.get();
       counter = &Stats::plan_hits;
@@ -141,16 +201,20 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
   } catch (...) {
     promise.set_exception(std::current_exception());
     std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = slots_.find(key); it != slots_.end()) {
+    if (const auto it = slots_.find(key); admitted && it != slots_.end()) {
       lru_.erase(it->second.lru_pos);
       slots_.erase(it);
     }
-    if (!kept.valid()) {
-      made.set_exception(std::current_exception());
-      if (const auto it = plans_.find(key); it != plans_.end()) {
-        plan_lru_.erase(it->second.lru_pos);
-        plans_.erase(it);
-      }
+    // Drop the plan this miss was making, or a kept plan that failed to
+    // rebuild (unless a newer one replaced it meanwhile), so the next miss
+    // plans again instead of rethrowing.
+    if (!kept.valid()) made.set_exception(std::current_exception());
+    if (const auto it = plans_.find(key);
+        it != plans_.end() &&
+        (!kept.valid() || (counter == &Stats::plan_hits &&
+                           ready_value(it->second.plan) == plan))) {
+      plan_lru_.erase(it->second.lru_pos);
+      plans_.erase(it);
     }
     throw;
   }
@@ -166,36 +230,33 @@ template <typename T>
 std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::promote(
     const Fingerprint& key, const core::Plan& plan, double gflops) {
   // Snapshot the current entry (the matrix to rebuild against). A slot
-  // still mid-build or already evicted loses the promotion — acceptable:
-  // promotions are opportunistic refinements, never required for
-  // correctness.
+  // still mid-build loses the promotion — acceptable: promotions are
+  // opportunistic refinements, never required for correctness. A key with
+  // no runtime slot keeps the plan for its next miss instead.
   std::shared_ptr<const Entry> current;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     const auto it = slots_.find(key);
-    if (it == slots_.end()) return nullptr;
+    if (it == slots_.end()) {
+      keep_uncached(lock, key, plan, gflops);
+      return nullptr;
+    }
     EntryFuture f = it->second.future;
     lock.unlock();
-    if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready)
-      return nullptr;
-    try {
-      current = f.get();
-    } catch (...) {
-      return nullptr;  // failed build still occupying the slot
-    }
+    current = ready_value(f);  // null: mid-build, or a failed build
+    if (current == nullptr) return nullptr;
   }
   if (plan.revision <= current->runtime.plan().revision)
     return nullptr;  // stale: an equal-or-newer revision is already cached
 
   // Rebuild outside the lock (binning the matrix is the expensive part).
   std::shared_ptr<const Entry> replacement;
-  std::promise<std::shared_ptr<const core::Plan>> rebuilt_plan;
+  std::shared_ptr<const core::Plan> rebuilt;
   try {
     replacement = std::shared_ptr<const Entry>(new Entry{
         key, current->matrix,
         core::Tuner(*current->matrix).plan(plan).engine(engine_).build()});
-    rebuilt_plan.set_value(
-        std::make_shared<const core::Plan>(replacement->runtime.plan()));
+    rebuilt = std::make_shared<const core::Plan>(replacement->runtime.plan());
   } catch (const std::exception& e) {
     util::log_warn() << "PlanCache::promote: rebuild failed, keeping "
                         "incumbent plan ("
@@ -204,33 +265,27 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::promote(
   }
 
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     const auto it = slots_.find(key);
-    if (it == slots_.end()) return nullptr;  // evicted while rebuilding
-    // Re-validate monotonicity against whatever sits in the slot now (a
-    // concurrent promotion may have won the race).
-    if (it->second.future.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready)
-      return nullptr;
-    std::shared_ptr<const Entry> now;
-    try {
-      now = it->second.future.get();
-    } catch (...) {
+    if (it == slots_.end()) {  // evicted while rebuilding
+      keep_uncached(lock, key, *rebuilt, gflops);
       return nullptr;
     }
-    if (plan.revision <= now->runtime.plan().revision) return nullptr;
-    std::promise<std::shared_ptr<const Entry>> ready;
-    ready.set_value(replacement);
-    it->second.future = ready.get_future().share();
+    // Re-validate monotonicity against whatever sits in the slot now (a
+    // concurrent promotion may have won the race).
+    const std::shared_ptr<const Entry> now = ready_value(it->second.future);
+    if (now == nullptr || plan.revision <= now->runtime.plan().revision)
+      return nullptr;
+    it->second.future = ready_future(replacement);
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    keep_plan(key, rebuilt_plan.get_future().share());
+    keep_plan(key, ready_future(rebuilt));
     stats_.promotions += 1;
     const core::Plan& replaced = now->runtime.plan();
     if (replaced.unit != plan.unit || replaced.single_bin != plan.single_bin)
       stats_.rebin_promotions += 1;
   }
   if (store_ != nullptr)
-    store_->put(key, adapt::StoredPlan{replacement->runtime.plan(), gflops});
+    store_->put(key, adapt::StoredPlan{*rebuilt, gflops});
   return replacement;
 }
 

@@ -397,6 +397,7 @@ prof::ServeStats SpmvService<T>::stats() const {
   s.cache_evictions = c.evictions;
   s.cache_plan_hits = c.plan_hits;
   s.cache_warm_hits = c.warm_hits;
+  s.cache_not_admitted = c.not_admitted;
   s.planning_passes = c.planning_passes;
   s.cache_promotions = c.promotions;
   s.cache_rebin_promotions = c.rebin_promotions;

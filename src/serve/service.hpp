@@ -63,9 +63,11 @@ class QueueFullError : public std::runtime_error {
 };
 
 struct ServiceOptions {
-  /// Built runtimes cached, each with its bins and layouts. Plans are kept
-  /// beyond it: up to kPlansPerRuntime x cache_capacity structures rebuild
-  /// from a kept plan instead of planning again (serve/plan_cache.hpp).
+  /// Built runtimes cached, each with its bins and layouts; a full cache
+  /// admits a structure only if it is used at least as often as the one
+  /// it would evict. Plans are kept beyond it: up to kPlansPerRuntime x
+  /// cache_capacity structures rebuild from a kept plan instead of
+  /// planning again (serve/plan_cache.hpp).
   std::size_t cache_capacity = 16;
   int workers = 2;                  ///< request-draining threads
   std::size_t queue_high_water = 256;  ///< admissions beyond this reject

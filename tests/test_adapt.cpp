@@ -4,6 +4,7 @@
 // monotonicity, concurrent promotion vs eviction (tsan coverage), and the
 // service-level warm-start / shutdown-ordering contracts.
 #include <gtest/gtest.h>
+#include <algorithm>
 
 #include <atomic>
 #include <cmath>
@@ -655,6 +656,82 @@ TEST(PlanCacheAdapt, PromotedRevisionSurvivesRuntimeEvictionWithoutStore) {
   EXPECT_EQ(s.plan_hits, 1u);
   EXPECT_EQ(s.planning_passes, 2u);
   EXPECT_EQ(s.warm_hits, 0u);
+}
+
+TEST(PlanCacheAdapt, PromotionOfAnUncachedStructureIsKept) {
+  ScopedFile file("test_adapt_uncached_promotion.json");
+  PlanStore store(file.path);
+  store.load();
+  core::HeuristicPredictor pred;
+  serve::PlanCache<double> cache(pred, clsim::default_engine(), 1, &store);
+  auto a = std::make_shared<const CsrMatrix<double>>(
+      gen::power_law<double>(900, 900, 2.0, 90, 29));
+  auto b = std::make_shared<const CsrMatrix<double>>(
+      gen::banded<double>(500, 3, 0.7, 33));
+  const auto key = serve::fingerprint_of(*a);
+
+  core::Plan improved = cache.get(a)->runtime.plan();
+  ASSERT_FALSE(improved.bin_kernels.empty());
+  (void)cache.get(b);  // evicts a's runtime; a's plan stays kept
+  improved.revision = 1;
+  improved.bin_kernels[0].kernel =
+      improved.bin_kernels[0].kernel == kernels::KernelId::Serial
+          ? kernels::KernelId::Sub2
+          : kernels::KernelId::Serial;
+  // Sent out of bin order, as an externally assembled plan may be.
+  core::Plan sent = improved;
+  std::reverse(sent.bin_kernels.begin(), sent.bin_kernels.end());
+  // No runtime replaced, so nullptr and no promotion counted, but the
+  // kept plan and the store both take the newer revision, normalized.
+  EXPECT_EQ(cache.promote(key, sent, 2.0), nullptr);
+  EXPECT_EQ(cache.stats().promotions, 0u);
+  ASSERT_TRUE(store.lookup(key).has_value());
+  EXPECT_EQ(store.lookup(key)->plan.revision, 1u);
+  EXPECT_EQ(core::plan_to_json(store.lookup(key)->plan).dump(),
+            core::plan_to_json(improved).dump());
+  // A stale revision for the uncached structure changes nothing.
+  core::Plan stale = improved;
+  stale.revision = 1;
+  stale.bin_kernels[0].kernel = kernels::KernelId::Sub4;
+  EXPECT_EQ(cache.promote(key, stale, 3.0), nullptr);
+
+  const auto back = cache.get(a);  // the next miss rebuilds at revision 1
+  EXPECT_EQ(back->runtime.plan().revision, 1u);
+  EXPECT_EQ(back->runtime.plan().bin_kernels[0].kernel,
+            improved.bin_kernels[0].kernel);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.plan_hits, 1u);
+  EXPECT_EQ(s.planning_passes, 2u);
+  EXPECT_EQ(s.promotions, 0u);
+}
+
+// A plan kept for an uncached structure is built only at its next miss.
+// When that rebuild fails, the miss rethrows and drops the kept plan, so
+// the miss after it plans again instead of rethrowing for good.
+TEST(PlanCacheAdapt, KeptPlanThatFailsToRebuildIsDropped) {
+  core::HeuristicPredictor pred;
+  serve::PlanCache<double> cache(pred, clsim::default_engine(), 1);
+  auto a = std::make_shared<const CsrMatrix<double>>(
+      gen::power_law<double>(900, 900, 2.0, 90, 29));
+  auto b = std::make_shared<const CsrMatrix<double>>(
+      gen::banded<double>(500, 3, 0.7, 33));
+  const auto key = serve::fingerprint_of(*a);
+
+  core::Plan broken = cache.get(a)->runtime.plan();
+  (void)cache.get(b);  // evicts a's runtime; a's plan stays kept
+  broken.revision = 1;
+  broken.unit = 0;  // binning rejects a unit below 1
+  EXPECT_EQ(cache.promote(key, broken), nullptr);
+  EXPECT_THROW((void)cache.get(a), std::invalid_argument);
+
+  std::shared_ptr<const serve::PlanCache<double>::Entry> back;
+  ASSERT_NO_THROW(back = cache.get(a));
+  EXPECT_EQ(back->runtime.plan().revision, 0u);
+  EXPECT_GE(back->runtime.plan().unit, 1);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.planning_passes, 3u);  // a, b, and a again
+  EXPECT_EQ(s.plan_hits, 0u);
+  EXPECT_EQ(s.promotions, 0u);
 }
 
 // A backend-swap promotion racing a kernel-arm promotion at the same

@@ -384,24 +384,31 @@ TEST(ProfRunProfile, CachePlanHitsMergeRoundTripAndExport) {
   p.serve.cache_misses = 4;
   p.serve.cache_plan_hits = 3;
   p.serve.cache_warm_hits = 1;
+  p.serve.cache_not_admitted = 6;
   prof::ServeStats other;
   other.cache_plan_hits = 2;
+  other.cache_not_admitted = 1;
   p.serve.merge(other);
   EXPECT_EQ(p.serve.cache_plan_hits, 5u);
   EXPECT_EQ(p.serve.cache_warm_hits, 1u);
+  EXPECT_EQ(p.serve.cache_not_admitted, 7u);
 
   const auto restored =
       prof::RunProfile::from_json(prof::Json::parse(p.to_json_text()));
   EXPECT_EQ(restored.serve.cache_plan_hits, 5u);
-  EXPECT_NE(prof::prometheus_text(p).find(
-                "spmv_serve_cache_plan_hits_total 5"),
+  EXPECT_EQ(restored.serve.cache_not_admitted, 7u);
+  const std::string prom = prof::prometheus_text(p);
+  EXPECT_NE(prom.find("spmv_serve_cache_plan_hits_total 5"),
+            std::string::npos);
+  EXPECT_NE(prom.find("spmv_serve_cache_not_admitted_total 7"),
             std::string::npos);
 
-  // Profiles written before the plan tier have no plan_hits key.
+  // Profiles written before the plan tier have no plan_hits key, and none
+  // written before admission has not_admitted.
   auto j = prof::Json::parse(p.to_json_text());
   prof::Json cache = prof::Json::object();
   for (const auto& [key, value] : j.at("serve").at("cache").members())
-    if (key != "plan_hits") cache.set(key, value);
+    if (key != "plan_hits" && key != "not_admitted") cache.set(key, value);
   prof::Json serve = prof::Json::object();
   for (const auto& [key, value] : j.at("serve").members())
     serve.set(key, key == "cache" ? cache : value);
@@ -410,6 +417,7 @@ TEST(ProfRunProfile, CachePlanHitsMergeRoundTripAndExport) {
     trimmed.set(key, key == "serve" ? serve : value);
   const auto old = prof::RunProfile::from_json(trimmed);
   EXPECT_EQ(old.serve.cache_plan_hits, 0u);
+  EXPECT_EQ(old.serve.cache_not_admitted, 0u);
   EXPECT_EQ(old.serve.cache_warm_hits, 1u);
 }
 

@@ -1,8 +1,7 @@
 // Tests for the serving layer: fingerprints, the plan cache (hits, misses,
-// LRU eviction, shared planning passes), batched execution, the SpmvService
-// end to end, and a multi-threaded stress run. The suite is part of the
-// tsan preset's coverage: the stress test hammers the cache and executor
-// from many client threads at once.
+// admission and eviction, shared planning passes), batched execution and
+// the SpmvService end to end. The many-client stress run lives in
+// test_stress.cpp, under the fuzz label's per-seed passes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -130,17 +129,80 @@ TEST(PlanCache, HitMissEvictCounters) {
       gen::power_law<float>(600, 600, 2.0, 100, 7));
 
   EXPECT_NE(cache.get(a), nullptr);  // miss
-  EXPECT_NE(cache.get(a), nullptr);  // hit
+  EXPECT_NE(cache.get(a), nullptr);  // hit: a used twice
   EXPECT_NE(cache.get(b), nullptr);  // miss (cache now full)
-  EXPECT_NE(cache.get(c), nullptr);  // miss, evicts LRU (a)
-  EXPECT_NE(cache.get(b), nullptr);  // hit: b survived the eviction
-  EXPECT_NE(cache.get(a), nullptr);  // miss again: a was evicted
+  EXPECT_NE(cache.get(c), nullptr);  // miss, not admitted: LRU a used more
+  EXPECT_NE(cache.get(b), nullptr);  // hit: b was not evicted
+  EXPECT_NE(cache.get(a), nullptr);  // hit: neither was a
 
   const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_EQ(s.misses, 4u);
-  EXPECT_EQ(s.evictions, 2u);
+  EXPECT_EQ(s.hits, 3u);
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.not_admitted, 1u);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(PlanCache, OneShotScanDoesNotEvictHotRuntimes) {
+  core::HeuristicPredictor heuristic;
+  CountingPredictor pred(heuristic);
+  PlanCache<float> cache(pred, clsim::default_engine(), 2);
+  auto hot_a = std::make_shared<const CsrMatrix<float>>(
+      gen::banded<float>(400, 3, 0.7, 41));
+  auto hot_b = std::make_shared<const CsrMatrix<float>>(
+      gen::fixed_degree<float>(300, 300, 4, 43));
+  const auto a0 = cache.get(hot_a);
+  const auto b0 = cache.get(hot_b);
+  (void)cache.get(hot_a);
+  (void)cache.get(hot_b);
+
+  // A scan of structures seen once each: every one is served, planned
+  // once, and refused a runtime slot.
+  constexpr int kScan = 10;
+  for (int i = 0; i < kScan; ++i) {
+    const auto one_shot = std::make_shared<const CsrMatrix<float>>(
+        gen::diagonal<float>(static_cast<index_t>(50 + i)));
+    const auto entry = cache.get(one_shot);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->matrix, one_shot);
+  }
+
+  EXPECT_EQ(cache.get(hot_a), a0);
+  EXPECT_EQ(cache.get(hot_b), b0);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.not_admitted, static_cast<std::uint64_t>(kScan));
+  EXPECT_EQ(s.misses, static_cast<std::uint64_t>(2 + kScan));
+  EXPECT_EQ(s.planning_passes, static_cast<std::uint64_t>(2 + kScan));
+  EXPECT_EQ(pred.unit_calls.load(), 2 + kScan);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(PlanCache, CountsAgeSoAPopularityShiftIsAdmitted) {
+  // Capacity 1 ages counts every kPlansPerRuntime gets. `old` was hot
+  // long ago (far more uses than one aging period), then `fresh` turns
+  // hot: halving lets it in within one period.
+  core::HeuristicPredictor pred;
+  PlanCache<float> cache(pred, clsim::default_engine(), 1);
+  auto old = std::make_shared<const CsrMatrix<float>>(
+      gen::banded<float>(300, 2, 0.8, 47));
+  auto fresh = std::make_shared<const CsrMatrix<float>>(
+      gen::fixed_degree<float>(250, 250, 3, 49));
+  const auto period = static_cast<int>(kPlansPerRuntime);
+  for (int i = 0; i < 4 * period; ++i) (void)cache.get(old);
+  ASSERT_EQ(cache.stats().evictions, 0u);
+
+  int gets = 0;
+  while (cache.stats().evictions == 0 && gets < 2 * period) {
+    (void)cache.get(fresh);
+    ++gets;
+  }
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_LE(gets, period);
+  EXPECT_EQ(cache.stats().not_admitted, static_cast<std::uint64_t>(gets - 1));
+  const auto entry = cache.get(fresh);
+  EXPECT_EQ(entry->matrix, fresh);
+  EXPECT_EQ(cache.get(fresh), entry);  // cached now
 }
 
 TEST(PlanCache, SameStructureSharesOneEntry) {
@@ -634,7 +696,13 @@ TEST(SpmvService, PlanTierRebuildIsBitIdenticalToTheEvictedRuntime) {
   std::vector<std::vector<double>> before;
   for (int r = 0; r < kRuns; ++r) before.push_back(service.run(a, x));
   const std::string planned = plan_text(service.cache().get(a)->runtime.plan());
-  (void)service.run(b, xb);  // evicts a's runtime
+  // b is admitted, evicting a's runtime, once it is used as often as a.
+  int b_runs = 0;
+  while (service.stats().cache_evictions == 0) {
+    ASSERT_LT(b_runs, 4 * kRuns);
+    (void)service.run(b, xb);
+    ++b_runs;
+  }
   for (int r = 0; r < kRuns; ++r) {
     const auto y = service.run(a, x);
     ASSERT_EQ(y.size(), before[static_cast<std::size_t>(r)].size());
@@ -645,8 +713,64 @@ TEST(SpmvService, PlanTierRebuildIsBitIdenticalToTheEvictedRuntime) {
   }
   EXPECT_EQ(plan_text(service.cache().get(a)->runtime.plan()), planned);
   const auto s = service.stats();
-  EXPECT_EQ(s.cache_plan_hits, 1u);
+  // Every run of b after its first, and a's one return, rebuilt from a
+  // kept plan.
+  EXPECT_EQ(s.cache_plan_hits, static_cast<std::uint64_t>(b_runs));
   EXPECT_EQ(s.planning_passes, 2u);
+}
+
+TEST(SpmvService, NotAdmittedMissIsBitIdenticalAndUncached) {
+  // Native backend with Auto formats, under 32768 units of work (runs
+  // stay inline). `hot` fills the one runtime slot; `a` misses and is
+  // refused it until it has been used as often, and each refused run
+  // must equal the admitted runtime's first run bit for bit.
+  core::HeuristicPredictor pred;
+  ServiceOptions opts;
+  opts.cache_capacity = 1;
+  opts.workers = 1;
+  opts.backend = exec::BackendKind::Native;
+  opts.format = fmt::FormatMode::Auto;
+  SpmvService<double> service(pred, opts);
+  auto hot = std::make_shared<const CsrMatrix<double>>(
+      gen::banded<double>(600, 4, 0.7, 79));
+  auto a = std::make_shared<const CsrMatrix<double>>(
+      gen::mixed_regime<double>(600, 600, 0.4, 0.4, 2, 30, 100, 16, 81));
+  const auto xh =
+      random_vector<double>(static_cast<std::size_t>(hot->cols()), 83);
+  const auto x = random_vector<double>(static_cast<std::size_t>(a->cols()), 85);
+
+  constexpr int kRuns = 5;  // past fmt's default min_reuse of 3
+  for (int r = 0; r < kRuns; ++r) (void)service.run(hot, xh);
+  const auto hot_entry = service.cache().get(hot);  // hot: 6 uses
+  const auto refused = service.run(a, x);
+  EXPECT_EQ(service.stats().cache_not_admitted, 1u);
+  EXPECT_EQ(service.cache().size(), 1u);
+  EXPECT_EQ(service.cache().get(hot), hot_entry);  // still cached
+
+  // Run a until admitted: every refused run, and the first run of the
+  // runtime that is then cached (layouts come only at min_reuse), gives
+  // the same bits.
+  int runs = 1;
+  while (service.stats().cache_evictions == 0) {
+    ASSERT_LT(runs, 4 * kRuns);
+    const auto y = service.run(a, x);
+    ASSERT_EQ(y.size(), refused.size());
+    EXPECT_EQ(std::memcmp(y.data(), refused.data(), y.size() * sizeof(double)),
+              0)
+        << "run " << runs;
+    ++runs;
+  }
+  const auto admitted = service.cache().get(a);
+  ASSERT_EQ(admitted->matrix, a);
+  EXPECT_TRUE(admitted->runtime.plan().uses_formats());
+  for (int r = 0; r < kRuns; ++r)
+    expect_matches_exact<double>(*a, x, service.run(a, x), 1e-9);
+  EXPECT_EQ(service.cache().get(a), admitted);
+  const auto s = service.stats();
+  EXPECT_EQ(s.cache_not_admitted, static_cast<std::uint64_t>(runs - 1));
+  EXPECT_EQ(s.cache_evictions, 1u);
+  EXPECT_EQ(s.planning_passes, 2u);
+  EXPECT_EQ(service.cache().size(), 1u);
 }
 
 TEST(SpmvService, BackpressureRejectsBeyondHighWater) {
@@ -675,76 +799,6 @@ TEST(SpmvService, SubmitValidation) {
   EXPECT_THROW(
       static_cast<void>(service.submit(a, std::vector<float>(50, 1.0f))),
       std::runtime_error);
-}
-
-// N client threads x M matrices hammering the cache + executor at once;
-// every result checked against the reference. Capacity below M keeps the
-// eviction path hot too. (tsan preset runs this under ThreadSanitizer.)
-TEST(SpmvServiceStress, ManyThreadsManyMatrices) {
-  core::HeuristicPredictor pred;
-  ServiceOptions opts;
-  opts.cache_capacity = 3;
-  opts.workers = 3;
-  opts.max_batch = 4;
-  opts.queue_high_water = 4096;
-  SpmvService<double> service(pred, opts);
-
-  constexpr int kMatrices = 5;
-  std::vector<std::shared_ptr<const CsrMatrix<double>>> mats;
-  mats.reserve(kMatrices);
-  mats.push_back(std::make_shared<const CsrMatrix<double>>(
-      gen::diagonal<double>(700)));
-  mats.push_back(std::make_shared<const CsrMatrix<double>>(
-      gen::fixed_degree<double>(600, 500, 3, 51)));
-  mats.push_back(std::make_shared<const CsrMatrix<double>>(
-      gen::power_law<double>(800, 800, 2.0, 120, 53)));
-  mats.push_back(std::make_shared<const CsrMatrix<double>>(
-      gen::banded<double>(500, 5, 0.6, 57)));
-  mats.push_back(std::make_shared<const CsrMatrix<double>>(
-      gen::cfd_longrow<double>(80, 60, 59)));
-
-  constexpr int kThreads = 6;
-  constexpr int kPerThread = 12;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  clients.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&, t] {
-      util::Xoshiro256 rng(1000 + static_cast<std::uint64_t>(t));
-      for (int i = 0; i < kPerThread; ++i) {
-        const auto& a = mats[static_cast<std::size_t>(
-            rng.next() % static_cast<std::uint64_t>(kMatrices))];
-        std::vector<double> x(static_cast<std::size_t>(a->cols()));
-        for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-        std::vector<double> y;
-        try {
-          y = service.run(a, x);
-        } catch (const QueueFullError&) {
-          continue;  // legal backpressure outcome
-        }
-        const auto exact = kernels::spmv_exact(*a, std::span<const double>(x));
-        for (std::size_t r = 0; r < y.size(); ++r) {
-          if (std::abs(y[r] - exact[r]) >
-              1e-9 * (std::abs(exact[r]) + 1.0)) {
-            failures.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
-        }
-      }
-    });
-  }
-  for (auto& c : clients) c.join();
-  EXPECT_EQ(failures.load(), 0);
-
-  const auto s = service.stats();
-  EXPECT_EQ(s.requests + s.rejected,
-            static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_GT(s.cache_hits, 0u);
-  EXPECT_GT(s.cache_evictions, 0u);  // capacity 3 < 5 matrices
-  // Evicted runtimes keep their plans: each structure planned once, and
-  // every other miss rebuilt from the plan tier.
-  EXPECT_EQ(s.planning_passes, static_cast<std::uint64_t>(kMatrices));
-  EXPECT_EQ(s.cache_misses, s.planning_passes + s.cache_plan_hits);
 }
 
 }  // namespace

@@ -681,6 +681,87 @@ TEST(StressServe, ThreadBudgetHoldsBesideASession) {
                          << " hardware threads" << note;
 }
 
+// N client threads x M matrices hammering the cache + executor at once;
+// every result checked against the reference. Capacity below M keeps the
+// admission and eviction paths hot too.
+TEST(SpmvServiceStress, ManyThreadsManyMatrices) {
+  const std::uint64_t base = base_seed();
+  const std::string note =
+      " (replay with SPMV_TEST_SEED=" + std::to_string(base) + ")";
+  const core::HeuristicPredictor pred;
+  serve::ServiceOptions opts;
+  opts.cache_capacity = 3;
+  opts.workers = 3;
+  opts.max_batch = 4;
+  opts.queue_high_water = 4096;
+  serve::SpmvService<double> service(pred, opts);
+
+  constexpr int kMatrices = 5;
+  const std::uint64_t s = base & 0xffff;
+  std::vector<std::shared_ptr<const CsrMatrix<double>>> mats;
+  mats.reserve(kMatrices);
+  mats.push_back(std::make_shared<const CsrMatrix<double>>(
+      gen::diagonal<double>(700)));
+  mats.push_back(std::make_shared<const CsrMatrix<double>>(
+      gen::fixed_degree<double>(600, 500, 3, s + 51)));
+  mats.push_back(std::make_shared<const CsrMatrix<double>>(
+      gen::power_law<double>(800, 800, 2.0, 120, s + 53)));
+  mats.push_back(std::make_shared<const CsrMatrix<double>>(
+      gen::banded<double>(500, 5, 0.6, s + 57)));
+  mats.push_back(std::make_shared<const CsrMatrix<double>>(
+      gen::cfd_longrow<double>(80, 60, s + 59)));
+  // One get of the first capacity + 1 structures: equal use counts admit,
+  // so the last one evicts before the clients race (uneven draws can keep
+  // one runtime ahead of every other count for a whole run). The last
+  // structure is still planned under the race.
+  for (std::size_t i = 0; i <= opts.cache_capacity; ++i)
+    (void)service.cache().get(mats[i]);
+
+  constexpr int kThreads = 6;
+  constexpr int kPerThread = 12;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      util::Xoshiro256 rng(base + 1000 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kPerThread; ++i) {
+        const auto& a = mats[static_cast<std::size_t>(
+            rng.next() % static_cast<std::uint64_t>(kMatrices))];
+        std::vector<double> x(static_cast<std::size_t>(a->cols()));
+        for (auto& v : x) v = rng.uniform(-1.0, 1.0);
+        std::vector<double> y;
+        try {
+          y = service.run(a, x);
+        } catch (const serve::QueueFullError&) {
+          continue;  // legal backpressure outcome
+        }
+        const auto exact = kernels::spmv_exact(*a, std::span<const double>(x));
+        for (std::size_t r = 0; r < y.size(); ++r) {
+          if (std::abs(y[r] - exact[r]) >
+              1e-9 * (std::abs(exact[r]) + 1.0)) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(failures.load(), 0) << note;
+
+  const auto st = service.stats();
+  EXPECT_EQ(st.requests + st.rejected,
+            static_cast<std::uint64_t>(kThreads * kPerThread))
+      << note;
+  EXPECT_GT(st.cache_hits, 0u) << note;
+  EXPECT_GT(st.cache_evictions, 0u) << note;  // capacity 3 < 5 matrices
+  // Runtimes evicted or never admitted keep their plans: each structure
+  // planned once, and every other miss rebuilt from the plan tier.
+  EXPECT_EQ(st.planning_passes, static_cast<std::uint64_t>(kMatrices)) << note;
+  EXPECT_EQ(st.cache_misses, st.planning_passes + st.cache_plan_hits) << note;
+}
+
 /// Gets, promotions and evictions racing across the plan cache's two
 /// tiers: capacity 1 over three structures keeps every runtime churning
 /// while a promoter bumps one structure's revision. Invariants:
@@ -710,6 +791,10 @@ TEST(StressServe, PlanTiersKeepPromotionsThroughEvictionRaces) {
     return cache.promote(key0, p, 1.0) != nullptr;
   };
   ASSERT_TRUE(promote(1)) << note;  // mats[0]'s runtime is cached
+  // An equal count admits, so one get of mats[1] evicts mats[0] before the
+  // threads race (uneven draws can keep one runtime ahead of every other
+  // count for a whole run). mats[2] is still planned under the race.
+  (void)cache.get(mats[1]);
 
   std::atomic<std::uint64_t> landed{1};  // newest revision promoted
   std::atomic<bool> stop{false};
