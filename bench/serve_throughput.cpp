@@ -9,24 +9,22 @@
 // usual defence against scheduler noise on loaded hosts).
 //
 //   serve_throughput [--rows N] [--requests R] [--clients C] [--workers W]
-//                    [--max-batch B] [--reps K] [--backend clsim|native]
+//                    [--max-batch B] [--reps K]
 //                    [--format csr|auto] [--short-rows] [--profile out.json]
 //                    [--json BENCH_serve.json] [--metrics-out metrics.txt]
 //                    [--obs-dir dir] [--trace out.trace.json]
 //                    [--trace-sample N] [--plan-store store.json]
 //
-// --backend selects the execution backend every plan is stamped with
-// (exec/backend.hpp); --format auto lets the fmt estimator stamp per-bin
-// physical layouts onto fresh plans (effective on format-capable backends
-// only — see src/fmt/); --short-rows swaps the workload to short-row-only
-// matrices (fixed degree 6 / narrow band), the profile where the native
-// backend's thin OpenMP loops beat the simulated work-group engine by the
-// widest margin. --json writes a compact machine-readable summary (config,
-// backend, format, naive/serve requests-per-second and GFLOP/s, speedup,
+// Both sides plan and run on the native backend, the one serving executes.
+// --format auto lets the fmt estimator stamp per-bin physical layouts onto
+// fresh plans (see src/fmt/); --short-rows swaps the workload to
+// short-row-only matrices (fixed degree 6 / narrow band), the ELL-friendly
+// profile. --json writes a compact machine-readable summary (config,
+// format, naive/serve requests-per-second and GFLOP/s, speedup,
 // request-latency p50/p95/p99, queue-wait p95 and batch-exec p50 — the
 // latencies the perf trajectory gates) for CI artifact upload — the CI job
-// runs it once per backend (and, on native, once per format mode) and
-// uploads the set for comparison — alongside the full --profile RunProfile.
+// runs it once per format mode and uploads the set for comparison —
+// alongside the full --profile RunProfile.
 //
 // Telemetry, in both modes: --trace writes a Chrome trace-event file
 // (chrome://tracing or Perfetto) with one request in --trace-sample N
@@ -42,7 +40,7 @@
 // Sharded mode (--shards K and/or --tenants T): instead of many matrices
 // through SpmvService, ONE large mixed-regime matrix is served row-
 // partitioned through spmv::shard::ShardedService — K shards each with its
-// own plan and engine slice, tenant-weighted fair admission in front. The
+// own plan and thread share, tenant-weighted fair admission in front. The
 // bench measures K=1 and K=shards back to back and reports the shard
 // speedup, per-shard GFLOP/s, and per-tenant latency percentiles plus
 // queue-full rejections; --json gains config.shards/config.tenants, scalar
@@ -254,7 +252,6 @@ int run_sharded(const util::Cli& cli) {
       static_cast<std::size_t>(cli.get_int("dispatch-window", 0));
   const auto high_water = static_cast<std::size_t>(
       cli.get_int("queue-high-water", 2 * requests + 16));
-  const exec::BackendKind backend = backend_from_cli(cli);
   const fmt::FormatMode format = format_from_cli(cli);
   const shard::QueuePolicy policy =
       shard::queue_policy_from_name(cli.get("queue-policy", "fair"));
@@ -287,10 +284,10 @@ int run_sharded(const util::Cli& cli) {
 
   std::printf("=== bench serve_throughput --shards (rows=%d, nnz=%lld, "
               "requests=%d, clients=%d, shards=%d, tenants=%d, "
-              "workers/shard=%d, backend=%s, format=%s, policy=%s) ===\n\n",
+              "workers/shard=%d, format=%s, policy=%s) ===\n\n",
               rows, static_cast<long long>(mat->nnz()), requests, clients,
-              shards, tenants, workers, exec::backend_cname(backend),
-              fmt::format_mode_cname(format), shard::queue_policy_name(policy));
+              shards, tenants, workers, fmt::format_mode_cname(format),
+              shard::queue_policy_name(policy));
 
   std::vector<std::vector<float>> req_x;
   for (int i = 0; i < requests; ++i)
@@ -336,7 +333,6 @@ int run_sharded(const util::Cli& cli) {
     sopts.queue_high_water = high_water;
     sopts.dispatch_window = dispatch_window;
     sopts.workers_per_shard = workers;
-    sopts.backend = backend;
     sopts.format = format;
     sopts.plan_store = store.get();
     return sopts;
@@ -492,7 +488,6 @@ int run_sharded(const util::Cli& cli) {
     config.set("long_deg", static_cast<std::int64_t>(long_deg));
     config.set("dispatch_window", static_cast<std::int64_t>(dispatch_window));
     config.set("queue_high_water", static_cast<std::int64_t>(high_water));
-    config.set("backend", exec::backend_name(backend));
     config.set("format", std::string(fmt::format_mode_cname(format)));
     config.set("queue_policy", std::string(shard::queue_policy_name(policy)));
     auto root = prof::Json::object();
@@ -565,7 +560,6 @@ int main(int argc, char** argv) {
   const int workers = static_cast<int>(cli.get_int("workers", 2));
   const int max_batch = static_cast<int>(cli.get_int("max-batch", 8));
   const int reps = static_cast<int>(cli.get_int("reps", 3));
-  const exec::BackendKind backend = backend_from_cli(cli);
   const fmt::FormatMode format = format_from_cli(cli);
   const bool short_rows = cli.get_bool("short-rows", false);
   Telemetry telemetry(cli, obs::SinkOptions{});
@@ -573,7 +567,7 @@ int main(int argc, char** argv) {
 
   // Three recurring matrix structures, as a serving workload would see
   // (e.g. the same operators queried by many clients). --short-rows keeps
-  // only short-row shapes (the backend-comparison profile).
+  // only short-row shapes (the format-comparison profile).
   std::vector<std::shared_ptr<const CsrMatrix<float>>> mats;
   if (!short_rows)
     mats.push_back(std::make_shared<const CsrMatrix<float>>(
@@ -584,11 +578,9 @@ int main(int argc, char** argv) {
       gen::banded<float>(rows, 8, 0.7, 3)));
 
   std::printf("=== bench serve_throughput (rows=%d, requests=%d, "
-              "clients=%d, workers=%d, max_batch=%d, backend=%s, "
-              "format=%s%s) ===\n\n",
+              "clients=%d, workers=%d, max_batch=%d, format=%s%s) ===\n\n",
               rows, requests, clients, workers, max_batch,
-              exec::backend_cname(backend), fmt::format_mode_cname(format),
-              short_rows ? ", short-rows" : "");
+              fmt::format_mode_cname(format), short_rows ? ", short-rows" : "");
 
   // Pre-generate the request stream (matrix round-robin + input vector) so
   // neither side pays generation inside the timed region.
@@ -615,7 +607,7 @@ int main(int argc, char** argv) {
               *req_mat_raw[static_cast<std::size_t>(i)];
           const auto spmv = core::Tuner(a)
                                 .predictor(pred)
-                                .backend(backend)
+                                .backend(exec::BackendKind::Native)
                                 .formats(format)
                                 .build();
           std::vector<float> y(static_cast<std::size_t>(a.rows()));
@@ -630,7 +622,6 @@ int main(int argc, char** argv) {
   opts.workers = workers;
   opts.max_batch = max_batch;
   opts.queue_high_water = static_cast<std::size_t>(requests) + 16;
-  opts.backend = backend;
   opts.format = format;
   opts.profile = &profile;
   opts.plan_store = store.get();
@@ -670,7 +661,7 @@ int main(int argc, char** argv) {
   const double naive_rps = requests / naive_s;
   const double serve_rps = requests / serve_s;
   // Work-normalized throughput: total flops of the request stream over the
-  // wall — the number the clsim-vs-native CI comparison keys on.
+  // wall.
   double total_flops = 0.0;
   for (const auto& m : req_mat)
     total_flops += 2.0 * static_cast<double>(m->nnz());
@@ -737,7 +728,6 @@ int main(int argc, char** argv) {
     config.set("workers", static_cast<std::int64_t>(workers));
     config.set("max_batch", static_cast<std::int64_t>(max_batch));
     config.set("reps", static_cast<std::int64_t>(reps));
-    config.set("backend", exec::backend_name(backend));
     config.set("format", std::string(fmt::format_mode_cname(format)));
     config.set("short_rows", short_rows);
     auto root = prof::Json::object();

@@ -30,17 +30,18 @@ std::int64_t bin_nnz(const CsrMatrix<T>& a, std::span<const index_t> vrows,
   return total;
 }
 
-/// Timed execution of one whole plan: every listed bin launched with its
-/// kernel, scored as 2*nnz / seconds. A kernel that cannot run earns a
-/// zero-reward sample instead of crashing the worker (same contract as the
-/// per-bin trials).
+/// Timed run of the listed bins of a plan on `backend`, each launched with
+/// its kernel, scored as 2 * nnz / seconds. A kernel that cannot run earns
+/// a zero-reward sample; the bandit learns to avoid it instead of crashing
+/// the worker.
 template <typename T>
-double whole_plan_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
-                         std::span<const T> x, const binning::BinSet& bins,
-                         const std::vector<core::BinPlan>& bin_kernels) {
+double timed_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
+                    std::span<const T> x, const binning::BinSet& bins,
+                    std::span<const core::BinPlan> bin_kernels,
+                    std::int64_t nnz) {
   std::vector<T> y(static_cast<std::size_t>(a.rows()));
   const double flops =
-      2.0 * static_cast<double>(std::max<std::int64_t>(1, a.nnz()));
+      2.0 * static_cast<double>(std::max<std::int64_t>(1, nnz));
   try {
     util::Timer t;
     for (const core::BinPlan& bp : bin_kernels) {
@@ -52,8 +53,7 @@ double whole_plan_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
     }
     return flops / std::max(t.elapsed_s(), 1e-12) * 1e-9;
   } catch (const std::exception& e) {
-    util::log_warn() << "adapt whole-plan trial failed (U=" << bins.unit()
-                     << ", backend=" << exec::backend_name(backend.kind())
+    util::log_warn() << "adapt trial failed (U=" << bins.unit()
                      << "): " << e.what();
     return 0.0;
   }
@@ -62,12 +62,8 @@ double whole_plan_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
 }  // namespace
 
 template <typename T>
-BanditTuner<T>::BanditTuner(const clsim::Engine& engine, AdaptOptions opts)
-    : engine_(engine),
-      opts_(std::move(opts)),
-      engine_backend_(exec::wrap_engine(engine)),
-      native_backend_(exec::shared_backend(exec::BackendKind::Native)),
-      rng_(opts_.seed) {
+BanditTuner<T>::BanditTuner(AdaptOptions opts)
+    : opts_(std::move(opts)), rng_(opts_.seed) {
   if (opts_.kernel_pool.empty()) opts_.kernel_pool = kernels::all_kernels();
   opts_.hot_bins = std::max(1, opts_.hot_bins);
   opts_.min_samples = std::max(1, opts_.min_samples);
@@ -82,13 +78,6 @@ BanditTuner<T>::BanditTuner(const clsim::Engine& engine, AdaptOptions opts)
 }
 
 template <typename T>
-const exec::Backend& BanditTuner<T>::backend_for(
-    exec::BackendKind kind) const {
-  return kind == exec::BackendKind::Native ? *native_backend_
-                                           : *engine_backend_;
-}
-
-template <typename T>
 kernels::KernelId BanditTuner<T>::pick_challenger(
     const BinArms& ba, kernels::KernelId incumbent) {
   // Unexplored arms first, in pool order — every candidate gets one sample
@@ -99,13 +88,13 @@ kernels::KernelId BanditTuner<T>::pick_challenger(
   }
 
   if (opts_.use_ucb) {
-    // UCB1 on the GFLOP/s means. The bonus term is scaled by the running
-    // best mean so the exploration pressure tracks the reward magnitude
+    // UCB1 on the GFLOP/s medians. The bonus term is scaled by the best
+    // median so the exploration pressure tracks the reward magnitude
     // (GFLOP/s is not normalized to [0, 1]).
     double scale = 0.0;
     for (kernels::KernelId id : opts_.kernel_pool)
       scale = std::max(scale,
-                       ba.arms[static_cast<std::size_t>(id)].mean_gflops);
+                       ba.arms[static_cast<std::size_t>(id)].gflops());
     if (scale <= 0.0) scale = 1.0;
     const double log_total =
         std::log(static_cast<double>(std::max<std::uint64_t>(2, ba.pulls)));
@@ -118,7 +107,7 @@ kernels::KernelId BanditTuner<T>::pick_challenger(
           scale * std::sqrt(2.0 * log_total /
                             static_cast<double>(std::max<std::uint64_t>(
                                 1, arm.samples)));
-      const double score = arm.mean_gflops + bonus;
+      const double score = arm.gflops() + bonus;
       if (score > best_score) {
         best_score = score;
         best = id;
@@ -128,7 +117,7 @@ kernels::KernelId BanditTuner<T>::pick_challenger(
   }
 
   // Epsilon-greedy: explore a random non-incumbent, otherwise exploit the
-  // best mean so far.
+  // best median so far.
   std::vector<kernels::KernelId> candidates;
   candidates.reserve(opts_.kernel_pool.size());
   for (kernels::KernelId id : opts_.kernel_pool)
@@ -136,11 +125,11 @@ kernels::KernelId BanditTuner<T>::pick_challenger(
   if (rng_.uniform() < opts_.epsilon)
     return candidates[rng_.bounded(candidates.size())];
   kernels::KernelId best = candidates.front();
-  double best_mean = -1.0;
+  double best_gflops = -1.0;
   for (kernels::KernelId id : candidates) {
-    const double m = ba.arms[static_cast<std::size_t>(id)].mean_gflops;
-    if (m > best_mean) {
-      best_mean = m;
+    const double m = ba.arms[static_cast<std::size_t>(id)].gflops();
+    if (m > best_gflops) {
+      best_gflops = m;
       best = id;
     }
   }
@@ -176,15 +165,15 @@ index_t BanditTuner<T>::pick_unit_challenger(const KeyState& st,
     }
   }
 
-  // Exploit: the best explored mean that is not the incumbent — keeps
+  // Exploit: the best explored median that is not the incumbent — keeps
   // re-sampling the most promising U until it either clears the promotion
-  // bar or its mean decays below the incumbent's.
+  // bar or its median decays below the incumbent's.
   index_t best = 0;
-  double best_mean = -1.0;
+  double best_gflops = -1.0;
   for (const auto& [u, arm] : st.units) {
     if (u == incumbent || arm.samples == 0) continue;
-    if (arm.mean_gflops > best_mean) {
-      best_mean = arm.mean_gflops;
+    if (arm.gflops() > best_gflops) {
+      best_gflops = arm.gflops();
       best = u;
     }
   }
@@ -203,14 +192,14 @@ kernels::KernelId BanditTuner<T>::seed_kernel(const KeyState& st,
   if (const auto it = st.bins.find(bin_id); it != st.bins.end()) {
     bool any = false;
     kernels::KernelId best = kernels::KernelId::Serial;
-    double best_mean = 0.0;
+    double best_gflops = 0.0;
     for (kernels::KernelId id : opts_.kernel_pool) {
       const Arm& arm = it->second.arms[static_cast<std::size_t>(id)];
       if (arm.samples == 0) continue;
-      if (!any || arm.mean_gflops > best_mean) {
+      if (!any || arm.gflops() > best_gflops) {
         any = true;
         best = id;
-        best_mean = arm.mean_gflops;
+        best_gflops = arm.gflops();
       }
     }
     if (any) return best;
@@ -254,7 +243,7 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::unit_trial(
     ckernels.push_back({b, seed_kernel(st, plan, b)});
   if (ckernels.empty()) return std::nullopt;
 
-  // Back-to-back whole-plan measurement, incumbent first.
+  // Back-to-back whole-plan measurement in ABBA order (see observe()).
   double inc_gflops = 0.0;
   double ch_gflops = 0.0;
   {
@@ -264,11 +253,15 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::unit_trial(
       inc_gflops = opts_.measure_unit_override(incumbent_u);
       ch_gflops = opts_.measure_unit_override(challenger_u);
     } else {
-      // Both granularities timed on the plan's own backend — U arms must
-      // compare binning structure, not execution engines.
-      const exec::Backend& backend = backend_for(plan.backend);
-      inc_gflops = whole_plan_gflops(backend, a, x, bins, plan.bin_kernels);
-      ch_gflops = whole_plan_gflops(backend, a, x, cbins, ckernels);
+      const auto inc = [&] {
+        return timed_gflops<T>(*native_, a, x, bins, plan.bin_kernels, a.nnz());
+      };
+      const auto ch = [&] {
+        return timed_gflops<T>(*native_, a, x, cbins, ckernels, a.nnz());
+      };
+      inc_gflops = inc();
+      ch_gflops = std::max(ch(), ch());
+      inc_gflops = std::max(inc_gflops, inc());
     }
   }
   st.units[incumbent_u].add(inc_gflops);
@@ -278,13 +271,14 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::unit_trial(
   const double flops =
       2.0 * static_cast<double>(std::max<std::int64_t>(1, a.nnz()));
   if (ch_gflops > 0.0 && inc_gflops > ch_gflops)
-    stats_.regret_s += flops * 1e-9 / ch_gflops - flops * 1e-9 / inc_gflops;
+    stats_.regret_s += 2.0 * (flops * 1e-9 / ch_gflops -
+                              flops * 1e-9 / inc_gflops);
 
   const Arm& inc_arm = st.units[incumbent_u];
   const Arm& ch_arm = st.units[challenger_u];
   const auto min_n = static_cast<std::uint64_t>(opts_.unit_min_samples);
   if (inc_arm.samples < min_n || ch_arm.samples < min_n) return std::nullopt;
-  if (ch_arm.mean_gflops <= inc_arm.mean_gflops * opts_.unit_hysteresis)
+  if (ch_arm.gflops() <= inc_arm.gflops() * opts_.unit_hysteresis)
     return std::nullopt;
 
   // Promote: a fully rebuilt plan at the challenger granularity, carrying
@@ -294,13 +288,13 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::unit_trial(
   Promotion promo;
   promo.plan.unit = challenger_u;
   promo.plan.single_bin = false;
-  promo.plan.backend = plan.backend;  // U promotion keeps the backend
+  promo.plan.backend = plan.backend;  // native, like every serving plan
   promo.plan.revision = plan.revision + 1;
   promo.plan.unit_tuned = true;
   promo.plan.predicted_unit =
       plan.predicted_unit != 0 ? plan.predicted_unit : plan.unit;
   promo.plan.bin_kernels = std::move(ckernels);
-  promo.gflops = ch_arm.mean_gflops;
+  promo.gflops = ch_arm.gflops();
   promo.rebinned = true;
   promo.level = 2;
   stats_.promotions += 1;
@@ -308,8 +302,8 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::unit_trial(
   st.unit_cooldown = opts_.unit_cooldown;
   trace::emit_instant("adapt-promote-u", "adapt");
   util::log_info() << "adapt: promoting U " << incumbent_u << " -> "
-                   << challenger_u << " (" << inc_arm.mean_gflops << " -> "
-                   << ch_arm.mean_gflops << " GFLOP/s whole-plan, revision "
+                   << challenger_u << " (" << inc_arm.gflops() << " -> "
+                   << ch_arm.gflops() << " GFLOP/s whole-plan, revision "
                    << promo.plan.revision << ")";
   return promo;
 }
@@ -319,25 +313,19 @@ bool BanditTuner<T>::ensure_state(KeyState& st, const core::Plan& plan,
                                   const binning::BinSet& bins,
                                   const CsrMatrix<T>& a) {
   if (st.hot.empty() || st.unit != bins.unit() ||
-      st.backend != static_cast<int>(plan.backend) ||
       st.plan_revision != plan.revision) {
-    if (st.unit != bins.unit() ||
-        st.backend != static_cast<int>(plan.backend)) {
-      // New key, re-binned at a different granularity, or a plan on the
-      // other backend (a warm start may carry either): bin ids now cover
-      // different rows, or every kernel timing describes the other engine,
-      // so the kernel arms are stale. Unit arms are whole-plan timings of
-      // the matrix and survive re-binning, but not an engine change.
-      if (st.backend != static_cast<int>(plan.backend)) st.units.clear();
+    if (st.unit != bins.unit()) {
+      // New key, or re-binned at a different granularity: bin ids now
+      // cover different rows, so the kernel arms are stale. Unit arms are
+      // whole-plan timings of the matrix and survive re-binning.
       st.bins.clear();
       st.next_hot = 0;
     }
     // Otherwise the plan moved at the same granularity (a promotion
-    // landed, or a warm re-plan). Arm means are (bin, kernel) timings of
+    // landed, or a warm re-plan). Arm samples are (bin, kernel) timings of
     // the matrix itself and stay valid, so keep them — resetting here
     // would restart exploration from scratch after every promotion.
     st.unit = bins.unit();
-    st.backend = static_cast<int>(plan.backend);
     st.plan_revision = plan.revision;
     std::vector<std::pair<std::int64_t, int>> by_nnz;
     for (const core::BinPlan& bp : plan.bin_kernels) {
@@ -403,8 +391,11 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::observe(
       bin_nnz(a, std::span<const index_t>(vrows), bins.unit());
   const double flops = 2.0 * static_cast<double>(std::max<std::int64_t>(1, nnz));
 
-  // Back-to-back measurement: incumbent first, challenger second, same
-  // scratch output. GFLOP/s = 2*nnz / seconds * 1e-9.
+  // Back-to-back measurement in ABBA order (incumbent, challenger twice,
+  // incumbent), same scratch output, each arm keeping its faster run: right
+  // after a served request its kernel has an edge, and timed once each a
+  // challenger read about 14% below its steady-state ratio to the incumbent
+  // (5000-row power law, 4-core x86), 11% this way. GFLOP/s = 2*nnz / s.
   double inc_gflops = 0.0;
   double ch_gflops = 0.0;
   {
@@ -415,26 +406,13 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::observe(
       inc_gflops = opts_.measure_override(incumbent, bin);
       ch_gflops = opts_.measure_override(challenger, bin);
     } else {
-      std::vector<T> y(static_cast<std::size_t>(a.rows()));
-      // Both launches on the plan's own backend: kernel arms compare
-      // thread shapes under the engine the plan actually runs on.
-      const exec::Backend& backend = backend_for(plan.backend);
-      try {
-        util::Timer t;
-        backend.run_binned(incumbent, a, x, std::span<T>(y),
-                           std::span<const index_t>(vrows), bins.unit());
-        inc_gflops = flops / std::max(t.elapsed_s(), 1e-12) * 1e-9;
-        t.reset();
-        backend.run_binned(challenger, a, x, std::span<T>(y),
-                           std::span<const index_t>(vrows), bins.unit());
-        ch_gflops = flops / std::max(t.elapsed_s(), 1e-12) * 1e-9;
-      } catch (const std::exception& e) {
-        // A kernel that cannot run on this bin earns a zero-reward sample;
-        // the bandit learns to avoid it instead of crashing the worker.
-        util::log_warn() << "adapt trial failed (bin " << bin << ", "
-                         << kernels::kernel_name(challenger)
-                         << "): " << e.what();
-      }
+      const auto gflops_of = [&](kernels::KernelId id) {
+        const core::BinPlan one{bin, id};
+        return timed_gflops<T>(*native_, a, x, bins, {&one, 1}, nnz);
+      };
+      inc_gflops = gflops_of(incumbent);
+      ch_gflops = std::max(gflops_of(challenger), gflops_of(challenger));
+      inc_gflops = std::max(inc_gflops, gflops_of(incumbent));
     }
   }
 
@@ -442,15 +420,16 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::observe(
   ba.arms[static_cast<std::size_t>(challenger)].add(ch_gflops);
   stats_.trials += 1;
   // Regret = wall time lost to a challenger slower than the incumbent
-  // (what exploration cost us on this trial).
+  // (what exploration cost us on this trial's two challenger runs).
   if (ch_gflops > 0.0 && inc_gflops > ch_gflops)
-    stats_.regret_s += flops * 1e-9 / ch_gflops - flops * 1e-9 / inc_gflops;
+    stats_.regret_s += 2.0 * (flops * 1e-9 / ch_gflops -
+                              flops * 1e-9 / inc_gflops);
 
   const Arm& inc_arm = ba.arms[static_cast<std::size_t>(incumbent)];
   const Arm& ch_arm = ba.arms[static_cast<std::size_t>(challenger)];
   const auto min_n = static_cast<std::uint64_t>(opts_.min_samples);
   if (inc_arm.samples < min_n || ch_arm.samples < min_n) return std::nullopt;
-  if (ch_arm.mean_gflops <= inc_arm.mean_gflops * opts_.hysteresis)
+  if (ch_arm.gflops() <= inc_arm.gflops() * opts_.hysteresis)
     return std::nullopt;
 
   // Promote: copy the plan, swap this bin's kernel, bump the revision.
@@ -459,18 +438,18 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::observe(
   promo.plan.revision = plan.revision + 1;
   for (core::BinPlan& bp : promo.plan.bin_kernels)
     if (bp.bin_id == bin) bp.kernel = challenger;
-  promo.gflops = ch_arm.mean_gflops;
+  promo.gflops = ch_arm.gflops();
   stats_.promotions += 1;
   trace::emit_instant("adapt-promote", "adapt");
   util::log_info() << "adapt: promoting bin " << bin << " "
                    << kernels::kernel_name(incumbent) << " -> "
                    << kernels::kernel_name(challenger) << " ("
-                   << inc_arm.mean_gflops << " -> " << ch_arm.mean_gflops
+                   << inc_arm.gflops() << " -> " << ch_arm.gflops()
                    << " GFLOP/s, revision " << promo.plan.revision << ")";
   // The promoted plan's incumbent on this bin is now the challenger. Arm
-  // means survive the revision bump, and the old incumbent's mean trails
-  // the new one by at least the hysteresis factor, so it cannot flap
-  // straight back.
+  // samples survive the revision bump, and the old incumbent's median
+  // trails the new one by at least the hysteresis factor, so it cannot
+  // flap straight back.
   return promo;
 }
 
@@ -535,13 +514,13 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::feedback(
   const Arm& inc_arm = ba.arms[static_cast<std::size_t>(incumbent)];
   const Arm& ch_arm = ba.arms[static_cast<std::size_t>(variant.kernel)];
   // Regret: wall time this iteration lost relative to the incumbent's
-  // running mean (exploration cost of serving the challenger for real).
-  if (gflops > 0.0 && inc_arm.mean_gflops > gflops)
+  // median (exploration cost of serving the challenger for real).
+  if (gflops > 0.0 && inc_arm.gflops() > gflops)
     stats_.regret_s +=
-        flops * 1e-9 / gflops - flops * 1e-9 / inc_arm.mean_gflops;
+        flops * 1e-9 / gflops - flops * 1e-9 / inc_arm.gflops();
   const auto min_n = static_cast<std::uint64_t>(opts_.min_samples);
   if (inc_arm.samples < min_n || ch_arm.samples < min_n) return std::nullopt;
-  if (ch_arm.mean_gflops <= inc_arm.mean_gflops * opts_.hysteresis)
+  if (ch_arm.gflops() <= inc_arm.gflops() * opts_.hysteresis)
     return std::nullopt;
 
   // Promote: the variant plan already carries the challenger on the bin —
@@ -550,7 +529,7 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::feedback(
   Promotion promo;
   promo.plan = variant.plan;
   promo.plan.revision += 1;
-  promo.gflops = ch_arm.mean_gflops;
+  promo.gflops = ch_arm.gflops();
   promo.level = 1;
   stats_.promotions += 1;
   stats_.l_promotions += 1;
@@ -559,7 +538,7 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::feedback(
   util::log_info() << "adapt: latency-feedback promoting bin " << variant.bin
                    << " " << kernels::kernel_name(incumbent) << " -> "
                    << kernels::kernel_name(variant.kernel) << " ("
-                   << inc_arm.mean_gflops << " -> " << ch_arm.mean_gflops
+                   << inc_arm.gflops() << " -> " << ch_arm.gflops()
                    << " GFLOP/s whole-plan, revision " << promo.plan.revision
                    << ")";
   return promo;

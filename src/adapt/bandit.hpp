@@ -7,14 +7,14 @@
 // fraction of served requests, the worker that just executed a batch also
 // shadow-measures ONE alternative kernel on one of the plan's hottest bins
 // (most non-zeros = most leverage), back-to-back with the incumbent so the
-// two samples see the same cache/frequency state. Per-bin kernel arms
-// accumulate mean GFLOP/s; when a challenger has enough samples and beats
-// the incumbent by the hysteresis margin, observe() returns a promoted Plan
-// copy (revision + 1) for the caller to swap into its PlanCache.
+// two samples see the same cache/frequency state. Per-bin kernel arms keep
+// recent GFLOP/s samples; when a challenger has enough and beats the
+// incumbent's median by the hysteresis margin, observe() returns a promoted
+// Plan copy (revision + 1) for the caller to swap into its PlanCache.
 //
 // Anti-flapping: promotion needs `min_samples` on BOTH arms and a strict
-// `hysteresis` ratio (e.g. 1.10 = challenger must be 10% faster on the
-// running mean), so measurement noise cannot ping-pong two near-equal
+// `hysteresis` ratio (e.g. 1.10 = challenger must be 10% faster by the
+// arms' medians), so measurement noise cannot ping-pong two near-equal
 // kernels. Promotions bump the plan revision; a revision change observed on
 // a key resets that key's arms (the old measurements described the old
 // plan's incumbents).
@@ -33,9 +33,9 @@
 // same PlanCache::promote path, so the PlanStore write-through persists the
 // corrected U and a restart warm-starts with it. U-switches are rarer and
 // costlier than kernel swaps, so they get their own stronger hysteresis
-// plus a `unit_cooldown` of trials after each switch; per-U arm means are
-// whole-plan measurements of the matrix and survive re-binning, which stops
-// an immediate ping-pong back.
+// plus a `unit_cooldown` of trials after each switch; per-U arm samples
+// are whole-plan measurements of the matrix and survive re-binning, which
+// stops an immediate ping-pong back.
 //
 // Latency-feedback path (solver loops — spmv::iter): a workload that runs
 // the SAME plan hundreds of times back-to-back (power iteration, CG) does
@@ -58,13 +58,15 @@
 // "adapt-trial"/"adapt-promote" plus "adapt-trial-u"/"adapt-promote-u" and
 // "adapt-promote-latency" in category "adapt".
 //
-// Trials of both levels run on the plan's own backend (a warm-started plan
-// may carry either one). The backend and the per-bin formats are not
-// explored online: FormatMode::Auto stamps formats at plan time with
-// fmt::estimate_bin_format, and an ablation (BENCH_adapt_levels.json)
-// found that online format trials did not beat that rule.
+// Trials of both levels run on the native backend, the only one serving
+// executes. The per-bin formats are not explored online: FormatMode::Auto
+// stamps formats at plan time with fmt::estimate_bin_format, and an
+// ablation (BENCH_adapt_levels.json) found that online format trials did
+// not beat that rule.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -75,7 +77,6 @@
 #include <vector>
 
 #include "binning/binning.hpp"
-#include "clsim/engine.hpp"
 #include "core/plan.hpp"
 #include "exec/backend.hpp"
 #include "kernels/registry.hpp"
@@ -93,7 +94,7 @@ struct AdaptOptions {
   /// Samples required on BOTH the incumbent and the challenger arm before
   /// a promotion is considered.
   int min_samples = 3;
-  /// Challenger's mean GFLOP/s must exceed incumbent's mean times this
+  /// Challenger's median GFLOP/s must exceed incumbent's median times this
   /// ratio to promote (1.10 = 10% better). Values <= 1 promote on any win.
   double hysteresis = 1.10;
   /// Epsilon-greedy exploration rate (ignored when use_ucb is true).
@@ -121,8 +122,8 @@ struct AdaptOptions {
   double unit_trial_fraction = 0.25;
   /// Samples required on BOTH U arms before a U promotion is considered.
   int unit_min_samples = 3;
-  /// Challenger U's whole-plan mean GFLOP/s must exceed the incumbent's by
-  /// this ratio. Stricter than the kernel-level `hysteresis` by default:
+  /// Challenger U's whole-plan median GFLOP/s must exceed the incumbent's
+  /// by this ratio. Stricter than the kernel-level `hysteresis` by default:
   /// a U-switch rebuilds the whole plan, so flapping is costlier.
   double unit_hysteresis = 1.15;
   /// Trials to skip U exploration after a U promotion, letting the new
@@ -141,7 +142,7 @@ template <typename T>
 class BanditTuner {
  public:
   /// A plan improvement found by observe(): the refined plan (revision
-  /// already bumped) and the challenger's mean throughput — on the trialed
+  /// already bumped) and the challenger's median throughput — on the trialed
   /// bin for a kernel swap, or whole-plan for a U promotion.
   struct Promotion {
     core::Plan plan;
@@ -156,7 +157,7 @@ class BanditTuner {
     std::uint8_t level = 1;
   };
 
-  BanditTuner(const clsim::Engine& engine, AdaptOptions opts);
+  explicit BanditTuner(AdaptOptions opts);
 
   /// Consider one served request for a shadow trial. `plan`/`bins` are the
   /// cached entry's, `a`/`x` the request's own matrix and input vector
@@ -210,13 +211,25 @@ class BanditTuner {
   [[nodiscard]] prof::AdaptStats stats() const;
 
  private:
-  /// Running per-(bin, kernel) reward estimate.
+  /// Per-(bin, kernel) or per-U reward over recent samples: one preempted
+  /// launch reads several times slower, and would drag a running mean.
   struct Arm {
+    static constexpr std::size_t kWindow = 16;
     std::uint64_t samples = 0;
-    double mean_gflops = 0.0;
+    std::array<double, kWindow> recent{};
     void add(double gflops) {
+      recent[samples % kWindow] = gflops;
       samples += 1;
-      mean_gflops += (gflops - mean_gflops) / static_cast<double>(samples);
+    }
+    /// Lower median of the recent samples (0 with none): a challenger's
+    /// first two samples promote only when both clear the bar.
+    [[nodiscard]] double gflops() const {
+      const auto n = static_cast<std::ptrdiff_t>(
+          std::min<std::uint64_t>(samples, kWindow));
+      if (n == 0) return 0.0;
+      std::array<double, kWindow> v = recent;
+      std::nth_element(v.begin(), v.begin() + (n - 1) / 2, v.begin() + n);
+      return v[static_cast<std::size_t>((n - 1) / 2)];
     }
   };
 
@@ -225,14 +238,12 @@ class BanditTuner {
     std::uint64_t pulls = 0;  ///< trials on this bin (for UCB)
   };
 
-  /// Per-fingerprint bandit state. Kernel-arm means are (bin, kernel)
+  /// Per-fingerprint bandit state. Kernel-arm samples are (bin, kernel)
   /// measurements of the matrix itself, so they survive plan-revision
-  /// bumps (promotions); only a granularity or backend change invalidates
-  /// them (bin ids then cover different rows, or the timings describe the
-  /// other engine) and resets them. Unit-arm means are whole-plan
-  /// measurements, valid across re-binning, so they persist until the
-  /// backend changes — that persistence is what prevents U ping-pong after
-  /// a switch.
+  /// bumps (promotions); only a granularity change invalidates them (bin
+  /// ids then cover different rows) and resets them. Unit-arm samples are
+  /// whole-plan measurements, valid across re-binning, so they persist —
+  /// that persistence is what prevents U ping-pong after a switch.
   struct KeyState {
     std::uint64_t plan_revision = 0;
     index_t unit = -1;          ///< granularity the kernel arms were measured at
@@ -243,15 +254,13 @@ class BanditTuner {
     std::unordered_map<index_t, Arm> units;
     /// Remaining trials before the next U trial is allowed.
     int unit_cooldown = 0;
-    /// Backend the kernel and unit arms were measured on (-1 = unset).
-    int backend = -1;
     /// Latency-feedback phase: next_variant() alternates incumbent and
     /// challenger iterations so the arms accumulate paired samples.
     bool l_challenge_next = false;
   };
 
   /// Seed / revalidate a key's bandit state against the current plan and
-  /// bins (hot-bin list, arm resets on unit/backend change). Shared by
+  /// bins (hot-bin list, arm resets on a unit change). Shared by
   /// observe() and next_variant(); callers hold mutex_. Returns false when
   /// the plan has no occupied bins to learn on.
   bool ensure_state(KeyState& st, const core::Plan& plan,
@@ -266,15 +275,10 @@ class BanditTuner {
                                       const binning::BinSet& bins,
                                       const CsrMatrix<T>& a,
                                       std::span<const T> x);
-  /// The backend a plan's trials run on. Clsim resolves to the engine the
-  /// tuner was built with, so engine counters keep attributing trial
-  /// launches.
-  [[nodiscard]] const exec::Backend& backend_for(exec::BackendKind kind) const;
 
-  const clsim::Engine& engine_;
   AdaptOptions opts_;
-  std::shared_ptr<const exec::Backend> engine_backend_;
-  std::shared_ptr<const exec::Backend> native_backend_;
+  const std::shared_ptr<const exec::Backend> native_ =
+      exec::shared_backend(exec::BackendKind::Native);
 
   mutable std::mutex mutex_;
   util::Xoshiro256 rng_;

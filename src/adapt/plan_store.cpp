@@ -168,6 +168,11 @@ PlanStoreStats PlanStore::load() {
       }
       StoredPlan sp;
       sp.plan = core::plan_from_json(e.at("plan"));
+      if (sp.plan.backend != exec::BackendKind::Native) {
+        stats_.skipped_backend += 1;
+        foreign_.push_back(e);
+        continue;
+      }
       if (const prof::Json* v = e.find("gflops"); v != nullptr)
         sp.gflops = v->as_number();
       if (const prof::Json* v = e.find("trials"); v != nullptr)
@@ -244,6 +249,7 @@ std::optional<StoredPlan> PlanStore::lookup(const serve::Fingerprint& key) {
 }
 
 void PlanStore::put(const serve::Fingerprint& key, const StoredPlan& value) {
+  exec::require_native(value.plan.backend, "PlanStore::put");
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = map_.find(key);
   if (it != map_.end() && it->second.plan.revision > value.plan.revision)
@@ -252,6 +258,13 @@ void PlanStore::put(const serve::Fingerprint& key, const StoredPlan& value) {
   if (sp.saved_unix_ms == 0) sp.saved_unix_ms = unix_now_ms();
   if (sp.last_used_unix_ms == 0) sp.last_used_unix_ms = unix_now_ms();
   map_[key] = std::move(sp);
+}
+
+bool PlanStore::erase(const serve::Fingerprint& key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (map_.erase(key) == 0) return false;
+  stats_.erased += 1;
+  return true;
 }
 
 std::size_t PlanStore::size() const {

@@ -10,10 +10,12 @@
 // different device configuration or predictor model version are skipped
 // for lookup but preserved verbatim and re-emitted on flush(), so one
 // store file can serve a heterogeneous fleet without machines destroying
-// each other's tuning work. flush() is crash-safe: write and fsync a temp
-// file no other writer uses, atomically rename it over `path`, then fsync
-// the directory. Concurrent flushes to one path each leave a complete
-// file; the last rename wins.
+// each other's tuning work. A plan for another backend than native (clsim,
+// or any schema-1 plan) is skipped and kept the same way, counted in
+// skipped_backend: this is where serving decides which stored plans run.
+// flush() is crash-safe: write and fsync a temp file no other writer uses,
+// atomically rename it over `path`, then fsync the directory. Concurrent
+// flushes to one path each leave a complete file; the last rename wins.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +60,9 @@ struct PlanStoreStats {
   std::uint64_t skipped_schema = 0;    ///< whole-file schema mismatch
   std::uint64_t skipped_device = 0;    ///< entry for another device config
   std::uint64_t skipped_model = 0;     ///< entry for another model version
+  std::uint64_t skipped_backend = 0;   ///< entry whose plan is not native
   std::uint64_t skipped_malformed = 0; ///< entry that failed to parse
+  std::uint64_t erased = 0;            ///< unbuildable plans erase() dropped
 };
 
 class PlanStore {
@@ -93,8 +97,12 @@ class PlanStore {
   [[nodiscard]] std::optional<StoredPlan> lookup(const serve::Fingerprint& key);
 
   /// Insert or update the entry for `key`. An existing entry is replaced
-  /// only by an equal-or-higher plan revision (stale writers lose).
+  /// only by an equal-or-higher plan revision (stale writers lose). Throws
+  /// std::invalid_argument for a plan whose backend is not native.
   void put(const serve::Fingerprint& key, const StoredPlan& value);
+
+  /// Drop the entry for `key`: a stored plan that failed to build.
+  bool erase(const serve::Fingerprint& key);
 
   /// Entries visible under this store's device/model scope.
   [[nodiscard]] std::size_t size() const;
@@ -103,7 +111,7 @@ class PlanStore {
   [[nodiscard]] std::vector<std::pair<serve::Fingerprint, StoredPlan>>
   entries() const;
 
-  /// Drop preserved foreign entries (other device/model/schema leftovers);
+  /// Drop preserved foreign entries (other device/model/backend leftovers);
   /// returns how many were dropped. The next flush() writes only entries
   /// visible to this store.
   std::size_t gc();
@@ -130,7 +138,7 @@ class PlanStore {
   mutable std::mutex mutex_;
   std::unordered_map<serve::Fingerprint, StoredPlan, serve::FingerprintHash>
       map_;
-  /// Entries loaded for a different device/model, preserved verbatim so
+  /// Entries for another device, model or backend, preserved verbatim so
   /// flush() is non-destructive for other machines' tuning work.
   std::vector<prof::Json> foreign_;
   PlanStoreStats stats_;

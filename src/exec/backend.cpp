@@ -34,6 +34,12 @@ std::optional<BackendKind> try_backend_from_name(const std::string& name) {
   return std::nullopt;
 }
 
+void require_native(BackendKind kind, const char* who) {
+  if (kind != BackendKind::Native)
+    throw std::invalid_argument(std::string(who) + ": serving runs native "
+                                "plans only, not " + backend_name(kind));
+}
+
 BackendKind backend_from_name(const std::string& name) {
   if (const auto kind = try_backend_from_name(name); kind.has_value())
     return *kind;

@@ -4,13 +4,13 @@
 // the stack (core::AutoSpmv, serve::SpmvService, adapt::BanditTuner)
 // targets this interface instead of clsim::Engine directly, so a plan can
 // execute on the paper's lockstep simulator (ClsimBackend) or on tight
-// auto-vectorized CPU loops (NativeBackend) without any caller changing.
+// auto-vectorized CPU loops (NativeBackend).
 //
-// Backend choice is a *plan* property, not a service property: core::Plan
-// carries a BackendKind that travels through plan_io / the PlanStore, and
-// the Tuner resolves it to an instance at build time (see tuner.hpp), so a
-// stored plan warm-starts on the backend it was tuned for, and the adapt
-// layer's trials run on that same backend.
+// Backend choice is a *plan* property: core::Plan carries a BackendKind
+// that travels through plan_io, and the Tuner resolves it at build time
+// (see tuner.hpp). The figure benches, the trainer and the exhaustive
+// oracle run clsim; serving (serve, shard, iter, the adapt trials and the
+// PlanStore) runs native plans only (see require_native).
 //
 // Semantics contract: every backend computes the same per-row products over
 // a bin's covered rows (the RowMap rule in kernels/binned_common.hpp) —
@@ -67,6 +67,9 @@ BackendKind backend_from_name(const std::string& name);
 /// parse used by plan_io, where a bad name must become a counted skip, not
 /// an uncaught exception type.
 std::optional<BackendKind> try_backend_from_name(const std::string& name);
+
+/// Throws std::invalid_argument naming `who` unless `kind` is Native.
+void require_native(BackendKind kind, const char* who);
 
 /// One bin of a plan, resolved for execution: the bin's virtual rows at
 /// granularity `unit`, run from the shared CSR arrays with pool kernel

@@ -33,18 +33,12 @@ IterativeSession<T>::IterativeSession(std::shared_ptr<const CsrMatrix<T>> a,
                                       const core::Predictor& predictor,
                                       SessionOptions opts)
     : predictor_(predictor), opts_(std::move(opts)) {
+  exec::require_native(opts_.backend, "IterativeSession");
   if (a == nullptr)
     throw std::invalid_argument("IterativeSession: null matrix");
   opts_.spmm_width = std::max(1, opts_.spmm_width);
-  if (opts_.backend == exec::BackendKind::Clsim && opts_.engine != nullptr)
-    backend_ = exec::wrap_engine(*opts_.engine);
-  else
-    backend_ = exec::shared_backend(opts_.backend);
-  if (opts_.adapt.has_value()) {
-    const clsim::Engine& engine =
-        opts_.engine != nullptr ? *opts_.engine : clsim::default_engine();
-    tuner_ = std::make_unique<adapt::BanditTuner<T>>(engine, *opts_.adapt);
-  }
+  if (opts_.adapt.has_value())
+    tuner_ = std::make_unique<adapt::BanditTuner<T>>(*opts_.adapt);
   if (opts_.plan_store != nullptr) opts_.plan_store->load();
   state_ = build_state(std::move(a));
 }
@@ -74,17 +68,23 @@ IterativeSession<T>::build_state(std::shared_ptr<const CsrMatrix<T>> a) {
   std::optional<adapt::StoredPlan> stored;
   if (opts_.plan_store != nullptr) stored = opts_.plan_store->lookup(st->key);
   if (stored.has_value()) {
-    // Warm start: the stored plan skips the predictor pass entirely. The
-    // session owns one execution context, so the plan is re-stamped with
-    // it (same contract as AutoSpmv's external-plan constructor).
-    st->plan = std::move(stored->plan);
-    st->plan.normalize();
-    st->plan.backend = backend_->kind();
-    st->bins = std::make_shared<const binning::BinSet>(
-        core::bins_for_plan(*a, st->plan));
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.warm_starts += 1;
-  } else {
+    // Warm start: the stored plan skips the predictor pass. One that fails
+    // to build is erased, or every later session here would throw too.
+    try {
+      st->plan = std::move(stored->plan);
+      st->plan.normalize();
+      st->bins = std::make_shared<const binning::BinSet>(
+          core::bins_for_plan(*a, st->plan));
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_.warm_starts += 1;
+    } catch (const std::exception& e) {
+      util::log_warn() << "iter session: erasing unbuildable plan: "
+                       << e.what();
+      opts_.plan_store->erase(st->key);
+      stored.reset();
+    }
+  }
+  if (!stored.has_value()) {
     core::PlannedMatrix p =
         core::plan_matrix(*a, predictor_, *backend_, opts_.format);
     st->plan = std::move(p.plan);

@@ -71,12 +71,9 @@ struct SessionOptions {
   /// Dense right-hand-side columns per iteration (the block width). 1
   /// iterates a single vector; >1 routes through the true-SpMM path.
   int spmm_width = 1;
-  /// Execution engine; null = clsim::default_engine(). Only used when
-  /// `backend` is Clsim.
-  const clsim::Engine* engine = nullptr;
-  /// Backend stamped onto fresh predictor-driven plans; warm-started plans
-  /// are re-stamped too (the session owns one execution context).
-  exec::BackendKind backend = exec::BackendKind::Clsim;
+  /// Kept only because perfbench (perfbench/src/workloads.cpp) sets it:
+  /// any value but Native throws std::invalid_argument at construction.
+  exec::BackendKind backend = exec::BackendKind::Native;
   /// Per-bin format mode for fresh predictor-driven plans (`--format`).
   fmt::FormatMode format = fmt::FormatMode::Csr;
   /// When bin layouts are materialized (tests set `.min_reuse = 0`).
@@ -210,7 +207,8 @@ class IterativeSession {
 
   const core::Predictor& predictor_;
   SessionOptions opts_;
-  std::shared_ptr<const exec::Backend> backend_;
+  const std::shared_ptr<const exec::Backend> backend_ =
+      exec::shared_backend(exec::BackendKind::Native);
   std::unique_ptr<adapt::BanditTuner<T>> tuner_;  ///< null when adapt off
 
   mutable std::mutex mu_;          ///< guards state_ swaps

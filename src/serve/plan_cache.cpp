@@ -35,18 +35,14 @@ V ready_value(const std::shared_future<V>& f) {
 
 template <typename T>
 PlanCache<T>::PlanCache(const core::Predictor& predictor,
-                        const clsim::Engine& engine, std::size_t capacity,
-                        adapt::PlanStore* store,
-                        exec::BackendKind default_backend,
+                        std::size_t capacity, adapt::PlanStore* store,
                         fmt::FormatMode format_mode)
     : predictor_(predictor),
-      engine_(engine),
       capacity_(capacity),
       plan_capacity_(capacity > SIZE_MAX / kPlansPerRuntime
                          ? SIZE_MAX
                          : capacity * kPlansPerRuntime),
       store_(store),
-      default_backend_(default_backend),
       format_mode_(format_mode) {
   if (capacity_ == 0)
     throw std::invalid_argument("PlanCache: capacity must be >= 1");
@@ -181,16 +177,14 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
       }
     }
     if (plan != nullptr) {
-      entry = std::shared_ptr<const Entry>(new Entry{
-          key, matrix,
-          core::Tuner(*matrix).plan(*plan).engine(engine_).build()});
+      entry = std::shared_ptr<const Entry>(
+          new Entry{key, matrix, core::Tuner(*matrix).plan(*plan).build()});
     } else {
       entry = std::shared_ptr<const Entry>(new Entry{
           key, matrix,
           core::Tuner(*matrix)
               .predictor(predictor_)
-              .engine(engine_)
-              .backend(default_backend_)
+              .backend(exec::BackendKind::Native)
               .formats(format_mode_)
               .build()});
       if (store_ != nullptr)
@@ -200,14 +194,19 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
       made.set_value(std::make_shared<const core::Plan>(entry->runtime.plan()));
   } catch (...) {
     promise.set_exception(std::current_exception());
+    if (counter == &Stats::warm_hits) {
+      util::log_warn() << "plan cache: erasing unbuildable stored plan";
+      store_->erase(key);
+    }
     std::lock_guard<std::mutex> lock(mutex_);
     if (const auto it = slots_.find(key); admitted && it != slots_.end()) {
       lru_.erase(it->second.lru_pos);
       slots_.erase(it);
     }
     // Drop the plan this miss was making, or a kept plan that failed to
-    // rebuild (unless a newer one replaced it meanwhile), so the next miss
-    // plans again instead of rethrowing.
+    // rebuild (unless a newer one replaced it meanwhile), like the stored
+    // plan erased above, so the next miss plans again instead of
+    // rethrowing.
     if (!kept.valid()) made.set_exception(std::current_exception());
     if (const auto it = plans_.find(key);
         it != plans_.end() &&
@@ -229,6 +228,7 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
 template <typename T>
 std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::promote(
     const Fingerprint& key, const core::Plan& plan, double gflops) {
+  exec::require_native(plan.backend, "PlanCache::promote");
   // Snapshot the current entry (the matrix to rebuild against). A slot
   // still mid-build loses the promotion — acceptable: promotions are
   // opportunistic refinements, never required for correctness. A key with
@@ -254,8 +254,7 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::promote(
   std::shared_ptr<const core::Plan> rebuilt;
   try {
     replacement = std::shared_ptr<const Entry>(new Entry{
-        key, current->matrix,
-        core::Tuner(*current->matrix).plan(plan).engine(engine_).build()});
+        key, current->matrix, core::Tuner(*current->matrix).plan(plan).build()});
     rebuilt = std::make_shared<const core::Plan>(replacement->runtime.plan());
   } catch (const std::exception& e) {
     util::log_warn() << "PlanCache::promote: rebuild failed, keeping "

@@ -29,7 +29,7 @@
 // Miss order: plan tier, then the attached PlanStore (a warm_hit), then the
 // predictor (a planning_pass, written through to the store). The plan tier
 // and the store rebuild the runtime the same way; the rebuilt runtime
-// starts with fresh layouts.
+// starts with fresh layouts. Every plan is native.
 //
 // Concurrency: get() is safe from any number of threads. Concurrent misses
 // on the same fingerprint share ONE build — the first requester builds
@@ -38,9 +38,9 @@
 // rather than planning again. Builds run outside the cache lock, so
 // planning one matrix never stalls hits on others. A failed build removes
 // its slots (and rethrows), a kept plan that failed to rebuild included,
-// leaving later requests free to retry and plan again. Misses
-// that are not admitted share the plan but each rebuild their own runtime
-// (a re-binning, no planning pass).
+// and erases a stored plan that failed to build, leaving later requests
+// free to retry and plan again. Misses that are not admitted share the
+// plan but each rebuild their own runtime (a re-binning, no planning pass).
 //
 // Online refinement: promote() atomically swaps a cached entry's runtime
 // for one rebuilt from an improved Plan (spmv::adapt promotions). Plan
@@ -66,10 +66,9 @@
 #include <unordered_map>
 
 #include "adapt/plan_store.hpp"
-#include "clsim/engine.hpp"
 #include "core/auto_spmv.hpp"
-#include "exec/backend.hpp"
 #include "core/predictor.hpp"
+#include "exec/backend.hpp"
 #include "fmt/format.hpp"
 #include "serve/fingerprint.hpp"
 #include "sparse/csr.hpp"
@@ -118,21 +117,25 @@ class PlanCache {
     std::uint64_t rebin_promotions = 0;
   };
 
-  /// `predictor` and `engine` are used for every planning pass and must
-  /// outlive the cache, as must `store` when non-null (the cache does not
-  /// load or flush the store — the owner does; see SpmvService).
-  /// `default_backend` is the backend stamped onto fresh predictor-driven
-  /// plans; warm-started and promoted plans execute on whatever backend
-  /// they carry (backend is a plan property — see exec/backend.hpp).
-  /// `format_mode` likewise applies only to fresh predictor-driven plans:
-  /// Auto lets the fmt estimator stamp per-bin formats (effective only on
-  /// format-capable backends); warm-started and promoted plans keep their
-  /// recorded per-bin formats either way.
+  /// `predictor` is used for every planning pass and must outlive the
+  /// cache, as must `store` when non-null (the cache does not load or
+  /// flush the store — the owner does; see SpmvService). `format_mode`
+  /// applies only to fresh predictor-driven plans: Auto lets the fmt
+  /// estimator stamp per-bin formats; warm-started and promoted plans keep
+  /// their recorded per-bin formats either way.
   /// Throws std::invalid_argument when capacity is 0.
-  PlanCache(const core::Predictor& predictor, const clsim::Engine& engine,
-            std::size_t capacity, adapt::PlanStore* store = nullptr,
-            exec::BackendKind default_backend = exec::BackendKind::Clsim,
+  PlanCache(const core::Predictor& predictor, std::size_t capacity,
+            adapt::PlanStore* store = nullptr,
             fmt::FormatMode format_mode = fmt::FormatMode::Csr);
+
+  /// Kept only because perfbench (perfbench/src/probe.cpp) calls it: the
+  /// engine is ignored; any backend but Native throws invalid_argument.
+  PlanCache(const core::Predictor& predictor, const clsim::Engine& /*engine*/,
+            std::size_t capacity, adapt::PlanStore* store,
+            exec::BackendKind backend, fmt::FormatMode format_mode)
+      : PlanCache(predictor, capacity, store, format_mode) {
+    exec::require_native(backend, "PlanCache");
+  }
 
   /// Return the cached runtime for `matrix`'s structure, rebuilding it from
   /// a kept or stored plan, or planning it (or waiting for a concurrent
@@ -142,7 +145,8 @@ class PlanCache {
       const std::shared_ptr<const CsrMatrix<T>>& matrix);
 
   /// Swap the cached entry for `key` to a runtime rebuilt from `plan`
-  /// (revision must be strictly greater than the cached plan's). Returns
+  /// (revision must be strictly greater than the cached plan's). Throws
+  /// std::invalid_argument when `plan` is not a native plan. Returns
   /// the new entry, or nullptr when no runtime was replaced — a newer
   /// revision already cached, the slot still mid-build, or no runtime
   /// cached for `key`. In the last case a plan newer than the kept one
@@ -187,11 +191,9 @@ class PlanCache {
                      const Fingerprint& key, core::Plan plan, double gflops);
 
   const core::Predictor& predictor_;
-  const clsim::Engine& engine_;
   const std::size_t capacity_;
   const std::size_t plan_capacity_;  ///< capacity_ x kPlansPerRuntime
   adapt::PlanStore* store_;
-  const exec::BackendKind default_backend_;
   const fmt::FormatMode format_mode_;
 
   mutable std::mutex mutex_;

@@ -52,12 +52,10 @@ struct SpmvService<T>::Queue {
 template <typename T>
 SpmvService<T>::SpmvService(const core::Predictor& predictor,
                             const ServiceOptions& opts)
-    : engine_(opts.engine != nullptr ? *opts.engine
-                                     : clsim::default_engine()),
-      opts_(opts),
-      cache_(predictor, engine_, opts.cache_capacity, opts.plan_store,
-             opts.backend, opts.format),
+    : opts_(opts),
+      cache_(predictor, opts.cache_capacity, opts.plan_store, opts.format),
       queue_(std::make_unique<Queue>()) {
+  exec::require_native(opts_.backend, "SpmvService");
   if (opts_.workers < 1)
     throw std::invalid_argument("SpmvService: workers must be >= 1");
   if (opts_.max_batch < 1)
@@ -66,7 +64,7 @@ SpmvService<T>::SpmvService(const core::Predictor& predictor,
   // cache (workers have not been spawned yet, submit() cannot run yet).
   if (opts_.plan_store != nullptr) opts_.plan_store->load();
   if (opts_.adapt.has_value())
-    tuner_ = std::make_unique<adapt::BanditTuner<T>>(engine_, *opts_.adapt);
+    tuner_ = std::make_unique<adapt::BanditTuner<T>>(*opts_.adapt);
   queue_->workers.reserve(static_cast<std::size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i)
     queue_->workers.emplace_back([this] { worker_loop(); });
@@ -248,11 +246,10 @@ void SpmvService<T>::worker_loop() {
       span.arg("width", width);
       // One SpMM execution for every batch shape: an SpMM request's own
       // block, a lone SpMV (width 1), or coalesced vectors gathered
-      // column-major. Per-plan execution: the runtime's resolved backend,
-      // not a service-wide one, so mixed-backend plans coexist in one
-      // cache. rt.layouts() (null when the plan is all-CSR) accelerates
-      // format bins; PlanLayouts keys by matrix instance, so the request's
-      // own matrix gets its own layout slot even under shared structure.
+      // column-major, on the runtime's (native) backend. rt.layouts()
+      // (null when the plan is all-CSR) accelerates format bins;
+      // PlanLayouts keys by matrix instance, so the request's own matrix
+      // gets its own layout slot even under shared structure.
       std::span<const T> xs(batch.front().x);
       std::vector<T> gathered;
       if (batch.size() > 1) {

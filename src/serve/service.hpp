@@ -39,7 +39,6 @@
 
 #include "adapt/bandit.hpp"
 #include "adapt/plan_store.hpp"
-#include "clsim/engine.hpp"
 #include "core/predictor.hpp"
 #include "exec/backend.hpp"
 #include "fmt/format.hpp"
@@ -72,18 +71,12 @@ struct ServiceOptions {
   int workers = 2;                  ///< request-draining threads
   std::size_t queue_high_water = 256;  ///< admissions beyond this reject
   int max_batch = 8;                ///< vectors coalesced per execution
-  /// Execution engine; null = clsim::default_engine(). Only used when a
-  /// plan resolves to the clsim backend.
-  const clsim::Engine* engine = nullptr;
-  /// Backend stamped onto fresh predictor-driven plans. Execution always
-  /// follows the *plan's* backend, so warm-started or promoted plans keep
-  /// running on whatever backend they were tuned for regardless of this
-  /// default (backend is a plan property — see exec/backend.hpp).
-  exec::BackendKind backend = exec::BackendKind::Clsim;
+  /// Kept only because perfbench (perfbench/src/workloads.cpp) sets it:
+  /// any value but Native throws std::invalid_argument at construction.
+  exec::BackendKind backend = exec::BackendKind::Native;
   /// Per-bin format mode stamped onto fresh predictor-driven plans (the
   /// `--format csr|auto` knob). Auto lets the fmt estimator pick per-bin
-  /// layouts; only effective when the plan's backend supports formats.
-  /// Warm-started and promoted plans keep their recorded formats.
+  /// layouts. Warm-started and promoted plans keep their recorded formats.
   fmt::FormatMode format = fmt::FormatMode::Csr;
   /// Optional telemetry sink: shutdown() folds the service's ServeStats
   /// into profile->serve (and adapt stats into profile->adapt). Must
@@ -162,7 +155,6 @@ class SpmvService {
 
   void worker_loop();
 
-  const clsim::Engine& engine_;
   ServiceOptions opts_;
   PlanCache<T> cache_;
   std::unique_ptr<adapt::BanditTuner<T>> tuner_;  ///< null when adapt off

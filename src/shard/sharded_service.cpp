@@ -45,10 +45,9 @@ struct InFlight {
 
 template <typename T>
 struct ShardedService<T>::Shard {
-  Shard(int idx, clsim::Device dev) : index(idx), engine(dev) {}
+  explicit Shard(int idx) : index(idx) {}
 
   const int index;
-  clsim::Engine engine;  ///< this shard's compute-unit slice
   std::unique_ptr<adapt::BanditTuner<T>> tuner;  ///< null when adapt off
 
   /// Guards the swappable runtime and the counters below. Held briefly:
@@ -90,6 +89,7 @@ ShardedService<T>::ShardedService(std::shared_ptr<const CsrMatrix<T>> a,
                                   const core::Predictor& predictor,
                                   const ShardedOptions& opts)
     : opts_(opts) {
+  exec::require_native(opts_.backend, "ShardedService");
   if (a == nullptr)
     throw std::invalid_argument("ShardedService: null matrix");
   set_ = plan_shards(*a, opts_.partition);
@@ -106,62 +106,60 @@ ShardedService<T>::ShardedService(std::shared_ptr<const CsrMatrix<T>> a,
 
   if (opts_.plan_store != nullptr) opts_.plan_store->load();
 
-  // Engine slicing: split the total thread budget evenly across shards so
-  // K shards executing one request concurrently use ~the whole machine,
-  // not K times it.
-  // The total is the constructing thread's budget unless the options
-  // name one.
-  const int total = opts_.total_compute_units > 0 ? opts_.total_compute_units
-                                                  : util::thread_budget();
-  clsim::Device dev;
-  dev.compute_units = std::max(1, total / std::max(1, k));
-
   shards_.reserve(static_cast<std::size_t>(k));
   for (int s = 0; s < k; ++s) {
-    auto sh = std::make_unique<Shard>(s, dev);
+    auto sh = std::make_unique<Shard>(s);
     const CsrMatrix<T>& sub = *set_.matrices[static_cast<std::size_t>(s)];
     const serve::Fingerprint& fp =
         set_.fingerprints[static_cast<std::size_t>(s)];
 
-    core::Plan plan;
+    // Runtimes execute the provenance-stamped plan copy, so promotions and
+    // store write-throughs inherit the stamp.
+    const auto stamped_runtime = [&](core::Plan plan) {
+      plan.shard_index = s;
+      plan.shard_count = k;
+      plan.shard_parent = set_.parent_hash;
+      return std::make_shared<const core::AutoSpmv<T>>(
+          core::Tuner<T>(sub).plan(plan).build());
+    };
     if (opts_.plan_store != nullptr) {
       if (auto stored = opts_.plan_store->lookup(fp); stored.has_value()) {
-        plan = std::move(stored->plan);
-        sh->warm_start = true;
-        state_->stats.cache_warm_hits += 1;
+        // A stored plan that fails to build is erased and planned again.
+        try {
+          sh->runtime = stamped_runtime(std::move(stored->plan));
+          sh->warm_start = true;
+          state_->stats.cache_warm_hits += 1;
+        } catch (const std::exception& e) {
+          util::log_warn() << "sharded service: erasing shard " << s
+                           << "'s unbuildable plan: " << e.what();
+          opts_.plan_store->erase(fp);
+        }
       }
     }
     if (!sh->warm_start) {
-      // Fresh plan: one predictor pass to choose U/kernels/formats, then a
-      // rebuild from the provenance-stamped plan copy (the runtime's plan
-      // is immutable, and the stamp must be on the executing plan so
-      // promotions and store write-throughs inherit it).
+      // Fresh plan: one predictor pass to choose U/kernels/formats.
       core::AutoSpmv<T> fresh = core::Tuner<T>(sub)
                                     .predictor(predictor)
-                                    .engine(sh->engine)
-                                    .backend(opts_.backend)
+                                    .backend(exec::BackendKind::Native)
                                     .formats(opts_.format)
                                     .build();
-      plan = fresh.plan();
+      sh->runtime = stamped_runtime(fresh.plan());
       state_->stats.planning_passes += 1;
+      if (opts_.plan_store != nullptr)
+        opts_.plan_store->put(fp, adapt::StoredPlan{sh->runtime->plan()});
     }
-    plan.shard_index = s;
-    plan.shard_count = k;
-    plan.shard_parent = set_.parent_hash;
-    sh->runtime = std::make_shared<const core::AutoSpmv<T>>(
-        core::Tuner<T>(sub).plan(plan).engine(sh->engine).build());
-    if (opts_.plan_store != nullptr && !sh->warm_start)
-      opts_.plan_store->put(fp, adapt::StoredPlan{sh->runtime->plan()});
     if (opts_.adapt.has_value())
-      sh->tuner =
-          std::make_unique<adapt::BanditTuner<T>>(sh->engine, *opts_.adapt);
+      sh->tuner = std::make_unique<adapt::BanditTuner<T>>(*opts_.adapt);
     shards_.push_back(std::move(sh));
   }
 
-  // Native execution takes the same split: each of the k * workers shard
-  // workers gets an equal share of the total. Every request fans out to
-  // all k shards at once, so the k shares are busy together by
-  // construction.
+  // Split the total thread budget evenly across the k * workers shard
+  // workers, so K shards executing one request concurrently use about the
+  // whole machine, not K times it: every request fans out to all k shards
+  // at once, so the k shares are busy together by construction. The total
+  // is the constructing thread's budget unless the options name one.
+  const int total = opts_.total_compute_units > 0 ? opts_.total_compute_units
+                                                  : util::thread_budget();
   const int workers = std::max(1, opts_.workers_per_shard);
   const int share = util::thread_share(total, k * workers);
   state_->workers.reserve(static_cast<std::size_t>(k * workers));
@@ -322,7 +320,7 @@ void ShardedService<T>::worker_loop(int shard, int threads) {
     if (opts_.obs_sink != nullptr)
       opts_.obs_sink->push_stat("shard.exec_s", exec_s, shard);
 
-    // Online adaptation on this shard's own arm state and engine slice.
+    // Online adaptation on this shard's own arm state.
     // Trials run synchronously here, so joined workers imply drained
     // trials (same contract as serve::SpmvService).
     if (sh.tuner != nullptr && err == nullptr) {
@@ -336,7 +334,7 @@ void ShardedService<T>::worker_loop(int shard, int threads) {
         next.shard_parent = set_.parent_hash;
         try {
           auto replacement = std::make_shared<const core::AutoSpmv<T>>(
-              core::Tuner<T>(sub).plan(next).engine(sh.engine).build());
+              core::Tuner<T>(sub).plan(next).build());
           {
             std::lock_guard<std::mutex> lock(sh.mutex);
             sh.runtime = replacement;

@@ -1,5 +1,5 @@
 // ShardedService — row-partitioned serving of ONE large matrix: K shards
-// (shard/partition.hpp), each with its own engine slice, its own plan, its
+// (shard/partition.hpp), each with its own thread share, its own plan, its
 // own bandit arm state, and its own PlanStore entry; requests fan out to
 // every shard and the disjoint output row ranges scatter-gather into one
 // result vector with no copy of x. In front, a tenant-weighted fair queue
@@ -39,7 +39,6 @@
 
 #include "adapt/bandit.hpp"
 #include "adapt/plan_store.hpp"
-#include "clsim/engine.hpp"
 #include "core/plan.hpp"
 #include "core/predictor.hpp"
 #include "exec/backend.hpp"
@@ -73,16 +72,16 @@ struct ShardedOptions {
   /// max(2, 2 * workers_per_shard). Small on purpose: backlog beyond it
   /// waits in the fair queue where DRR ordering applies.
   std::size_t dispatch_window = 0;
-  /// Engine threads split across the K shard slices; 0 = the constructing
-  /// thread's budget (util::thread_budget: OMP_NUM_THREADS or the CPUs
-  /// the process may run on). Each shard's clsim engine gets max(1, total / K) compute
-  /// units — its own ThreadPool slice — and each shard worker a native
-  /// thread budget of max(1, total / (K * workers_per_shard)).
+  /// Native threads split across the K x workers_per_shard shard
+  /// workers; 0 = the constructing thread's budget (util::thread_budget:
+  /// OMP_NUM_THREADS or the CPUs the process may run on). Each shard
+  /// worker gets a budget of max(1, total / (K * workers_per_shard)).
   int total_compute_units = 0;
-  /// Backend/format stamped onto fresh predictor-driven shard plans;
-  /// warm-started and promoted plans keep their own (same contract as
-  /// serve::ServiceOptions).
-  exec::BackendKind backend = exec::BackendKind::Clsim;
+  /// Kept only because perfbench (perfbench/src/workloads.cpp) sets it:
+  /// any value but Native throws std::invalid_argument at construction.
+  exec::BackendKind backend = exec::BackendKind::Native;
+  /// Format mode stamped onto fresh predictor-driven shard plans;
+  /// warm-started and promoted plans keep their own.
   fmt::FormatMode format = fmt::FormatMode::Csr;
   /// shutdown() folds ServeStats (incl. per-tenant/per-shard blocks) into
   /// profile->serve and merged bandit stats into profile->adapt.
@@ -90,8 +89,8 @@ struct ShardedOptions {
   /// Loaded at construction, per-shard fingerprints looked up for warm
   /// starts, written through on planning/promotion, flushed at shutdown.
   adapt::PlanStore* plan_store = nullptr;
-  /// Online adaptation: one BanditTuner per shard (each on its shard's
-  /// engine slice), arms keyed by the shard's own fingerprint.
+  /// Online adaptation: one BanditTuner per shard, arms keyed by the
+  /// shard's own fingerprint.
   std::optional<adapt::AdaptOptions> adapt;
   /// Streaming stat deltas (shard-tagged) as they happen.
   obs::StreamingSink* obs_sink = nullptr;

@@ -41,6 +41,13 @@ std::vector<T> random_vector(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 /// Remove a store file before/after a test (ignore missing).
 struct ScopedFile {
   explicit ScopedFile(std::string p) : path(std::move(p)) {
@@ -55,6 +62,7 @@ struct ScopedFile {
 
 core::Plan sample_plan() {
   core::Plan plan;
+  plan.backend = exec::BackendKind::Native;  // the store keeps native plans
   plan.unit = 100;
   plan.revision = 2;
   plan.bin_kernels = {{0, kernels::KernelId::Serial},
@@ -89,7 +97,7 @@ TEST(BanditTuner, ConvergesToRiggedBestKernel) {
   opts.measure_override = [](kernels::KernelId id, int /*bin*/) {
     return id == kernels::KernelId::Sub16 ? 10.0 : 1.0;
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
 
   std::optional<BanditTuner<float>::Promotion> promo;
   int trials = 0;
@@ -141,7 +149,7 @@ TEST(BanditTuner, HysteresisBlocksFlappingUnderNoise) {
     const double base = id == kernels::KernelId::Sub2 ? 1.05 : 1.0;
     return base * noise.uniform(0.98, 1.02);
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
 
   for (int i = 0; i < 300; ++i) {
     const auto promo = tuner.observe(key, plan, bins, a, x);
@@ -174,7 +182,7 @@ TEST(BanditTuner, UnitExplorationPromotesRebinnedPlan) {
   opts.measure_unit_override = [](index_t u) {
     return u == 1000 ? 10.0 : 1.0;
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
 
   std::optional<BanditTuner<float>::Promotion> promo;
   int trials = 0;
@@ -224,7 +232,7 @@ TEST(BanditTuner, UnitHysteresisAndCooldownPreventPingPong) {
   opts.measure_unit_override = [](index_t u) {
     return u == 1000 ? 1.05 : 1.0;
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
   for (int i = 0; i < 100; ++i)
     EXPECT_FALSE(tuner.observe(key, plan, bins, a, x).has_value())
         << "U flapped on trial " << i;
@@ -238,7 +246,7 @@ TEST(BanditTuner, UnitHysteresisAndCooldownPreventPingPong) {
   copts.measure_unit_override = [](index_t u) {
     return u == 1000 ? 10.0 : 1.0;
   };
-  BanditTuner<float> cool(clsim::default_engine(), copts);
+  BanditTuner<float> cool(copts);
   std::optional<BanditTuner<float>::Promotion> promo;
   for (int i = 0; i < 50 && !promo.has_value(); ++i)
     promo = cool.observe(key, plan, bins, a, x);
@@ -262,7 +270,7 @@ TEST(BanditTuner, RealMeasurementsDoNotThrow) {
   AdaptOptions opts;
   opts.trial_fraction = 1.0;
   opts.min_samples = 1;
-  BanditTuner<double> tuner(clsim::default_engine(), opts);
+  BanditTuner<double> tuner(opts);
   for (int i = 0; i < 10; ++i)
     (void)tuner.observe(serve::fingerprint_of(a), spmv.plan(), spmv.bins(), a,
                         x);
@@ -438,13 +446,7 @@ TEST(PlanStore, MalformedEntrySkippedOthersLoad) {
     store.flush();
   }
   // Inject a broken entry alongside the good one.
-  std::string text;
-  {
-    std::ifstream in(file.path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    text = ss.str();
-  }
+  std::string text = read_file(file.path);
   const auto pos = text.find("\"entries\": [");
   ASSERT_NE(pos, std::string::npos);
   text.insert(pos + std::string("\"entries\": [").size(),
@@ -574,7 +576,7 @@ TEST(PlanCacheAdapt, WarmStartSkipsPredictor) {
   {
     PlanStore store(file.path);
     store.load();
-    serve::PlanCache<float> cache(pred, clsim::default_engine(), 4, &store);
+    serve::PlanCache<float> cache(pred, 4, &store);
     EXPECT_NE(cache.get(a), nullptr);
     const auto s = cache.stats();
     EXPECT_EQ(s.planning_passes, 1u);
@@ -583,7 +585,7 @@ TEST(PlanCacheAdapt, WarmStartSkipsPredictor) {
   }
   PlanStore store(file.path);
   store.load();
-  serve::PlanCache<float> cache(pred, clsim::default_engine(), 4, &store);
+  serve::PlanCache<float> cache(pred, 4, &store);
   EXPECT_NE(cache.get(a), nullptr);
   const auto s = cache.stats();
   EXPECT_EQ(s.warm_hits, 1u);
@@ -592,7 +594,7 @@ TEST(PlanCacheAdapt, WarmStartSkipsPredictor) {
 
 TEST(PlanCacheAdapt, PromoteIsMonotonicAndVisible) {
   core::HeuristicPredictor pred;
-  serve::PlanCache<double> cache(pred, clsim::default_engine(), 4);
+  serve::PlanCache<double> cache(pred, 4);
   auto a = std::make_shared<const CsrMatrix<double>>(
       gen::power_law<double>(900, 900, 2.0, 90, 29));
   const auto key = serve::fingerprint_of(*a);
@@ -619,9 +621,9 @@ TEST(PlanCacheAdapt, PromoteIsMonotonicAndVisible) {
       random_vector<double>(static_cast<std::size_t>(a->cols()), 31);
   std::vector<double> y(static_cast<std::size_t>(a->rows()));
   const auto entry = cache.get(a);
-  core::execute_plan(clsim::default_engine(), *a, std::span<const double>(x),
-                     std::span<double>(y), entry->runtime.bins(),
-                     entry->runtime.plan());
+  core::execute_plan(entry->runtime.backend(), *a,
+                     std::span<const double>(x), std::span<double>(y),
+                     entry->runtime.bins(), entry->runtime.plan());
   const auto exact = kernels::spmv_exact(*a, std::span<const double>(x));
   for (std::size_t i = 0; i < y.size(); ++i)
     ASSERT_NEAR(y[i], exact[i], 1e-9 * (std::abs(exact[i]) + 1.0));
@@ -629,7 +631,7 @@ TEST(PlanCacheAdapt, PromoteIsMonotonicAndVisible) {
 
 TEST(PlanCacheAdapt, PromotedRevisionSurvivesRuntimeEvictionWithoutStore) {
   core::HeuristicPredictor pred;
-  serve::PlanCache<double> cache(pred, clsim::default_engine(), 1);
+  serve::PlanCache<double> cache(pred, 1);
   auto a = std::make_shared<const CsrMatrix<double>>(
       gen::power_law<double>(900, 900, 2.0, 90, 29));
   auto b = std::make_shared<const CsrMatrix<double>>(
@@ -663,7 +665,7 @@ TEST(PlanCacheAdapt, PromotionOfAnUncachedStructureIsKept) {
   PlanStore store(file.path);
   store.load();
   core::HeuristicPredictor pred;
-  serve::PlanCache<double> cache(pred, clsim::default_engine(), 1, &store);
+  serve::PlanCache<double> cache(pred, 1, &store);
   auto a = std::make_shared<const CsrMatrix<double>>(
       gen::power_law<double>(900, 900, 2.0, 90, 29));
   auto b = std::make_shared<const CsrMatrix<double>>(
@@ -710,7 +712,7 @@ TEST(PlanCacheAdapt, PromotionOfAnUncachedStructureIsKept) {
 // the miss after it plans again instead of rethrowing for good.
 TEST(PlanCacheAdapt, KeptPlanThatFailsToRebuildIsDropped) {
   core::HeuristicPredictor pred;
-  serve::PlanCache<double> cache(pred, clsim::default_engine(), 1);
+  serve::PlanCache<double> cache(pred, 1);
   auto a = std::make_shared<const CsrMatrix<double>>(
       gen::power_law<double>(900, 900, 2.0, 90, 29));
   auto b = std::make_shared<const CsrMatrix<double>>(
@@ -734,57 +736,158 @@ TEST(PlanCacheAdapt, KeptPlanThatFailsToRebuildIsDropped) {
   EXPECT_EQ(s.promotions, 0u);
 }
 
-// A backend-swap promotion racing a kernel-arm promotion at the same
-// revision: the cache's monotonic-revision rule lets exactly one land and
-// refuses the other as stale. (tsan preset runs this under
-// ThreadSanitizer.)
-TEST(PlanCacheAdaptStress, BackendSwapRacesKernelPromotion) {
+// A stored plan that cannot be built is erased from the store by the miss
+// that failed on it, so the next miss plans instead of rethrowing on every
+// later miss, and the flushed file no longer holds it.
+TEST(PlanCacheAdapt, UnbuildableStoredPlanIsErased) {
+  ScopedFile file("test_adapt_unbuildable.json");
   core::HeuristicPredictor pred;
-  serve::PlanCache<float> cache(pred, clsim::default_engine(), 4);
+  auto a = std::make_shared<const CsrMatrix<double>>(
+      gen::power_law<double>(900, 900, 2.0, 90, 29));
+  const auto key = serve::fingerprint_of(*a);
+  PlanStore store(file.path);
+  store.load();
+  StoredPlan bad;
+  bad.plan = sample_plan();
+  bad.plan.unit = 0;  // binning rejects a unit below 1
+  store.put(key, bad);
+
+  serve::PlanCache<double> cache(pred, 4, &store);
+  EXPECT_THROW((void)cache.get(a), std::invalid_argument);
+  EXPECT_EQ(store.stats().erased, 1u);
+  ASSERT_NO_THROW((void)cache.get(a));
+  const auto s = cache.stats();
+  EXPECT_EQ(s.planning_passes, 1u);
+  EXPECT_EQ(s.warm_hits, 0u);
+
+  store.flush();
+  PlanStore reread(file.path);
+  EXPECT_EQ(reread.load().loaded, 1u);
+  const auto got = reread.lookup(key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_GE(got->plan.unit, 1);
+  EXPECT_EQ(got->plan.revision, 0u);
+}
+
+// Serving runs native plans only. A store entry whose plan is for another
+// backend — a clsim plan in a schema-3 file, or any schema-1 plan (those
+// predate the backend field and load as Clsim) — loads as a skip counted in
+// skipped_backend: the miss plans native instead, and flush() re-emits the
+// entry verbatim next to the native plan.
+TEST(PlanCacheAdapt, NonNativeStoredPlansAreSkippedAndReemitted) {
+  core::HeuristicPredictor pred;
+  auto a = std::make_shared<const CsrMatrix<double>>(
+      gen::power_law<double>(900, 900, 2.0, 90, 29));
+  const auto key = serve::fingerprint_of(*a);
+  for (const int schema : {1, 3}) {
+    SCOPED_TRACE("schema " + std::to_string(schema));
+    ScopedFile file("test_adapt_nonnative_" + std::to_string(schema) +
+                    ".json");
+    {
+      PlanStore writer(file.path);
+      writer.put(key, StoredPlan{sample_plan()});
+      writer.flush();
+    }
+    prof::Json doc = prof::Json::parse(read_file(file.path));
+    prof::Json entry = doc.at("entries").at(std::size_t{0});
+    prof::Json plan = entry.at("plan");
+    if (schema == 1) {
+      prof::Json v1 = prof::Json::object();  // no backend, no formats
+      for (const char* k :
+           {"unit", "single_bin", "revision", "unit_tuned", "predicted_unit"})
+        v1.set(k, plan.at(k));
+      prof::Json bins = prof::Json::array();
+      for (const prof::Json& b : plan.at("bins").items()) {
+        prof::Json v1bin = prof::Json::object();
+        v1bin.set("bin", b.at("bin"));
+        v1bin.set("kernel", b.at("kernel"));
+        bins.push_back(std::move(v1bin));
+      }
+      v1.set("bins", std::move(bins));
+      plan = std::move(v1);
+    } else {
+      plan.set("backend", prof::Json("clsim"));
+    }
+    entry.set("plan", std::move(plan));
+    prof::Json entries = prof::Json::array();
+    entries.push_back(entry);
+    doc.set("schema", prof::Json(schema));
+    doc.set("entries", std::move(entries));
+    {
+      std::ofstream out(file.path);
+      out << doc.dump(2);
+    }
+
+    PlanStore store(file.path);
+    const auto stats = store.load();
+    EXPECT_EQ(stats.loaded, 0u);
+    EXPECT_EQ(stats.skipped_backend, 1u);
+    EXPECT_EQ(stats.skipped_schema + stats.skipped_malformed, 0u);
+    EXPECT_FALSE(store.lookup(key).has_value());
+
+    serve::PlanCache<double> cache(pred, 4, &store);
+    EXPECT_EQ(cache.get(a)->runtime.plan().backend, exec::BackendKind::Native);
+    EXPECT_EQ(cache.stats().planning_passes, 1u);
+    EXPECT_EQ(cache.stats().warm_hits, 0u);
+
+    store.flush();
+    const prof::Json flushed = prof::Json::parse(read_file(file.path));
+    int verbatim = 0;
+    int native = 0;
+    for (const prof::Json& e : flushed.at("entries").items()) {
+      if (e.dump(0) == entry.dump(0)) verbatim += 1;
+      const prof::Json* b = e.at("plan").find("backend");
+      if (b != nullptr && b->as_string() == "native") native += 1;
+    }
+    EXPECT_EQ(verbatim, 1);
+    EXPECT_EQ(native, 1);
+  }
+}
+
+// Two kernel-swap promotions racing at the same revision: the cache's
+// monotonic-revision rule lets exactly one land and refuses the other as
+// stale. (tsan preset runs this under ThreadSanitizer.)
+TEST(PlanCacheAdaptStress, TwoKernelPromotionsRaceAtOneRevision) {
+  core::HeuristicPredictor pred;
+  serve::PlanCache<float> cache(pred, 4);
   auto a = std::make_shared<const CsrMatrix<float>>(
       gen::power_law<float>(800, 800, 2.0, 80, 83));
   const auto key = serve::fingerprint_of(*a);
   const core::Plan base = cache.get(a)->runtime.plan();
   ASSERT_FALSE(base.bin_kernels.empty());
+  ASSERT_EQ(base.backend, exec::BackendKind::Native);
 
-  core::Plan kernel_swap = base;
-  kernel_swap.revision = base.revision + 1;
-  kernel_swap.bin_kernels[0].kernel =
-      kernel_swap.bin_kernels[0].kernel == kernels::KernelId::Serial
-          ? kernels::KernelId::Sub2
-          : kernels::KernelId::Serial;
+  // Each swaps bin 0's kernel to a different one, neither the incumbent.
+  const kernels::KernelId incumbent = base.bin_kernels[0].kernel;
+  std::vector<kernels::KernelId> others;
+  for (kernels::KernelId id : kernels::all_kernels())
+    if (id != incumbent) others.push_back(id);
+  core::Plan swaps[2] = {base, base};
+  for (int i = 0; i < 2; ++i) {
+    swaps[i].revision = base.revision + 1;
+    swaps[i].bin_kernels[0].kernel = others[static_cast<std::size_t>(i)];
+  }
 
-  core::Plan backend_swap = base;
-  backend_swap.revision = base.revision + 1;
-  backend_swap.backend = exec::BackendKind::Native;
-
-  std::shared_ptr<const serve::PlanCache<float>::Entry> kernel_won;
-  std::shared_ptr<const serve::PlanCache<float>::Entry> backend_won;
-  std::thread t1([&] { kernel_won = cache.promote(key, kernel_swap, 2.0); });
-  std::thread t2([&] { backend_won = cache.promote(key, backend_swap, 2.0); });
+  std::shared_ptr<const serve::PlanCache<float>::Entry> won[2];
+  std::thread t1([&] { won[0] = cache.promote(key, swaps[0], 2.0); });
+  std::thread t2([&] { won[1] = cache.promote(key, swaps[1], 2.0); });
   t1.join();
   t2.join();
 
   // Exactly one promotion landed; the loser saw the bumped revision.
-  EXPECT_NE(kernel_won != nullptr, backend_won != nullptr);
+  ASSERT_NE(won[0] != nullptr, won[1] != nullptr);
   EXPECT_EQ(cache.stats().promotions, 1u);
+  const int winner = won[0] != nullptr ? 0 : 1;
   const auto entry = cache.get(a);
   EXPECT_EQ(entry->runtime.plan().revision, base.revision + 1);
-  if (backend_won != nullptr) {
-    EXPECT_EQ(entry->runtime.plan().backend, exec::BackendKind::Native);
-  } else {
-    EXPECT_EQ(entry->runtime.plan().backend, base.backend);
-    EXPECT_EQ(entry->runtime.plan().bin_kernels[0].kernel,
-              kernel_swap.bin_kernels[0].kernel);
-  }
+  EXPECT_EQ(entry->runtime.plan().bin_kernels[0].kernel,
+            swaps[winner].bin_kernels[0].kernel);
 
-  // Whichever won, the cached runtime still computes exactly through the
-  // backend its plan carries.
+  // Whichever won, the cached runtime still computes exactly.
   const auto x =
       random_vector<float>(static_cast<std::size_t>(a->cols()), 87);
   std::vector<float> y(static_cast<std::size_t>(a->rows()));
-  const auto backend = exec::shared_backend(entry->runtime.plan().backend);
-  core::execute_plan(*backend, *a, std::span<const float>(x),
+  core::execute_plan(entry->runtime.backend(), *a, std::span<const float>(x),
                      std::span<float>(y), entry->runtime.bins(),
                      entry->runtime.plan());
   const auto exact = kernels::spmv_exact(*a, std::span<const float>(x));
@@ -796,7 +899,7 @@ TEST(PlanCacheAdaptStress, BackendSwapRacesKernelPromotion) {
 // torn entries (tsan preset runs this under ThreadSanitizer).
 TEST(PlanCacheAdaptStress, ConcurrentPromotionVsEviction) {
   core::HeuristicPredictor pred;
-  serve::PlanCache<float> cache(pred, clsim::default_engine(), 2);
+  serve::PlanCache<float> cache(pred, 2);
   constexpr int kMatrices = 4;
   std::vector<std::shared_ptr<const CsrMatrix<float>>> mats;
   for (int i = 0; i < kMatrices; ++i)

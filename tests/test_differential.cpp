@@ -529,12 +529,12 @@ TEST(Differential, FormatLayoutsComposeExactly) {
 /// reference within kernel tolerance and (b) assemble each shard's output
 /// rows BIT-identically to a standalone runtime built from that shard's own
 /// sub-matrix and plan — the scatter-gather path may transport results but
-/// never touch them. Runs on every selected backend; with formats enabled,
+/// never touch them. Serving runs native plans only, so this runs on the
+/// native backend whatever SPMV_TEST_BACKEND selects; with formats enabled,
 /// half the corpus also plans with --format auto so per-bin layouts ride
 /// through the sharded path.
 TEST(Differential, ShardedScatterGatherMatchesStandaloneShards) {
   const std::uint64_t base = base_seed();
-  const auto backends = test_backends();
   const bool formats = formats_enabled();
   const core::HeuristicPredictor pred;
   constexpr int kShardMatrices = 24;
@@ -551,41 +551,37 @@ TEST(Differential, ShardedScatterGatherMatchesStandaloneShards) {
     const std::vector<float> x(xd.begin(), xd.end());
     const auto exact = kernels::spmv_exact(ad, std::span<const double>(xd));
 
-    for (const auto& backend : backends) {
-      if (use_auto && !backend->supports_formats()) continue;
-      const std::string where =
-          ctx(base, 300000 + i, seed,
-              exec::backend_name(backend->kind()) + "/sharded K=" +
-                  std::to_string(shards) +
-                  (use_auto ? " format=auto" : " format=csr"));
-      shard::ShardedOptions opts;
-      opts.partition.shards = shards;
-      opts.backend = backend->kind();
-      opts.format = use_auto ? fmt::FormatMode::Auto : fmt::FormatMode::Csr;
-      shard::ShardedService<float> service(a, pred, opts);
-      const std::vector<float> y = service.run("default", x);
+    const std::string where =
+        ctx(base, 300000 + i, seed,
+            "native/sharded K=" + std::to_string(shards) +
+                (use_auto ? " format=auto" : " format=csr"));
+    shard::ShardedOptions opts;
+    opts.partition.shards = shards;
+    opts.format = use_auto ? fmt::FormatMode::Auto : fmt::FormatMode::Csr;
+    shard::ShardedService<float> service(a, pred, opts);
+    const std::vector<float> y = service.run("default", x);
 
-      ASSERT_EQ(y.size(), static_cast<std::size_t>(a->rows())) << where;
-      expect_close<float>(y, exact, where);
+    ASSERT_EQ(y.size(), static_cast<std::size_t>(a->rows())) << where;
+    expect_close<float>(y, exact, where);
 
-      const auto infos = service.shard_infos();
-      for (const auto& info : infos) {
-        const auto& sub = *service.shards().matrices[static_cast<std::size_t>(
-            info.index)];
-        const auto rt = core::Tuner<float>(sub).plan(info.plan).build();
-        std::vector<float> ys(static_cast<std::size_t>(sub.rows()));
-        rt.run(std::span<const float>(x), std::span<float>(ys));
-        for (std::size_t r = 0; r < ys.size(); ++r) {
-          ASSERT_EQ(y[static_cast<std::size_t>(info.range.row_begin) + r],
-                    ys[r])
-              << where << ", shard " << info.index << " local row " << r
-              << " not bit-identical";
-        }
-        if (::testing::Test::HasFatalFailure()) break;
+    const auto infos = service.shard_infos();
+    for (const auto& info : infos) {
+      const auto& sub =
+          *service.shards().matrices[static_cast<std::size_t>(info.index)];
+      EXPECT_EQ(info.plan.backend, exec::BackendKind::Native) << where;
+      const auto rt = core::Tuner<float>(sub).plan(info.plan).build();
+      std::vector<float> ys(static_cast<std::size_t>(sub.rows()));
+      rt.run(std::span<const float>(x), std::span<float>(ys));
+      for (std::size_t r = 0; r < ys.size(); ++r) {
+        ASSERT_EQ(y[static_cast<std::size_t>(info.range.row_begin) + r],
+                  ys[r])
+            << where << ", shard " << info.index << " local row " << r
+            << " not bit-identical";
       }
-      service.shutdown();
-      if (::testing::Test::HasFatalFailure()) return;
+      if (::testing::Test::HasFatalFailure()) break;
     }
+    service.shutdown();
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -750,7 +746,8 @@ TEST(Differential, SpmmFallbackColumnsCounted) {
 /// that runs the per-column single-vector reference with the identical
 /// normalization. The session serves width 2, so the solver loop rides the
 /// true-SpMM path while the hand loop exercises the bit-identity contract
-/// column by column.
+/// column by column. Sessions run native plans only, so this runs on the
+/// native backend whatever SPMV_TEST_BACKEND selects.
 TEST(Differential, PowerIterationSessionBitIdenticalToHandRolledLoop) {
   const std::uint64_t base = base_seed();
   const std::uint64_t seed = matrix_seed(base, 600000);
@@ -770,59 +767,56 @@ TEST(Differential, PowerIterationSessionBitIdenticalToHandRolledLoop) {
   const auto n = static_cast<std::size_t>(kN);
   const core::HeuristicPredictor pred;
 
-  for (const auto& backend : test_backends()) {
-    const std::string where =
-        ctx(base, 600000, seed,
-            exec::backend_name(backend->kind()) + "/power-iteration");
-    iter::SessionOptions sopts;
-    sopts.spmm_width = kWidth;
-    sopts.backend = backend->kind();
-    iter::IterativeSession<double> session(a, pred, sopts);
-    // The hand loop plans through the same predictor on the same backend
-    // kind, so both sides execute the same plan.
-    const auto rt =
-        core::Tuner(*a).predictor(pred).backend(backend->kind()).build();
+  const std::string where = ctx(base, 600000, seed, "native/power-iteration");
+  iter::SessionOptions sopts;
+  sopts.spmm_width = kWidth;
+  iter::IterativeSession<double> session(a, pred, sopts);
+  // The hand loop plans through the same predictor on the same backend
+  // kind, so both sides execute the same plan.
+  const auto rt = core::Tuner(*a)
+                      .predictor(pred)
+                      .backend(exec::BackendKind::Native)
+                      .build();
 
-    std::vector<double> x0(n * kWidth);
-    for (std::size_t i = 0; i < x0.size(); ++i)
-      x0[i] = 1.0 + 0.001 * static_cast<double>(i % 7);
-    session.seed(std::span<const double>(x0));
-    std::vector<double> hx = x0;
-    std::vector<double> hy(n * kWidth);
+  std::vector<double> x0(n * kWidth);
+  for (std::size_t i = 0; i < x0.size(); ++i)
+    x0[i] = 1.0 + 0.001 * static_cast<double>(i % 7);
+  session.seed(std::span<const double>(x0));
+  std::vector<double> hx = x0;
+  std::vector<double> hy(n * kWidth);
 
-    for (int it = 0; it < kIters; ++it) {
-      (void)session.step();
-      const std::span<double> iterate = session.iterate();
-      for (int c = 0; c < kWidth; ++c) {
-        const auto off = static_cast<std::size_t>(c) * n;
-        rt.run(std::span<const double>(hx).subspan(off, n),
-               std::span<double>(hy).subspan(off, n));
-      }
-      // Identical per-column inf-norm normalization on both sides; the
-      // comparison is AFTER normalizing, so drift cannot hide in scale.
-      for (int c = 0; c < kWidth; ++c) {
-        const auto off = static_cast<std::size_t>(c) * n;
-        double snorm = 0.0;
-        double hnorm = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          snorm = std::max(snorm, std::abs(iterate[off + i]));
-          hnorm = std::max(hnorm, std::abs(hy[off + i]));
-        }
-        ASSERT_NE(hnorm, 0.0) << where << ": iterate collapsed to zero";
-        for (std::size_t i = 0; i < n; ++i) {
-          iterate[off + i] /= snorm;
-          hy[off + i] /= hnorm;
-          ASSERT_EQ(iterate[off + i], hy[off + i])
-              << where << ", iteration " << it << ", column " << c
-              << ", row " << i << " not bit-identical";
-        }
-      }
-      hx.swap(hy);
-      if (::testing::Test::HasFatalFailure()) return;
+  for (int it = 0; it < kIters; ++it) {
+    (void)session.step();
+    const std::span<double> iterate = session.iterate();
+    for (int c = 0; c < kWidth; ++c) {
+      const auto off = static_cast<std::size_t>(c) * n;
+      rt.run(std::span<const double>(hx).subspan(off, n),
+             std::span<double>(hy).subspan(off, n));
     }
-    const auto st = session.stats();
-    EXPECT_EQ(st.iterations, static_cast<std::uint64_t>(kIters)) << where;
+    // Identical per-column inf-norm normalization on both sides; the
+    // comparison is AFTER normalizing, so drift cannot hide in scale.
+    for (int c = 0; c < kWidth; ++c) {
+      const auto off = static_cast<std::size_t>(c) * n;
+      double snorm = 0.0;
+      double hnorm = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        snorm = std::max(snorm, std::abs(iterate[off + i]));
+        hnorm = std::max(hnorm, std::abs(hy[off + i]));
+      }
+      ASSERT_NE(hnorm, 0.0) << where << ": iterate collapsed to zero";
+      for (std::size_t i = 0; i < n; ++i) {
+        iterate[off + i] /= snorm;
+        hy[off + i] /= hnorm;
+        ASSERT_EQ(iterate[off + i], hy[off + i])
+            << where << ", iteration " << it << ", column " << c
+            << ", row " << i << " not bit-identical";
+      }
+    }
+    hx.swap(hy);
+    if (::testing::Test::HasFatalFailure()) return;
   }
+  const auto st = session.stats();
+  EXPECT_EQ(st.iterations, static_cast<std::uint64_t>(kIters)) << where;
 }
 
 }  // namespace

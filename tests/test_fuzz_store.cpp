@@ -260,12 +260,15 @@ TEST(PlanIoFuzz, UnknownOrGarbageFormatNamesThrowCleanly) {
 // ---- PlanStore fuzz ------------------------------------------------------
 
 /// A valid one-entry store file at `path`, returning the entry written.
+/// The plan is native: the store keeps no other kind (a non-native entry
+/// loads as a skip; test_adapt covers that path).
 std::pair<serve::Fingerprint, adapt::StoredPlan> write_valid_store(
     const std::string& path, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   adapt::PlanStore store(path, "dev-a", "model-a");
   adapt::StoredPlan sp;
   sp.plan = random_plan(rng);
+  sp.plan.backend = exec::BackendKind::Native;
   sp.gflops = rng.uniform(0.1, 10.0);
   sp.trials = rng.bounded(500);
   const auto key = random_fingerprint(rng);
@@ -436,34 +439,6 @@ TEST(PlanStoreFuzz, V2SchemaWithoutFormatsLoadsAsCsr) {
   ASSERT_TRUE(got.has_value());
   for (const auto& bp : got->plan.bin_kernels)
     EXPECT_EQ(bp.format, fmt::FormatKind::Csr);
-}
-
-TEST(PlanStoreFuzz, V1SchemaWithoutBackendLoadsAsClsim) {
-  // Pre-backend artifacts (schema 1, plans with no backend field) must
-  // keep loading: the schema gate accepts the supported range and the
-  // missing field defaults to the clsim backend.
-  ScopedFile f("fuzz_store_v1.tmp.json");
-  const auto key = write_valid_store(f.path, 123).first;
-  prof::Json doc = prof::Json::parse(read_text(f.path));
-  doc.set("schema", prof::Json(1));
-  prof::Json entry = doc.at("entries").at(std::size_t{0});
-  const prof::Json& plan = entry.at("plan");
-  prof::Json v1plan = prof::Json::object();
-  for (const char* k : {"unit", "single_bin", "revision", "unit_tuned",
-                        "predicted_unit", "bins"})
-    v1plan.set(k, plan.at(k));
-  entry.set("plan", std::move(v1plan));
-  prof::Json entries = prof::Json::array();
-  entries.push_back(std::move(entry));
-  doc.set("entries", std::move(entries));
-  write_text(f.path, doc.dump(2));
-
-  adapt::PlanStore store(f.path, "dev-a", "model-a");
-  const auto stats = store.load();
-  EXPECT_EQ(stats.loaded, 1u);
-  const auto got = store.lookup(key);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->plan.backend, exec::BackendKind::Clsim);
 }
 
 TEST(PlanStoreFuzz, ForeignEntriesSurviveLoadFlushOfDamagedSiblings) {

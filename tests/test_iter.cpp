@@ -163,12 +163,10 @@ TEST(IterSession, FuzzUpdateValuesNeverInvalidatesPlanOrLayouts) {
     const std::string where = ctx(base, seed, "fuzz update_values");
     util::Xoshiro256 rng(seed ^ 0xF00DULL);
 
-    // Half the corpus runs --format auto on the native backend (layouts in
-    // play, eagerly built so refreshes are observable); half stays CSR on
-    // clsim.
+    // Half the corpus runs --format auto (layouts in play, eagerly built so
+    // refreshes are observable); half stays CSR.
     iter::SessionOptions opts;
     if (i % 2 == 0) {
-      opts.backend = exec::BackendKind::Native;
       opts.format = fmt::FormatMode::Auto;
       opts.format_policy = {.min_reuse = 0};
     }
@@ -213,7 +211,6 @@ TEST(IterSession, UpdateValuesRefreshesMaterializedLayouts) {
       gen::fixed_degree<double>(2000, 70000, 6, 2));
   const core::HeuristicPredictor pred;
   iter::SessionOptions opts;
-  opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
   opts.format_policy = {.min_reuse = 0};
   iter::IterativeSession<double> session(a, pred, opts);
@@ -356,7 +353,6 @@ TEST(IterSession, ReplaceMatrixWithShiftedColumnsRebinds) {
 
   const core::HeuristicPredictor pred;
   iter::SessionOptions opts;
-  opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
   opts.format_policy = {.min_reuse = 0};
   iter::IterativeSession<double> session(a, pred, opts);
@@ -408,7 +404,6 @@ TEST(IterSession, UpdateValuesSharesStructureAndRecyclesValueBuffers) {
   };
   const core::HeuristicPredictor pred;
   iter::SessionOptions opts;
-  opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
   opts.format_policy = {.min_reuse = 0};
   for (std::size_t m = 0; m < 3; ++m) {
@@ -472,7 +467,7 @@ TEST(IterSession, LatencyFeedbackPromotesWithoutShadowLaunches) {
   opts.hysteresis = 1.05;
   opts.hot_bins = 2;
   opts.seed = base_seed();
-  adapt::BanditTuner<double> tuner(clsim::default_engine(), opts);
+  adapt::BanditTuner<double> tuner(opts);
 
   const auto nnz = static_cast<std::int64_t>(a.nnz());
   core::Plan live = plan;
@@ -552,6 +547,37 @@ TEST(IterSession, WarmStartAndSpmmWidthProvenance) {
     (void)warmed.step();
     EXPECT_EQ(warmed.stats().iterations, 1u);
   }
+}
+
+/// A stored plan that fails to build is erased and the session plans again
+/// at construction, instead of every session over that store throwing; the
+/// flushed store then holds the new plan.
+TEST(IterSession, UnbuildableStoredPlanIsErasedAndReplanned) {
+  ScopedFile store_file("iter_unbuildable_store.tmp.json");
+  const auto a = std::make_shared<const CsrMatrix<double>>(
+      gen::fixed_degree<double>(64, 64, 4, 5));
+  const auto key = serve::fingerprint_of(*a);
+  const core::HeuristicPredictor pred;
+  {
+    adapt::PlanStore store(store_file.path);
+    store.load();
+    adapt::StoredPlan bad;
+    bad.plan.unit = 0;  // binning rejects a unit below 1
+    bad.plan.backend = exec::BackendKind::Native;
+    store.put(key, bad);
+    iter::SessionOptions opts;
+    opts.plan_store = &store;
+    iter::IterativeSession<double> session(a, pred, opts);
+    EXPECT_EQ(session.stats().warm_starts, 0u);
+    EXPECT_EQ(session.stats().planning_passes, 1u);
+    EXPECT_EQ(store.stats().erased, 1u);
+    session.flush();
+  }
+  adapt::PlanStore reread(store_file.path);
+  EXPECT_EQ(reread.load().loaded, 1u);
+  const auto got = reread.lookup(key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_GE(got->plan.unit, 1);
 }
 
 /// serve-layer SpMM request type: run_spmm through the service is

@@ -13,17 +13,20 @@
 
 #include "adapt/plan_store.hpp"
 #include "binning/binning.hpp"
+#include "clsim/engine.hpp"
 #include "core/plan_io.hpp"
 #include "core/predictor.hpp"
 #include "core/tuner.hpp"
 #include "exec/backend.hpp"
 #include "gen/generators.hpp"
+#include "iter/session.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/registry.hpp"
 #include "prof/profile.hpp"
 #include "serve/fingerprint.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/service.hpp"
+#include "shard/sharded_service.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -119,7 +122,7 @@ TEST(Fingerprint, LargeMatrixSamplingIsDeterministic) {
 
 TEST(PlanCache, HitMissEvictCounters) {
   core::HeuristicPredictor pred;
-  PlanCache<float> cache(pred, clsim::default_engine(), 2);
+  PlanCache<float> cache(pred, 2);
 
   auto a = std::make_shared<const CsrMatrix<float>>(
       gen::diagonal<float>(500));
@@ -146,7 +149,7 @@ TEST(PlanCache, HitMissEvictCounters) {
 TEST(PlanCache, OneShotScanDoesNotEvictHotRuntimes) {
   core::HeuristicPredictor heuristic;
   CountingPredictor pred(heuristic);
-  PlanCache<float> cache(pred, clsim::default_engine(), 2);
+  PlanCache<float> cache(pred, 2);
   auto hot_a = std::make_shared<const CsrMatrix<float>>(
       gen::banded<float>(400, 3, 0.7, 41));
   auto hot_b = std::make_shared<const CsrMatrix<float>>(
@@ -183,7 +186,7 @@ TEST(PlanCache, CountsAgeSoAPopularityShiftIsAdmitted) {
   // long ago (far more uses than one aging period), then `fresh` turns
   // hot: halving lets it in within one period.
   core::HeuristicPredictor pred;
-  PlanCache<float> cache(pred, clsim::default_engine(), 1);
+  PlanCache<float> cache(pred, 1);
   auto old = std::make_shared<const CsrMatrix<float>>(
       gen::banded<float>(300, 2, 0.8, 47));
   auto fresh = std::make_shared<const CsrMatrix<float>>(
@@ -207,7 +210,7 @@ TEST(PlanCache, CountsAgeSoAPopularityShiftIsAdmitted) {
 
 TEST(PlanCache, SameStructureSharesOneEntry) {
   core::HeuristicPredictor pred;
-  PlanCache<float> cache(pred, clsim::default_engine(), 4);
+  PlanCache<float> cache(pred, 4);
   auto a = std::make_shared<const CsrMatrix<float>>(
       gen::banded<float>(800, 3, 0.8, 11));
   auto b = std::make_shared<const CsrMatrix<float>>(*a);  // distinct object
@@ -220,7 +223,7 @@ TEST(PlanCache, SameStructureSharesOneEntry) {
 TEST(PlanCache, ConcurrentMissesShareOnePlanningPass) {
   core::HeuristicPredictor heuristic;
   CountingPredictor pred(heuristic);
-  PlanCache<double> cache(pred, clsim::default_engine(), 4);
+  PlanCache<double> cache(pred, 4);
   auto a = std::make_shared<const CsrMatrix<double>>(
       gen::power_law<double>(3000, 3000, 2.0, 300, 13));
 
@@ -244,7 +247,7 @@ TEST(PlanCache, ConcurrentMissesShareOnePlanningPass) {
 TEST(PlanCache, EvictedStructuresRebuildFromKeptPlans) {
   core::HeuristicPredictor heuristic;
   CountingPredictor pred(heuristic);
-  PlanCache<float> cache(pred, clsim::default_engine(), 2);
+  PlanCache<float> cache(pred, 2);
   const std::vector<std::shared_ptr<const CsrMatrix<float>>> mats = {
       std::make_shared<const CsrMatrix<float>>(gen::diagonal<float>(500)),
       std::make_shared<const CsrMatrix<float>>(
@@ -274,7 +277,7 @@ TEST(PlanCache, EvictedStructuresRebuildFromKeptPlans) {
 
 TEST(PlanCache, KeptPlansHoldNoMatrix) {
   core::HeuristicPredictor pred;
-  PlanCache<float> cache(pred, clsim::default_engine(), 1);
+  PlanCache<float> cache(pred, 1);
   auto a = std::make_shared<const CsrMatrix<float>>(
       gen::banded<float>(700, 4, 0.7, 19));
   const auto same_structure = std::make_shared<const CsrMatrix<float>>(*a);
@@ -295,7 +298,7 @@ TEST(PlanCache, KeptPlansHoldNoMatrix) {
 TEST(PlanCache, PlanTierEvictsLeastRecentlyUsedPastItsBound) {
   core::HeuristicPredictor heuristic;
   CountingPredictor pred(heuristic);
-  PlanCache<float> cache(pred, clsim::default_engine(), 1);
+  PlanCache<float> cache(pred, 1);
   // Capacity 1 keeps kPlansPerRuntime plans; one structure more drops the
   // least recently used.
   const int n = static_cast<int>(kPlansPerRuntime) + 1;
@@ -316,7 +319,7 @@ TEST(PlanCache, PlanTierEvictsLeastRecentlyUsedPastItsBound) {
 
 TEST(PlanCache, MemoizedFingerprintMatchesFingerprintOf) {
   core::HeuristicPredictor pred;
-  PlanCache<float> cache(pred, clsim::default_engine(), 2);
+  PlanCache<float> cache(pred, 2);
   const auto a = gen::power_law<float>(1200, 1200, 2.0, 150, 5);
   const auto large = gen::fixed_degree<float>(50000, 1000, 2, 3);
   ASSERT_GT(large.row_ptr().size(), kMaxHashedEntries);
@@ -343,8 +346,7 @@ TEST(PlanCache, MemoizedFingerprintMatchesFingerprintOf) {
 
 TEST(PlanCache, ZeroCapacityThrows) {
   core::HeuristicPredictor pred;
-  EXPECT_THROW(PlanCache<float>(pred, clsim::default_engine(), 0),
-               std::invalid_argument);
+  EXPECT_THROW(PlanCache<float>(pred, 0), std::invalid_argument);
 }
 
 // --- Multi-vector execution (SpMM) ---------------------------------------
@@ -462,7 +464,6 @@ TEST(SpmvService, LayoutBuildTimeIsBookedInsideExecution) {
   prof::RunProfile profile;
   ServiceOptions opts;
   opts.workers = 1;
-  opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
   opts.profile = &profile;
   SpmvService<float> service(pred, opts);
@@ -561,7 +562,6 @@ TEST(SpmvService, CoalescedResultsBitIdenticalToSingleRuns) {
   GatedSub2Predictor pred;
   ServiceOptions opts;
   opts.workers = 1;
-  opts.backend = exec::BackendKind::Native;
   auto a = std::make_shared<const CsrMatrix<double>>(
       gen::fem_blocks<double>(120, 16, 90, 0.4, 23));
   auto blocker = std::make_shared<const CsrMatrix<double>>(
@@ -626,9 +626,8 @@ TEST(SpmvService, StructurallyEqualMatricesWithDifferentValuesStayExact) {
 
 TEST(SpmvService, WarmStartFromNativeBackendPlanExecutesExactly) {
   // A store written by a native-tuned process: the service warm-starts
-  // from it, the rebuilt runtime carries the native backend (backend is a
-  // plan property, not a service property — ServiceOptions::backend only
-  // stamps fresh predictor-driven plans), and results stay exact.
+  // from it, the rebuilt runtime carries the native backend, and results
+  // stay exact.
   struct ScopedFile {
     explicit ScopedFile(std::string p) : path(std::move(p)) {
       std::remove(path.c_str());
@@ -657,7 +656,7 @@ TEST(SpmvService, WarmStartFromNativeBackendPlanExecutesExactly) {
 
   adapt::PlanStore store(file.path);
   ServiceOptions opts;
-  opts.plan_store = &store;  // service default backend stays clsim
+  opts.plan_store = &store;
   SpmvService<double> service(pred, opts);
   const auto x =
       random_vector<double>(static_cast<std::size_t>(a->cols()), 63);
@@ -681,7 +680,6 @@ TEST(SpmvService, PlanTierRebuildIsBitIdenticalToTheEvictedRuntime) {
   ServiceOptions opts;
   opts.cache_capacity = 1;
   opts.workers = 1;
-  opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
   SpmvService<double> service(pred, opts);
   auto a = std::make_shared<const CsrMatrix<double>>(
@@ -728,7 +726,6 @@ TEST(SpmvService, NotAdmittedMissIsBitIdenticalAndUncached) {
   ServiceOptions opts;
   opts.cache_capacity = 1;
   opts.workers = 1;
-  opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
   SpmvService<double> service(pred, opts);
   auto hot = std::make_shared<const CsrMatrix<double>>(
@@ -800,5 +797,62 @@ TEST(SpmvService, SubmitValidation) {
       static_cast<void>(service.submit(a, std::vector<float>(50, 1.0f))),
       std::runtime_error);
 }
+
+// Serving runs native plans only: every serving surface that still takes a
+// backend, and PlanStore::put, refuses any other kind with
+// std::invalid_argument, instead of serving or storing it silently.
+class RejectsClsim : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RejectsClsim, Throws) {
+  const core::HeuristicPredictor pred;
+  const auto a = std::make_shared<const CsrMatrix<float>>(
+      gen::banded<float>(200, 3, 0.7, 5));
+  constexpr exec::BackendKind kClsim = exec::BackendKind::Clsim;
+  const std::string& surface = GetParam();
+  if (surface == "SpmvService") {
+    ServiceOptions opts;
+    opts.backend = kClsim;
+    EXPECT_THROW(SpmvService<float>(pred, opts), std::invalid_argument);
+  } else if (surface == "ShardedService") {
+    shard::ShardedOptions opts;
+    opts.backend = kClsim;
+    EXPECT_THROW(shard::ShardedService<float>(a, pred, opts),
+                 std::invalid_argument);
+  } else if (surface == "IterativeSession") {
+    iter::SessionOptions opts;
+    opts.backend = kClsim;
+    EXPECT_THROW(iter::IterativeSession<float>(a, pred, opts),
+                 std::invalid_argument);
+  } else if (surface == "PlanCache") {
+    EXPECT_THROW(PlanCache<float>(pred, clsim::default_engine(), 4, nullptr,
+                                  kClsim, fmt::FormatMode::Csr),
+                 std::invalid_argument);
+    PlanCache<float> native(pred, clsim::default_engine(), 4, nullptr,
+                            exec::BackendKind::Native, fmt::FormatMode::Csr);
+    EXPECT_EQ(native.get(a)->runtime.plan().backend,
+              exec::BackendKind::Native);
+  } else if (surface == "PlanStorePut") {
+    adapt::PlanStore store("rejects_clsim_store.tmp.json");  // never flushed
+    adapt::StoredPlan sp;
+    sp.plan.backend = kClsim;
+    EXPECT_THROW(store.put(fingerprint_of(*a), sp), std::invalid_argument);
+    EXPECT_FALSE(store.lookup(fingerprint_of(*a)).has_value());
+  } else {
+    ASSERT_EQ(surface, "PlanCachePromote");
+    PlanCache<float> cache(pred, 4);
+    core::Plan plan = cache.get(a)->runtime.plan();
+    plan.revision += 1;
+    plan.backend = kClsim;
+    EXPECT_THROW((void)cache.promote(fingerprint_of(*a), plan),
+                 std::invalid_argument);
+    EXPECT_EQ(cache.stats().promotions, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ServingSurfaces, RejectsClsim,
+                         ::testing::Values("SpmvService", "ShardedService",
+                                           "IterativeSession", "PlanCache",
+                                           "PlanCachePromote", "PlanStorePut"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace

@@ -399,6 +399,50 @@ TEST(ShardedService, PlanStoreWarmStartCarriesShardProvenance) {
             static_cast<std::uint64_t>(kShards));
 }
 
+// A shard whose stored plan fails to build erases it and plans again at
+// construction, instead of every service over that store throwing; the
+// flushed store then holds the shard's new plan.
+TEST(ShardedService, UnbuildableStoredPlanIsErasedAndReplanned) {
+  ScopedFile f("shard_unbuildable_store.tmp.json");
+  const auto a = mixed_matrix(1500, 9);
+  const core::HeuristicPredictor pred;
+  constexpr int kShards = 3;
+  shard::PartitionOptions popts;
+  popts.shards = kShards;
+  const auto set = shard::plan_shards(*a, popts);
+
+  adapt::PlanStore store(f.path);
+  store.load();
+  adapt::StoredPlan bad;
+  bad.plan.unit = 0;  // binning rejects a unit below 1
+  bad.plan.backend = exec::BackendKind::Native;
+  store.put(set.fingerprints[1], bad);
+
+  prof::RunProfile profile;
+  {
+    shard::ShardedOptions opts;
+    opts.partition.shards = kShards;
+    opts.plan_store = &store;
+    opts.profile = &profile;
+    shard::ShardedService<float> service(a, pred, opts);
+    for (const auto& info : service.shard_infos())
+      EXPECT_FALSE(info.warm_start) << "shard " << info.index;
+    EXPECT_EQ(store.stats().erased, 1u);
+    (void)service.run("default",
+                      random_x(static_cast<std::size_t>(a->cols()), 3));
+    service.shutdown();
+  }
+  EXPECT_EQ(profile.serve.planning_passes, static_cast<std::uint64_t>(kShards));
+  EXPECT_EQ(profile.serve.cache_warm_hits, 0u);
+
+  adapt::PlanStore reread(f.path);
+  (void)reread.load();
+  const auto got = reread.lookup(set.fingerprints[1]);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_GE(got->plan.unit, 1);
+  EXPECT_EQ(got->plan.shard_index, 1);
+}
+
 TEST(ShardedService, StatsCarryPerTenantAndPerShardBlocks) {
   const auto a = mixed_matrix(1200, 21);
   const core::HeuristicPredictor pred;

@@ -535,7 +535,6 @@ TEST(StressIter, RecycledValueBuffersNeverTearInFlightRuns) {
 
   const core::HeuristicPredictor pred;
   iter::SessionOptions opts;
-  opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
   opts.format_policy = {.min_reuse = 0};
 
@@ -623,7 +622,6 @@ TEST(StressServe, ThreadBudgetHoldsBesideASession) {
   std::thread session_thread([&] {
     util::set_thread_budget(hw);
     iter::SessionOptions so;
-    so.backend = exec::BackendKind::Native;
     so.format = fmt::FormatMode::Auto;
     iter::IterativeSession<float> session(a, pred, so);
     session.seed(random_x(static_cast<std::size_t>(a->cols()), base + 1));
@@ -635,7 +633,6 @@ TEST(StressServe, ThreadBudgetHoldsBesideASession) {
 
   serve::ServiceOptions opts;
   opts.workers = kWorkers;
-  opts.backend = exec::BackendKind::Native;
   opts.format = fmt::FormatMode::Auto;
   std::atomic<int> wrong{0};
   {
@@ -775,7 +772,7 @@ TEST(StressServe, PlanTiersKeepPromotionsThroughEvictionRaces) {
   const std::string note =
       " (replay with SPMV_TEST_SEED=" + std::to_string(base) + ")";
   const core::HeuristicPredictor pred;
-  serve::PlanCache<float> cache(pred, clsim::default_engine(), 1);
+  serve::PlanCache<float> cache(pred, 1);
   constexpr int kMatrices = 3;
   std::vector<std::shared_ptr<const CsrMatrix<float>>> mats;
   for (int i = 0; i < kMatrices; ++i)
@@ -818,7 +815,7 @@ TEST(StressServe, PlanTiersKeepPromotionsThroughEvictionRaces) {
         const auto x = random_x(static_cast<std::size_t>(mats[m]->cols()),
                                 rng.next());
         std::vector<float> y(static_cast<std::size_t>(mats[m]->rows()));
-        core::execute_plan(clsim::default_engine(), *mats[m],
+        core::execute_plan(entry->runtime.backend(), *mats[m],
                            std::span<const float>(x), std::span<float>(y),
                            entry->runtime.bins(), entry->runtime.plan());
         const auto exact =

@@ -351,11 +351,12 @@ int cmd_plan_store(const util::Cli& cli) {
   std::printf("store %s (device \"%s\", model \"%s\")\n", path.c_str(),
               store.device_config().c_str(), store.model_version().c_str());
   std::printf("loaded %llu; skipped: %llu schema, %llu device, %llu model, "
-              "%llu malformed\n",
+              "%llu backend, %llu malformed\n",
               static_cast<unsigned long long>(st.loaded),
               static_cast<unsigned long long>(st.skipped_schema),
               static_cast<unsigned long long>(st.skipped_device),
               static_cast<unsigned long long>(st.skipped_model),
+              static_cast<unsigned long long>(st.skipped_backend),
               static_cast<unsigned long long>(st.skipped_malformed));
   if (pos[0] == "gc") {
     const std::size_t dropped = store.gc();
