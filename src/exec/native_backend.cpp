@@ -11,15 +11,12 @@
 #include "fmt/layout.hpp"
 #include "kernels/binned_common.hpp"
 #include "prof/counters.hpp"
+#include "util/simd.hpp"
 #include "util/threads.hpp"
 
 // Sliced Dcsr bins of float run an AVX-512 kernel when the build targets
-// it (-march=native on such a host); everything else runs the portable
-// loop, which gives the same bits.
-#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
-#include <immintrin.h>
-#define SPMV_AVX512_SLICES 1
-#endif
+// it (SPMV_AVX512_SLICES); everything else runs the portable loop, which
+// gives the same bits.
 
 namespace spmv::exec {
 

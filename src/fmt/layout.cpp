@@ -3,35 +3,73 @@
 #include <algorithm>
 #include <atomic>
 #include <initializer_list>
+#include <iterator>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
+#include "util/simd.hpp"
 #include "util/timer.hpp"
 
 namespace spmv::fmt {
 
 namespace {
 
+/// Dcsr bins with at least this many entries build and refresh in
+/// parallel; smaller ones stay on the calling thread, because serving
+/// builds layouts on the request path beside its other workers. The
+/// covered-row list of any bin that large is filled in parallel too.
+constexpr offset_t kParallelDcsrNnz = offset_t{1} << 20;
+
 /// Actual row ids a bin covers: each virtual row v expands to rows
 /// [v*unit, min((v+1)*unit, m)), in slot order. Includes empty rows — the
 /// layout kernels own the zeroing of every covered y entry. `nnz` gets the
 /// covered rows' entry count, one row_ptr difference per virtual row.
+///
+/// Only the matrix's last virtual row covers fewer than `unit` rows, so a
+/// slot's rows start at slot * unit less what the short slots before it
+/// lack: one counting pass, then a fill that is parallel for bins of
+/// kParallelDcsrNnz entries or more.
 template <typename T>
 util::Buffer<index_t> covered_rows(const CsrMatrix<T>& a,
                                    std::span<const index_t> vrows,
                                    index_t unit, offset_t& nnz) {
   const auto rp = a.row_ptr();
-  const index_t m = a.rows();
-  util::Buffer<index_t> rows;
-  rows.reserve(vrows.size() * static_cast<std::size_t>(unit));
+  const std::int64_t m = a.rows();
+  const auto nv = static_cast<std::int64_t>(vrows.size());
+  const auto span_of = [&](std::int64_t i) {
+    const auto first =
+        static_cast<std::int64_t>(vrows[static_cast<std::size_t>(i)]) * unit;
+    return std::pair{first, std::max(first, std::min<std::int64_t>(
+                                                first + unit, m))};
+  };
+  // Short slots in slot order, each with the rows lacking up to it.
+  std::vector<std::pair<std::int64_t, std::int64_t>> short_slots;
+  std::int64_t lacking = 0;
   nnz = 0;
-  for (const index_t v : vrows) {
-    const auto first = static_cast<std::int64_t>(v) * unit;
-    const auto last = std::min<std::int64_t>(first + unit, m);
-    for (std::int64_t r = first; r < last; ++r)
-      rows.push_back(static_cast<index_t>(r));
+  for (std::int64_t i = 0; i < nv; ++i) {
+    const auto [first, last] = span_of(i);
     if (first < last)
       nnz += rp[static_cast<std::size_t>(last)] -
              rp[static_cast<std::size_t>(first)];
+    if (last - first < unit) {
+      lacking += unit - (last - first);
+      short_slots.emplace_back(i, lacking);
+    }
+  }
+  util::Buffer<index_t> rows(static_cast<std::size_t>(nv * unit - lacking));
+  index_t* const out = rows.data();
+#pragma omp parallel for schedule(static) if (nnz >= kParallelDcsrNnz)
+  for (std::int64_t i = 0; i < nv; ++i) {
+    const auto it = std::lower_bound(
+        short_slots.begin(), short_slots.end(), i,
+        [](const auto& s, std::int64_t slot) { return s.first < slot; });
+    const std::int64_t before =
+        it == short_slots.begin() ? 0 : std::prev(it)->second;
+    const auto [first, last] = span_of(i);
+    index_t* dst = out + (i * unit - before);
+    for (std::int64_t r = first; r < last; ++r)
+      *dst++ = static_cast<index_t>(r);
   }
   return rows;
 }
@@ -131,11 +169,6 @@ void build_coo(const CsrMatrix<T>& a, util::Buffer<index_t> rows,
               2 * c.chunk_ptr.size() * sizeof(std::size_t);
 }
 
-/// Dcsr bins with at least this many entries build and refresh in
-/// parallel; smaller ones stay on the calling thread, because serving
-/// builds layouts on the request path beside its other workers.
-constexpr offset_t kParallelDcsrNnz = offset_t{1} << 20;
-
 /// Where one slice's rows sit in the CSR arrays, in packed order, and
 /// where the slice starts in the layout's offsets/vals.
 struct SliceRows {
@@ -147,9 +180,12 @@ struct SliceRows {
 
 /// Calls put(i, dst, src) for every entry of one slice in storage order
 /// (see DeltaBin): i is the row within the slice, dst the entry's index in
-/// offsets/vals and src its index in the CSR arrays.
-template <typename Put>
-void slice_entries(const SliceRows& s, Put put) {
+/// offsets/vals and src its index in the CSR arrays. The leading steps in
+/// which all kDcsrSlice rows are live go to full(steps, dst) instead,
+/// which must do what put() would for those steps' entries, stored from
+/// dst on, kDcsrSlice to a step.
+template <typename Full, typename Put>
+void slice_entries(const SliceRows& s, Full full, Put put) {
   std::size_t dst = s.dst;
   if (s.h == 1) {
     for (offset_t k = 0; k < s.len[0]; ++k)
@@ -158,10 +194,11 @@ void slice_entries(const SliceRows& s, Put put) {
     return;
   }
   offset_t k = 0;
-  if (s.h == kDcsrSlice)  // every row live: a fixed-width step
-    for (; k < s.len[kDcsrSlice - 1]; ++k, dst += kDcsrSlice)
-      for (std::size_t i = 0; i < kDcsrSlice; ++i)
-        put(i, dst + i, static_cast<std::size_t>(s.src[i] + k));
+  if (s.h == kDcsrSlice) {  // every row live: fixed-width steps
+    k = s.len[kDcsrSlice - 1];
+    full(k, dst);
+    dst += static_cast<std::size_t>(k) * kDcsrSlice;
+  }
   for (std::size_t live = s.h;; ++k) {
     while (live > 0 && s.len[live - 1] <= k) --live;
     if (live == 0) break;
@@ -169,6 +206,59 @@ void slice_entries(const SliceRows& s, Put put) {
       put(i, dst + i, static_cast<std::size_t>(s.src[i] + k));
     dst += live;
   }
+}
+
+/// The first `steps` steps of a slice whose kDcsrSlice rows are all live:
+/// entry i of step k is CSR entry s.src[i] + k. Stores the steps' values,
+/// and their column offsets from `base` (the slice's base columns) unless
+/// `off` is null, from dst on. Float builds that target AVX-512 gather
+/// each step's 16 lanes at once; anything else stores them one at a time.
+/// Both store the same bytes.
+template <typename T>
+void full_steps(const SliceRows& s, offset_t steps, std::size_t dst,
+                const index_t* ci, const index_t* base, std::uint16_t* off,
+                const T* va, T* val) {
+#ifdef SPMV_AVX512_SLICES
+  if constexpr (std::is_same_v<T, float>) {
+    static_assert(kDcsrSlice == 16 && sizeof(offset_t) == 8);
+    // Two halves of 8 lanes, as gathers with 64-bit indices return 8.
+    __m512i lo = _mm512_loadu_si512(s.src);
+    __m512i hi = _mm512_loadu_si512(s.src + 8);
+    const __m512i one = _mm512_set1_epi64(1);
+    const auto base_lo =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base));
+    const auto base_hi =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + 8));
+    const auto offsets = [&](__m512i idx, __m256i b) {
+      const __m256i cols = _mm512_mask_i64gather_epi32(
+          _mm256_setzero_si256(), 0xff, idx, ci, 4);
+      return _mm256_maskz_cvtepi32_epi16(0xff, _mm256_sub_epi32(cols, b));
+    };
+    const auto values = [&](__m512i idx) {
+      return _mm512_mask_i64gather_ps(_mm256_setzero_ps(), 0xff, idx, va, 4);
+    };
+    for (offset_t k = 0; k < steps; ++k, dst += kDcsrSlice) {
+      if (off != nullptr) {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(off + dst),
+                         offsets(lo, base_lo));
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(off + dst + 8),
+                         offsets(hi, base_hi));
+      }
+      _mm256_storeu_ps(val + dst, values(lo));
+      _mm256_storeu_ps(val + dst + 8, values(hi));
+      lo = _mm512_add_epi64(lo, one);
+      hi = _mm512_add_epi64(hi, one);
+    }
+    return;
+  }
+#endif
+  for (offset_t k = 0; k < steps; ++k, dst += kDcsrSlice)
+    for (std::size_t i = 0; i < kDcsrSlice; ++i) {
+      const auto src = static_cast<std::size_t>(s.src[i] + k);
+      if (off != nullptr)
+        off[dst + i] = static_cast<std::uint16_t>(ci[src] - base[i]);
+      val[dst + i] = va[src];
+    }
 }
 
 /// A CSR array to prefetch from: its base address and element size.
@@ -329,19 +419,32 @@ void build_dcsr(const CsrMatrix<T>& a, util::Buffer<index_t> rows,
             base[p0 + i] = 0;
             continue;
           }
+          // A plain loop, which vectorizes, where std::minmax_element
+          // (which tracks positions) does not.
           const index_t* c = ci.data() + s.src[i];
-          const auto [lo, hi] = std::minmax_element(c, c + s.len[i]);
-          base[p0 + i] = *lo;
-          if (*hi - *lo <= kDcsrMaxSpan) continue;
+          index_t lo = c[0];
+          index_t hi = c[0];
+          for (offset_t j = 1; j < s.len[i]; ++j) {
+            lo = std::min(lo, c[j]);
+            hi = std::max(hi, c[j]);
+          }
+          base[p0 + i] = lo;
+          if (hi - lo <= kDcsrMaxSpan) continue;
           auto first = bad.load();
           const auto p = static_cast<std::int64_t>(p0 + i);
           while (p < first && !bad.compare_exchange_weak(first, p)) {
           }
         }
-        slice_entries(s, [&](std::size_t i, std::size_t dst, std::size_t src) {
-          off[dst] = static_cast<std::uint16_t>(ci[src] - base[p0 + i]);
-          val[dst] = va[src];
-        });
+        slice_entries(
+            s,
+            [&](offset_t steps, std::size_t dst) {
+              full_steps(s, steps, dst, ci.data(), base + p0, off, va.data(),
+                         val);
+            },
+            [&](std::size_t i, std::size_t dst, std::size_t src) {
+              off[dst] = static_cast<std::uint16_t>(ci[src] - base[p0 + i]);
+              val[dst] = va[src];
+            });
       });
   if (bad.load() < nrows) {
     const index_t r = rows[static_cast<std::size_t>(bad.load())];
@@ -480,10 +583,14 @@ BinLayout<T> refresh_layout_values(const CsrMatrix<T>& a,
                      static_cast<offset_t>(n) >= kParallelDcsrNnz,
                      {{va.data(), sizeof(T)}},
                      [&](std::size_t, const SliceRows& s) {
-                       slice_entries(s, [&](std::size_t, std::size_t dst,
-                                            std::size_t src) {
-                         val[dst] = va[src];
-                       });
+                       slice_entries(
+                           s,
+                           [&](offset_t steps, std::size_t dst) {
+                             full_steps<T>(s, steps, dst, nullptr, nullptr,
+                                           nullptr, va.data(), val);
+                           },
+                           [&](std::size_t, std::size_t dst,
+                               std::size_t src) { val[dst] = va[src]; });
                      });
       break;
     }

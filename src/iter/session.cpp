@@ -95,7 +95,8 @@ IterativeSession<T>::build_state(std::shared_ptr<const CsrMatrix<T>> a) {
     stats_.planning_passes += 1;
   }
   if (st->plan.uses_formats() && backend_->supports_formats())
-    st->layouts = std::make_shared<fmt::PlanLayouts<T>>(opts_.format_policy);
+    st->layouts = std::make_shared<fmt::PlanLayouts<T>>(
+        fmt::AmortizationPolicy{.min_reuse = 0});
   st->a = std::move(a);
   return st;
 }
@@ -290,12 +291,21 @@ void IterativeSession<T>::replace_matrix(
   // Structural change: full re-bin + re-plan (outside mu_ — planning can
   // be slow and in-flight runs keep executing the old state meanwhile).
   auto ns = build_state(std::move(a));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    state_ = std::move(ns);
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> stats_lock(stats_mu_);
+  add_layout_stats(*state_, stats_);  // the old layouts leave stats() here
+  state_ = std::move(ns);
   stats_.structure_rebinds += 1;
+}
+
+template <typename T>
+void IterativeSession<T>::add_layout_stats(const State& st,
+                                           SessionStats& out) {
+  if (st.layouts == nullptr) return;
+  const fmt::LayoutStats ls = st.layouts->stats();
+  out.layout_builds += ls.builds;
+  out.layout_build_s += ls.build_s;
+  out.layout_deferrals += ls.deferrals;
 }
 
 template <typename T>
@@ -314,8 +324,17 @@ void IterativeSession<T>::flush() {
 
 template <typename T>
 SessionStats IterativeSession<T>::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  std::shared_ptr<const State> st;
+  SessionStats out;
+  {
+    // One pair: stats_ has folded in every state before this one.
+    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> stats_lock(stats_mu_);
+    st = state_;
+    out = stats_;
+  }
+  add_layout_stats(*st, out);
+  return out;
 }
 
 template <typename T>

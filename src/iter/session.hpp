@@ -75,9 +75,9 @@ struct SessionOptions {
   /// any value but Native throws std::invalid_argument at construction.
   exec::BackendKind backend = exec::BackendKind::Native;
   /// Per-bin format mode for fresh predictor-driven plans (`--format`).
+  /// The session builds a plan's bin layouts on its first run: a session
+  /// exists to be reused, so it pays for its layouts once, up front.
   fmt::FormatMode format = fmt::FormatMode::Csr;
-  /// When bin layouts are materialized (tests set `.min_reuse = 0`).
-  fmt::AmortizationPolicy format_policy;
   /// Optional telemetry sink: flush()/destruction folds the tuner's
   /// AdaptStats into profile->adapt; executions record per-bin timings
   /// continuously. Must outlive the session.
@@ -104,7 +104,17 @@ struct SessionStats {
   std::uint64_t structure_rebinds = 0; ///< replace_matrix re-bin + re-plan
   std::uint64_t planning_passes = 0;   ///< predictor-driven plan builds
   std::uint64_t warm_starts = 0;       ///< plans adopted from the store
-  double exec_total_s = 0.0;           ///< wall time inside timed executions
+  /// Bin layouts built and the wall time they took, from the session's
+  /// fmt::LayoutStats (summed over structure rebinds). The first run of a
+  /// plan builds its layouts.
+  std::uint64_t layout_builds = 0;
+  double layout_build_s = 0.0;
+  /// Bins run from CSR because their layout was not built yet
+  /// (fmt::LayoutStats::deferrals).
+  std::uint64_t layout_deferrals = 0;
+  /// Wall time inside timed executions, the first run's layout builds
+  /// included.
+  double exec_total_s = 0.0;
 };
 
 template <typename T>
@@ -204,6 +214,8 @@ class IterativeSession {
   void apply_promotion(const std::shared_ptr<const State>& st,
                        typename adapt::BanditTuner<T>::Promotion promo);
   void store_put(const State& st, double gflops);
+  /// Add `st`'s layout counters to `out`'s layout fields.
+  static void add_layout_stats(const State& st, SessionStats& out);
 
   const core::Predictor& predictor_;
   SessionOptions opts_;

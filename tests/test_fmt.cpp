@@ -14,7 +14,9 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "binning/binning.hpp"
@@ -337,6 +339,137 @@ void expect_same_dcsr(const fmt::BinLayout<float>& a,
   EXPECT_TRUE(same_array(a.dcsr.base_col, b.dcsr.base_col));
   EXPECT_TRUE(same_array(a.dcsr.offsets, b.dcsr.offsets));
   EXPECT_EQ(a.dcsr.vals, b.dcsr.vals);
+}
+
+/// DeltaBin's documented storage, re-derived without the builder: the
+/// covered rows, the slice decision, the stable descending-length sort
+/// inside each window, row_ptr, base columns, then each slice's entries
+/// step by step (step k: one entry of each of the slice's rows longer than
+/// k, in packed order).
+template <typename T>
+struct DcsrReference {
+  int slice = 1;
+  std::vector<index_t> rows;
+  std::vector<offset_t> row_ptr{0};
+  std::vector<index_t> base_col;
+  std::vector<std::uint16_t> offsets;
+  std::vector<T> vals;
+};
+
+template <typename T>
+DcsrReference<T> dcsr_reference(const CsrMatrix<T>& a,
+                                const std::vector<index_t>& vrows,
+                                index_t unit) {
+  DcsrReference<T> ref;
+  for (const index_t v : vrows)
+    for (index_t r = v * unit; r < std::min(v * unit + unit, a.rows()); ++r)
+      ref.rows.push_back(r);
+  const auto len = [&](index_t r) { return a.row_nnz(r); };
+  std::vector<index_t> sorted = ref.rows;
+  for (std::size_t w = 0; w < sorted.size(); w += fmt::kDcsrSortWindow) {
+    const auto end = sorted.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                          sorted.size(), w + fmt::kDcsrSortWindow));
+    std::stable_sort(sorted.begin() + static_cast<std::ptrdiff_t>(w), end,
+                     [&](index_t x, index_t y) { return len(x) > len(y); });
+  }
+  offset_t nnz = 0;
+  for (const index_t r : ref.rows) nnz += len(r);
+  offset_t lane_steps = 0;  // each slice runs as long as its longest row
+  for (std::size_t p = 0; p < sorted.size(); p += fmt::kDcsrSlice)
+    lane_steps += fmt::kDcsrSlice * len(sorted[p]);
+  if (nnz > 0 && static_cast<double>(nnz) >=
+                     fmt::kDcsrMinSliceFill * static_cast<double>(lane_steps)) {
+    ref.slice = fmt::kDcsrSlice;
+    ref.rows = sorted;
+  }
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  for (const index_t r : ref.rows) {
+    ref.row_ptr.push_back(ref.row_ptr.back() + len(r));
+    const auto cols = ci.subspan(static_cast<std::size_t>(rp[r]),
+                                 static_cast<std::size_t>(len(r)));
+    ref.base_col.push_back(cols.empty() ? 0
+                                        : *std::min_element(cols.begin(),
+                                                            cols.end()));
+  }
+  const auto h = static_cast<std::size_t>(ref.slice);
+  for (std::size_t p0 = 0; p0 < ref.rows.size(); p0 += h) {
+    const std::size_t p1 = std::min(ref.rows.size(), p0 + h);
+    for (offset_t k = 0;; ++k) {
+      bool any = false;
+      for (std::size_t p = p0; p < p1; ++p) {
+        const index_t r = ref.rows[p];
+        if (len(r) <= k) continue;
+        any = true;
+        const auto j = static_cast<std::size_t>(rp[r] + k);
+        ref.offsets.push_back(
+            static_cast<std::uint16_t>(ci[j] - ref.base_col[p]));
+        ref.vals.push_back(a.vals()[j]);
+      }
+      if (!any) break;
+    }
+  }
+  return ref;
+}
+
+template <typename X, typename Array>
+bool same_bits(const Array& got, const std::vector<X>& want) {
+  return got.size() == want.size() &&
+         std::memcmp(got.data(), want.data(), want.size() * sizeof(X)) == 0;
+}
+
+/// Builder and refresh both store DeltaBin's documented bytes, for float and
+/// double (the float walk is 16 lanes wide on AVX-512 builds, one lane
+/// elsewhere), at slice heights 1 and 16, with a partial last slice, empty
+/// rows, rows that end at different steps, and a short last virtual row in
+/// the middle of the slot order.
+TEST(Layouts, DcsrBytesFollowTheDocumentedOrder) {
+  const auto check = [](const auto& a, index_t unit,
+                        const std::vector<index_t>& vrows, int slice) {
+    using T = typename std::decay_t<decltype(a)>::value_type;
+    const std::string where = "unit " + std::to_string(unit) + ", slice " +
+                              std::to_string(slice) + ", " +
+                              std::to_string(sizeof(T)) + "-byte values";
+    const auto ref = dcsr_reference(a, vrows, unit);
+    ASSERT_EQ(ref.slice, slice) << where << ": the corpus no longer slices so";
+    const auto l = fmt::build_bin_layout(a, std::span<const index_t>(vrows),
+                                         unit, fmt::FormatKind::Dcsr, 0);
+    EXPECT_EQ(l.dcsr.slice, ref.slice) << where;
+    EXPECT_TRUE(same_bits(l.dcsr.rows, ref.rows)) << where;
+    EXPECT_TRUE(same_bits(l.dcsr.row_ptr, ref.row_ptr)) << where;
+    EXPECT_TRUE(same_bits(l.dcsr.base_col, ref.base_col)) << where;
+    EXPECT_TRUE(same_bits(l.dcsr.offsets, ref.offsets)) << where;
+    EXPECT_TRUE(same_bits(l.dcsr.vals, ref.vals)) << where;
+
+    std::vector<T> scaled(a.vals().begin(), a.vals().end());
+    for (T& v : scaled) v = v * T(3) - T(1);
+    const auto b = a.with_values(std::span<const T>(scaled));
+    const auto fresh = fmt::refresh_layout_values(b, l);
+    EXPECT_TRUE(same_bits(fresh.dcsr.rows, ref.rows)) << where;
+    EXPECT_TRUE(same_bits(fresh.dcsr.offsets, ref.offsets)) << where;
+    EXPECT_TRUE(same_bits(fresh.dcsr.vals, dcsr_reference(b, vrows, unit).vals))
+        << where << ": refresh";
+  };
+  // 1031 rows: the last slice holds 1031 % 16 = 7 rows. Rows hold 20-28
+  // entries, every 37th is empty, every third has descending columns.
+  ASSERT_NE(1031 % fmt::kDcsrSlice, 0);
+  const auto band_f = uniform_band<float>(1031, 20, 28, 37, 131);
+  const auto band_d = uniform_band<double>(1031, 20, 28, 37, 131);
+  // At unit 3, virtual row 343 covers rows 1029-1030 only; placing it
+  // mid-order shifts every later slot's rows.
+  std::vector<index_t> shuffled = every_vrow(344, 1);
+  std::rotate(shuffled.begin() + 100, shuffled.end() - 1, shuffled.end());
+  ASSERT_EQ(shuffled[100], 343);
+  for (const auto& [unit, vrows] :
+       {std::pair{index_t{1}, every_vrow(1031, 1)},
+        std::pair{index_t{3}, shuffled}}) {
+    check(band_f, unit, vrows, fmt::kDcsrSlice);
+    check(band_d, unit, vrows, fmt::kDcsrSlice);
+  }
+  const auto skew_f = gen::power_law<float>(1500, 1500, 2.0, 300, 79);
+  const auto skew_d = gen::power_law<double>(1500, 1500, 2.0, 300, 79);
+  check(skew_f, 1, every_vrow(1500, 1), 1);
+  check(skew_d, 1, every_vrow(1500, 1), 1);
 }
 
 /// The builder slices a bin when its slice fill reaches kDcsrMinSliceFill,

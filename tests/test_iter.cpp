@@ -163,13 +163,10 @@ TEST(IterSession, FuzzUpdateValuesNeverInvalidatesPlanOrLayouts) {
     const std::string where = ctx(base, seed, "fuzz update_values");
     util::Xoshiro256 rng(seed ^ 0xF00DULL);
 
-    // Half the corpus runs --format auto (layouts in play, eagerly built so
-    // refreshes are observable); half stays CSR.
+    // Half the corpus runs --format auto (layouts in play, built on the
+    // first run so refreshes are observable); half stays CSR.
     iter::SessionOptions opts;
-    if (i % 2 == 0) {
-      opts.format = fmt::FormatMode::Auto;
-      opts.format_policy = {.min_reuse = 0};
-    }
+    if (i % 2 == 0) opts.format = fmt::FormatMode::Auto;
     const core::HeuristicPredictor pred;
     iter::IterativeSession<double> session(a0, pred, opts);
     const core::Plan plan0 = session.plan();
@@ -212,7 +209,6 @@ TEST(IterSession, UpdateValuesRefreshesMaterializedLayouts) {
   const core::HeuristicPredictor pred;
   iter::SessionOptions opts;
   opts.format = fmt::FormatMode::Auto;
-  opts.format_policy = {.min_reuse = 0};
   iter::IterativeSession<double> session(a, pred, opts);
   ASSERT_TRUE(session.plan().uses_formats())
       << "estimator no longer stamps ELL on the uniform corpus: "
@@ -232,6 +228,37 @@ TEST(IterSession, UpdateValuesRefreshesMaterializedLayouts) {
   session.run(std::span<const double>(x), std::span<double>(y));
   expect_close(y, kernels::spmv_exact(ref, std::span<const double>(x)),
                "post-refresh run");
+}
+
+/// A session builds its layouts on its first run: after one step() of a
+/// banded --format auto session every Dcsr bin ran from its layout (none
+/// deferred to CSR), and SessionStats reports the builds and their cost,
+/// which the first run's execution time includes.
+TEST(IterSession, FirstStepBuildsTheLayouts) {
+  const auto a = std::make_shared<const CsrMatrix<double>>(
+      gen::banded<double>(3000, 6, 0.7, 23));
+  const core::HeuristicPredictor pred;
+  iter::SessionOptions opts;
+  opts.format = fmt::FormatMode::Auto;
+  iter::IterativeSession<double> session(a, pred, opts);
+  ASSERT_TRUE(session.plan().uses_formats()) << session.plan().to_string();
+  EXPECT_EQ(session.stats().layout_builds, 0u);  // nothing built before a run
+
+  session.seed(std::span<const double>(random_vec(3000, 5)));
+  const std::vector<double> x(session.iterate().begin(),
+                              session.iterate().end());
+  const auto y = session.step();
+  expect_close(y, kernels::spmv_exact(*a, std::span<const double>(x)),
+               "first step");
+  const iter::SessionStats st = session.stats();
+  EXPECT_GT(st.layout_builds, 0u);
+  EXPECT_EQ(st.layout_deferrals, 0u);
+  EXPECT_GT(st.layout_build_s, 0.0);
+  EXPECT_GE(st.exec_total_s, st.layout_build_s);
+
+  (void)session.step();  // later steps reuse them
+  EXPECT_EQ(session.stats().layout_builds, st.layout_builds);
+  EXPECT_EQ(session.stats().layout_deferrals, 0u);
 }
 
 /// The layout-cache half of the property, asserted directly against
@@ -354,7 +381,6 @@ TEST(IterSession, ReplaceMatrixWithShiftedColumnsRebinds) {
   const core::HeuristicPredictor pred;
   iter::SessionOptions opts;
   opts.format = fmt::FormatMode::Auto;
-  opts.format_policy = {.min_reuse = 0};
   iter::IterativeSession<double> session(a, pred, opts);
   const auto x = random_vec(static_cast<std::size_t>(a->cols()), 5);
   std::vector<double> y(static_cast<std::size_t>(a->rows()));
@@ -405,7 +431,6 @@ TEST(IterSession, UpdateValuesSharesStructureAndRecyclesValueBuffers) {
   const core::HeuristicPredictor pred;
   iter::SessionOptions opts;
   opts.format = fmt::FormatMode::Auto;
-  opts.format_policy = {.min_reuse = 0};
   for (std::size_t m = 0; m < 3; ++m) {
     const std::string where = "corpus matrix " + std::to_string(m);
     const auto a = std::make_shared<const CsrMatrix<double>>(make(m));

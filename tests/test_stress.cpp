@@ -536,7 +536,6 @@ TEST(StressIter, RecycledValueBuffersNeverTearInFlightRuns) {
   const core::HeuristicPredictor pred;
   iter::SessionOptions opts;
   opts.format = fmt::FormatMode::Auto;
-  opts.format_policy = {.min_reuse = 0};
 
   constexpr int kSets = 3;
   std::vector<std::vector<float>> sets;

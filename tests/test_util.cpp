@@ -1,14 +1,23 @@
-// Unit tests for src/util: timing, RNG, statistics, CLI parsing.
+// Unit tests for src/util: timing, RNG, statistics, CLI parsing, and the
+// huge-page path of util::Buffer.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "sparse/csr.hpp"
+#include "sparse/value_pool.hpp"
+#include "util/buffer.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -278,6 +287,109 @@ TEST(Cli, RejectUnknownNamesTheFirstStrayFlag) {
   }
   const char* none[] = {"prog"};
   EXPECT_NO_THROW(Cli(1, none).reject_unknown({}));
+}
+
+// --- util::Buffer's huge-page path ------------------------------------------
+
+using spmv::CsrMatrix;
+using spmv::index_t;
+using spmv::ValuePool;
+
+/// Entries that make a Buffer<T> exactly kHugeArrayBytes long.
+template <typename T>
+constexpr std::size_t huge_entries() {
+  return kHugeArrayBytes / sizeof(T);
+}
+
+bool huge_aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % kHugePageBytes == 0;
+}
+
+/// Whether the page holding `p` is mapped in this process: mincore()
+/// fails with ENOMEM on an unmapped page. A freed huge array is unmapped,
+/// so this tells the two free paths apart (and under ASan, freeing either
+/// kind of array by the other's path is a reported error).
+bool mapped(const void* p) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto at = reinterpret_cast<std::uintptr_t>(p) / page * page;
+  unsigned char resident = 0;
+  return ::mincore(reinterpret_cast<void*>(at), page, &resident) == 0 ||
+         errno != ENOMEM;
+}
+
+TEST(HugeArrays, ArraysFromTheThresholdOnAreHugePageAligned) {
+  const Buffer<float> at(huge_entries<float>());
+  EXPECT_TRUE(huge_aligned(at.data()));
+  const Buffer<std::uint16_t> over(huge_entries<std::uint16_t>() + 3);
+  EXPECT_TRUE(huge_aligned(over.data()));
+  const Buffer<double> filled(huge_entries<double>(), 2.5);  // fills still fill
+  EXPECT_TRUE(huge_aligned(filled.data()));
+  EXPECT_EQ(filled.front(), 2.5);
+  EXPECT_EQ(filled.back(), 2.5);
+}
+
+TEST(HugeArrays, GrowthAcrossTheThresholdKeepsEntriesAndUnmapsOnFree) {
+  const void* last = nullptr;
+  {
+    Buffer<std::int32_t> v;
+    const std::size_t n = huge_entries<std::int32_t>() * 2 + 17;
+    bool crossed = false;  // a reallocation from the heap onto a mapping
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t cap = v.capacity();
+      v.push_back(static_cast<std::int32_t>(i));
+      if (v.capacity() != cap &&
+          cap * sizeof(std::int32_t) < kHugeArrayBytes &&
+          v.capacity() * sizeof(std::int32_t) >= kHugeArrayBytes)
+        crossed = true;
+    }
+    EXPECT_TRUE(crossed);
+    EXPECT_TRUE(huge_aligned(v.data()));
+    for (std::size_t i = 0; i < n; i += 4099)
+      ASSERT_EQ(v[i], static_cast<std::int32_t>(i));
+    EXPECT_EQ(v.back(), static_cast<std::int32_t>(n - 1));
+    last = v.data();
+    EXPECT_TRUE(mapped(last));
+  }
+  EXPECT_FALSE(mapped(last));
+}
+
+TEST(HugeArrays, ReleasedCsrValuesAreFreedByTheirOwnPath) {
+  // One row of entries, whose values reach the threshold.
+  const auto nnz = static_cast<index_t>(huge_entries<float>());
+  std::vector<index_t> cols(static_cast<std::size_t>(nnz));
+  for (index_t j = 0; j < nnz; ++j) cols[static_cast<std::size_t>(j)] = j;
+  CsrMatrix<float> m(1, nnz, {0, nnz}, std::move(cols),
+                     std::vector<float>(static_cast<std::size_t>(nnz), 1.5f));
+  EXPECT_TRUE(huge_aligned(m.vals().data()));
+  const void* at = nullptr;
+  {
+    const Buffer<float> vals = std::move(m).release_values();
+    at = vals.data();
+    EXPECT_TRUE(huge_aligned(at));
+    EXPECT_EQ(vals.back(), 1.5f);
+    EXPECT_EQ(m.nnz(), 0);
+  }
+  EXPECT_FALSE(mapped(at));
+}
+
+TEST(HugeArrays, ValuePoolRoundTripHandsBackTheSameMapping) {
+  const std::size_t n = huge_entries<double>();
+  const std::shared_ptr<const void> structure = std::make_shared<int>(0);
+  const void* at = nullptr;
+  {
+    ValuePool<Buffer<double>> pool;
+    Buffer<double> v = pool.take(structure, n);  // fresh
+    at = v.data();
+    EXPECT_TRUE(huge_aligned(at));
+    v[0] = 4.0;
+    pool.put(structure, std::move(v));
+    Buffer<double> again = pool.take(structure, n);  // the spare
+    EXPECT_EQ(again.data(), at);
+    EXPECT_EQ(again[0], 4.0);
+    EXPECT_EQ(pool.recycled(), 1u);
+    pool.put(structure, std::move(again));
+  }  // the pool frees its spare
+  EXPECT_FALSE(mapped(at));
 }
 
 }  // namespace
