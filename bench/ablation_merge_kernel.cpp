@@ -31,8 +31,9 @@ int main(int argc, char** argv) {
     const auto plan = oracle_plan(a, x, pools);
     const auto bins = core::bins_for_plan(a, plan);
     const double t_auto = time_spmv([&] {
-      core::execute_plan(clsim::default_engine(), a, std::span<const float>(x),
-                         std::span<float>(y), bins, plan);
+      core::execute_plan(*exec::shared_backend(exec::BackendKind::Clsim), a,
+                         std::span<const float>(x), std::span<float>(y), bins,
+                         plan);
     });
     const double t_merge = time_spmv([&] {
       baseline::spmv_merge(a, std::span<const float>(x), std::span<float>(y));

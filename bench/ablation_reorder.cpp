@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     const auto plan_orig = oracle_plan(in.a, x, pools);
     const auto bins_orig = core::bins_for_plan(in.a, plan_orig);
     const double t_orig = time_spmv([&] {
-      core::execute_plan(clsim::default_engine(), in.a,
+      core::execute_plan(*exec::shared_backend(exec::BackendKind::Clsim), in.a,
                          std::span<const float>(x), std::span<float>(y),
                          bins_orig, plan_orig);
     });
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     const auto bins_sorted = core::bins_for_plan(sorted, plan_sorted);
     // Sorted pipeline includes the per-SpMV scatter back to original order.
     const double t_sorted = time_spmv([&] {
-      core::execute_plan(clsim::default_engine(), sorted,
+      core::execute_plan(*exec::shared_backend(exec::BackendKind::Clsim), sorted,
                          std::span<const float>(x), std::span<float>(y_perm),
                          bins_sorted, plan_sorted);
       unpermute(std::span<const float>(y_perm), perm, std::span<float>(y));

@@ -119,7 +119,8 @@ inline core::Plan oracle_plan(const CsrMatrix<float>& a,
                               const core::CandidatePools& pools) {
   core::ExhaustiveOptions opts;
   opts.measure = {.warmup = 1, .reps = 5, .max_total_s = 0.5};
-  return core::exhaustive_tune(clsim::default_engine(), a, x, pools, opts)
+  return core::exhaustive_tune(*exec::shared_backend(exec::BackendKind::Clsim),
+                               a, x, pools, opts)
       .best_plan;
 }
 

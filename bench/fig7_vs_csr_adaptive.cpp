@@ -38,8 +38,9 @@ int main(int argc, char** argv) {
     const auto plan = oracle_plan(a, x, pools);
     const auto bins = core::bins_for_plan(a, plan);
     const double t_auto = time_strategy(prof_ptr, info.name + "/auto", [&] {
-      core::execute_plan(clsim::default_engine(), a, std::span<const float>(x),
-                         std::span<float>(y), bins, plan);
+      core::execute_plan(*exec::shared_backend(exec::BackendKind::Clsim), a,
+                         std::span<const float>(x), std::span<float>(y), bins,
+                         plan);
     });
 
     baseline::CsrAdaptive<float> adaptive(a, clsim::default_engine());

@@ -65,9 +65,7 @@ int main(int argc, char** argv) {
   const auto half_band = static_cast<index_t>(cli.get_int("half-band", 32));
   const auto rows =
       static_cast<index_t>(cli.get_int("rows", default_rows(half_band)));
-  const auto backend =
-      exec::shared_backend(exec::backend_from_name(cli.get("backend",
-                                                           "native")));
+  const auto backend = exec::backend_from_name(cli.get("backend", "native"));
   const auto format = format_from_cli(cli);
   const bool check = cli.get_bool("check", false);
   const double floor = cli.get_double("speedup-floor", 1.5);
@@ -83,7 +81,7 @@ int main(int argc, char** argv) {
   const core::HeuristicPredictor pred;
   const auto rt = core::Tuner(a)
                       .predictor(pred)
-                      .backend(*backend)
+                      .backend(backend)
                       .formats(format)
                       .format_policy({.min_reuse = 0})
                       .build();
@@ -94,7 +92,7 @@ int main(int argc, char** argv) {
               "llc=%zu MiB, backend=%s, format=%s) ===\n",
               rows, half_band, static_cast<long long>(a.nnz()),
               llc_bytes() >> 20,
-              exec::backend_cname(backend->kind()),
+              exec::backend_cname(backend),
               fmt::format_mode_cname(format));
   std::printf("plan: %s\n\n", rt.plan().to_string().c_str());
 
@@ -131,7 +129,7 @@ int main(int argc, char** argv) {
     auto config = prof::Json::object();
     config.set("rows", static_cast<std::int64_t>(rows));
     config.set("half_band", static_cast<std::int64_t>(half_band));
-    config.set("backend", exec::backend_name(backend->kind()));
+    config.set("backend", exec::backend_name(backend));
     config.set("format", std::string(fmt::format_mode_cname(format)));
     auto root = prof::Json::object();
     root.set("bench", "spmm_bench");

@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
   const auto specs = gen::sample_corpus(copts);
   util::Timer timer;
   core::TrainReport report;
-  const auto model =
-      core::train_model(specs, topts, clsim::default_engine(), &report);
+  const auto model = core::train_model(specs, topts, &report);
   std::printf("training pipeline took %.1f s\n\n", timer.elapsed_s());
 
   std::printf("%-34s %12s %12s\n", "stage", "train error", "test error");
@@ -76,8 +75,9 @@ int main(int argc, char** argv) {
     const auto oracle = oracle_plan(a, x, topts.pools);
     const auto oracle_bins = core::bins_for_plan(a, oracle);
     const double t_oracle = time_spmv([&] {
-      core::execute_plan(clsim::default_engine(), a, std::span<const float>(x),
-                         std::span<float>(y), oracle_bins, oracle);
+      core::execute_plan(*exec::shared_backend(exec::BackendKind::Clsim), a,
+                         std::span<const float>(x), std::span<float>(y),
+                         oracle_bins, oracle);
     });
 
     const auto spmv = core::Tuner(a).predictor(pred).build();

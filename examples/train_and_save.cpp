@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
   std::printf("training on %d synthetic UF-like matrices...\n", copts.count);
   util::Timer timer;
   core::TrainReport report;
-  const auto model = core::train_model(gen::sample_corpus(copts), topts,
-                                       clsim::default_engine(), &report);
+  const auto model =
+      core::train_model(gen::sample_corpus(copts), topts, &report);
   std::printf("done in %.1f s\n", timer.elapsed_s());
   std::printf("stage 1 (U):      train %.1f%%, test %.1f%% error\n",
               100.0 * report.stage1_train_error,

@@ -15,6 +15,11 @@ namespace spmv::adapt {
 
 namespace {
 
+/// Epsilon-greedy exploration rate: the share of kernel challengers drawn
+/// at random instead of the best median, and of unit challengers drawn
+/// from the whole granularity pool instead of the best explored one.
+constexpr double kEpsilon = 0.25;
+
 /// Non-zeros covered by a bin's virtual rows (same computation as the
 /// exhaustive tuner's workload accounting).
 template <typename T>
@@ -87,42 +92,13 @@ kernels::KernelId BanditTuner<T>::pick_challenger(
     if (ba.arms[static_cast<std::size_t>(id)].samples == 0) return id;
   }
 
-  if (opts_.use_ucb) {
-    // UCB1 on the GFLOP/s medians. The bonus term is scaled by the best
-    // median so the exploration pressure tracks the reward magnitude
-    // (GFLOP/s is not normalized to [0, 1]).
-    double scale = 0.0;
-    for (kernels::KernelId id : opts_.kernel_pool)
-      scale = std::max(scale,
-                       ba.arms[static_cast<std::size_t>(id)].gflops());
-    if (scale <= 0.0) scale = 1.0;
-    const double log_total =
-        std::log(static_cast<double>(std::max<std::uint64_t>(2, ba.pulls)));
-    kernels::KernelId best = incumbent;
-    double best_score = -std::numeric_limits<double>::infinity();
-    for (kernels::KernelId id : opts_.kernel_pool) {
-      if (id == incumbent) continue;
-      const Arm& arm = ba.arms[static_cast<std::size_t>(id)];
-      const double bonus =
-          scale * std::sqrt(2.0 * log_total /
-                            static_cast<double>(std::max<std::uint64_t>(
-                                1, arm.samples)));
-      const double score = arm.gflops() + bonus;
-      if (score > best_score) {
-        best_score = score;
-        best = id;
-      }
-    }
-    return best;
-  }
-
   // Epsilon-greedy: explore a random non-incumbent, otherwise exploit the
   // best median so far.
   std::vector<kernels::KernelId> candidates;
   candidates.reserve(opts_.kernel_pool.size());
   for (kernels::KernelId id : opts_.kernel_pool)
     if (id != incumbent) candidates.push_back(id);
-  if (rng_.uniform() < opts_.epsilon)
+  if (rng_.uniform() < kEpsilon)
     return candidates[rng_.bounded(candidates.size())];
   kernels::KernelId best = candidates.front();
   double best_gflops = -1.0;
@@ -158,7 +134,7 @@ index_t BanditTuner<T>::pick_unit_challenger(const KeyState& st,
   // Epsilon jump: a random pool granularity. Escapes plateaus where both
   // neighbors look no better, and lets a distant optimum be discovered
   // without walking every intermediate step.
-  if (pool.size() >= 2 && rng_.uniform() < opts_.epsilon) {
+  if (pool.size() >= 2 && rng_.uniform() < kEpsilon) {
     for (int tries = 0; tries < 8; ++tries) {
       const index_t u = pool[rng_.bounded(pool.size())];
       if (u != incumbent) return u;
@@ -383,7 +359,6 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::observe(
   st.next_hot += 1;
   const kernels::KernelId incumbent = plan.kernel_for(bin);
   BinArms& ba = st.bins[bin];
-  ba.pulls += 1;
   const kernels::KernelId challenger = pick_challenger(ba, incumbent);
 
   const auto& vrows = bins.bin(bin);
@@ -480,7 +455,6 @@ typename BanditTuner<T>::LatencyVariant BanditTuner<T>::next_variant(
   st.l_challenge_next = false;
   st.next_hot += 1;  // move to the next hot bin after each paired round
   BinArms& ba = st.bins[bin];
-  ba.pulls += 1;
   const kernels::KernelId incumbent = plan.kernel_for(bin);
   v.kernel = incumbent;
   v.incumbent = incumbent;

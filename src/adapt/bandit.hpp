@@ -97,10 +97,6 @@ struct AdaptOptions {
   /// Challenger's median GFLOP/s must exceed incumbent's median times this
   /// ratio to promote (1.10 = 10% better). Values <= 1 promote on any win.
   double hysteresis = 1.10;
-  /// Epsilon-greedy exploration rate (ignored when use_ucb is true).
-  double epsilon = 0.25;
-  /// Select challengers by UCB1 instead of epsilon-greedy.
-  bool use_ucb = false;
   /// How many of the plan's hottest bins (by covered nnz) to rotate trials
   /// through.
   int hot_bins = 2;
@@ -235,7 +231,6 @@ class BanditTuner {
 
   struct BinArms {
     Arm arms[kernels::kKernelCount];
-    std::uint64_t pulls = 0;  ///< trials on this bin (for UCB)
   };
 
   /// Per-fingerprint bandit state. Kernel-arm samples are (bin, kernel)

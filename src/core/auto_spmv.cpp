@@ -59,13 +59,13 @@ PlannedMatrix plan_matrix(const CsrMatrix<T>& a, const Predictor& predictor,
 
 template <typename T>
 AutoSpmv<T>::AutoSpmv(const CsrMatrix<T>& a, const Predictor& predictor,
-                      exec::ExecContext ctx, prof::RunProfile* profile,
+                      exec::BackendKind backend, prof::RunProfile* profile,
                       std::optional<Predictor::UnitChoice> forced,
                       fmt::FormatMode format_mode,
                       fmt::AmortizationPolicy format_policy)
-    : a_(a), ctx_(std::move(ctx)), profile_(profile) {
+    : a_(a), backend_(exec::shared_backend(backend)), profile_(profile) {
   PlannedMatrix p = plan_matrix(
-      a, predictor, ctx_.backend(), format_mode, forced,
+      a, predictor, *backend_, format_mode, forced,
       profile != nullptr ? &profile->plan_timing : nullptr);
   stats_ = p.stats;
   plan_ = std::move(p.plan);
@@ -75,14 +75,17 @@ AutoSpmv<T>::AutoSpmv(const CsrMatrix<T>& a, const Predictor& predictor,
 }
 
 template <typename T>
-AutoSpmv<T>::AutoSpmv(const CsrMatrix<T>& a, Plan plan, exec::ExecContext ctx,
-                      prof::RunProfile* profile,
+AutoSpmv<T>::AutoSpmv(const CsrMatrix<T>& a, Plan plan,
+                      exec::BackendKind backend, prof::RunProfile* profile,
                       fmt::AmortizationPolicy format_policy)
-    : a_(a), ctx_(std::move(ctx)), profile_(profile), plan_(std::move(plan)) {
+    : a_(a),
+      backend_(exec::shared_backend(backend)),
+      profile_(profile),
+      plan_(std::move(plan)) {
   plan_.normalize();  // external plans may violate the ascending invariant
-  // The context is the resolved truth (an explicit .backend() override
-  // beats the plan's recorded kind); keep the plan consistent with it.
-  plan_.backend = ctx_.kind();
+  // The resolved kind is the truth (an explicit .backend() override beats
+  // the plan's recorded kind); keep the plan consistent with it.
+  plan_.backend = backend;
   prof::PlanTiming* pt = profile != nullptr ? &profile->plan_timing : nullptr;
   {
     trace::TraceSpan span("plan-features", "plan");
@@ -100,7 +103,7 @@ AutoSpmv<T>::AutoSpmv(const CsrMatrix<T>& a, Plan plan, exec::ExecContext ctx,
 
 template <typename T>
 void AutoSpmv<T>::init_layouts(fmt::AmortizationPolicy policy) {
-  if (plan_.uses_formats() && ctx_.backend().supports_formats())
+  if (plan_.uses_formats() && backend_->supports_formats())
     layouts_ = std::make_shared<fmt::PlanLayouts<T>>(policy);
 }
 
@@ -116,14 +119,14 @@ void AutoSpmv<T>::describe_profile() const {
 template <typename T>
 void AutoSpmv<T>::run(std::span<const T> x, std::span<T> y,
                       prof::RunProfile* profile) const {
-  execute_plan(ctx_.backend(), a_, x, y, bins_, plan_, profile,
+  execute_plan(*backend_, a_, x, y, bins_, plan_, profile,
                layouts_.get());
 }
 
 template <typename T>
 void AutoSpmv<T>::run_spmm(std::span<const T> x, std::span<T> y, int width,
                            prof::RunProfile* profile) const {
-  execute_plan_spmm(ctx_.backend(), a_, x, y, width, bins_, plan_, profile,
+  execute_plan_spmm(*backend_, a_, x, y, width, bins_, plan_, profile,
                     layouts_.get());
 }
 

@@ -17,7 +17,6 @@
 #include <span>
 
 #include "binning/binning.hpp"
-#include "clsim/engine.hpp"
 #include "core/exhaustive.hpp"
 #include "exec/backend.hpp"
 #include "core/plan.hpp"
@@ -86,10 +85,7 @@ class AutoSpmv {
   [[nodiscard]] const RowStats& stats() const { return stats_; }
   /// The execution backend runs go through; plan().backend matches its
   /// kind (the plan is stamped at construction).
-  [[nodiscard]] const exec::Backend& backend() const {
-    return ctx_.backend();
-  }
-  [[nodiscard]] const exec::ExecContext& context() const { return ctx_; }
+  [[nodiscard]] const exec::Backend& backend() const { return *backend_; }
   /// Profile attached at build time (null when none).
   [[nodiscard]] prof::RunProfile* profile() const { return profile_; }
   /// The per-bin layout cache, or null when every bin executes from CSR
@@ -106,20 +102,21 @@ class AutoSpmv {
   /// Tuner's scheme/unit overrides), and — under FormatMode::Auto on a
   /// format-capable backend — stamps each bin with the estimator's format.
   AutoSpmv(const CsrMatrix<T>& a, const Predictor& predictor,
-           exec::ExecContext ctx, prof::RunProfile* profile,
+           exec::BackendKind backend, prof::RunProfile* profile,
            std::optional<Predictor::UnitChoice> forced,
            fmt::FormatMode format_mode, fmt::AmortizationPolicy format_policy);
 
   /// Full external-plan constructor (the plan's recorded per-bin formats
   /// are authoritative; format_mode only matters for predictor builds).
-  AutoSpmv(const CsrMatrix<T>& a, Plan plan, exec::ExecContext ctx,
+  AutoSpmv(const CsrMatrix<T>& a, Plan plan, exec::BackendKind backend,
            prof::RunProfile* profile, fmt::AmortizationPolicy format_policy);
 
   void describe_profile() const;
   void init_layouts(fmt::AmortizationPolicy policy);
 
   const CsrMatrix<T>& a_;
-  exec::ExecContext ctx_;
+  /// The shared instance of the resolved kind (exec::shared_backend).
+  std::shared_ptr<const exec::Backend> backend_;
   prof::RunProfile* profile_ = nullptr;
   RowStats stats_;
   Plan plan_;

@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "exec/clsim_backend.hpp"
+#include "clsim/engine.hpp"
 #include "fmt/plan_layouts.hpp"
 #include "prof/counters.hpp"
 
@@ -265,30 +265,6 @@ TuneResult exhaustive_tune(const exec::Backend& backend, const CsrMatrix<T>& a,
   return result;
 }
 
-// --- clsim::Engine conveniences ---------------------------------------
-
-template <typename T>
-void execute_plan(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                  std::span<const T> x, std::span<T> y,
-                  const binning::BinSet& bins, const Plan& plan) {
-  execute_plan(exec::ClsimBackend(engine), a, x, y, bins, plan);
-}
-
-template <typename T>
-void execute_plan(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                  std::span<const T> x, std::span<T> y,
-                  const binning::BinSet& bins, const Plan& plan,
-                  prof::RunProfile* profile) {
-  execute_plan(exec::ClsimBackend(engine), a, x, y, bins, plan, profile);
-}
-
-template <typename T>
-TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                           std::span<const T> x, const CandidatePools& pools,
-                           const ExhaustiveOptions& opts) {
-  return exhaustive_tune(exec::ClsimBackend(engine), a, x, pools, opts);
-}
-
 #define SPMV_EXHAUSTIVE_INSTANTIATE(T)                                       \
   template binning::BinSet bins_for_plan(const CsrMatrix<T>&, const Plan&);  \
   template void execute_plan(const exec::Backend&, const CsrMatrix<T>&,      \
@@ -304,18 +280,6 @@ TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
                                   const binning::BinSet&, const Plan&,       \
                                   prof::RunProfile*, fmt::PlanLayouts<T>*);  \
   template TuneResult exhaustive_tune(const exec::Backend&,                  \
-                                      const CsrMatrix<T>&,                   \
-                                      std::span<const T>,                    \
-                                      const CandidatePools&,                 \
-                                      const ExhaustiveOptions&);             \
-  template void execute_plan(const clsim::Engine&, const CsrMatrix<T>&,      \
-                             std::span<const T>, std::span<T>,               \
-                             const binning::BinSet&, const Plan&);           \
-  template void execute_plan(const clsim::Engine&, const CsrMatrix<T>&,      \
-                             std::span<const T>, std::span<T>,               \
-                             const binning::BinSet&, const Plan&,            \
-                             prof::RunProfile*);                             \
-  template TuneResult exhaustive_tune(const clsim::Engine&,                  \
                                       const CsrMatrix<T>&,                   \
                                       std::span<const T>,                    \
                                       const CandidatePools&,                 \

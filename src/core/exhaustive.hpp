@@ -5,15 +5,13 @@
 // training stage performs.
 //
 // Execution goes through the exec::Backend seam, so plans can run (and be
-// tuned) on any backend; the clsim::Engine overloads are thin conveniences
-// that wrap the engine in an exec::ClsimBackend.
+// tuned) on either shared backend (exec::shared_backend).
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "binning/binning.hpp"
-#include "clsim/engine.hpp"
 #include "core/candidates.hpp"
 #include "core/plan.hpp"
 #include "exec/backend.hpp"
@@ -60,8 +58,8 @@ void execute_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
 /// SpMM through `plan`: Y = A·X for `width` dense right-hand sides
 /// (column-major, kernels::batch_column layout, each a.cols() long; results
 /// in the matching columns of `y`, each a.rows() long). The one
-/// multi-vector path: CSR bins go through the backend's run_spmm, layout
-/// bins through run_layout_batch, and width 1 is exactly execute_plan. Per
+/// multi-vector path: every bin goes to the backend's run_bins at `width`
+/// columns, and width 1 is exactly execute_plan. Per
 /// output column the result is bit-identical to `width` single-vector
 /// execute_plan runs. The profiled variant additionally records the
 /// prof::spmm_fallback_columns delta this execution caused.
@@ -111,25 +109,6 @@ TuneResult exhaustive_tune(const exec::Backend& backend, const CsrMatrix<T>& a,
                            std::span<const T> x, const CandidatePools& pools,
                            const ExhaustiveOptions& opts = {});
 
-// --- clsim::Engine conveniences ---------------------------------------
-// Equivalent to the Backend overloads with exec::ClsimBackend(engine).
-
-template <typename T>
-void execute_plan(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                  std::span<const T> x, std::span<T> y,
-                  const binning::BinSet& bins, const Plan& plan);
-
-template <typename T>
-void execute_plan(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                  std::span<const T> x, std::span<T> y,
-                  const binning::BinSet& bins, const Plan& plan,
-                  prof::RunProfile* profile);
-
-template <typename T>
-TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                           std::span<const T> x, const CandidatePools& pools,
-                           const ExhaustiveOptions& opts = {});
-
 #define SPMV_EXHAUSTIVE_EXTERN(T)                                            \
   extern template binning::BinSet bins_for_plan(const CsrMatrix<T>&,         \
                                                 const Plan&);                \
@@ -150,17 +129,6 @@ TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
                                          fmt::PlanLayouts<T>*);              \
   extern template TuneResult exhaustive_tune(                                \
       const exec::Backend&, const CsrMatrix<T>&, std::span<const T>,         \
-      const CandidatePools&, const ExhaustiveOptions&);                      \
-  extern template void execute_plan(const clsim::Engine&,                    \
-                                    const CsrMatrix<T>&, std::span<const T>, \
-                                    std::span<T>, const binning::BinSet&,    \
-                                    const Plan&);                            \
-  extern template void execute_plan(const clsim::Engine&,                    \
-                                    const CsrMatrix<T>&, std::span<const T>, \
-                                    std::span<T>, const binning::BinSet&,    \
-                                    const Plan&, prof::RunProfile*);         \
-  extern template TuneResult exhaustive_tune(                                \
-      const clsim::Engine&, const CsrMatrix<T>&, std::span<const T>,         \
       const CandidatePools&, const ExhaustiveOptions&);
 SPMV_EXHAUSTIVE_EXTERN(float)
 SPMV_EXHAUSTIVE_EXTERN(double)

@@ -17,6 +17,7 @@
 
 #include <span>
 
+#include "clsim/engine.hpp"
 #include "core/auto_spmv.hpp"
 
 namespace spmv::core {

@@ -11,8 +11,7 @@
 namespace spmv::core {
 
 template <typename T>
-MatrixLabels harvest_labels(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                            const TrainerOptions& opts) {
+MatrixLabels harvest_labels(const CsrMatrix<T>& a, const TrainerOptions& opts) {
   MatrixLabels labels;
   labels.stats = compute_row_stats(a);
 
@@ -21,8 +20,9 @@ MatrixLabels harvest_labels(const clsim::Engine& engine, const CsrMatrix<T>& a,
   util::Xoshiro256 rng(12345);
   for (auto& v : x) v = static_cast<T>(rng.uniform(0.5, 1.5));
 
-  const TuneResult tuned = exhaustive_tune(engine, a, std::span<const T>(x),
-                                           opts.pools, opts.tune);
+  const TuneResult tuned =
+      exhaustive_tune(*exec::shared_backend(exec::BackendKind::Clsim), a,
+                      std::span<const T>(x), opts.pools, opts.tune);
 
   if (tuned.best_plan.single_bin) {
     labels.best_unit_class = static_cast<int>(opts.pools.units.size());
@@ -48,8 +48,7 @@ MatrixLabels harvest_labels(const clsim::Engine& engine, const CsrMatrix<T>& a,
 }
 
 TrainedModel train_model(const std::vector<gen::CorpusSpec>& specs,
-                         const TrainerOptions& opts,
-                         const clsim::Engine& engine, TrainReport* report) {
+                         const TrainerOptions& opts, TrainReport* report) {
   if (specs.empty()) throw std::invalid_argument("train_model: empty corpus");
 
   // Per-matrix shuffled split (the paper splits the matrix collection, not
@@ -75,7 +74,7 @@ TrainedModel train_model(const std::vector<gen::CorpusSpec>& specs,
     // Kernels measure in float, matching the paper's OpenCL kernels.
     const auto a = gen::make_corpus_matrix<float>(spec);
     util::Timer harvest_wall;
-    const MatrixLabels labels = harvest_labels(engine, a, opts);
+    const MatrixLabels labels = harvest_labels(a, opts);
     if (opts.profile != nullptr) {
       opts.profile->add_candidate(
           "matrix " + std::to_string(k + 1) + "/" +
@@ -128,11 +127,9 @@ TrainedModel train_model(const std::vector<gen::CorpusSpec>& specs,
   return model;
 }
 
-template MatrixLabels harvest_labels(const clsim::Engine&,
-                                     const CsrMatrix<float>&,
+template MatrixLabels harvest_labels(const CsrMatrix<float>&,
                                      const TrainerOptions&);
-template MatrixLabels harvest_labels(const clsim::Engine&,
-                                     const CsrMatrix<double>&,
+template MatrixLabels harvest_labels(const CsrMatrix<double>&,
                                      const TrainerOptions&);
 
 }  // namespace spmv::core

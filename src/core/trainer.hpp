@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "clsim/engine.hpp"
 #include "core/exhaustive.hpp"
 #include "core/predictor.hpp"
 #include "gen/corpus.hpp"
@@ -68,23 +67,19 @@ struct MatrixLabels {
   std::vector<Stage2Label> stage2;
 };
 
-/// Measure one matrix and harvest its labels.
+/// Measure one matrix on the shared clsim backend and harvest its labels.
 template <typename T>
-MatrixLabels harvest_labels(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                            const TrainerOptions& opts);
+MatrixLabels harvest_labels(const CsrMatrix<T>& a, const TrainerOptions& opts);
 
 /// Full pipeline: tune every corpus matrix, split per-matrix, train both
 /// stages, fill `report` (optional).
 TrainedModel train_model(const std::vector<gen::CorpusSpec>& specs,
                          const TrainerOptions& opts,
-                         const clsim::Engine& engine,
                          TrainReport* report = nullptr);
 
-extern template MatrixLabels harvest_labels(const clsim::Engine&,
-                                            const CsrMatrix<float>&,
+extern template MatrixLabels harvest_labels(const CsrMatrix<float>&,
                                             const TrainerOptions&);
-extern template MatrixLabels harvest_labels(const clsim::Engine&,
-                                            const CsrMatrix<double>&,
+extern template MatrixLabels harvest_labels(const CsrMatrix<double>&,
                                             const TrainerOptions&);
 
 }  // namespace spmv::core

@@ -1,37 +1,23 @@
 #include "core/tuner.hpp"
 
-#include <memory>
 #include <stdexcept>
-#include <utility>
 
 namespace spmv::core {
 
 template <typename T>
-exec::ExecContext Tuner<T>::resolve_context() const {
-  // backend(instance) > backend(kind) > plan().backend > clsim; an
-  // explicit engine() only matters when clsim wins the resolution.
-  if (backend_instance_ != nullptr)
-    return exec::ExecContext(std::shared_ptr<const exec::Backend>(
-        std::shared_ptr<const exec::Backend>(), backend_instance_));
+AutoSpmv<T> Tuner<T>::build() const {
+  // backend(kind) > plan().backend > clsim.
   const exec::BackendKind kind =
       backend_kind_.has_value() ? *backend_kind_
       : plan_.has_value()      ? plan_->backend
                                : exec::BackendKind::Clsim;
-  if (kind == exec::BackendKind::Clsim && engine_ != nullptr)
-    return exec::ExecContext(exec::wrap_engine(*engine_));
-  return exec::ExecContext(exec::shared_backend(kind));
-}
-
-template <typename T>
-AutoSpmv<T> Tuner<T>::build() const {
-  exec::ExecContext ctx = resolve_context();
 
   if (plan_.has_value()) {
     if (scheme_.has_value() || unit_.has_value())
       throw std::invalid_argument(
           "Tuner: plan() already fixes the binning; scheme()/unit() would "
           "be ignored");
-    return AutoSpmv<T>(*a_, *plan_, std::move(ctx), profile_, format_policy_);
+    return AutoSpmv<T>(*a_, *plan_, kind, profile_, format_policy_);
   }
   if (predictor_ == nullptr)
     throw std::logic_error("Tuner: predictor() or plan() required");
@@ -39,8 +25,7 @@ AutoSpmv<T> Tuner<T>::build() const {
   // Resolve scheme/unit overrides into a forced granularity choice; no
   // override leaves the prediction to the predictor.
   std::optional<Predictor::UnitChoice> forced;
-  const auto kind = scheme_.value_or(binning::SchemeKind::Coarse);
-  switch (kind) {
+  switch (scheme_.value_or(binning::SchemeKind::Coarse)) {
     case binning::SchemeKind::Coarse:
       if (unit_.has_value()) forced = Predictor::UnitChoice{*unit_, false};
       break;
@@ -57,7 +42,7 @@ AutoSpmv<T> Tuner<T>::build() const {
           "Tuner: the hybrid scheme needs per-part plans; use "
           "binning::apply_scheme directly");
   }
-  return AutoSpmv<T>(*a_, *predictor_, std::move(ctx), profile_, forced,
+  return AutoSpmv<T>(*a_, *predictor_, kind, profile_, forced,
                      format_mode_, format_policy_);
 }
 

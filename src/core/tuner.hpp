@@ -1,12 +1,12 @@
 // Tuner — the builder facade for constructing an auto-tuned SpMV runtime.
 // Replaces the two overloaded AutoSpmv constructors with one fluent entry
-// point that also carries the optional knobs (engine, binning scheme,
+// point that also carries the optional knobs (backend, binning scheme,
 // forced granularity, telemetry sink):
 //
 //   spmv::prof::RunProfile profile;
 //   auto spmv = spmv::core::Tuner(a)
 //                   .predictor(pred)
-//                   .engine(engine)
+//                   .backend(spmv::exec::BackendKind::Native)
 //                   .scheme(binning::SchemeKind::Coarse)
 //                   .profile(&profile)
 //                   .build();
@@ -40,23 +40,8 @@ class Tuner {
     return *this;
   }
 
-  /// Execution engine (defaults to clsim::default_engine()). Only
-  /// meaningful when the resolved backend is clsim; a non-clsim backend()
-  /// choice wins over engine().
-  Tuner& engine(const clsim::Engine& e) {
-    engine_ = &e;
-    return *this;
-  }
-
-  /// Execute on a specific backend instance, which must outlive the built
-  /// AutoSpmv. Overrides backend(kind) and the plan's recorded backend.
-  Tuner& backend(const exec::Backend& b) {
-    backend_instance_ = &b;
-    return *this;
-  }
-
-  /// Execute on the shared instance of `kind`. Overrides the plan's
-  /// recorded backend. Resolution order at build(): backend(instance) >
+  /// Execute on the shared instance of `kind` (exec::shared_backend).
+  /// Overrides the plan's recorded backend. Resolution order at build():
   /// backend(kind) > plan().backend > clsim.
   Tuner& backend(exec::BackendKind kind) {
     backend_kind_ = kind;
@@ -119,14 +104,8 @@ class Tuner {
   [[nodiscard]] AutoSpmv<T> build() const;
 
  private:
-  /// Resolve the backend/engine knobs (and the plan's recorded backend)
-  /// into the context the runtime will execute on.
-  [[nodiscard]] exec::ExecContext resolve_context() const;
-
   const CsrMatrix<T>* a_;
   const Predictor* predictor_ = nullptr;
-  const clsim::Engine* engine_ = nullptr;
-  const exec::Backend* backend_instance_ = nullptr;
   std::optional<exec::BackendKind> backend_kind_;
   std::optional<Plan> plan_;
   std::optional<binning::SchemeKind> scheme_;

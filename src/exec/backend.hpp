@@ -1,14 +1,16 @@
 // spmv::exec — the execution-backend seam. A Backend owns kernel dispatch
-// (run_binned / run_full for one vector, run_spmm for a block of vectors,
-// run_bins for every bin of one plan) for one execution model; the rest of
-// the stack (core::AutoSpmv, serve::SpmvService, adapt::BanditTuner)
-// targets this interface instead of clsim::Engine directly, so a plan can
-// execute on the paper's lockstep simulator (ClsimBackend) or on tight
-// auto-vectorized CPU loops (NativeBackend).
+// for one execution model through one hook, do_run_bins (every bin of one
+// plan); the single-bin forms (run_binned / run_full for one vector,
+// run_spmm for a block of vectors, run_layout*) are lists of one task. The
+// rest of the stack (core::AutoSpmv, serve::SpmvService,
+// adapt::BanditTuner) targets this interface instead of clsim::Engine
+// directly, so a plan can execute on the paper's lockstep simulator
+// (ClsimBackend) or on tight auto-vectorized CPU loops (NativeBackend).
 //
 // Backend choice is a *plan* property: core::Plan carries a BackendKind
 // that travels through plan_io, and the Tuner resolves it at build time
-// (see tuner.hpp). The figure benches, the trainer and the exhaustive
+// (see tuner.hpp) to one of the two process-wide instances
+// (shared_backend). The figure benches, the trainer and the exhaustive
 // oracle run clsim; serving (serve, shard, iter, the adapt trials and the
 // PlanStore) runs native plans only (see require_native).
 //
@@ -83,12 +85,14 @@ struct BinTask {
   const fmt::BinLayout<T>* layout = nullptr;
 };
 
-/// Abstract kernel-dispatch interface. Implementations are stateless apart
-/// from configuration and safe to share across threads; the public entry
-/// points validate arguments and emit the per-kernel trace spans, then
-/// forward to the per-scalar-type virtual hooks (virtual functions cannot
-/// be templates, so float and double are spelled out — the library's two
-/// instantiated scalar types).
+/// Abstract kernel-dispatch interface with one run hook. Every public
+/// form — a whole plan (run_bins) or a single bin (run_binned, run_full,
+/// run_spmm, run_layout, run_layout_batch) — is validated here and reaches
+/// the backend as one call of do_run_bins: a single-bin form is a list of
+/// one task. Implementations are stateless apart from configuration and
+/// safe to share across threads; the hook is spelled out for float and
+/// double (virtual functions cannot be templates) — the library's two
+/// instantiated scalar types.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -101,6 +105,30 @@ class Backend {
   /// for backends that never touch clsim. Profiled plan execution merges
   /// counter deltas only when an engine is present.
   [[nodiscard]] virtual const clsim::Engine* engine() const { return nullptr; }
+
+  /// Whether this backend executes materialized bin layouts (spmv::fmt).
+  /// Backends that return false always execute bins from the shared CSR
+  /// arrays — core::execute_plan only takes the layout path when the
+  /// resolved backend supports it, which is how ClsimBackend stays a CSR
+  /// reference the differential suite can compare formats against.
+  [[nodiscard]] virtual bool supports_formats() const { return false; }
+
+  /// Execute every bin of one plan over `width` columns (the run_spmm
+  /// layout; width 1 is one vector): a task with a layout runs from it,
+  /// any other runs pool kernel `kernel` from the shared CSR arrays. Tasks
+  /// must cover disjoint rows, as the bins of one BinSet do; rows no task
+  /// covers are untouched. Throws std::invalid_argument for a width below
+  /// 1, X/Y extents other than cols*width / rows*width or a bad kernel id,
+  /// and std::logic_error for a layout task when supports_formats() is
+  /// false — all before the backend runs anything.
+  void run_bins(const CsrMatrix<float>& a,
+                std::span<const BinTask<float>> tasks,
+                std::span<const float> x, std::span<float> y,
+                int width) const;
+  void run_bins(const CsrMatrix<double>& a,
+                std::span<const BinTask<double>> tasks,
+                std::span<const double> x, std::span<double> y,
+                int width) const;
 
   /// Execute pool kernel `id` over the actual rows covered by the virtual
   /// rows `vrows` at granularity `unit`, writing only those entries of y.
@@ -123,13 +151,12 @@ class Backend {
   /// SpMM over the bin's rows: Y = A·X for `width` dense right-hand sides
   /// stored column-major (kernels::batch_column layout, each a.cols()
   /// long), results written to the matching columns of `y` (each a.rows()
-  /// long). The one multi-vector entry point: every backend shares one CSR
-  /// traversal across the columns where its execution model allows it, and
-  /// per output column the products accumulate in exactly the order the
-  /// single-vector kernel `id` would use, so a width-N run is bit-identical
-  /// to N run_binned calls. Columns a backend cannot block are run one by
-  /// one and counted in prof::spmm_fallback_columns. width == 1 routes
-  /// through run_binned.
+  /// long). Every backend shares one CSR traversal across the columns
+  /// where its execution model allows it, and per output column the
+  /// products accumulate in exactly the order the single-vector kernel
+  /// `id` would use, so a width-N run is bit-identical to N run_binned
+  /// calls. Columns a backend cannot block are run one by one and counted
+  /// in prof::spmm_fallback_columns.
   void run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,
                 std::span<const float> x, std::span<float> y, int width,
                 std::span<const index_t> vrows, index_t unit) const;
@@ -137,35 +164,10 @@ class Backend {
                 std::span<const double> x, std::span<double> y, int width,
                 std::span<const index_t> vrows, index_t unit) const;
 
-  /// Execute every bin of one plan over `width` columns (the run_spmm
-  /// layout; width 1 is one vector): each task runs as run_layout_batch
-  /// when it carries a layout, else as run_spmm, and every covered row gets
-  /// the bits that single-bin launch would write. Tasks must cover disjoint
-  /// rows, as the bins of one BinSet do; rows no task covers are
-  /// untouched. The base implementation launches the bins one after
-  /// another; NativeBackend runs them all in one parallel region. Throws
-  /// std::logic_error for a layout task when supports_formats() is false.
-  void run_bins(const CsrMatrix<float>& a,
-                std::span<const BinTask<float>> tasks,
-                std::span<const float> x, std::span<float> y,
-                int width) const;
-  void run_bins(const CsrMatrix<double>& a,
-                std::span<const BinTask<double>> tasks,
-                std::span<const double> x, std::span<double> y,
-                int width) const;
-
-  /// Whether this backend executes materialized bin layouts (spmv::fmt).
-  /// Backends that return false always execute bins from the shared CSR
-  /// arrays — core::execute_plan only takes the layout path when the
-  /// resolved backend supports it, which is how ClsimBackend stays a CSR
-  /// reference the differential suite can compare formats against.
-  [[nodiscard]] virtual bool supports_formats() const { return false; }
-
   /// Execute one materialized bin layout: y entries for every row the
   /// layout covers are overwritten (empty covered rows get 0), all others
   /// untouched — the same composition contract as run_binned. `a` supplies
   /// the extents for validation; the layout carries the actual arrays.
-  /// Throws std::logic_error when supports_formats() is false.
   void run_layout(const CsrMatrix<float>& a, const fmt::BinLayout<float>& l,
                   std::span<const float> x, std::span<float> y) const;
   void run_layout(const CsrMatrix<double>& a, const fmt::BinLayout<double>& l,
@@ -183,83 +185,21 @@ class Backend {
                         int batch) const;
 
  protected:
-  virtual void do_run_binned(kernels::KernelId id, const CsrMatrix<float>& a,
-                             std::span<const float> x, std::span<float> y,
-                             std::span<const index_t> vrows,
-                             index_t unit) const = 0;
-  virtual void do_run_binned(kernels::KernelId id, const CsrMatrix<double>& a,
-                             std::span<const double> x, std::span<double> y,
-                             std::span<const index_t> vrows,
-                             index_t unit) const = 0;
-  /// SpMM hooks. Only called with width >= 2 and validated extents;
-  /// width == 1 routes through do_run_binned.
-  virtual void do_run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,
-                           std::span<const float> x, std::span<float> y,
-                           int width, std::span<const index_t> vrows,
-                           index_t unit) const = 0;
-  virtual void do_run_spmm(kernels::KernelId id, const CsrMatrix<double>& a,
-                           std::span<const double> x, std::span<double> y,
-                           int width, std::span<const index_t> vrows,
-                           index_t unit) const = 0;
-
-  /// Layout execution hooks. Not pure: the base implementations throw
-  /// std::logic_error, so only format-capable backends (supports_formats()
-  /// true) need to override them.
-  virtual void do_run_layout(const CsrMatrix<float>& a,
-                             const fmt::BinLayout<float>& l,
-                             std::span<const float> x,
-                             std::span<float> y) const;
-  virtual void do_run_layout(const CsrMatrix<double>& a,
-                             const fmt::BinLayout<double>& l,
-                             std::span<const double> x,
-                             std::span<double> y) const;
-  virtual void do_run_layout_batch(const CsrMatrix<float>& a,
-                                   const fmt::BinLayout<float>& l,
-                                   std::span<const float> x,
-                                   std::span<float> y, int batch) const;
-  virtual void do_run_layout_batch(const CsrMatrix<double>& a,
-                                   const fmt::BinLayout<double>& l,
-                                   std::span<const double> x,
-                                   std::span<double> y, int batch) const;
-
-  /// Plan execution hooks. Called with validated extents; the defaults
-  /// launch each task through the public single-bin entries.
+  /// The run hook: every task of `tasks` over `width` columns. Called only
+  /// through run_bins, with its arguments validated.
   virtual void do_run_bins(const CsrMatrix<float>& a,
                            std::span<const BinTask<float>> tasks,
                            std::span<const float> x, std::span<float> y,
-                           int width) const;
+                           int width) const = 0;
   virtual void do_run_bins(const CsrMatrix<double>& a,
                            std::span<const BinTask<double>> tasks,
                            std::span<const double> x, std::span<double> y,
-                           int width) const;
+                           int width) const = 0;
 
  private:
   template <typename T>
-  void run_binned_impl(kernels::KernelId id, const CsrMatrix<T>& a,
-                       std::span<const T> x, std::span<T> y,
-                       std::span<const index_t> vrows, index_t unit) const;
-  template <typename T>
-  void run_full_impl(kernels::KernelId id, const CsrMatrix<T>& a,
-                     std::span<const T> x, std::span<T> y) const;
-  template <typename T>
-  void run_spmm_impl(kernels::KernelId id, const CsrMatrix<T>& a,
-                     std::span<const T> x, std::span<T> y, int width,
-                     std::span<const index_t> vrows, index_t unit) const;
-  template <typename T>
-  void run_layout_impl(const CsrMatrix<T>& a, const fmt::BinLayout<T>& l,
-                       std::span<const T> x, std::span<T> y) const;
-  template <typename T>
   void run_bins_impl(const CsrMatrix<T>& a, std::span<const BinTask<T>> tasks,
                      std::span<const T> x, std::span<T> y, int width) const;
-  template <typename T>
-  void default_run_bins(const CsrMatrix<T>& a,
-                        std::span<const BinTask<T>> tasks,
-                        std::span<const T> x, std::span<T> y,
-                        int width) const;
-  template <typename T>
-  void run_layout_batch_impl(const CsrMatrix<T>& a, const fmt::BinLayout<T>& l,
-                             std::span<const T> x, std::span<T> y,
-                             int batch) const;
 };
 
 /// The process-wide shared instance for `kind`: ClsimBackend over
@@ -267,25 +207,5 @@ class Backend {
 /// pointer is a no-op-deleter alias of a function-local static, so it is
 /// valid for the whole process lifetime and cheap to copy.
 std::shared_ptr<const Backend> shared_backend(BackendKind kind);
-
-/// Wrap a caller-owned engine in a ClsimBackend. The engine must outlive
-/// the returned backend; clsim::default_engine() resolves to the shared
-/// singleton instead of a fresh wrapper.
-std::shared_ptr<const Backend> wrap_engine(const clsim::Engine& engine);
-
-/// ExecContext — the resolved execution environment one runtime carries:
-/// shared ownership of the backend its plan executes on. Cheap to copy;
-/// default-constructed contexts use the shared clsim backend.
-class ExecContext {
- public:
-  ExecContext() : backend_(shared_backend(BackendKind::Clsim)) {}
-  explicit ExecContext(std::shared_ptr<const Backend> backend);
-
-  [[nodiscard]] const Backend& backend() const { return *backend_; }
-  [[nodiscard]] BackendKind kind() const { return backend_->kind(); }
-
- private:
-  std::shared_ptr<const Backend> backend_;
-};
 
 }  // namespace spmv::exec

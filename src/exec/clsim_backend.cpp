@@ -7,6 +7,7 @@
 
 #include "kernels/binned_common.hpp"
 #include "prof/counters.hpp"
+#include "trace/trace.hpp"
 
 namespace spmv::exec {
 
@@ -39,7 +40,17 @@ void dispatch_binned(KernelId id, const clsim::Engine& engine,
     case KernelId::Vector:
       return kernels::kernel_vector(engine, a, x, y, vrows, unit);
   }
-  throw std::invalid_argument("ClsimBackend: bad kernel id");
+}
+
+/// One single-vector launch with its "kernel" trace span.
+template <typename T>
+void run_kernel(KernelId id, const clsim::Engine& engine,
+                const CsrMatrix<T>& a, std::span<const T> x, std::span<T> y,
+                std::span<const index_t> vrows, index_t unit) {
+  trace::TraceSpan span(kernels::kernel_cname(id), "kernel");
+  span.arg("virtual_rows", static_cast<std::int64_t>(vrows.size()));
+  span.arg("unit", unit);
+  dispatch_binned(id, engine, a, x, y, vrows, unit);
 }
 
 /// Widest native batch whose local-memory footprint fits the device's
@@ -110,13 +121,15 @@ void dispatch_native_batch(KernelId id, const clsim::Engine& engine,
 /// back to one single-vector launch per column when no native variant
 /// fits. Each batched lane accumulates its columns in the single-vector
 /// kernel's order, so every column matches run_binned bit for bit. The
-/// single-vector fallbacks go through the backend's public run_binned so
-/// they emit their own "kernel" trace spans.
+/// single-vector launches emit their own "kernel" trace spans.
 template <typename T>
-void dispatch_spmm(const ClsimBackend& self, KernelId id,
-                   const clsim::Engine& engine, const CsrMatrix<T>& a,
-                   std::span<const T> x, std::span<T> y, int width,
-                   std::span<const index_t> vrows, index_t unit) {
+void dispatch_spmm(KernelId id, const clsim::Engine& engine,
+                   const CsrMatrix<T>& a, std::span<const T> x,
+                   std::span<T> y, int width, std::span<const index_t> vrows,
+                   index_t unit) {
+  trace::TraceSpan span(kernels::kernel_cname(id), "spmm");
+  span.arg("width", width);
+  span.arg("virtual_rows", static_cast<std::int64_t>(vrows.size()));
   const int limit = native_batch_limit<T>(id);
   if (limit >= 2) {
     // Native path, sliced so each launch's accumulators fit the arena.
@@ -129,7 +142,7 @@ void dispatch_spmm(const ClsimBackend& self, KernelId id,
       const auto yw = y.subspan(static_cast<std::size_t>(b0) * rows,
                                 static_cast<std::size_t>(w) * rows);
       if (w == 1) {
-        self.run_binned(id, a, xw, yw, vrows, unit);
+        run_kernel(id, engine, a, xw, yw, vrows, unit);
       } else {
         dispatch_native_batch(id, engine, a, xw, yw, w, vrows, unit);
       }
@@ -140,45 +153,39 @@ void dispatch_spmm(const ClsimBackend& self, KernelId id,
   // profiled runs see the columns that miss the blocked path.
   prof::add_spmm_fallback_columns(static_cast<std::uint64_t>(width));
   for (int b = 0; b < width; ++b) {
-    self.run_binned(id, a, kernels::batch_column(x, a.cols(), b),
-                    kernels::batch_column(y, a.rows(), b), vrows, unit);
+    run_kernel(id, engine, a, kernels::batch_column(x, a.cols(), b),
+               kernels::batch_column(y, a.rows(), b), vrows, unit);
+  }
+}
+
+/// The bins one after another, each as one launch (width 1) or one SpMM.
+/// run_bins has rejected layout tasks: clsim runs every bin from CSR.
+template <typename T>
+void run_tasks(const clsim::Engine& engine, const CsrMatrix<T>& a,
+               std::span<const BinTask<T>> tasks, std::span<const T> x,
+               std::span<T> y, int width) {
+  for (const BinTask<T>& t : tasks) {
+    if (width == 1)
+      run_kernel(t.kernel, engine, a, x, y, t.vrows, t.unit);
+    else
+      dispatch_spmm(t.kernel, engine, a, x, y, width, t.vrows, t.unit);
   }
 }
 
 }  // namespace
 
-void ClsimBackend::do_run_binned(kernels::KernelId id,
-                                 const CsrMatrix<float>& a,
-                                 std::span<const float> x, std::span<float> y,
-                                 std::span<const index_t> vrows,
-                                 index_t unit) const {
-  dispatch_binned(id, *engine_, a, x, y, vrows, unit);
-}
-
-void ClsimBackend::do_run_binned(kernels::KernelId id,
-                                 const CsrMatrix<double>& a,
-                                 std::span<const double> x,
-                                 std::span<double> y,
-                                 std::span<const index_t> vrows,
-                                 index_t unit) const {
-  dispatch_binned(id, *engine_, a, x, y, vrows, unit);
-}
-
-void ClsimBackend::do_run_spmm(kernels::KernelId id,
-                               const CsrMatrix<float>& a,
+void ClsimBackend::do_run_bins(const CsrMatrix<float>& a,
+                               std::span<const BinTask<float>> tasks,
                                std::span<const float> x, std::span<float> y,
-                               int width, std::span<const index_t> vrows,
-                               index_t unit) const {
-  dispatch_spmm(*this, id, *engine_, a, x, y, width, vrows, unit);
+                               int width) const {
+  run_tasks(*engine_, a, tasks, x, y, width);
 }
 
-void ClsimBackend::do_run_spmm(kernels::KernelId id,
-                               const CsrMatrix<double>& a,
-                               std::span<const double> x,
-                               std::span<double> y, int width,
-                               std::span<const index_t> vrows,
-                               index_t unit) const {
-  dispatch_spmm(*this, id, *engine_, a, x, y, width, vrows, unit);
+void ClsimBackend::do_run_bins(const CsrMatrix<double>& a,
+                               std::span<const BinTask<double>> tasks,
+                               std::span<const double> x, std::span<double> y,
+                               int width) const {
+  run_tasks(*engine_, a, tasks, x, y, width);
 }
 
 }  // namespace spmv::exec

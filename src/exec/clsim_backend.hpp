@@ -12,8 +12,10 @@ namespace spmv::exec {
 
 class ClsimBackend final : public Backend {
  public:
-  /// Dispatch on `engine`, which must outlive the backend. The default is
-  /// the process-wide clsim::default_engine().
+  /// Dispatch on `engine`, which must outlive the backend. The shared
+  /// instance (shared_backend(BackendKind::Clsim)) drives the process-wide
+  /// clsim::default_engine(); HeteroAutoSpmv runs its throughput bins on
+  /// an instance over its own engine.
   explicit ClsimBackend(const clsim::Engine& engine = clsim::default_engine())
       : engine_(&engine) {}
 
@@ -25,22 +27,14 @@ class ClsimBackend final : public Backend {
   }
 
  protected:
-  void do_run_binned(kernels::KernelId id, const CsrMatrix<float>& a,
-                     std::span<const float> x, std::span<float> y,
-                     std::span<const index_t> vrows,
-                     index_t unit) const override;
-  void do_run_binned(kernels::KernelId id, const CsrMatrix<double>& a,
-                     std::span<const double> x, std::span<double> y,
-                     std::span<const index_t> vrows,
-                     index_t unit) const override;
-  void do_run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,
-                   std::span<const float> x, std::span<float> y, int width,
-                   std::span<const index_t> vrows,
-                   index_t unit) const override;
-  void do_run_spmm(kernels::KernelId id, const CsrMatrix<double>& a,
-                   std::span<const double> x, std::span<double> y, int width,
-                   std::span<const index_t> vrows,
-                   index_t unit) const override;
+  void do_run_bins(const CsrMatrix<float>& a,
+                   std::span<const BinTask<float>> tasks,
+                   std::span<const float> x, std::span<float> y,
+                   int width) const override;
+  void do_run_bins(const CsrMatrix<double>& a,
+                   std::span<const BinTask<double>> tasks,
+                   std::span<const double> x, std::span<double> y,
+                   int width) const override;
 
  private:
   const clsim::Engine* engine_;

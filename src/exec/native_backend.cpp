@@ -776,15 +776,13 @@ std::int64_t work_before(const BinTask<T>& t, const TaskShape& sh,
   }
 }
 
-/// Shape of one task. Rejects what no kernel runs, here rather than inside
-/// the parallel region, where an exception would end the process.
+/// Shape of one task. Rejects what no kernel runs (run_bins has checked
+/// the kernel ids), here rather than inside the parallel region, where an
+/// exception would end the process.
 template <typename T>
 TaskShape shape_of(const CsrMatrix<T>& a, const BinTask<T>& t, int width) {
   TaskShape sh;
   if (t.layout == nullptr) {
-    if (static_cast<int>(t.kernel) < 0 ||
-        static_cast<int>(t.kernel) >= kernels::kKernelCount)
-      throw std::invalid_argument("NativeBackend: bad kernel id");
     const RowMap map{t.vrows, t.unit, a.rows()};
     const RowSample sample = sample_rows(a.row_ptr(), a.col_idx(), map,
                                          width > 1);
@@ -885,8 +883,8 @@ void run_item(const CsrMatrix<T>& a, const BinTask<T>& t, const TaskShape& sh,
 
 /// The native executor: every task of `tasks` over `width` columns, as one
 /// work list in (at most) one parallel region of the calling thread's
-/// budget (util::thread_budget), inline below kRegionWork. Single-bin
-/// launches come here as a list of one.
+/// budget (util::thread_budget), inline below kRegionWork. The backend's
+/// one run hook: single-bin launches come here as a list of one.
 template <typename T>
 void run_work_list(const CsrMatrix<T>& a, std::span<const BinTask<T>> tasks,
                    std::span<const T> x, std::span<T> y, int width) {
@@ -932,83 +930,7 @@ void run_work_list(const CsrMatrix<T>& a, std::span<const BinTask<T>> tasks,
   }
 }
 
-template <typename T>
-void run_one(const CsrMatrix<T>& a, const BinTask<T>& t, std::span<const T> x,
-             std::span<T> y, int width) {
-  run_work_list(a, std::span<const BinTask<T>>(&t, 1), x, y, width);
-}
-
-template <typename T>
-void run_one(const CsrMatrix<T>& a, const fmt::BinLayout<T>& l,
-             std::span<const T> x, std::span<T> y, int width) {
-  BinTask<T> t;
-  t.layout = &l;
-  run_one(a, t, x, y, width);
-}
-
 }  // namespace
-
-void NativeBackend::do_run_binned(kernels::KernelId id,
-                                  const CsrMatrix<float>& a,
-                                  std::span<const float> x,
-                                  std::span<float> y,
-                                  std::span<const index_t> vrows,
-                                  index_t unit) const {
-  run_one<float>(a, {id, vrows, unit}, x, y, 1);
-}
-
-void NativeBackend::do_run_binned(kernels::KernelId id,
-                                  const CsrMatrix<double>& a,
-                                  std::span<const double> x,
-                                  std::span<double> y,
-                                  std::span<const index_t> vrows,
-                                  index_t unit) const {
-  run_one<double>(a, {id, vrows, unit}, x, y, 1);
-}
-
-void NativeBackend::do_run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,
-                                std::span<const float> x, std::span<float> y,
-                                int width, std::span<const index_t> vrows,
-                                index_t unit) const {
-  run_one<float>(a, {id, vrows, unit}, x, y, width);
-}
-
-void NativeBackend::do_run_spmm(kernels::KernelId id,
-                                const CsrMatrix<double>& a,
-                                std::span<const double> x,
-                                std::span<double> y, int width,
-                                std::span<const index_t> vrows,
-                                index_t unit) const {
-  run_one<double>(a, {id, vrows, unit}, x, y, width);
-}
-
-void NativeBackend::do_run_layout(const CsrMatrix<float>& a,
-                                  const fmt::BinLayout<float>& l,
-                                  std::span<const float> x,
-                                  std::span<float> y) const {
-  run_one<float>(a, l, x, y, 1);
-}
-
-void NativeBackend::do_run_layout(const CsrMatrix<double>& a,
-                                  const fmt::BinLayout<double>& l,
-                                  std::span<const double> x,
-                                  std::span<double> y) const {
-  run_one<double>(a, l, x, y, 1);
-}
-
-void NativeBackend::do_run_layout_batch(const CsrMatrix<float>& a,
-                                        const fmt::BinLayout<float>& l,
-                                        std::span<const float> x,
-                                        std::span<float> y, int batch) const {
-  run_one<float>(a, l, x, y, batch);
-}
-
-void NativeBackend::do_run_layout_batch(const CsrMatrix<double>& a,
-                                        const fmt::BinLayout<double>& l,
-                                        std::span<const double> x,
-                                        std::span<double> y, int batch) const {
-  run_one<double>(a, l, x, y, batch);
-}
 
 void NativeBackend::do_run_bins(const CsrMatrix<float>& a,
                                 std::span<const BinTask<float>> tasks,

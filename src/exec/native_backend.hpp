@@ -10,9 +10,9 @@
 // serve workers with two threads each never open more than four threads
 // between them, and one thread per 32k units of work (nonzeros plus
 // rows) at most, so a small list runs inline instead of waking a team.
-// Bins cover disjoint rows, so no barrier separates them. The single-bin
-// entries (run_binned, run_spmm, run_layout*) are a work list of one bin
-// through the same executor.
+// Bins cover disjoint rows, so no barrier separates them. The work list
+// is the backend's one run hook (do_run_bins): the single-bin entries
+// (run_binned, run_spmm, run_layout*) reach it as a list of one bin.
 //
 // The kernel id selects the inner-loop organization of each row's dot
 // product: Serial is a plain scalar loop, Sub<X> keeps X partial
@@ -45,37 +45,6 @@ class NativeBackend final : public Backend {
   [[nodiscard]] bool supports_formats() const override { return true; }
 
  protected:
-  void do_run_binned(kernels::KernelId id, const CsrMatrix<float>& a,
-                     std::span<const float> x, std::span<float> y,
-                     std::span<const index_t> vrows,
-                     index_t unit) const override;
-  void do_run_binned(kernels::KernelId id, const CsrMatrix<double>& a,
-                     std::span<const double> x, std::span<double> y,
-                     std::span<const index_t> vrows,
-                     index_t unit) const override;
-  void do_run_spmm(kernels::KernelId id, const CsrMatrix<float>& a,
-                   std::span<const float> x, std::span<float> y, int width,
-                   std::span<const index_t> vrows,
-                   index_t unit) const override;
-  void do_run_spmm(kernels::KernelId id, const CsrMatrix<double>& a,
-                   std::span<const double> x, std::span<double> y, int width,
-                   std::span<const index_t> vrows,
-                   index_t unit) const override;
-  void do_run_layout(const CsrMatrix<float>& a, const fmt::BinLayout<float>& l,
-                     std::span<const float> x,
-                     std::span<float> y) const override;
-  void do_run_layout(const CsrMatrix<double>& a,
-                     const fmt::BinLayout<double>& l,
-                     std::span<const double> x,
-                     std::span<double> y) const override;
-  void do_run_layout_batch(const CsrMatrix<float>& a,
-                           const fmt::BinLayout<float>& l,
-                           std::span<const float> x, std::span<float> y,
-                           int batch) const override;
-  void do_run_layout_batch(const CsrMatrix<double>& a,
-                           const fmt::BinLayout<double>& l,
-                           std::span<const double> x, std::span<double> y,
-                           int batch) const override;
   void do_run_bins(const CsrMatrix<float>& a,
                    std::span<const BinTask<float>> tasks,
                    std::span<const float> x, std::span<float> y,

@@ -19,6 +19,10 @@ namespace {
 using namespace spmv;
 using namespace spmv::core;
 
+const exec::Backend& clsim_backend() {
+  return *exec::shared_backend(exec::BackendKind::Clsim);
+}
+
 std::vector<float> random_vector(std::size_t n, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   std::vector<float> v(n);
@@ -83,9 +87,8 @@ TEST(ExecutePlan, UnitMismatchThrows) {
   Plan plan;
   plan.unit = 10;
   const auto bins = binning::bin_matrix(a, 20);
-  EXPECT_THROW(execute_plan(clsim::default_engine(), a,
-                            std::span<const float>(x), std::span<float>(y),
-                            bins, plan),
+  EXPECT_THROW(execute_plan(clsim_backend(), a, std::span<const float>(x),
+                            std::span<float>(y), bins, plan),
                std::invalid_argument);
 }
 
@@ -98,8 +101,8 @@ TEST(Exhaustive, FindsValidPlanAndExecutesCorrectly) {
   ExhaustiveOptions opts;
   opts.measure = {.warmup = 0, .reps = 1, .max_total_s = 0.05};
   const auto tuned =
-      exhaustive_tune(clsim::default_engine(), a, std::span<const float>(x),
-                      pools, opts);
+      exhaustive_tune(clsim_backend(), a, std::span<const float>(x), pools,
+                      opts);
 
   EXPECT_GE(pools.unit_index(tuned.best_plan.unit), 0);
   EXPECT_FALSE(tuned.best_plan.bin_kernels.empty());
@@ -109,7 +112,7 @@ TEST(Exhaustive, FindsValidPlanAndExecutesCorrectly) {
   // The winning plan must still be a correct SpMV.
   const auto bins = bins_for_plan(a, tuned.best_plan);
   std::vector<float> y(static_cast<std::size_t>(a.rows()));
-  execute_plan(clsim::default_engine(), a, std::span<const float>(x),
+  execute_plan(clsim_backend(), a, std::span<const float>(x),
                std::span<float>(y), bins, tuned.best_plan);
   expect_matches_exact(a, x, y);
 }
@@ -120,8 +123,7 @@ TEST(Exhaustive, BestIsNoWorseThanAnyMeasuredUnit) {
   ExhaustiveOptions opts;
   opts.measure = {.warmup = 0, .reps = 1, .max_total_s = 0.05};
   const auto tuned = exhaustive_tune(
-      clsim::default_engine(), a, std::span<const float>(x), small_pools(),
-      opts);
+      clsim_backend(), a, std::span<const float>(x), small_pools(), opts);
   double best_total = std::numeric_limits<double>::infinity();
   for (const auto& ur : tuned.per_unit)
     best_total = std::min(best_total, ur.total_s);
@@ -145,7 +147,7 @@ TEST(Exhaustive, SingleBinIncludedWhenEnabled) {
   ExhaustiveOptions opts;
   opts.measure = {.warmup = 0, .reps = 1, .max_total_s = 0.02};
   const auto tuned = exhaustive_tune(
-      clsim::default_engine(), a, std::span<const float>(x), pools, opts);
+      clsim_backend(), a, std::span<const float>(x), pools, opts);
   EXPECT_EQ(tuned.per_unit.size(), pools.units.size() + 1);
   EXPECT_TRUE(tuned.per_unit.back().single_bin);
   ASSERT_EQ(tuned.per_unit.back().bin_kernels.size(), 1u);
@@ -156,8 +158,8 @@ TEST(Exhaustive, EmptyPoolThrows) {
   const auto a = gen::diagonal<float>(10);
   const auto x = random_vector(10, 5);
   CandidatePools empty;
-  EXPECT_THROW(exhaustive_tune(clsim::default_engine(), a,
-                               std::span<const float>(x), empty),
+  EXPECT_THROW(exhaustive_tune(clsim_backend(), a, std::span<const float>(x),
+                               empty),
                std::invalid_argument);
 }
 

@@ -643,7 +643,7 @@ void spmm_differential_one(const exec::Backend& backend,
   // the sweep never hands the amortization policy a way to diverge them.
   const auto rt = core::Tuner(a)
                       .predictor(pred)
-                      .backend(backend)
+                      .backend(backend.kind())
                       .formats(use_auto ? fmt::FormatMode::Auto
                                         : fmt::FormatMode::Csr)
                       .format_policy({.min_reuse = 0})
@@ -724,7 +724,7 @@ TEST(Differential, SpmmFallbackColumnsCounted) {
     const std::string where =
         ctx(base, 500000, seed,
             exec::backend_name(backend->kind()) + "/spmm-fallback");
-    const auto rt = core::Tuner(a).plan(plan).backend(*backend).build();
+    const auto rt = core::Tuner(a).plan(plan).backend(backend->kind()).build();
     std::vector<double> y(static_cast<std::size_t>(a.rows()) * kWidth);
     prof::RunProfile profile;
     const std::uint64_t before = prof::spmm_fallback_columns();

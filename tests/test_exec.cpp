@@ -1,6 +1,7 @@
 // Tests for the spmv::exec backend seam itself: name round-trips, the
-// shared-instance contract of shared_backend()/wrap_engine(), ExecContext
-// validation, batch argument validation at the interface layer, numeric
+// shared-instance contract of shared_backend(), argument validation of
+// every public form at the interface layer, the one-hook contract (each
+// single-bin form reaches do_run_bins as one task), numeric
 // clsim-vs-native parity on a few structured matrices (the full random
 // corpus lives in test_differential), and the native work list's bits
 // against per-bin launches.
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -69,53 +71,236 @@ TEST(ExecShared, SharedBackendReturnsProcessWideSingletons) {
   }
   EXPECT_NE(exec::shared_backend(exec::BackendKind::Clsim).get(),
             exec::shared_backend(exec::BackendKind::Native).get());
-}
-
-TEST(ExecShared, WrapEngineShortCircuitsTheDefaultEngine) {
-  const auto wrapped = exec::wrap_engine(clsim::default_engine());
-  EXPECT_EQ(wrapped.get(),
-            exec::shared_backend(exec::BackendKind::Clsim).get());
-  EXPECT_EQ(wrapped->engine(), &clsim::default_engine());
-
-  // A caller-owned engine gets its own wrapper bound to that engine.
-  clsim::Engine own;
-  const auto own_wrapped = exec::wrap_engine(own);
-  EXPECT_NE(own_wrapped.get(), wrapped.get());
-  EXPECT_EQ(own_wrapped->engine(), &own);
-
-  // The native backend never touches clsim.
+  // The clsim instance drives the process-wide engine; the native backend
+  // never touches clsim.
+  EXPECT_EQ(exec::shared_backend(exec::BackendKind::Clsim)->engine(),
+            &clsim::default_engine());
   EXPECT_EQ(exec::shared_backend(exec::BackendKind::Native)->engine(),
             nullptr);
 }
 
-TEST(ExecContext, NullBackendThrowsDefaultIsClsim) {
-  EXPECT_THROW(exec::ExecContext(nullptr), std::invalid_argument);
-  const exec::ExecContext ctx;
-  EXPECT_EQ(ctx.kind(), exec::BackendKind::Clsim);
-  EXPECT_EQ(&ctx.backend(),
+TEST(ExecShared, TunerDefaultsToTheSharedClsimBackend) {
+  const auto a = gen::diagonal<float>(64);
+  const core::HeuristicPredictor pred;
+  const auto rt = core::Tuner(a).predictor(pred).build();
+  EXPECT_EQ(rt.backend().kind(), exec::BackendKind::Clsim);
+  EXPECT_EQ(&rt.backend(),
             exec::shared_backend(exec::BackendKind::Clsim).get());
+  EXPECT_EQ(rt.plan().backend, exec::BackendKind::Clsim);
 }
 
 // --- Interface-layer validation -------------------------------------------
 
+/// One bin of a 64-row diagonal at U = 8 and its ELL layout: the operands
+/// every public form is driven with below.
+struct OneBin {
+  CsrMatrix<float> a = gen::diagonal<float>(64);
+  binning::BinSet bins = binning::bin_matrix(a, 8);
+  int bin = bins.occupied_bins().front();
+  std::span<const index_t> vrows = bins.bin(bin);
+  fmt::PlanLayouts<float> layouts{{.min_reuse = 0}};
+  std::shared_ptr<const fmt::BinLayout<float>> layout =
+      layouts.acquire(a, vrows, 8, fmt::FormatKind::Ell, bin);
+};
+
+/// A public form driven over (x, y, width); forms without a width ignore it.
+using Form = std::function<void(const exec::Backend&, std::span<const float>,
+                                std::span<float>, int)>;
+
+struct NamedForm {
+  const char* name;
+  bool has_width;
+  Form run;
+};
+
+std::vector<NamedForm> public_forms(const OneBin& o) {
+  return {
+      {"run_binned", false,
+       [&o](const exec::Backend& b, std::span<const float> x,
+            std::span<float> y, int) {
+         b.run_binned(KernelId::Serial, o.a, x, y, o.vrows, 8);
+       }},
+      {"run_full", false,
+       [&o](const exec::Backend& b, std::span<const float> x,
+            std::span<float> y, int) {
+         b.run_full(KernelId::Serial, o.a, x, y);
+       }},
+      {"run_spmm", true,
+       [&o](const exec::Backend& b, std::span<const float> x,
+            std::span<float> y, int w) {
+         b.run_spmm(KernelId::Serial, o.a, x, y, w, o.vrows, 8);
+       }},
+      {"run_layout", false,
+       [&o](const exec::Backend& b, std::span<const float> x,
+            std::span<float> y, int) { b.run_layout(o.a, *o.layout, x, y); }},
+      {"run_layout_batch", true,
+       [&o](const exec::Backend& b, std::span<const float> x,
+            std::span<float> y, int w) {
+         b.run_layout_batch(o.a, *o.layout, x, y, w);
+       }},
+      {"run_bins", true,
+       [&o](const exec::Backend& b, std::span<const float> x,
+            std::span<float> y, int w) {
+         const exec::BinTask<float> task{KernelId::Serial, o.vrows, 8};
+         b.run_bins(o.a, std::span<const exec::BinTask<float>>(&task, 1), x,
+                    y, w);
+       }},
+  };
+}
+
+/// Every public form x {width 0, short x, short y} on both backends: each
+/// is rejected with std::invalid_argument before any kernel writes y.
 TEST(ExecValidation, BatchExtentsAndWidthChecked) {
-  const auto a = gen::diagonal<float>(64);
-  const auto bins = binning::bin_matrix(a, 8);
-  const auto vrows = bins.bin(bins.occupied_bins().front());
-  std::vector<float> x(64 * 2), y(64 * 2);
+  const OneBin o;
+  ASSERT_NE(o.layout, nullptr);
   for (auto kind : exec::all_backends()) {
     const auto backend = exec::shared_backend(kind);
-    EXPECT_THROW(backend->run_spmm(KernelId::Serial, a,
-                                   std::span<const float>(x),
-                                   std::span<float>(y), 0, vrows, 8),
-                 std::invalid_argument)
-        << exec::backend_name(kind);
-    EXPECT_THROW(backend->run_spmm(KernelId::Serial, a,
-                                   std::span<const float>(x),
-                                   std::span<float>(y), 3, vrows, 8),
-                 std::invalid_argument)
-        << exec::backend_name(kind);
+    for (const NamedForm& f : public_forms(o)) {
+      const int w = f.has_width ? 2 : 1;
+      const std::size_t n = 64 * static_cast<std::size_t>(w);
+      const std::vector<float> x(n), x_short(n - 1);
+      std::vector<float> y(n), y_short(n - 1);
+      const std::string where = exec::backend_name(kind) + "/" + f.name;
+      if (f.has_width) {
+        EXPECT_THROW(f.run(*backend, x, y, 0), std::invalid_argument)
+            << where << " width 0";
+      }
+      EXPECT_THROW(f.run(*backend, x_short, y, w), std::invalid_argument)
+          << where << " short x";
+      EXPECT_THROW(f.run(*backend, x, y_short, w), std::invalid_argument)
+          << where << " short y";
+    }
   }
+}
+
+// --- The one run hook -----------------------------------------------------
+
+/// A backend that overrides only the run hook and records what reaches it.
+class RecordingBackend final : public exec::Backend {
+ public:
+  struct Call {
+    KernelId kernel;
+    const index_t* vrows_data;
+    std::vector<index_t> vrows;
+    index_t unit;
+    const fmt::BinLayout<float>* layout;
+    const float* x;
+    const float* y;
+    int width;
+  };
+
+  explicit RecordingBackend(bool formats) : formats_(formats) {}
+
+  [[nodiscard]] exec::BackendKind kind() const override {
+    return exec::BackendKind::Native;
+  }
+  [[nodiscard]] bool supports_formats() const override { return formats_; }
+
+  mutable std::vector<std::vector<Call>> calls;
+  mutable int double_calls = 0;
+
+ protected:
+  void do_run_bins(const CsrMatrix<float>&,
+                   std::span<const exec::BinTask<float>> tasks,
+                   std::span<const float> x, std::span<float> y,
+                   int width) const override {
+    std::vector<Call>& call = calls.emplace_back();
+    for (const exec::BinTask<float>& t : tasks)
+      call.push_back({t.kernel, t.vrows.data(),
+                      {t.vrows.begin(), t.vrows.end()}, t.unit, t.layout,
+                      x.data(), y.data(), width});
+  }
+  void do_run_bins(const CsrMatrix<double>&,
+                   std::span<const exec::BinTask<double>>,
+                   std::span<const double>, std::span<double>,
+                   int) const override {
+    double_calls += 1;
+  }
+
+ private:
+  bool formats_;
+};
+
+TEST(ExecOneHook, EveryPublicFormArrivesAsOneTask) {
+  const OneBin o;
+  ASSERT_NE(o.layout, nullptr);
+  const RecordingBackend be(true);
+  std::vector<float> x1(64), y1(64), x3(64 * 3), y3(64 * 3);
+  const std::span<const float> cx1(x1), cx3(x3);
+  be.run_binned(KernelId::Sub4, o.a, cx1, std::span<float>(y1), o.vrows, 8);
+  be.run_full(KernelId::Vector, o.a, cx1, std::span<float>(y1));
+  be.run_spmm(KernelId::Sub16, o.a, cx3, std::span<float>(y3), 3, o.vrows, 8);
+  be.run_layout(o.a, *o.layout, cx1, std::span<float>(y1));
+  be.run_layout_batch(o.a, *o.layout, cx3, std::span<float>(y3), 3);
+  ASSERT_EQ(be.calls.size(), 5u);
+  for (const auto& call : be.calls) ASSERT_EQ(call.size(), 1u);
+
+  const auto& binned = be.calls[0][0];
+  EXPECT_EQ(binned.kernel, KernelId::Sub4);
+  EXPECT_EQ(binned.vrows_data, o.vrows.data());  // the caller's rows
+  EXPECT_EQ(binned.vrows.size(), o.vrows.size());
+  EXPECT_EQ(binned.unit, 8);
+  EXPECT_EQ(binned.layout, nullptr);
+  EXPECT_EQ(binned.x, x1.data());
+  EXPECT_EQ(binned.y, y1.data());
+  EXPECT_EQ(binned.width, 1);
+
+  // run_full: every row, as one bin of granularity 1.
+  const auto& full = be.calls[1][0];
+  EXPECT_EQ(full.kernel, KernelId::Vector);
+  ASSERT_EQ(full.vrows.size(), 64u);
+  for (std::size_t i = 0; i < full.vrows.size(); ++i)
+    EXPECT_EQ(full.vrows[i], static_cast<index_t>(i));
+  EXPECT_EQ(full.unit, 1);
+  EXPECT_EQ(full.layout, nullptr);
+  EXPECT_EQ(full.width, 1);
+
+  const auto& spmm = be.calls[2][0];
+  EXPECT_EQ(spmm.kernel, KernelId::Sub16);
+  EXPECT_EQ(spmm.vrows_data, o.vrows.data());
+  EXPECT_EQ(spmm.unit, 8);
+  EXPECT_EQ(spmm.layout, nullptr);
+  EXPECT_EQ(spmm.x, x3.data());
+  EXPECT_EQ(spmm.y, y3.data());
+  EXPECT_EQ(spmm.width, 3);
+
+  const auto& layout = be.calls[3][0];
+  EXPECT_EQ(layout.layout, o.layout.get());
+  EXPECT_EQ(layout.width, 1);
+  const auto& layout_batch = be.calls[4][0];
+  EXPECT_EQ(layout_batch.layout, o.layout.get());
+  EXPECT_EQ(layout_batch.width, 3);
+
+  // The double forms reach the double hook.
+  const auto ad = gen::diagonal<double>(64);
+  std::vector<double> xd(64), yd(64);
+  be.run_full(KernelId::Serial, ad, std::span<const double>(xd),
+              std::span<double>(yd));
+  EXPECT_EQ(be.double_calls, 1);
+  EXPECT_EQ(be.calls.size(), 5u);
+}
+
+TEST(ExecOneHook, LayoutTaskOnACsrOnlyBackendThrowsBeforeTheHook) {
+  const OneBin o;
+  ASSERT_NE(o.layout, nullptr);
+  const RecordingBackend be(false);
+  std::vector<float> x(64 * 2), y(64 * 2);
+  const std::span<const float> cx1(x.data(), 64), cx2(x);
+  const std::span<float> y1(y.data(), 64), y2(y);
+  EXPECT_THROW(be.run_layout(o.a, *o.layout, cx1, y1), std::logic_error);
+  EXPECT_THROW(be.run_layout_batch(o.a, *o.layout, cx2, y2, 2),
+               std::logic_error);
+  // A layout anywhere in a plan's list rejects the whole list.
+  exec::BinTask<float> tasks[2] = {{KernelId::Serial, o.vrows, 8},
+                                   {KernelId::Serial, o.vrows, 8}};
+  tasks[1].layout = o.layout.get();
+  EXPECT_THROW(be.run_bins(o.a, std::span<const exec::BinTask<float>>(tasks),
+                           cx1, y1, 1),
+               std::logic_error);
+  EXPECT_TRUE(be.calls.empty());
+  // The CSR forms still reach the hook.
+  be.run_binned(KernelId::Serial, o.a, cx1, y1, o.vrows, 8);
+  EXPECT_EQ(be.calls.size(), 1u);
 }
 
 // --- Numeric parity -------------------------------------------------------

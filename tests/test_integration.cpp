@@ -33,8 +33,7 @@ TEST(Integration, TrainPersistPredictExecute) {
   copts.count = 10;
   copts.min_rows = 500;
   copts.max_rows = 2500;
-  const auto model = train_model(gen::sample_corpus(copts), opts,
-                                 clsim::default_engine(), nullptr);
+  const auto model = train_model(gen::sample_corpus(copts), opts, nullptr);
 
   // 2. Persist and reload (the deployment path).
   std::stringstream ss;

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "binning/binning.hpp"
-#include "exec/clsim_backend.hpp"
+#include "exec/backend.hpp"
 #include "gen/generators.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/registry.hpp"
@@ -21,6 +21,10 @@ namespace {
 
 using namespace spmv;
 using kernels::KernelId;
+
+const exec::Backend& clsim() {
+  return *exec::shared_backend(exec::BackendKind::Clsim);
+}
 
 std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
@@ -137,8 +141,7 @@ TEST_P(KernelCorrectness, FullMatrixMatchesReference) {
   const auto x = random_vector(static_cast<std::size_t>(a.cols()), 21);
   std::vector<double> y(static_cast<std::size_t>(a.rows()),
                         std::nan(""));
-  exec::ClsimBackend().run_full(id, a, std::span<const double>(x),
-                                std::span<double>(y));
+  clsim().run_full(id, a, std::span<const double>(x), std::span<double>(y));
   expect_matches_exact(a, x, y);
 }
 
@@ -167,8 +170,8 @@ TEST_P(BinnedKernelCorrectness, PerBinLaunchesComposeFullSpmv) {
 
   std::vector<double> y(static_cast<std::size_t>(a.rows()), std::nan(""));
   for (int b : bins.occupied_bins()) {
-    exec::ClsimBackend().run_binned(id, a, std::span<const double>(x),
-                                    std::span<double>(y), bins.bin(b), unit);
+    clsim().run_binned(id, a, std::span<const double>(x),
+                       std::span<double>(y), bins.bin(b), unit);
   }
   expect_matches_exact(a, x, y);
 }
@@ -195,10 +198,8 @@ TEST(BinnedExecution, OnlyCoveredRowsWritten) {
   const double sentinel = -777.0;
   std::vector<double> y(static_cast<std::size_t>(a.rows()), sentinel);
   // Run only the first occupied bin.
-  exec::ClsimBackend().run_binned(KernelId::Sub8, a,
-                                  std::span<const double>(x),
-                                  std::span<double>(y), bins.bin(occupied[0]),
-                                  10);
+  clsim().run_binned(KernelId::Sub8, a, std::span<const double>(x),
+                     std::span<double>(y), bins.bin(occupied[0]), 10);
 
   // Rows of that bin are written; rows of other bins still hold sentinel.
   std::vector<bool> covered(static_cast<std::size_t>(a.rows()), false);
@@ -221,9 +222,8 @@ TEST(BinnedExecution, EmptyBinIsNoOp) {
   const auto a = make_matrix("tiny");
   std::vector<double> x(1, 1.0), y(1, -5.0);
   const std::vector<index_t> empty;
-  exec::ClsimBackend().run_binned(KernelId::Vector, a,
-                                  std::span<const double>(x),
-                                  std::span<double>(y), empty, 10);
+  clsim().run_binned(KernelId::Vector, a, std::span<const double>(x),
+                     std::span<double>(y), empty, 10);
   EXPECT_EQ(y[0], -5.0);
 }
 
@@ -238,8 +238,7 @@ TEST(FloatKernels, AllKernelsMatchDoubleReference) {
 
   for (KernelId id : kernels::all_kernels()) {
     std::vector<float> y(static_cast<std::size_t>(af.rows()));
-    exec::ClsimBackend().run_full(id, af, std::span<const float>(xf),
-                                  std::span<float>(y));
+    clsim().run_full(id, af, std::span<const float>(xf), std::span<float>(y));
     for (std::size_t i = 0; i < y.size(); ++i) {
       const double scale = std::abs(exact[i]) + 1.0;
       ASSERT_NEAR(static_cast<double>(y[i]), exact[i], 2e-4 * scale)

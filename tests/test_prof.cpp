@@ -1050,7 +1050,7 @@ TEST(ExhaustiveTune, RecordsPerCandidateCost) {
   core::ExhaustiveOptions opts;
   opts.measure = {.warmup = 0, .reps = 1, .max_total_s = 0.05};
   opts.profile = &profile;
-  core::exhaustive_tune(clsim::default_engine(), a,
+  core::exhaustive_tune(*exec::shared_backend(exec::BackendKind::Clsim), a,
                         std::span<const float>(x), pools, opts);
 
   ASSERT_EQ(profile.tuning.size(), 3u);  // U=10, U=100, single-bin

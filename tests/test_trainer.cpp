@@ -33,7 +33,7 @@ TEST(HarvestLabels, ProducesValidClasses) {
   const auto opts = fast_options();
   const auto a = gen::mixed_regime<float>(2000, 2000, 0.5, 0.3, 3, 40, 300,
                                           32, 21);
-  const auto labels = harvest_labels(clsim::default_engine(), a, opts);
+  const auto labels = harvest_labels(a, opts);
   EXPECT_GE(labels.best_unit_class, 0);
   EXPECT_LT(labels.best_unit_class,
             static_cast<int>(opts.pools.units.size()) + 1);
@@ -52,9 +52,8 @@ TEST(HarvestLabels, WinnerOnlyModeEmitsFewerSamples) {
   auto winner = fast_options();
   winner.stage2_all_units = false;
   const auto a = gen::power_law<float>(1500, 1500, 2.0, 200, 22);
-  const auto labels_all = harvest_labels(clsim::default_engine(), a, all);
-  const auto labels_winner =
-      harvest_labels(clsim::default_engine(), a, winner);
+  const auto labels_all = harvest_labels(a, all);
+  const auto labels_winner = harvest_labels(a, winner);
   EXPECT_LT(labels_winner.stage2.size(), labels_all.stage2.size());
   EXPECT_FALSE(labels_winner.stage2.empty());
 }
@@ -63,8 +62,7 @@ TEST(Trainer, TrainsOnTinyCorpusAndReports) {
   const auto opts = fast_options();
   const auto specs = tiny_corpus(12);
   TrainReport report;
-  const auto model =
-      train_model(specs, opts, clsim::default_engine(), &report);
+  const auto model = train_model(specs, opts, &report);
 
   EXPECT_EQ(report.matrices, 12u);
   EXPECT_EQ(report.stage1_train_samples + report.stage1_test_samples, 12u);
@@ -78,8 +76,7 @@ TEST(Trainer, TrainsOnTinyCorpusAndReports) {
 
 TEST(Trainer, ModelPredictorProducesValidPlans) {
   const auto opts = fast_options();
-  const auto model =
-      train_model(tiny_corpus(10), opts, clsim::default_engine(), nullptr);
+  const auto model = train_model(tiny_corpus(10), opts, nullptr);
   ModelPredictor pred(model);
 
   const auto a = gen::banded<float>(4000, 5, 0.5, 23);
@@ -93,15 +90,13 @@ TEST(Trainer, ModelPredictorProducesValidPlans) {
 }
 
 TEST(Trainer, EmptyCorpusThrows) {
-  EXPECT_THROW(
-      train_model({}, fast_options(), clsim::default_engine(), nullptr),
-      std::invalid_argument);
+  EXPECT_THROW(train_model({}, fast_options(), nullptr),
+               std::invalid_argument);
 }
 
 TEST(ModelIo, RoundTripPreservesPredictions) {
   const auto opts = fast_options();
-  const auto model =
-      train_model(tiny_corpus(10), opts, clsim::default_engine(), nullptr);
+  const auto model = train_model(tiny_corpus(10), opts, nullptr);
 
   std::stringstream ss;
   save_model(ss, model);
@@ -132,8 +127,7 @@ TEST(ModelIo, RoundTripPreservesPredictions) {
 
 TEST(ModelIo, FileHelpersRoundTrip) {
   const auto opts = fast_options();
-  const auto model =
-      train_model(tiny_corpus(8), opts, clsim::default_engine(), nullptr);
+  const auto model = train_model(tiny_corpus(8), opts, nullptr);
   const std::string path = ::testing::TempDir() + "/autospmv_model.txt";
   save_model_file(path, model);
   const auto loaded = load_model_file(path);

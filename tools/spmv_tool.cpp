@@ -304,8 +304,8 @@ int cmd_train(const util::Cli& cli) {
 
   util::set_log_level(util::LogLevel::Info);
   core::TrainReport report;
-  const auto model = core::train_model(gen::sample_corpus(copts), topts,
-                                       clsim::default_engine(), &report);
+  const auto model =
+      core::train_model(gen::sample_corpus(copts), topts, &report);
   std::printf("stage 1: %.1f%% train / %.1f%% test error\n",
               100.0 * report.stage1_train_error,
               100.0 * report.stage1_test_error);
